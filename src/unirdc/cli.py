@@ -195,7 +195,10 @@ def _parse_grid(text: str) -> list[Fraction]:
 
 
 def _parse_dist_vector(text: str, size: int) -> list[Fraction]:
-    parts = [Fraction(p) for p in text.split(",")]
+    try:
+        parts = [Fraction(p) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"cannot parse source distribution {text!r} as rationals")
     if len(parts) != size or sum(parts) != 1 or any(p < 0 for p in parts):
         raise PreconditionError("source distribution must be a probability vector")
     return parts

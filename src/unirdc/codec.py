@@ -92,12 +92,6 @@ class CodebookStream:
     @cached_property
     def resolved_table(self) -> UniversalTable:
         if self.table is not None:
-            if (
-                self.table.n != self.n
-                or self.table.alphabet_size != self.alphabet_size
-                or self.table.length_mode != self.length_mode
-            ):
-                raise PreconditionError("supplied table does not match the stream")
             return self.table
         return build_universal_table(self.n, self.alphabet_size, self.length_mode)
 
@@ -325,6 +319,10 @@ def write_container(f, stream: CodebookStream, level, messages) -> None:
         raise PreconditionError("container stores the level as a uint8/uint8 rational")
     if not 0 <= stream.seed < 1 << 64:
         raise PreconditionError("container seeds must fit in 64 bits")
+    if not 2 <= stream.alphabet_size <= 255:
+        raise PreconditionError("container stores the alphabet size as a uint8 of at least 2")
+    if not 1 <= stream.n <= 0xFFFF:
+        raise PreconditionError("container stores the block length as a positive uint16")
     flags = (
         (_VERSION << 4)
         | _MODE_CODES[stream.mode]
@@ -355,6 +353,12 @@ def read_container(f) -> tuple[ContainerHeader, list[EncodedMessage]]:
     flags, k, n, num, den, seed = struct.unpack(">BBHBBQ", header[2:])
     if flags >> 4 != _VERSION:
         raise CorruptStreamError(f"unsupported container version {flags >> 4}")
+    if flags & 0b1100:
+        raise CorruptStreamError(f"unknown container flag bits {flags & 0b1100:#04b}")
+    if k < 2:
+        raise CorruptStreamError(f"alphabet size {k} is below 2")
+    if n == 0:
+        raise CorruptStreamError("block length is zero")
     mode = _MODE_NAMES[flags & 1]
     length_mode = _LENGTH_NAMES[(flags >> 1) & 1]
     if den == 0:

@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import EnumerationCapError, PreconditionError, TruncationError
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
@@ -114,6 +116,27 @@ def enumerate_blocks(n: int, alphabet_size: int) -> Iterator[Block]:
     check_enumerable(alphabet_size**n, f"enumerating {alphabet_size}^{n} blocks")
     for tup in product(range(alphabet_size), repeat=n):
         yield Block(tup)
+
+
+def block_index(block: Block, alphabet_size: int) -> int:
+    """Position of the block in the lexicographic order of enumerate_blocks.
+
+    That position is the block read as a base-K number, first symbol most
+    significant.
+    """
+    block.validate(alphabet_size)
+    i = 0
+    for s in block.symbols:
+        i = i * alphabet_size + s
+    return i
+
+
+def blocks_at(indices, n: int, alphabet_size: int) -> list[Block]:
+    """The blocks at the given lexicographic positions (inverse of block_index)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    powers = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = (idx[:, None] // powers) % alphabet_size
+    return [Block(tuple(row)) for row in digits.tolist()]
 
 
 @dataclass(frozen=True)

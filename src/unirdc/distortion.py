@@ -10,14 +10,18 @@ sphere membership tests never touch floats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from .core import (
     Alphabet,
     Block,
     EmpiricalDistribution,
+    blocks_at,
     check_enumerable,
     enumerate_blocks,
     joint_empirical_distribution,
@@ -32,6 +36,7 @@ __all__ = [
     "callable_spec",
     "squared_disagreement",
     "distortion",
+    "sphere_indicator",
     "enumerate_sphere",
     "enumerate_reverse_sphere",
     "find_witness",
@@ -152,24 +157,78 @@ def _budget(n: int, level) -> Fraction:
     return n * level
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _additive_mask(matrix, symbols, budget) -> np.ndarray | None:
+    """Total per-letter cost <= budget, for every block against one fixed block.
+
+    matrix[a][b] is the cost of letter b of the enumerated block facing letter
+    a of the fixed block, whose letters are symbols. Entries are scaled to a
+    common integer denominator and the totals of all blocks are folded in one
+    position at a time, so entry i of the result belongs to the block with the
+    base-K digits of i. None when the scaled totals may not fit in int64.
+    """
+    scale = math.lcm(*(Fraction(v).denominator for row in matrix for v in row))
+    rows = [[int(v * scale) for v in row] for row in matrix]
+    top = max(map(max, rows)) * len(symbols)
+    if top > _INT64_MAX:
+        return None
+    threshold = math.floor(budget * scale)
+    if threshold < 0:
+        return np.zeros(len(rows[0]) ** len(symbols), dtype=bool)
+    costs = np.array(rows, dtype=np.int64)
+    totals = np.zeros(1, dtype=np.int64)
+    for a in symbols:
+        totals = (totals[:, None] + costs[a]).ravel()
+    return totals <= min(threshold, top)
+
+
+def sphere_indicator(
+    center: Block, level, spec: DistortionSpec, reverse: bool = False
+) -> np.ndarray:
+    """Sphere membership of every block, in lexicographic order.
+
+    Entry i is True when the block with the base-K digits of i lies within
+    total distortion n * level of center. The enumerated blocks are
+    reproductions around a source center, or with reverse=True sources around
+    a reproduction center. A negative level gives the empty sphere. Per-letter
+    matrices take the exact integer fold of _additive_mask; other kinds, and
+    matrices too large for int64, take one exact scalar pass.
+    """
+    if center.n == 0:
+        raise PreconditionError("blocks must be nonempty")
+    center.validate(spec.repro_size if reverse else spec.source_size)
+    k = spec.source_size if reverse else spec.repro_size
+    check_enumerable(k**center.n, "sphere scan")
+    budget = center.n * Fraction(level)
+    if spec.kind == PER_LETTER:
+        matrix = tuple(zip(*spec.matrix)) if reverse else spec.matrix
+        mask = _additive_mask(matrix, center.symbols, budget)
+        if mask is not None:
+            return mask
+    pairs = (
+        ((b, center) if reverse else (center, b)) for b in enumerate_blocks(center.n, k)
+    )
+    return np.fromiter(
+        (distortion(x, xhat, spec) <= budget for x, xhat in pairs),
+        dtype=bool,
+        count=k**center.n,
+    )
+
+
 def enumerate_sphere(x: Block, level, spec: DistortionSpec) -> list[Block]:
     """All reproduction blocks within total distortion n * level of x."""
-    budget = _budget(x.n, level)
-    return [
-        xhat
-        for xhat in enumerate_blocks(x.n, spec.repro_size)
-        if distortion(x, xhat, spec) <= budget
-    ]
+    _budget(x.n, level)  # rejects a negative level
+    inside = np.flatnonzero(sphere_indicator(x, level, spec))
+    return blocks_at(inside, x.n, spec.repro_size)
 
 
 def enumerate_reverse_sphere(xhat: Block, level, spec: DistortionSpec) -> list[Block]:
     """All source blocks within total distortion n * level of xhat."""
-    budget = _budget(xhat.n, level)
-    return [
-        x
-        for x in enumerate_blocks(xhat.n, spec.source_size)
-        if distortion(x, xhat, spec) <= budget
-    ]
+    _budget(xhat.n, level)  # rejects a negative level
+    inside = np.flatnonzero(sphere_indicator(xhat, level, spec, reverse=True))
+    return blocks_at(inside, xhat.n, spec.source_size)
 
 
 def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BitReader, BitString, BitWriter, Block, enumerate_blocks
+from .core import BitReader, BitString, BitWriter, Block
 from .errors import CorruptStreamError, PreconditionError
 
 __all__ = [
@@ -228,14 +228,6 @@ def lz_length_bound(
 
 def kraft_sum(n: int, alphabet_size: int, length_mode: str = "plain") -> Fraction:
     """Exact sum of 2^-length over every block of length n."""
-    if length_mode not in ("plain", "capped"):
-        raise PreconditionError(f"unknown length mode {length_mode!r}")
-    lengths = []
-    for block in enumerate_blocks(n, alphabet_size):
-        if length_mode == "plain":
-            lengths.append(lz_bit_length(block, alphabet_size))
-        else:
-            lengths.append(lz_capped_length(block, alphabet_size))
-    top = max(lengths)
-    total = sum(1 << (top - length) for length in lengths)
-    return Fraction(total, 1 << top)
+    from .universal import build_universal_table  # universal imports this module
+
+    return build_universal_table(n, alphabet_size, length_mode).normalizer

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import Block
-from .distortion import DistortionSpec, distortion
+from .core import Block, blocks_at
+from .distortion import DistortionSpec, sphere_indicator
 from .errors import InfeasibleError, PreconditionError
 from .universal import UniversalTable
 
@@ -222,18 +221,13 @@ def min_lz_in_sphere(
     """Shortest parse code inside the sphere around x; lexicographic tie-break."""
     if x.n != table.n:
         raise PreconditionError("block length does not match the table")
-    budget = x.n * Fraction(level)
-    best_bits: int | None = None
-    best_block: Block | None = None
-    for i, xhat in enumerate(table.blocks):
-        if distortion(x, xhat, spec) <= budget and (
-            best_bits is None or table.bits[i] < best_bits
-        ):
-            best_bits = table.bits[i]
-            best_block = xhat
-    if best_block is None:
+    if spec.repro_size != table.alphabet_size:
+        raise PreconditionError("reproduction alphabet does not match the table")
+    inside = np.flatnonzero(sphere_indicator(x, level, spec))
+    if not inside.size:
         raise InfeasibleError("the distortion sphere is empty")
-    return best_bits, best_block
+    best = int(inside[np.argmin(table.bits[inside])])  # first minimum in order
+    return int(table.bits[best]), blocks_at([best], x.n, table.alphabet_size)[0]
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
-from .core import Block, check_enumerable, enumerate_blocks
-from .distortion import DistortionSpec, distortion
+import numpy as np
+
+from .core import Block, block_index, check_enumerable, enumerate_blocks
+from .distortion import DistortionSpec, distortion, sphere_indicator
 from .errors import PreconditionError
 from . import lz78
 
@@ -35,63 +38,78 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _scaled_sum(bits: np.ndarray, top: int) -> int:
+    """Exact sum of 2^(top - b) over the code lengths b, as a Python int."""
+    counts = np.bincount(bits).tolist()
+    return sum(c << (top - b) for b, c in enumerate(counts) if c)
+
+
+@dataclass(frozen=True, eq=False)
 class UniversalTable:
-    """Exact weight table over all blocks of one length, in lexicographic order."""
+    """Exact weight table over all blocks of one length, in lexicographic order.
+
+    Block i is the base-K digits of i, so only the code lengths are kept:
+    bits[i] is the length of block i, in a read-only int64 array. The blocks
+    themselves and the cumulative weights are built on first use. Tables
+    compare and hash by identity.
+    """
 
     n: int
     alphabet_size: int
     length_mode: str
-    blocks: tuple[Block, ...]
-    bits: tuple[int, ...]
+    bits: np.ndarray
+
+    def __post_init__(self):
+        bits = np.array(self.bits, dtype=np.int64)
+        if bits.shape != (self.alphabet_size**self.n,):
+            raise PreconditionError("a table needs one code length per block")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     @property
     def size(self) -> int:
-        return len(self.blocks)
+        return len(self.bits)
 
     @cached_property
     def max_bits(self) -> int:
-        return max(self.bits)
+        return int(self.bits.max())
 
     @cached_property
-    def _scaled_weights(self) -> tuple[int, ...]:
-        # weight of block i is _scaled_weights[i] / 2^max_bits, an exact dyadic
-        top = self.max_bits
-        return tuple(1 << (top - b) for b in self.bits)
-
-    @cached_property
-    def _cumulative(self) -> list[int]:
-        out = []
-        acc = 0
-        for w in self._scaled_weights:
-            acc += w
-            out.append(acc)
-        return out
+    def _total(self) -> int:
+        # weight of block i is 2^(max_bits - bits[i]) / 2^max_bits, an exact dyadic
+        return _scaled_sum(self.bits, self.max_bits)
 
     @cached_property
     def normalizer(self) -> Fraction:
         """Exact total weight; at most 1 by the Kraft inequality."""
-        return Fraction(self._cumulative[-1], 1 << self.max_bits)
+        return Fraction(self._total, 1 << self.max_bits)
 
     @cached_property
-    def _index(self) -> dict[Block, int]:
-        return {b: i for i, b in enumerate(self.blocks)}
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(enumerate_blocks(self.n, self.alphabet_size))
+
+    @cached_property
+    def _cumulative(self) -> list[int]:
+        top = self.max_bits
+        return list(accumulate(1 << (top - b) for b in self.bits.tolist()))
 
     def bit_length_of(self, block: Block) -> int:
-        return self.bits[self._index[block]]
+        if block.n != self.n:
+            raise PreconditionError("block length does not match the table")
+        return int(self.bits[block_index(block, self.alphabet_size)])
 
     def weight(self, block: Block) -> Fraction:
         return Fraction(1, 1 << self.bit_length_of(block))
 
     def prob(self, block: Block) -> Fraction:
         """Exact normalized probability of one block."""
-        i = self._index[block]
-        return Fraction(self._scaled_weights[i], self._cumulative[-1])
+        return Fraction(1 << (self.max_bits - self.bit_length_of(block)), self._total)
 
     def probs(self) -> dict[Block, Fraction]:
-        total = self._cumulative[-1]
+        top, total = self.max_bits, self._total
         return {
-            b: Fraction(w, total) for b, w in zip(self.blocks, self._scaled_weights)
+            b: Fraction(1 << (top - bits), total)
+            for b, bits in zip(self.blocks, self.bits.tolist())
         }
 
     @property
@@ -102,27 +120,66 @@ class UniversalTable:
     def to_csv(self, f, alphabet=None) -> None:
         """Rows of block, bit length, and the dyadic weight 1 * 2^-bits."""
         f.write("block,bits,weight_numerator,weight_exponent\n")
-        for b, bits in zip(self.blocks, self.bits):
+        for b, bits in zip(self.blocks, self.bits.tolist()):
             text = alphabet.to_text(b) if alphabet else "".join(str(s) for s in b)
             f.write(f"{text},{bits},1,{bits}\n")
+
+
+def _parse_lengths(n: int, alphabet_size: int) -> list[int]:
+    """Plain parse code length of every block of length n, in lexicographic order.
+
+    Blocks with a common prefix share the incremental parse of that prefix,
+    so one depth-first walk over the prefix tree replaces K^n separate parses.
+    Each step pushes one symbol onto the parse, either following an existing
+    trie edge or adding a phrase with its edge, and pops it on the way back.
+    The walk carries the next phrase number and the bits of the phrases
+    completed so far.
+    """
+    sym_w = lz78.symbol_width(alphabet_size)
+    pointer_width = lz78.pointer_width
+    symbols = range(alphabet_size)
+    trie: dict[tuple[int, int], int] = {}
+    out: list[int] = []
+
+    def walk(depth: int, node: int, next_id: int, done_bits: int) -> None:
+        if depth == n - 1:
+            # The last symbol either completes a new phrase (pointer and
+            # symbol) or leaves a final duplicate phrase (pointer only).
+            last = done_bits + pointer_width(next_id)
+            for s in symbols:
+                out.append(last if (node, s) in trie else last + sym_w)
+            return
+        for s in symbols:
+            edge = (node, s)
+            child = trie.get(edge)
+            if child is not None:
+                walk(depth + 1, child, next_id, done_bits)
+            else:
+                trie[edge] = next_id
+                walk(depth + 1, 0, next_id + 1, done_bits + pointer_width(next_id) + sym_w)
+                del trie[edge]
+
+    walk(0, 0, 1, 0)
+    return out
 
 
 def build_universal_table(
     n: int, alphabet_size: int, length_mode: str = "plain"
 ) -> UniversalTable:
-    """Enumerate all blocks of length n and record their code lengths."""
+    """Record the code length of every block of length n."""
     if n < 1:
         raise PreconditionError("table needs n >= 1")
+    if alphabet_size < 2:
+        raise PreconditionError("alphabet size must be at least 2")
     if length_mode not in ("plain", "capped"):
         raise PreconditionError(f"unknown length mode {length_mode!r}")
     check_enumerable(alphabet_size**n, "universal table")
-    blocks = tuple(enumerate_blocks(n, alphabet_size))
-    if length_mode == "plain":
-        bits = tuple(lz78.lz_bit_length(b, alphabet_size) for b in blocks)
-    else:
-        bits = tuple(lz78.lz_capped_length(b, alphabet_size) for b in blocks)
+    bits = np.array(_parse_lengths(n, alphabet_size), dtype=np.int64)
+    if length_mode == "capped":
+        # lz78.lz_capped_length: min(parse code, raw symbols) plus a flag bit
+        bits = np.minimum(bits, n * lz78.symbol_width(alphabet_size)) + 1
     return UniversalTable(
-        n=n, alphabet_size=alphabet_size, length_mode=length_mode, blocks=blocks, bits=bits
+        n=n, alphabet_size=alphabet_size, length_mode=length_mode, bits=bits
     )
 
 
@@ -152,50 +209,23 @@ def sphere_mass(x: Block, level, spec: DistortionSpec, table: UniversalTable) ->
         raise PreconditionError("block length does not match the table")
     if spec.repro_size != table.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the table")
-    x.validate(spec.source_size)
-    budget = x.n * Fraction(level)
-    scaled = table._scaled_weights
-    total = 0
-    count = 0
-    min_bits: int | None = None
-    for i, xhat in enumerate(table.blocks):
-        if distortion(x, xhat, spec) <= budget:
-            total += scaled[i]
-            count += 1
-            b = table.bits[i]
-            if min_bits is None or b < min_bits:
-                min_bits = b
+    inside = table.bits[sphere_indicator(x, level, spec)]
+    if not inside.size:
+        return SphereMass(mass=Fraction(0), sphere_size=0, min_bits=None)
     return SphereMass(
-        mass=Fraction(total, table._cumulative[-1]),
-        sphere_size=count,
-        min_bits=min_bits,
+        mass=Fraction(_scaled_sum(inside, table.max_bits), table._total),
+        sphere_size=int(inside.size),
+        min_bits=int(inside.min()),
     )
 
 
-def sample_exact(table: UniversalTable, seed: int, count: int) -> list[Block]:
-    """Draw blocks i.i.d. with their exact table probabilities.
+class _ExactSampler:
+    """Seeded stream of blocks drawn i.i.d. with their exact table probabilities.
 
     Cumulative inversion runs on scaled integer weights: a uniform integer
     below the scaled total is drawn by rejection from the seeded bit stream,
     so every block comes out with exactly its rational probability.
     """
-    if count < 0:
-        raise PreconditionError("count must be non-negative")
-    rng = random.Random(seed)
-    cum = table._cumulative
-    total = cum[-1]
-    nbits = total.bit_length()
-    out = []
-    for _ in range(count):
-        r = rng.getrandbits(nbits)
-        while r >= total:
-            r = rng.getrandbits(nbits)
-        out.append(table.blocks[bisect_right(cum, r)])
-    return out
-
-
-class _ExactSampler:
-    """Stateful single-draw version of sample_exact for streaming use."""
 
     def __init__(self, table: UniversalTable, seed: int):
         self.table = table
@@ -209,6 +239,14 @@ class _ExactSampler:
         while r >= self._total:
             r = self.rng.getrandbits(self._nbits)
         return self.table.blocks[bisect_right(self._cum, r)]
+
+
+def sample_exact(table: UniversalTable, seed: int, count: int) -> list[Block]:
+    """Draw count blocks i.i.d. with their exact table probabilities."""
+    if count < 0:
+        raise PreconditionError("count must be non-negative")
+    sampler = _ExactSampler(table, seed)
+    return [sampler.draw() for _ in range(count)]
 
 
 def _bitfeed_draw(rng: random.Random, n: int, alphabet_size: int) -> Block:

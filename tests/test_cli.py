@@ -168,6 +168,15 @@ def test_rd_curve_with_mass_column(capsys):
     assert float(val) == pytest.approx(m.neg_log2_mass() / 6)
 
 
+def test_rd_curve_bad_source_dist_is_precondition_error(capsys):
+    code, out = invoke(
+        capsys, "rd-curve", "--alphabet", "01", "--grid", "0:1/2:1/4",
+        "--source-dist", "a,b",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
 def test_converse_check_wire_keys(capsys):
     code, out = invoke(
         capsys, "converse-check", "--alphabet", "01", "--n", "6", "--D", "1/6",

@@ -221,6 +221,71 @@ def test_container_level_must_fit():
         write_container(io.BytesIO(), s, Fraction(1, 1000), [])
 
 
+# Containers written before the table became an array, with the decoded blocks
+# they gave then: ternary n=6 plain lengths, and binary n=8 capped lengths.
+GOLDEN_CONTAINERS = [
+    (
+        "012",
+        "555210030006010300000000000007e8000000030000000b18600000000a15800000000634",
+        ["112212", "200001", "220101"],
+    ),
+    (
+        "01",
+        "5552120200080103000000000000004d0000000300000005280000000630000000091180",
+        ["01100101", "01111011", "00000001"],
+    ),
+]
+
+
+@pytest.mark.parametrize("symbols,hexdata,expected", GOLDEN_CONTAINERS)
+def test_old_containers_still_decode(symbols, hexdata, expected):
+    header, messages = read_container(io.BytesIO(bytes.fromhex(hexdata)))
+    replay = CodebookStream(
+        seed=header.seed, n=header.n, alphabet_size=header.alphabet_size,
+        mode=header.mode, length_mode=header.length_mode,
+    )
+    alpha = Alphabet(symbols)
+    assert [alpha.to_text(decode(m, replay)) for m in messages] == expected
+
+
+def test_container_rejects_block_length_beyond_uint16():
+    s = CodebookStream(seed=1, n=1 << 16, alphabet_size=2)
+    with pytest.raises(PreconditionError):
+        write_container(io.BytesIO(), s, Fraction(1, 4), [])
+
+
+def test_container_rejects_alphabet_beyond_uint8():
+    s = CodebookStream(seed=1, n=4, alphabet_size=256)
+    with pytest.raises(PreconditionError):
+        write_container(io.BytesIO(), s, Fraction(1, 4), [])
+
+
+def _patched_header(offset, value):
+    buf = io.BytesIO()
+    write_container(buf, stream(seed=11), Fraction(1, 6), [])
+    raw = bytearray(buf.getvalue())
+    raw[offset] = value
+    return io.BytesIO(bytes(raw))
+
+
+def test_container_rejects_zero_alphabet():
+    with pytest.raises(CorruptStreamError):
+        read_container(_patched_header(3, 0))
+
+
+def test_container_rejects_zero_block_length():
+    buf = _patched_header(4, 0)
+    buf.getbuffer()[5] = 0
+    with pytest.raises(CorruptStreamError):
+        read_container(buf)
+
+
+@pytest.mark.parametrize("bit", [2, 3])
+def test_container_rejects_unknown_flag_bits(bit):
+    with pytest.raises(CorruptStreamError):
+        read_container(_patched_header(2, (1 << 4) | (1 << bit)))
+
+
 def test_stream_validation():
     with pytest.raises(PreconditionError):
         CodebookStream(seed=1, n=4, alphabet_size=2, mode="nope")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from fractions import Fraction
@@ -22,7 +23,10 @@ from unirdc import (
     spec_from_json,
     spec_to_json,
     squared_disagreement,
+    sphere_indicator,
 )
+from unirdc import build_universal_table, min_lz_in_sphere, sphere_mass
+from unirdc.distortion import _additive_mask
 
 AB = Alphabet("ab")
 HAMMING = hamming(BINARY)
@@ -166,3 +170,94 @@ def test_load_spec_file(tmp_path):
     p.write_text(spec_to_json(spec))
     loaded = load_spec(str(p))
     assert loaded.matrix == spec.matrix
+
+
+def _oracle_sphere(x, level, spec, table):
+    """Mass, size and min bits of the sphere by one distortion() call per block."""
+    budget = x.n * Fraction(level)
+    inside = [
+        (i, table.bits[i])
+        for i, y in enumerate(enumerate_blocks(x.n, spec.repro_size))
+        if distortion(x, y, spec) <= budget
+    ]
+    mass = sum((Fraction(1, 2 ** int(b)) for _, b in inside), Fraction(0))
+    min_bits = min((int(b) for _, b in inside), default=None)
+    return mass / table.normalizer, len(inside), min_bits
+
+
+def _random_rational_matrix(rng, rows, cols):
+    return [
+        [Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 5, 7, 12])) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "source,repro", [("01", "01"), ("abc", "01"), ("01", "xyz"), ("abc", "wxyz")]
+)
+def test_kernel_matches_scalar_oracle(source, repro):
+    rng = random.Random(f"{source}/{repro}")
+    src, rep = Alphabet(source), Alphabet(repro)
+    n = 5
+    table = build_universal_table(n, rep.size, "plain")
+    for _ in range(4):
+        spec = per_letter(_random_rational_matrix(rng, src.size, rep.size), src, rep)
+        top = max(max(row) for row in spec.matrix)
+        x = Block(tuple(rng.randrange(src.size) for _ in range(n)))
+        levels = [0, Fraction(-1, 3), top, top + 1, Fraction(rng.randint(1, 30), 7)]
+        for level in levels:
+            m = sphere_mass(x, level, spec, table)
+            assert (m.mass, m.sphere_size, m.min_bits) == _oracle_sphere(x, level, spec, table)
+        mask = sphere_indicator(x, top, spec)
+        assert mask.all() and len(mask) == rep.size**n
+        assert not sphere_indicator(x, Fraction(-1, 3), spec).any()
+
+
+def test_kernel_overflowing_denominator_takes_exact_path():
+    # the common denominator is about 2^40 * 3^30 > 2^63, so the integer
+    # fold cannot run; the answer must still be the exact one
+    big = [[0, Fraction(1, 2**40 + 15)], [Fraction(1, 3**30), Fraction(5, 7)]]
+    spec = per_letter(big, BINARY, BINARY)
+    assert _additive_mask(spec.matrix, (0, 1), Fraction(1)) is None
+    table = build_universal_table(6, 2, "plain")
+    x = BINARY.to_block("011010")
+    for level in (0, Fraction(1, 3**30), Fraction(1, 6), Fraction(5, 7)):
+        m = sphere_mass(x, level, spec, table)
+        assert (m.mass, m.sphere_size, m.min_bits) == _oracle_sphere(x, level, spec, table)
+
+
+def test_kernel_scalar_kinds_match_oracle():
+    table = build_universal_table(5, 2, "plain")
+    specs = [
+        squared_disagreement(BINARY),
+        callable_spec(lambda x, y: sum(a != b for a, b in zip(x, y)) ** 2, BINARY, BINARY),
+    ]
+    for spec in specs:
+        for x in (BINARY.to_block("01101"), BINARY.to_block("00000")):
+            for level in (0, Fraction(1, 5), Fraction(2, 5), 5):
+                m = sphere_mass(x, level, spec, table)
+                want = _oracle_sphere(x, level, spec, table)
+                assert (m.mass, m.sphere_size, m.min_bits) == want
+
+
+def test_reverse_sphere_matches_scalar_oracle():
+    src, rep = Alphabet("abc"), BINARY
+    spec = per_letter([["1/2", 0], [1, "1/3"], [0, 2]], src, rep)
+    xhat = rep.to_block("0110")
+    for level in (0, Fraction(1, 4), Fraction(1, 2), 2):
+        got = enumerate_reverse_sphere(xhat, level, spec)
+        want = [x for x in enumerate_blocks(4, 3) if distortion(x, xhat, spec) <= 4 * level]
+        assert got == want
+
+
+def test_min_lz_in_sphere_lexicographic_tie_break():
+    table = build_universal_table(6, 2, "plain")
+    for x in list(enumerate_blocks(6, 2))[::5]:
+        for level in (Fraction(1, 6), Fraction(1, 3), 1):
+            budget = 6 * level
+            best = None
+            for y in enumerate_blocks(6, 2):
+                if distortion(x, y, HAMMING) <= budget:
+                    if best is None or table.bit_length_of(y) < best[0]:
+                        best = (table.bit_length_of(y), y)
+            assert min_lz_in_sphere(x, level, HAMMING, table) == best

@@ -2,8 +2,11 @@ import io
 import math
 
 import pytest
+import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from unirdc import (
     BINARY,
@@ -14,7 +17,9 @@ from unirdc import (
     enumerate_blocks,
     estimate_sphere_mass,
     hamming,
+    kraft_sum,
     lz_bit_length,
+    lz_capped_length,
     per_letter,
     sample_bitfeed,
     sample_exact,
@@ -47,6 +52,41 @@ def test_table_lengths_match_parser():
     t = build_universal_table(6, 2, "plain")
     for b in t.blocks:
         assert t.bit_length_of(b) == lz_bit_length(b, 2)
+
+
+@given(st.tuples(st.integers(1, 9), st.integers(2, 5)).filter(lambda s: s[1] ** s[0] <= 3000))
+@settings(max_examples=30, deadline=None)
+def test_table_bits_match_parser_every_block(shape):
+    n, k = shape
+    for mode, length in (("plain", lz_bit_length), ("capped", lz_capped_length)):
+        t = build_universal_table(n, k, mode)
+        assert t.bits.tolist() == [length(b, k) for b in enumerate_blocks(n, k)]
+
+
+def test_bit_length_of_matches_dict_lookup():
+    for n, k in ((5, 2), (4, 3)):
+        t = build_universal_table(n, k, "plain")
+        index = {b: i for i, b in enumerate(t.blocks)}
+        for b in enumerate_blocks(n, k):
+            assert t.bit_length_of(b) == t.bits[index[b]]
+        with pytest.raises(PreconditionError):
+            t.bit_length_of(BINARY.to_block("0" * (n + 1)))
+
+
+def test_table_is_immutable():
+    t = build_universal_table(4, 2, "plain")
+    with pytest.raises(ValueError):
+        t.bits[0] = 0
+    with pytest.raises(AttributeError):
+        t.n = 5
+    assert t.size == 16 and t.bits.dtype == "int64"
+
+
+def test_kraft_sum_is_table_normalizer():
+    for n, k, mode in ((6, 2, "plain"), (5, 3, "plain"), (7, 2, "capped")):
+        assert kraft_sum(n, k, mode) == build_universal_table(n, k, mode).normalizer
+    with pytest.raises(PreconditionError):
+        build_universal_table(3, 1, "plain")
 
 
 def test_length_excess_reported():
@@ -130,6 +170,29 @@ def test_sample_exact_deterministic():
     t = build_universal_table(5, 2, "plain")
     assert sample_exact(t, 99, 50) == sample_exact(t, 99, 50)
     assert sample_exact(t, 99, 50) != sample_exact(t, 100, 50)
+
+
+def test_sample_exact_stream_is_pinned():
+    # the same rejection on getrandbits and bisect on the cumulative weights
+    # as before the table became an array, so seeds keep their codewords
+    t = build_universal_table(5, 3, "plain")
+    top = t.max_bits
+    cum, acc = [], 0
+    for b in enumerate_blocks(5, 3):
+        acc += 1 << (top - lz_bit_length(b, 3))
+        cum.append(acc)
+    rng = random.Random(5)
+    expected = []
+    for _ in range(200):
+        r = rng.getrandbits(acc.bit_length())
+        while r >= acc:
+            r = rng.getrandbits(acc.bit_length())
+        expected.append(t.blocks[bisect_right(cum, r)])
+    draws = sample_exact(t, 5, 200)
+    assert draws == expected
+    assert [tuple(b) for b in draws[:4]] == [
+        (2, 2, 1, 2, 2), (1, 0, 2, 0, 1), (1, 1, 1, 1, 2), (2, 2, 2, 2, 1)
+    ]
 
 
 def test_sample_exact_single_symbol_frequencies():
