@@ -13,7 +13,13 @@ from fractions import Fraction
 
 from . import codec, converse, experiments, lz78, reference, universal
 from .core import Alphabet, read_blocks
-from .distortion import hamming, load_spec, spec_from_json, squared_disagreement
+from .distortion import (
+    hamming,
+    load_spec,
+    spec_from_json,
+    spec_to_json,
+    squared_disagreement,
+)
 from .errors import PreconditionError, UnirdcError
 
 
@@ -22,6 +28,13 @@ def _parse_level(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise PreconditionError(f"cannot parse distortion level {text!r} as a rational")
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise PreconditionError(f"invalid {what} JSON: {e}")
 
 
 def _resolve_spec(name: str, source: Alphabet, repro: Alphabet):
@@ -254,9 +267,9 @@ def _cmd_converse_check(args) -> int:
         repro_alphabet=repro.symbols,
         order=args.order,
         level=_parse_level(args.level),
-        distortion=json.loads(spec_json(spec)),
+        distortion=json.loads(spec_to_json(spec)),
         epsilon=args.epsilon,
-        type_counts=json.loads(args.type_counts) if args.type_counts else None,
+        type_counts=_parse_json(args.type_counts, "type counts") if args.type_counts else None,
         length_mode=args.length_mode,
     )
     report = experiments.converse_experiment(cfg)
@@ -274,26 +287,9 @@ def _cmd_converse_check(args) -> int:
     return 0
 
 
-def spec_json(spec) -> str:
-    """Config-embeddable JSON form of a spec built from CLI flags."""
-    from .distortion import PER_LETTER, spec_to_json
-
-    if spec.kind == PER_LETTER:
-        return spec_to_json(spec)
-    if spec.kind == "joint_type_functional":
-        return json.dumps(
-            {
-                "kind": "joint_type_functional",
-                "functional": "squared_disagreement",
-                "alphabets": {"source": spec.source.symbols, "repro": spec.repro.symbols},
-            }
-        )
-    raise PreconditionError("this spec kind cannot be embedded in a config")
-
-
 def _cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+        raw = _parse_json(f.read(), "config")
     if not isinstance(raw, dict) or "experiment" not in raw:
         raise PreconditionError("config must be a JSON object with an 'experiment' name")
     name = raw["experiment"]

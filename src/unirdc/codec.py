@@ -244,6 +244,18 @@ def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> Enc
     )
 
 
+def _read_index(payload: BitString) -> int:
+    """The index coded by the whole payload; CorruptStreamError otherwise."""
+    reader = BitReader(payload)
+    try:
+        index = index_code_decode(reader)
+    except TruncationError:
+        raise CorruptStreamError("malformed index code")
+    if reader.remaining:
+        raise CorruptStreamError("trailing bits after the index code")
+    return index
+
+
 def decode(msg: EncodedMessage, stream: CodebookStream) -> Block:
     """Replay the stream up to the transmitted index, or read the witness."""
     if msg.escape:
@@ -258,13 +270,7 @@ def decode(msg: EncodedMessage, stream: CodebookStream) -> Block:
                 raise CorruptStreamError(f"witness symbol {v} outside alphabet")
             symbols.append(v)
         return Block(tuple(symbols))
-    reader = BitReader(msg.payload)
-    try:
-        index = index_code_decode(reader)
-    except TruncationError:
-        raise CorruptStreamError("malformed index code")
-    if reader.remaining:
-        raise CorruptStreamError("trailing bits after the index code")
+    index = _read_index(msg.payload)
     if index > stream.max_draws:
         raise CorruptStreamError(
             f"index {index} exceeds the stream's draw budget {stream.max_draws}"
@@ -280,7 +286,8 @@ def message_from_bits(bits: BitString) -> EncodedMessage:
     """Split a wire bit string into escape flag and payload.
 
     Index messages carry a self-delimiting integer, so the index is restored
-    here; theoretical_bits is advisory and not on the wire, so it stays 0.
+    here; theoretical_bits is advisory and not on the wire, so it stays 0. An
+    index code that runs past the message, or leaves bits after it, is corrupt.
     """
     if bits.length < 1:
         raise TruncationError("empty message")
@@ -289,7 +296,7 @@ def message_from_bits(bits: BitString) -> EncodedMessage:
     payload = BitString(bits.value & ((1 << (bits.length - 1)) - 1), bits.length - 1)
     index = None
     if not escape:
-        index = index_code_decode(BitReader(payload))
+        index = _read_index(payload)
     return EncodedMessage(escape=escape, payload=payload, index=index, theoretical_bits=0.0)
 
 

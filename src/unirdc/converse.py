@@ -13,14 +13,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     Block,
     EmpiricalDistribution,
+    block_index,
+    blocks_at,
     check_enumerable,
     empirical_distribution,
     enumerate_blocks,
 )
-from .distortion import DistortionSpec, distortion
+from .distortion import DistortionSpec, sphere_indicator
 from .errors import PreconditionError, UncoverableError
 from .lz78 import parse_overhead
 from .universal import UniversalTable, sphere_mass
@@ -117,6 +121,16 @@ def all_type_classes(n: int, order: int, alphabet_size: int) -> list[TypeClass]:
     return [TypeClass(distribution=d, members=tuple(ms)) for d, ms in groups.items()]
 
 
+def _cover_matrix(source_class: TypeClass, level, spec: DistortionSpec) -> np.ndarray:
+    """Which reproduction blocks cover which class members, as one bool array.
+
+    Row j is the sphere of member j over every reproduction block in
+    lexicographic order, so column i lists the members the block with the
+    base-K digits of i covers. All covering counts are sums over this array.
+    """
+    return np.stack([sphere_indicator(x, level, spec) for x in source_class.members])
+
+
 @dataclass(frozen=True)
 class DoubleCountingResult:
     ok: bool
@@ -141,16 +155,10 @@ def double_counting_check(
     n = source_class.distribution.n
     if repro_class.distribution.n != n:
         raise PreconditionError("classes must share the block length")
-    budget = n * Fraction(level)
-
-    forward = [
-        sum(1 for xh in repro_class.members if distortion(x, xh, spec) <= budget)
-        for x in source_class.members
-    ]
-    reverse = [
-        sum(1 for x in source_class.members if distortion(x, xh, spec) <= budget)
-        for xh in repro_class.members
-    ]
+    columns = [block_index(xh, spec.repro_size) for xh in repro_class.members]
+    cover = _cover_matrix(source_class, level, spec)[:, columns]
+    forward = cover.sum(axis=1).tolist()
+    reverse = cover.sum(axis=0).tolist()
     constant_forward = len(set(forward)) == 1
     constant_reverse = len(set(reverse)) == 1
     lhs = source_class.cardinality * forward[0]
@@ -197,29 +205,23 @@ def covering_lower_bound(
 ) -> ConverseBoundReport:
     """Exact covering lower bound |class| / (densest reverse sphere).
 
-    Scans every reproduction block, counts how many class members its sphere
-    captures, and keeps the maximizer's type. The bound is verified against
-    the double-counting identity computed from that type before returning.
+    Counts the class members each reproduction block covers (the column sums
+    of the cover matrix) and keeps the type of the first maximizer. The bound
+    is verified against the double-counting identity computed from that type
+    before returning.
     """
     if not spec.first_order_only:
         raise PreconditionError("covering bounds need a joint-type-based measure")
     n = source_class.distribution.n
-    order = source_class.distribution.order
-    budget = n * Fraction(level)
-    best = 0
-    best_xhat: Block | None = None
-    for xhat in enumerate_blocks(n, spec.repro_size):
-        covered = sum(
-            1 for x in source_class.members if distortion(x, xhat, spec) <= budget
-        )
-        if covered > best:
-            best = covered
-            best_xhat = xhat
+    covered = _cover_matrix(source_class, level, spec).sum(axis=0)
+    best_i = int(covered.argmax())
+    best = int(covered[best_i])
     if best == 0:
         return ConverseBoundReport(min_codebook_size=None, best_cover_type=None)
 
     bound = Fraction(source_class.cardinality, best)
-    best_type = empirical_distribution(best_xhat, order)
+    best_xhat = blocks_at([best_i], n, spec.repro_size)[0]
+    best_type = empirical_distribution(best_xhat, source_class.distribution.order)
     # cross-check through the identity: the bound must equal the repro class
     # size over the forward sphere size, for every member of the source class
     repro_class = enumerate_type_class(best_type)
@@ -247,42 +249,25 @@ def greedy_cover(source_class: TypeClass, level, spec: DistortionSpec) -> Greedy
     Candidates are all reproduction blocks in lexicographic order; ties go to
     the earlier candidate, so the result is deterministic.
     """
-    n = source_class.distribution.n
-    budget = n * Fraction(level)
     members = source_class.members
-    candidates = list(enumerate_blocks(n, spec.repro_size))
-    cover_sets = []
-    for xhat in candidates:
-        mask = 0
-        for j, x in enumerate(members):
-            if distortion(x, xhat, spec) <= budget:
-                mask |= 1 << j
-        cover_sets.append(mask)
-    full = (1 << len(members)) - 1
-    reachable = 0
-    for mask in cover_sets:
-        reachable |= mask
-    if reachable != full:
-        j = (full & ~reachable).bit_length() - 1
+    cover = _cover_matrix(source_class, level, spec)
+    uncoverable = np.flatnonzero(~cover.any(axis=1))
+    if uncoverable.size:
+        j = int(uncoverable[-1])
         raise UncoverableError(
             f"member {members[j].symbols} is outside every candidate sphere",
             member=members[j],
         )
-    chosen = []
-    gains = []
-    covered = 0
-    while covered != full:
-        best_i = -1
-        best_gain = 0
-        for i, mask in enumerate(cover_sets):
-            gain = bin(mask & ~covered).count("1")
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        chosen.append(candidates[best_i])
-        gains.append(best_gain)
-        covered |= cover_sets[best_i]
-    return GreedyCover(codebook=tuple(chosen), covered_per_step=tuple(gains))
+    uncovered = np.ones(len(members), dtype=bool)
+    chosen, gains = [], []
+    while uncovered.any():
+        covered = cover[uncovered].sum(axis=0)
+        i = int(covered.argmax())
+        chosen.append(i)
+        gains.append(int(covered[i]))
+        uncovered &= ~cover[:, i]
+    codebook = blocks_at(chosen, source_class.distribution.n, spec.repro_size)
+    return GreedyCover(codebook=tuple(codebook), covered_per_step=tuple(gains))
 
 
 @dataclass(frozen=True)

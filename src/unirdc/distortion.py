@@ -267,8 +267,13 @@ def spec_from_json(text: str) -> DistortionSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise PreconditionError("distortion JSON must be an object with a 'kind'")
     alphabets = data.get("alphabets", {})
-    source = Alphabet(alphabets.get("source", "01"))
-    repro = Alphabet(alphabets.get("repro", alphabets.get("source", "01")))
+    if not isinstance(alphabets, dict):
+        raise PreconditionError("distortion JSON 'alphabets' must be an object")
+    source = alphabets.get("source", "01")
+    repro = alphabets.get("repro", source)
+    if not (isinstance(source, str) and isinstance(repro, str)):
+        raise PreconditionError("distortion JSON alphabets must be strings")
+    source, repro = Alphabet(source), Alphabet(repro)
     kind = data["kind"]
     if kind == PER_LETTER:
         if "matrix" not in data:
@@ -282,15 +287,16 @@ def spec_from_json(text: str) -> DistortionSpec:
 
 
 def spec_to_json(spec: DistortionSpec) -> str:
-    if spec.kind != PER_LETTER:
-        raise PreconditionError("only per-letter specs serialize to JSON")
-    return json.dumps(
-        {
-            "kind": PER_LETTER,
-            "matrix": [[str(v) for v in row] for row in spec.matrix],
-            "alphabets": {"source": spec.source.symbols, "repro": spec.repro.symbols},
-        }
-    )
+    """The JSON wire form that spec_from_json reads back."""
+    alphabets = {"source": spec.source.symbols, "repro": spec.repro.symbols}
+    if spec.kind == PER_LETTER:
+        matrix = [[str(v) for v in row] for row in spec.matrix]
+        return json.dumps({"kind": PER_LETTER, "matrix": matrix, "alphabets": alphabets})
+    if spec.kind == JOINT_TYPE and spec.functional is _disagreement_squared:
+        return json.dumps(
+            {"kind": JOINT_TYPE, "functional": "squared_disagreement", "alphabets": alphabets}
+        )
+    raise PreconditionError("only per-letter and squared_disagreement specs serialize to JSON")
 
 
 def load_spec(path: str) -> DistortionSpec:

@@ -203,20 +203,63 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise PreconditionError(f"invalid config JSON: {e}")
+        if not isinstance(data, dict):
+            raise PreconditionError("config must be a JSON object")
         data.pop("experiment", None)
         data.pop("output", None)
-        if "level" in data:
-            data["level"] = Fraction(data["level"])
-        if "seeds" in data and data["seeds"] is not None:
-            data["seeds"] = tuple(data["seeds"])
-        if "source_blocks" in data and data["source_blocks"] is not None:
-            data["source_blocks"] = tuple(data["source_blocks"])
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise PreconditionError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if value is not None or cls.__dataclass_fields__[name].default is not None:
+                _check_json_type(name, value, _FIELD_TYPES[name])
+        for name, item_types in (("seeds", int), ("source_blocks", str)):
+            if data.get(name) is not None:
+                for item in data[name]:
+                    _check_json_type(f"{name} entry", item, item_types)
+                data[name] = tuple(data[name])
+        if "level" in data:
+            try:
+                data["level"] = Fraction(data["level"])
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise PreconditionError(f"cannot parse config level {data['level']!r}")
         return cls(**data)
+
+
+# JSON types each config field accepts; None is accepted where it is the default
+_NUMBER = (int, float)
+_FIELD_TYPES = {
+    "n": int,
+    "source_alphabet": str,
+    "repro_alphabet": str,
+    "order": int,
+    "level": (str, int, float),
+    "distortion": dict,
+    "trials": int,
+    "master_seed": int,
+    "seeds": list,
+    "epsilon": _NUMBER,
+    "base": _NUMBER,
+    "max_draws": int,
+    "mode": str,
+    "length_mode": str,
+    "slack_bits": _NUMBER,
+    "type_counts": dict,
+    "source_blocks": list,
+    "jobs": int,
+}
+
+
+def _check_json_type(name: str, value, types) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise PreconditionError(
+            f"config field {name!r} has the wrong type {type(value).__name__}"
+        )
 
 
 def _jsonable(value):
@@ -509,15 +552,7 @@ def ensemble_failure_experiment(cfg: ExperimentConfig) -> EnsembleFailureReport:
     worst per-block length overshoot past the padded per-block bound,
     clamped at zero.
     """
-    seeds = list(enumerate(cfg.seed_list()))
-    jobs = max(1, cfg.jobs)
-    if jobs == 1 or len(seeds) < 2:
-        parts = [_ensemble_chunk(cfg.to_json(), seeds)]
-    else:
-        chunk = (len(seeds) + jobs - 1) // jobs
-        pieces = [seeds[i : i + chunk] for i in range(0, len(seeds), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_ensemble_chunk, [cfg.to_json()] * len(pieces), pieces))
+    parts = _run_chunked(_ensemble_chunk, cfg, list(enumerate(cfg.seed_list())))
     merged = sorted((row for part in parts for row in part), key=lambda r: r[0])
     fails = sum(1 for _, f, _ in merged if f)
     overshoot = sum(o for _, _, o in merged) / len(merged)
@@ -558,11 +593,19 @@ def _type_distribution(cfg: ExperimentConfig) -> EmpiricalDistribution:
     alpha = Alphabet(cfg.source_alphabet)
     chunks = cfg.n // cfg.order
     if cfg.type_counts is not None:
+        if not isinstance(cfg.type_counts, dict):
+            raise PreconditionError("type counts must map chunk text to a count")
         counts = {}
         for text, count in cfg.type_counts.items():
             if len(text) != cfg.order:
                 raise PreconditionError(f"type chunk {text!r} has the wrong order")
-            counts[tuple(alpha.index(ch) for ch in text)] = int(count)
+            try:
+                count = int(count)
+            except (TypeError, ValueError):
+                raise PreconditionError(f"type count {count!r} is not an integer")
+            if count < 0:
+                raise PreconditionError(f"type count {count} is negative")
+            counts[tuple(alpha.index(ch) for ch in text)] = count
         return EmpiricalDistribution(cfg.order, cfg.n, counts)
     cells = alpha.size**cfg.order
     if chunks % cells:

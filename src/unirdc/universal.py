@@ -249,29 +249,38 @@ def sample_exact(table: UniversalTable, seed: int, count: int) -> list[Block]:
     return [sampler.draw() for _ in range(count)]
 
 
-def _bitfeed_draw(rng: random.Random, n: int, alphabet_size: int) -> Block:
-    sym_w = lz78.symbol_width(alphabet_size)
-    strings: list[tuple[int, ...]] = [()]
-    out: list[int] = []
-    i = 1
-    while len(out) < n:
-        w = lz78.pointer_width(i)
-        pointer = rng.getrandbits(w) if w else 0
-        while pointer >= i:
-            pointer = rng.getrandbits(w)
-        s = strings[pointer]
-        remaining = n - len(out)
-        if len(s) >= remaining:
-            out.extend(s[:remaining])
-            break
-        symbol = rng.getrandbits(sym_w)
-        while symbol >= alphabet_size:
+class _BitfeedSampler:
+    """Fair bits from random.Random(seed) fed into the phrase decoder loop."""
+
+    def __init__(self, n: int, alphabet_size: int, seed: int):
+        self.n = n
+        self.alphabet_size = alphabet_size
+        self.rng = random.Random(seed)
+
+    def draw(self) -> Block:
+        rng, n, alphabet_size = self.rng, self.n, self.alphabet_size
+        sym_w = lz78.symbol_width(alphabet_size)
+        strings: list[tuple[int, ...]] = [()]
+        out: list[int] = []
+        i = 1
+        while len(out) < n:
+            w = lz78.pointer_width(i)
+            pointer = rng.getrandbits(w) if w else 0
+            while pointer >= i:
+                pointer = rng.getrandbits(w)
+            s = strings[pointer]
+            remaining = n - len(out)
+            if len(s) >= remaining:
+                out.extend(s[:remaining])
+                break
             symbol = rng.getrandbits(sym_w)
-        s = s + (symbol,)
-        strings.append(s)
-        out.extend(s)
-        i += 1
-    return Block(tuple(out))
+            while symbol >= alphabet_size:
+                symbol = rng.getrandbits(sym_w)
+            s = s + (symbol,)
+            strings.append(s)
+            out.extend(s)
+            i += 1
+        return Block(tuple(out))
 
 
 def sample_bitfeed(n: int, alphabet_size: int, seed: int, count: int) -> list[Block]:
@@ -287,18 +296,8 @@ def sample_bitfeed(n: int, alphabet_size: int, seed: int, count: int) -> list[Bl
         raise PreconditionError("sampler needs n >= 1")
     if count < 0:
         raise PreconditionError("count must be non-negative")
-    rng = random.Random(seed)
-    return [_bitfeed_draw(rng, n, alphabet_size) for _ in range(count)]
-
-
-class _BitfeedSampler:
-    def __init__(self, n: int, alphabet_size: int, seed: int):
-        self.n = n
-        self.alphabet_size = alphabet_size
-        self.rng = random.Random(seed)
-
-    def draw(self) -> Block:
-        return _bitfeed_draw(self.rng, self.n, self.alphabet_size)
+    sampler = _BitfeedSampler(n, alphabet_size, seed)
+    return [sampler.draw() for _ in range(count)]
 
 
 def bitfeed_distribution(n: int, alphabet_size: int) -> dict[Block, Fraction]:
@@ -375,12 +374,8 @@ def estimate_sphere_mass(
     if not 0 < confidence < 1:
         raise PreconditionError("confidence must be in (0, 1)")
     budget = x.n * Fraction(level)
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(trials):
-        xhat = _bitfeed_draw(rng, x.n, spec.repro_size)
-        if distortion(x, xhat, spec) <= budget:
-            hits += 1
+    sampler = _BitfeedSampler(x.n, spec.repro_size, seed)
+    hits = sum(distortion(x, sampler.draw(), spec) <= budget for _ in range(trials))
     p = hits / trials
     # Wilson score interval
     from scipy.stats import norm

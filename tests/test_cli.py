@@ -222,6 +222,72 @@ def test_experiment_requires_name(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "precondition"
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        '{"kind": "hamming", "alphabets": 3}',
+        '{"kind": "hamming", "alphabets": ["01"]}',
+        '{"kind": "hamming", "alphabets": {"source": 3}}',
+        '{"kind": "hamming", "alphabets": {"source": "01", "repro": ["0", "1"]}}',
+    ],
+)
+def test_ill_typed_dist_alphabets_are_precondition_errors(tmp_path, capsys, dist):
+    p = tmp_path / "b.txt"
+    p.write_text("0101\n")
+    code, out = invoke(
+        capsys, "sphere-mass", "--alphabet", "01", "--in", str(p), "--D", "1/4",
+        "--dist", dist,
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"n": "x"},
+        {"trials": "y"},
+        {"n": 4.5},
+        {"n": True},
+        {"level": [1, 4]},
+        {"level": "1/0"},
+        {"seeds": "123"},
+        {"seeds": [1, "2"]},
+        {"source_blocks": [1010]},
+        {"distortion": "hamming"},
+        {"type_counts": [2, 2]},
+        {"source_alphabet": 1},
+        {"epsilon": "big"},
+        {"base": "e"},
+    ],
+    ids=json.dumps,
+)
+def test_ill_typed_config_fields_are_precondition_errors(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "achievability", "n": 4, "trials": 2} | field))
+    code, out = invoke(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+def test_config_that_is_not_json_is_precondition_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "converse", "n": 4')
+    code, out = invoke(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("counts", ["[3, 3]", "nope", '{"0": "x", "1": 3}', '{"0": -1, "1": 7}'])
+def test_bad_type_counts_are_precondition_errors(capsys, counts):
+    code, out = invoke(
+        capsys, "converse-check", "--alphabet", "01", "--n", "6", "--D", "1/6",
+        "--type-counts", counts,
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
 def test_bad_alphabet_is_precondition_error(tmp_path, capsys):
     p = tmp_path / "b.txt"
     p.write_text("aa\n")

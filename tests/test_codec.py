@@ -215,6 +215,29 @@ def test_container_rejects_truncation():
         read_container(io.BytesIO(raw[:-1]))
 
 
+def _one_record_container(record: str) -> bytes:
+    buf = io.BytesIO()
+    write_container(buf, stream(seed=11), Fraction(1, 6), [])
+    raw = bytearray(buf.getvalue())
+    raw[16:20] = (1).to_bytes(4, "big")  # one record follows
+    rec = io.BytesIO()
+    BitString.from_text(record).write(rec)
+    return bytes(raw) + rec.getvalue()
+
+
+def test_container_index_code_past_its_record_is_corrupt():
+    # escape flag 0, then an index code whose prefix never ends
+    with pytest.raises(CorruptStreamError):
+        read_container(io.BytesIO(_one_record_container("000")))
+
+
+def test_container_rejects_trailing_bits_after_index_code():
+    # escape flag 0, index code "1" (index 1), then one stray bit
+    assert read_container(io.BytesIO(_one_record_container("01")))[1][0].index == 1
+    with pytest.raises(CorruptStreamError):
+        read_container(io.BytesIO(_one_record_container("010")))
+
+
 def test_container_level_must_fit():
     s = stream(seed=11)
     with pytest.raises(PreconditionError):

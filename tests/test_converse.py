@@ -26,6 +26,7 @@ from unirdc import (
     per_letter,
     short_codeword_count,
     shortest_first_lengths,
+    squared_disagreement,
     tree_node_count,
 )
 from unirdc.core import EmpiricalDistribution
@@ -167,6 +168,108 @@ def test_exhaustive_minimal_covers_respect_bound():
                 break
         assert best is not None
         assert best >= math.ceil(rep.min_codebook_size)
+
+
+def _pairwise(n, spec):
+    """distortion() of every (source, reproduction) pair of length n."""
+    return {
+        (x, xh): distortion(x, xh, spec)
+        for x in enumerate_blocks(n, spec.source_size)
+        for xh in enumerate_blocks(n, spec.repro_size)
+    }
+
+
+def _oracle_covered(d, source_class, xhat, budget):
+    return {x for x in source_class.members if d[x, xhat] <= budget}
+
+
+def _oracle_covering(d, source_class, level, spec):
+    """Bound, maximizer type and max covered, from the pairwise distortions."""
+    n = source_class.distribution.n
+    budget = n * Fraction(level)
+    best, best_xhat = 0, None
+    for xhat in enumerate_blocks(n, spec.repro_size):
+        covered = len(_oracle_covered(d, source_class, xhat, budget))
+        if covered > best:
+            best, best_xhat = covered, xhat
+    if best == 0:
+        return None, None, 0
+    best_type = empirical_distribution(best_xhat, source_class.distribution.order)
+    return Fraction(source_class.cardinality, best), best_type, best
+
+
+def _oracle_greedy(d, source_class, level, spec):
+    """Codebook and gains of the greedy cover, or the uncoverable member."""
+    n = source_class.distribution.n
+    budget = n * Fraction(level)
+    candidates = list(enumerate_blocks(n, spec.repro_size))
+    sets = [_oracle_covered(d, source_class, xh, budget) for xh in candidates]
+    reachable = set().union(*sets)
+    missing = [x for x in source_class.members if x not in reachable]
+    if missing:
+        return missing[-1]
+    left = set(source_class.members)
+    chosen, gains = [], []
+    while left:
+        # largest gain first, then the earliest candidate
+        gain, i = max((len(s & left), -i) for i, s in enumerate(sets))
+        chosen.append(candidates[-i])
+        gains.append(gain)
+        left -= sets[-i]
+    return tuple(chosen), tuple(gains)
+
+
+def _oracle_double_counting(d, source_class, repro_class, level):
+    budget = source_class.distribution.n * Fraction(level)
+    forward = [
+        sum(1 for xh in repro_class.members if d[x, xh] <= budget)
+        for x in source_class.members
+    ]
+    reverse = [len(_oracle_covered(d, source_class, xh, budget)) for xh in repro_class.members]
+    return forward, reverse
+
+
+TERNARY = Alphabet("abc")
+RATIONAL_3X3 = per_letter(
+    [[0, "1/2", 1], ["1/3", 0, "2/3"], ["1/2", "2/3", 1]], TERNARY, TERNARY
+)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [pytest.param(HAMMING, n, id=f"hamming-n{n}") for n in range(1, 7)]
+    + [pytest.param(squared_disagreement(BINARY), n, id=f"squared-n{n}") for n in range(1, 7)]
+    + [pytest.param(RATIONAL_3X3, 4, id="ternary-rational-n4")],
+)
+def test_cover_matrix_matches_pairwise_oracle(spec, n):
+    d = _pairwise(n, spec)
+    classes = all_type_classes(n, 1, spec.source_size)
+    levels = sorted({-1, 0, Fraction(1, n), Fraction(1, 2), 1})
+    for level in levels:
+        for source_class in classes:
+            bound, best_type, best = _oracle_covering(d, source_class, level, spec)
+            rep = covering_lower_bound(source_class, level, spec)
+            assert (rep.min_codebook_size, rep.best_cover_type, rep.max_covered) == (
+                bound, best_type, best
+            )
+
+            want = _oracle_greedy(d, source_class, level, spec)
+            if isinstance(want, tuple):
+                g = greedy_cover(source_class, level, spec)
+                assert (g.codebook, g.covered_per_step) == want
+            else:
+                with pytest.raises(UncoverableError) as err:
+                    greedy_cover(source_class, level, spec)
+                assert err.value.member == want
+
+            for repro_class in all_type_classes(n, 1, spec.repro_size):
+                forward, reverse = _oracle_double_counting(
+                    d, source_class, repro_class, level
+                )
+                r = double_counting_check(source_class, repro_class, level, spec)
+                assert r.ok
+                assert set(forward) == {r.forward_size}
+                assert set(reverse) == {r.reverse_size}
 
 
 def test_short_codeword_oracles():

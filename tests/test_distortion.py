@@ -147,6 +147,13 @@ def test_spec_json_round_trip():
     again = spec_from_json(spec_to_json(spec))
     assert again.matrix == spec.matrix
     assert again.source.symbols == spec.source.symbols
+    joint = squared_disagreement(Alphabet("ab"), Alphabet("xyz"))
+    again = spec_from_json(spec_to_json(joint))
+    assert (again.kind, again.functional) == (joint.kind, joint.functional)
+    assert (again.source, again.repro) == (joint.source, joint.repro)
+    assert spec_to_json(again) == spec_to_json(joint)
+    with pytest.raises(PreconditionError):
+        spec_to_json(callable_spec(lambda x, y: 0, BINARY, BINARY))
 
 
 def test_spec_from_json_named_kinds():

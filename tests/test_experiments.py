@@ -151,6 +151,17 @@ def test_ensemble_full_sphere_never_fails():
     assert rep.trials == 20
 
 
+def test_ensemble_parallel_matches_serial():
+    cfg1 = ExperimentConfig(n=6, level=Fraction(1, 6), trials=30, master_seed=5, max_draws=40)
+    cfg2 = ExperimentConfig(
+        n=6, level=Fraction(1, 6), trials=30, master_seed=5, max_draws=40, jobs=2
+    )
+    r1, r2 = ensemble_failure_experiment(cfg1), ensemble_failure_experiment(cfg2)
+    assert 0 < r1.per_seed_failures < r1.trials
+    assert {**vars(r1), "config": None} == {**vars(r2), "config": None}
+    assert r1.config | {"jobs": 2} == r2.config
+
+
 def test_ensemble_failure_decays_when_draws_scale():
     # calibrated draw budgets isolate the decay of the uncovered-source rate
     rates = []

@@ -222,6 +222,19 @@ def test_bitfeed_deterministic():
     assert sample_bitfeed(6, 2, 3, 20) == sample_bitfeed(6, 2, 3, 20)
 
 
+def test_bitfeed_stream_is_pinned():
+    # first draws as the bitfeed sampler gave them before it had one home,
+    # so bitfeed seeds keep their codewords and their mass estimates
+    draws = ["".join(map(str, b.symbols)) for b in sample_bitfeed(6, 2, 3, 8)]
+    assert draws == [
+        "001001", "001111", "000100", "001010", "001001", "001010", "110010", "011101"
+    ]
+    ternary = ["".join(map(str, b.symbols)) for b in sample_bitfeed(5, 3, 3, 4)]
+    assert ternary == ["00211", "22202", "00102", "02020"]
+    est = estimate_sphere_mass(BINARY.to_block("010110"), Fraction(1, 6), HAMMING, 4, 300)
+    assert est.hits == 12
+
+
 def test_bitfeed_single_symbol_exactly_uniform():
     law = bitfeed_distribution(1, 2)
     assert law == {b: Fraction(1, 2) for b in enumerate_blocks(1, 2)}
