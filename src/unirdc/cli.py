@@ -54,6 +54,16 @@ def _read_lines(path: str):
         return f.read().splitlines()
 
 
+def _read_block_file(path: str, alpha: Alphabet):
+    """The blocks of a non-empty file whose blocks all share one length."""
+    blocks = read_blocks(_read_lines(path), alpha)
+    if not blocks:
+        raise PreconditionError("no input blocks")
+    if any(b.n != blocks[0].n for b in blocks):
+        raise PreconditionError("all blocks must share one length")
+    return blocks
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -111,14 +121,8 @@ def _cmd_sphere_mass(args) -> int:
     repro = Alphabet(args.repro_alphabet or args.alphabet)
     spec = _resolve_spec(args.dist, source, repro)
     level = _parse_level(args.level)
-    blocks = read_blocks(_read_lines(args.infile), source)
-    if not blocks:
-        raise PreconditionError("no input blocks")
-    n = blocks[0].n
-    for b in blocks:
-        if b.n != n:
-            raise PreconditionError("all blocks must share one length")
-    table = universal.build_universal_table(n, repro.size, args.length_mode)
+    blocks = _read_block_file(args.infile, source)
+    table = universal.build_universal_table(blocks[0].n, repro.size, args.length_mode)
     rows = []
     for i, b in enumerate(blocks):
         m = universal.sphere_mass(b, level, spec, table)
@@ -140,16 +144,10 @@ def _cmd_encode(args) -> int:
     repro = Alphabet(args.repro_alphabet or args.alphabet)
     spec = _resolve_spec(args.dist, source, repro)
     level = _parse_level(args.level)
-    blocks = read_blocks(_read_lines(args.infile), source)
-    if not blocks:
-        raise PreconditionError("no input blocks")
-    n = blocks[0].n
-    for b in blocks:
-        if b.n != n:
-            raise PreconditionError("all blocks must share one length")
+    blocks = _read_block_file(args.infile, source)
     stream = codec.CodebookStream(
         seed=args.seed,
-        n=n,
+        n=blocks[0].n,
         alphabet_size=repro.size,
         mode=args.mode,
         base=args.base,

@@ -152,11 +152,18 @@ def double_counting_check(
     """
     if not spec.first_order_only:
         raise PreconditionError("double counting needs a joint-type-based measure")
-    n = source_class.distribution.n
-    if repro_class.distribution.n != n:
+    if repro_class.distribution.n != source_class.distribution.n:
         raise PreconditionError("classes must share the block length")
-    columns = [block_index(xh, spec.repro_size) for xh in repro_class.members]
-    cover = _cover_matrix(source_class, level, spec)[:, columns]
+    cover = _cover_matrix(source_class, level, spec)
+    return _double_count(cover, source_class, repro_class, spec.repro_size)
+
+
+def _double_count(
+    cover: np.ndarray, source_class: TypeClass, repro_class: TypeClass, repro_size: int
+) -> DoubleCountingResult:
+    """The identity on a cover matrix, read at the repro-class columns."""
+    columns = [block_index(xh, repro_size) for xh in repro_class.members]
+    cover = cover[:, columns]
     forward = cover.sum(axis=1).tolist()
     reverse = cover.sum(axis=0).tolist()
     constant_forward = len(set(forward)) == 1
@@ -207,13 +214,14 @@ def covering_lower_bound(
 
     Counts the class members each reproduction block covers (the column sums
     of the cover matrix) and keeps the type of the first maximizer. The bound
-    is verified against the double-counting identity computed from that type
-    before returning.
+    is verified against the double-counting identity, read from the same
+    matrix at that type's class, before returning.
     """
     if not spec.first_order_only:
         raise PreconditionError("covering bounds need a joint-type-based measure")
     n = source_class.distribution.n
-    covered = _cover_matrix(source_class, level, spec).sum(axis=0)
+    cover = _cover_matrix(source_class, level, spec)
+    covered = cover.sum(axis=0)
     best_i = int(covered.argmax())
     best = int(covered[best_i])
     if best == 0:
@@ -222,10 +230,10 @@ def covering_lower_bound(
     bound = Fraction(source_class.cardinality, best)
     best_xhat = blocks_at([best_i], n, spec.repro_size)[0]
     best_type = empirical_distribution(best_xhat, source_class.distribution.order)
-    # cross-check through the identity: the bound must equal the repro class
-    # size over the forward sphere size, for every member of the source class
+    # cross-check through the identity on the same matrix: the bound must equal
+    # the repro class size over the forward sphere size, for every member
     repro_class = enumerate_type_class(best_type)
-    check = double_counting_check(source_class, repro_class, level, spec)
+    check = _double_count(cover, source_class, repro_class, spec.repro_size)
     if not check.ok or Fraction(repro_class.cardinality, check.forward_size) != bound:
         raise AssertionError(f"covering bound failed its identity cross-check: {check}")
     return ConverseBoundReport(

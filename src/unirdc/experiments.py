@@ -22,8 +22,6 @@ import numpy as np
 from .codec import CodebookStream, decode, encode, index_code_encode, theoretical_length
 from .converse import (
     converse_length_bound,
-    covering_lower_bound,
-    double_counting_check,
     enumerate_type_class,
     greedy_cover,
     short_codeword_count,
@@ -166,9 +164,12 @@ class ExperimentConfig:
         return spec_from_json(json.dumps(data))
 
     def seed_list(self) -> list[int]:
-        if self.seeds is not None:
-            return list(self.seeds)
-        return [derive_seed(self.master_seed, i) for i in range(self.trials)]
+        seeds = self.seeds
+        if seeds is None:
+            seeds = [derive_seed(self.master_seed, i) for i in range(self.trials)]
+        if not seeds:
+            raise PreconditionError("an experiment needs at least one seed")
+        return list(seeds)
 
     def stream(self, seed: int, table=None) -> CodebookStream:
         return CodebookStream(
@@ -590,6 +591,8 @@ class ConverseExperimentReport:
 
 
 def _type_distribution(cfg: ExperimentConfig) -> EmpiricalDistribution:
+    if cfg.order < 1 or cfg.n < 2:
+        raise PreconditionError(f"need order >= 1 and n >= 2, got order {cfg.order}, n {cfg.n}")
     alpha = Alphabet(cfg.source_alphabet)
     chunks = cfg.n // cfg.order
     if cfg.type_counts is not None:
@@ -620,45 +623,33 @@ def _type_distribution(cfg: ExperimentConfig) -> EmpiricalDistribution:
 
 
 def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
-    """Check the covering bound against a greedy codebook for one type class."""
+    """Check the covering bound against a greedy codebook for one type class.
+
+    identity_ok is true in every returned report: covering_lower_bound raises
+    unless double counting holds at the best cover type.
+    """
     spec = cfg.spec()
-    dist = _type_distribution(cfg)
-    source_class = enumerate_type_class(dist)
-    cover = covering_lower_bound(source_class, cfg.level, spec)
-    greedy = greedy_cover(source_class, cfg.level, spec)
-    lengths = shortest_first_lengths(greedy.size)
-
-    if cover.min_codebook_size is not None:
-        threshold = math.log2(cover.min_codebook_size) - cfg.epsilon * math.log2(cfg.n)
-        long_count = sum(1 for length in lengths if length >= threshold)
-        fraction_long = long_count / greedy.size
-    else:
-        threshold = math.inf
-        fraction_long = 0.0
-    guarantee = 1 - 2 * cfg.n ** (-cfg.epsilon)
-    scb = short_codeword_count(greedy.size, cfg.n, cfg.epsilon)
-    short = sum(1 for length in lengths if length <= scb.threshold_bits)
-
-    identity_ok = True
-    if cover.best_cover_type is not None:
-        repro_class = enumerate_type_class(cover.best_cover_type)
-        identity_ok = double_counting_check(
-            source_class, repro_class, cfg.level, spec
-        ).ok
-
+    source_class = enumerate_type_class(_type_distribution(cfg))
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     rep = converse_length_bound(
         source_class.members[0], cfg.level, spec, cfg.order, cfg.epsilon, table
     )
+    greedy = greedy_cover(source_class, cfg.level, spec)
+    lengths = shortest_first_lengths(greedy.size)
+    scb = short_codeword_count(greedy.size, cfg.n, cfg.epsilon)
+    # greedy covered every member, so some sphere meets the class and M0 exists
+    threshold = math.log2(rep.min_codebook_size) - cfg.epsilon * math.log2(cfg.n)
+    fraction_long = sum(1 for length in lengths if length >= threshold) / greedy.size
+    short = sum(1 for length in lengths if length <= scb.threshold_bits)
     return ConverseExperimentReport(
-        min_codebook_size=cover.min_codebook_size,
+        min_codebook_size=rep.min_codebook_size,
         greedy_size=greedy.size,
         fraction_long=fraction_long,
-        fraction_guarantee=guarantee,
-        fraction_ok=fraction_long >= guarantee,
+        fraction_guarantee=scb.fraction_guarantee,
+        fraction_ok=fraction_long >= scb.fraction_guarantee,
         short_count=short,
         short_bound=scb.max_count,
-        identity_ok=identity_ok,
+        identity_ok=True,
         delta_per_symbol=rep.delta_per_symbol,
         base_slack_per_symbol=rep.base_slack_per_symbol,
         tree_nodes=rep.tree_nodes,

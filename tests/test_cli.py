@@ -288,6 +288,55 @@ def test_bad_type_counts_are_precondition_errors(capsys, counts):
     assert json.loads(out)["error"]["code"] == "precondition"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "-2"],
+        ["--n", "0"],
+        ["--n", "1", "--type-counts", '{"0": 1}'],
+        ["--n", "6", "--order", "0"],
+        ["--n", "6", "--order", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_converse_bad_length_or_order_is_precondition_error(capsys, argv):
+    code, out = invoke(capsys, "converse-check", "--alphabet", "01", "--D", "1/6", *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("experiment", ["achievability", "ensemble_failure"])
+@pytest.mark.parametrize("field", [{"trials": 0}, {"seeds": []}], ids=json.dumps)
+def test_empty_seed_list_is_precondition_error(tmp_path, capsys, experiment, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "n": 4, "trials": 2} | field))
+    code, out = invoke(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "command", [["sphere-mass"], ["encode", "--seed", "1"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "no input blocks"), ("\n\n", "no input blocks"),
+     ("0101\n011\n", "all blocks must share one length")],
+)
+def test_bad_block_files_are_precondition_errors(tmp_path, capsys, command, text, message):
+    p = tmp_path / "b.txt"
+    p.write_text(text)
+    out_file = tmp_path / "out"
+    code, out = invoke(
+        capsys, *command, "--alphabet", "01", "--in", str(p), "--D", "1/4",
+        "--out", str(out_file),
+    )
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "precondition"
+    assert err["message"] == message
+
+
 def test_bad_alphabet_is_precondition_error(tmp_path, capsys):
     p = tmp_path / "b.txt"
     p.write_text("aa\n")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -202,6 +203,89 @@ def test_converse_experiment_full_sphere_vacuous():
     rep = converse_experiment(cfg)
     assert rep.min_codebook_size == 1
     assert rep.fraction_ok
+
+
+_SQUARED = {"kind": "joint_type_functional", "functional": "squared_disagreement"}
+_TERNARY = {
+    "kind": "per_letter_matrix",
+    "matrix": [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]],
+}
+
+
+# Each report was taken from the code that checked the covering bound and the
+# double-counting identity in separate passes; sharing the passes must not
+# move a field.
+@pytest.mark.parametrize(
+    "kwargs, expected",
+    [
+        (
+            dict(n=8, level=Fraction(1, 8)),
+            dict(min_codebook_size=14, greedy_size=14, short_count=0, short_bound=2,
+                 tree_nodes=3, fraction_long=1.0, fraction_guarantee=0.75,
+                 delta_per_symbol=10.92425953905043,
+                 base_slack_per_symbol=9.331955210797283,
+                 type_log_size_slack=80.20143123446104,
+                 bound_bits=-85.32368698451205),
+        ),
+        (
+            dict(n=8, level=Fraction(1, 8), distortion=_SQUARED),
+            dict(min_codebook_size=Fraction(70, 17), greedy_size=6, short_count=0,
+                 short_bound=0, tree_nodes=3, fraction_long=1.0, fraction_guarantee=0.75,
+                 delta_per_symbol=10.92425953905043,
+                 base_slack_per_symbol=9.331955210797283,
+                 type_log_size_slack=80.52335932934841,
+                 bound_bits=-87.59670547891847),
+        ),
+        (
+            dict(n=6, level=Fraction(1, 6), source_alphabet="012", repro_alphabet="012",
+                 distortion=_TERNARY),
+            dict(min_codebook_size=Fraction(15, 2), greedy_size=12, short_count=2,
+                 short_bound=3, tree_nodes=4, fraction_long=1.0,
+                 fraction_guarantee=0.6666666666666667,
+                 delta_per_symbol=25.04063810579213,
+                 base_slack_per_symbol=22.082560617621553,
+                 type_log_size_slack=139.15071923036132,
+                 bound_bits=-148.40674750567703),
+        ),
+        (
+            dict(n=8, level=Fraction(1, 8), order=2),
+            dict(min_codebook_size=12, greedy_size=13, short_count=0, short_bound=2,
+                 tree_nodes=7, fraction_long=1.0, fraction_guarantee=0.75,
+                 delta_per_symbol=52.477663135242935,
+                 base_slack_per_symbol=50.8392984573544,
+                 type_log_size_slack=410.4062675826646,
+                 bound_bits=-417.598912660607),
+        ),
+    ],
+    ids=["hamming_n8", "squared_n8", "ternary_n6", "order2_n8"],
+)
+def test_converse_experiment_pinned_reports(kwargs, expected):
+    rep = converse_experiment(ExperimentConfig(**kwargs))
+    assert rep.identity_ok is True
+    assert rep.fraction_ok is True
+    for name, value in expected.items():
+        if isinstance(value, float):
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-12), name
+        else:
+            assert getattr(rep, name) == value, name
+
+
+def test_converse_experiment_builds_two_cover_matrices(monkeypatch):
+    # covering (with its identity cross-check) and greedy each stack one row
+    # per class member; the sphere-mass bound weighs one more sphere
+    calls = []
+    for module in ("unirdc.converse", "unirdc.universal"):
+        original = getattr(importlib.import_module(module), "sphere_indicator")
+
+        def counting(*args, original=original, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(f"{module}.sphere_indicator", counting)
+    cfg = ExperimentConfig(n=8, level=Fraction(1, 8))
+    rep = converse_experiment(cfg)
+    assert rep.min_codebook_size == 14
+    assert len(calls) <= 2 * math.comb(8, 4) + 1
 
 
 def test_run_experiment_dispatch():
