@@ -4,14 +4,17 @@ A type class collects every block sharing one empirical distribution of
 aligned chunks. For distortion measures that depend only on the first-order
 joint type, sphere sizes are constant over a type class, which yields an
 exact double-counting identity and an exact rational covering lower bound.
-The length-converse report folds the parse-length overhead terms into a
-single per-symbol slack, all reported rather than asserted tight.
+The length-converse report, taken for a type class its caller holds, folds
+the parse-length overhead terms into a single per-symbol slack, all reported
+rather than asserted tight.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .core import (
     blocks_at,
     check_enumerable,
     empirical_distribution,
-    enumerate_blocks,
 )
 from .distortion import DistortionSpec, sphere_indicator
 from .errors import PreconditionError, UncoverableError
@@ -91,12 +93,10 @@ def _multiset_permutations(items):
     yield from rec()
 
 
-def enumerate_type_class(dist: EmpiricalDistribution, n: int | None = None) -> TypeClass:
+def enumerate_type_class(dist: EmpiricalDistribution) -> TypeClass:
     """Materialize the class of a chunk distribution, in lexicographic order."""
     if dist.is_joint:
         raise PreconditionError("type classes are built from single-block distributions")
-    if n is not None and n != dist.n:
-        raise PreconditionError("requested length does not match the distribution")
     chunks = []
     for chunk, count in dist.counts.items():
         chunks.extend([chunk] * count)
@@ -113,12 +113,22 @@ def enumerate_type_class(dist: EmpiricalDistribution, n: int | None = None) -> T
 
 
 def all_type_classes(n: int, order: int, alphabet_size: int) -> list[TypeClass]:
-    """Group every block of length n by its order-chunk distribution."""
-    groups: dict[EmpiricalDistribution, list[Block]] = {}
-    for b in enumerate_blocks(n, alphabet_size):
-        d = empirical_distribution(b, order)
-        groups.setdefault(d, []).append(b)
-    return [TypeClass(distribution=d, members=tuple(ms)) for d, ms in groups.items()]
+    """Every class of length-n blocks by order-chunk distribution.
+
+    A class's lexicographically first member is its chunks in sorted order, so
+    walking the sorted chunk multisets in lexicographic order lists the
+    classes in the order a lexicographic scan of all blocks first meets them.
+    """
+    if n < 1 or order < 1 or n % order:
+        raise PreconditionError(f"need n >= 1 and an order dividing it, got n {n}, order {order}")
+    if alphabet_size < 2:
+        raise PreconditionError("alphabet size must be at least 2")
+    check_enumerable(alphabet_size**n, f"enumerating {alphabet_size}^{n} blocks")
+    chunks = product(range(alphabet_size), repeat=order)
+    return [
+        enumerate_type_class(EmpiricalDistribution(order, n, dict(Counter(multiset))))
+        for multiset in combinations_with_replacement(chunks, n // order)
+    ]
 
 
 def _cover_matrix(source_class: TypeClass, level, spec: DistortionSpec) -> np.ndarray:
@@ -189,13 +199,15 @@ class ConverseBoundReport:
     """Everything the covering and length converses produce for one setting.
 
     min_codebook_size is the exact rational covering lower bound (None when no
-    candidate covers any member). The slack fields decompose the per-symbol
-    overhead subtracted from the sphere-mass bound; they are reported, not
-    asserted tight, and at small n they dominate the bound.
+    candidate covers any member), and best_cover_class the type class of the
+    first reproduction block that covers the most members. The slack fields
+    decompose the per-symbol overhead subtracted from the sphere-mass bound;
+    they are reported, not asserted tight, and at small n they dominate the
+    bound.
     """
 
     min_codebook_size: Fraction | None = None
-    best_cover_type: EmpiricalDistribution | None = None
+    best_cover_class: TypeClass | None = None
     max_covered: int = 0
     delta_per_symbol: float = 0.0
     base_slack_per_symbol: float = 0.0
@@ -206,6 +218,10 @@ class ConverseBoundReport:
     type_log_size_slack: float = 0.0
     slack_terms: dict = field(default_factory=dict)
 
+    @property
+    def best_cover_type(self) -> EmpiricalDistribution | None:
+        return None if self.best_cover_class is None else self.best_cover_class.distribution
+
 
 def covering_lower_bound(
     source_class: TypeClass, level, spec: DistortionSpec
@@ -215,7 +231,7 @@ def covering_lower_bound(
     Counts the class members each reproduction block covers (the column sums
     of the cover matrix) and keeps the type of the first maximizer. The bound
     is verified against the double-counting identity, read from the same
-    matrix at that type's class, before returning.
+    matrix at that type's class, before returning; that class is reported.
     """
     if not spec.first_order_only:
         raise PreconditionError("covering bounds need a joint-type-based measure")
@@ -225,19 +241,20 @@ def covering_lower_bound(
     best_i = int(covered.argmax())
     best = int(covered[best_i])
     if best == 0:
-        return ConverseBoundReport(min_codebook_size=None, best_cover_type=None)
+        return ConverseBoundReport(min_codebook_size=None, best_cover_class=None)
 
     bound = Fraction(source_class.cardinality, best)
     best_xhat = blocks_at([best_i], n, spec.repro_size)[0]
-    best_type = empirical_distribution(best_xhat, source_class.distribution.order)
+    repro_class = enumerate_type_class(
+        empirical_distribution(best_xhat, source_class.distribution.order)
+    )
     # cross-check through the identity on the same matrix: the bound must equal
     # the repro class size over the forward sphere size, for every member
-    repro_class = enumerate_type_class(best_type)
     check = _double_count(cover, source_class, repro_class, spec.repro_size)
     if not check.ok or Fraction(repro_class.cardinality, check.forward_size) != bound:
         raise AssertionError(f"covering bound failed its identity cross-check: {check}")
     return ConverseBoundReport(
-        min_codebook_size=bound, best_cover_type=best_type, max_covered=best
+        min_codebook_size=bound, best_cover_class=repro_class, max_covered=best
     )
 
 
@@ -266,14 +283,17 @@ def greedy_cover(source_class: TypeClass, level, spec: DistortionSpec) -> Greedy
             f"member {members[j].symbols} is outside every candidate sphere",
             member=members[j],
         )
+    # covered[i] counts the still uncovered members that candidate i covers
+    covered = cover.sum(axis=0)
     uncovered = np.ones(len(members), dtype=bool)
     chosen, gains = [], []
     while uncovered.any():
-        covered = cover[uncovered].sum(axis=0)
         i = int(covered.argmax())
         chosen.append(i)
         gains.append(int(covered[i]))
-        uncovered &= ~cover[:, i]
+        newly = uncovered & cover[:, i]
+        covered -= cover[newly].sum(axis=0)
+        uncovered &= ~newly
     codebook = blocks_at(chosen, source_class.distribution.n, spec.repro_size)
     return GreedyCover(codebook=tuple(codebook), covered_per_step=tuple(gains))
 
@@ -327,7 +347,8 @@ def length_slack_terms(
     chunk-count corrections, which enter once inside the base slack and once
     alongside it; both are surfaced instead of being merged.
     """
-    if n % order != 0:
+    eps = parse_overhead(n, repro_size, one_minus_eps)  # rejects n < 2 before log2 n
+    if order < 1 or n % order != 0:
         raise PreconditionError(f"order {order} must divide n {n}")
     s = tree_node_count(source_size, order)
     s2 = s * s
@@ -339,7 +360,6 @@ def length_slack_terms(
         + chunk_term
         + 1.0 / order
     )
-    eps = parse_overhead(n, repro_size, one_minus_eps)
     total = eps + base + chunk_term / n
     return {
         "parse_overhead": eps,
@@ -352,35 +372,31 @@ def length_slack_terms(
 
 
 def converse_length_bound(
-    x: Block,
+    source_class: TypeClass,
     level,
     spec: DistortionSpec,
-    order: int,
     epsilon: float,
     table: UniversalTable,
-    one_minus_eps: float = 1.0,
 ) -> ConverseBoundReport:
-    """Full length-converse report for one source block.
+    """Full length-converse report for one source type class.
 
-    Combines the exact covering bound for x's own type class, the sphere-mass
-    bound from the universal table, and the per-symbol slack terms into
+    Combines the exact covering bound for the class, the sphere-mass bound
+    from the universal table at the class's first member x, and the
+    per-symbol slack terms at the class's order into
     bound_bits = -log2 mass - n * slack - epsilon * log2 n. Also measures the
     worst gap between log2 |best cover class| and the parse lengths of its
     members after the slack, a quantity reported with its sign intact.
     """
-    n = x.n
-    source_class = enumerate_type_class(empirical_distribution(x, order))
+    n, order = source_class.distribution.n, source_class.distribution.order
     report = covering_lower_bound(source_class, level, spec)
-    terms = length_slack_terms(
-        n, spec.source_size, spec.repro_size, order, one_minus_eps
-    )
-    mass = sphere_mass(x, level, spec, table)
+    terms = length_slack_terms(n, spec.source_size, spec.repro_size, order)
+    mass = sphere_mass(source_class.members[0], level, spec, table)
     mass_bits = mass.neg_log2_mass()
     bound = mass_bits - n * terms["delta_per_symbol"] - epsilon * math.log2(n)
 
     slack = math.inf
-    if report.best_cover_type is not None:
-        repro_class = enumerate_type_class(report.best_cover_type)
+    if report.best_cover_class is not None:
+        repro_class = report.best_cover_class
         log_size = math.log2(repro_class.cardinality)
         for member in repro_class.members:
             bits = table.bit_length_of(member)
@@ -388,7 +404,7 @@ def converse_length_bound(
             slack = min(slack, gap)
     return ConverseBoundReport(
         min_codebook_size=report.min_codebook_size,
-        best_cover_type=report.best_cover_type,
+        best_cover_class=report.best_cover_class,
         max_covered=report.max_covered,
         delta_per_symbol=terms["delta_per_symbol"],
         base_slack_per_symbol=terms["base_slack"],

@@ -236,7 +236,7 @@ def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:
 
     For per-letter measures the per-position argmin minimizes the additive
     total, so the greedy choice decides emptiness without enumeration. Other
-    kinds fall back to exhaustive search under the cap.
+    kinds return the lexicographically first block of the sphere, under the cap.
     """
     budget = _budget(x.n, level)
     if spec.kind == PER_LETTER:
@@ -251,11 +251,9 @@ def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:
         if total <= budget:
             return Block(tuple(best_syms))
         return None
-    check_enumerable(spec.repro_size**x.n, "witness search")
-    for xhat in enumerate_blocks(x.n, spec.repro_size):
-        if distortion(x, xhat, spec) <= budget:
-            return xhat
-    return None
+    inside = sphere_indicator(x, level, spec)
+    first = int(inside.argmax())
+    return blocks_at([first], x.n, spec.repro_size)[0] if inside[first] else None
 
 
 def spec_from_json(text: str) -> DistortionSpec:

@@ -13,7 +13,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
 
@@ -322,43 +322,10 @@ class AchievabilityReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         w = csv.writer(out)
-        w.writerow(
-            [
-                "block",
-                "mass",
-                "neg_log2_mass",
-                "trials",
-                "escapes",
-                "mean_log2_index",
-                "se_log2_index",
-                "index_mean_ok",
-                "dkw_sup",
-                "dkw_ok",
-                "semifaithful_failures",
-                "mean_actual_bits",
-                "mean_theoretical_bits",
-                "length_violation_fraction",
-            ]
-        )
+        names = [f.name for f in fields(AchievabilityRow)]
+        w.writerow(names)
         for r in self.rows:
-            w.writerow(
-                [
-                    _jsonable(r.block),
-                    str(r.mass),
-                    r.neg_log2_mass,
-                    r.trials,
-                    r.escapes,
-                    r.mean_log2_index,
-                    r.se_log2_index,
-                    r.index_mean_ok,
-                    r.dkw_sup,
-                    r.dkw_ok,
-                    r.semifaithful_failures,
-                    r.mean_actual_bits,
-                    r.mean_theoretical_bits,
-                    r.length_violation_fraction,
-                ]
-            )
+            w.writerow([_jsonable(getattr(r, name)) for name in names])
         return out.getvalue()
 
 
@@ -631,9 +598,7 @@ def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
     spec = cfg.spec()
     source_class = enumerate_type_class(_type_distribution(cfg))
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
-    rep = converse_length_bound(
-        source_class.members[0], cfg.level, spec, cfg.order, cfg.epsilon, table
-    )
+    rep = converse_length_bound(source_class, cfg.level, spec, cfg.epsilon, table)
     greedy = greedy_cover(source_class, cfg.level, spec)
     lengths = shortest_first_lengths(greedy.size)
     scb = short_codeword_count(greedy.size, cfg.n, cfg.epsilon)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from unirdc import (
     BINARY,
     Alphabet,
+    EnumerationCapError,
     PreconditionError,
     UncoverableError,
     all_type_classes,
@@ -59,6 +60,32 @@ def test_type_class_members_consistent():
         assert empirical_distribution(m, 1) == tc.distribution
     # members are produced in lexicographic order
     assert [m.symbols for m in tc.members] == sorted(m.symbols for m in tc.members)
+
+
+def _grouped_type_classes(n, order, alphabet_size):
+    """Every block of length n grouped by its order-chunk distribution."""
+    groups = {}
+    for b in enumerate_blocks(n, alphabet_size):
+        groups.setdefault(empirical_distribution(b, order), []).append(b)
+    return [(d, tuple(ms)) for d, ms in groups.items()]
+
+
+@pytest.mark.parametrize("k, max_n", [(2, 8), (3, 6)])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_all_type_classes_matches_grouping_oracle(order, k, max_n):
+    for n in range(order, max_n + 1, order):
+        got = [(tc.distribution, tc.members) for tc in all_type_classes(n, order, k)]
+        assert got == _grouped_type_classes(n, order, k)
+
+
+def test_all_type_classes_errors(monkeypatch):
+    for n, order in ((5, 2), (4, 0)):
+        with pytest.raises(PreconditionError):
+            all_type_classes(n, order, 2)  # order must divide n
+    monkeypatch.setenv("UNIRDC_CAP", "8")
+    assert len(all_type_classes(3, 1, 2)) == 4
+    with pytest.raises(EnumerationCapError):
+        all_type_classes(4, 1, 2)
 
 
 def test_all_type_classes_partition():
@@ -236,14 +263,19 @@ RATIONAL_3X3 = per_letter(
 
 
 @pytest.mark.parametrize(
-    "spec, n",
-    [pytest.param(HAMMING, n, id=f"hamming-n{n}") for n in range(1, 7)]
-    + [pytest.param(squared_disagreement(BINARY), n, id=f"squared-n{n}") for n in range(1, 7)]
-    + [pytest.param(RATIONAL_3X3, 4, id="ternary-rational-n4")],
+    "spec, n, order",
+    [pytest.param(HAMMING, n, 1, id=f"hamming-n{n}") for n in range(1, 7)]
+    + [pytest.param(squared_disagreement(BINARY), n, 1, id=f"squared-n{n}") for n in range(1, 7)]
+    + [pytest.param(RATIONAL_3X3, 4, 1, id="ternary-rational-n4")]
+    + [pytest.param(HAMMING, n, 2, id=f"hamming-n{n}-order2") for n in (2, 4, 6)]
+    + [
+        pytest.param(squared_disagreement(BINARY), n, 2, id=f"squared-n{n}-order2")
+        for n in (2, 4)
+    ],
 )
-def test_cover_matrix_matches_pairwise_oracle(spec, n):
+def test_cover_matrix_matches_pairwise_oracle(spec, n, order):
     d = _pairwise(n, spec)
-    classes = all_type_classes(n, 1, spec.source_size)
+    classes = all_type_classes(n, order, spec.source_size)
     levels = sorted({-1, 0, Fraction(1, n), Fraction(1, 2), 1})
     for level in levels:
         for source_class in classes:
@@ -262,7 +294,7 @@ def test_cover_matrix_matches_pairwise_oracle(spec, n):
                     greedy_cover(source_class, level, spec)
                 assert err.value.member == want
 
-            for repro_class in all_type_classes(n, 1, spec.repro_size):
+            for repro_class in all_type_classes(n, order, spec.repro_size):
                 forward, reverse = _oracle_double_counting(
                     d, source_class, repro_class, level
                 )
@@ -313,8 +345,19 @@ def test_slack_terms_reported():
     assert terms["delta_per_symbol"] == pytest.approx(
         terms["parse_overhead"] + terms["base_slack"] + terms["chunk_term_outside"]
     )
+    for order in (3, 0):
+        with pytest.raises(PreconditionError):
+            length_slack_terms(8, 2, 2, order)  # order must divide n
+
+
+def test_one_symbol_slack_is_precondition_error():
+    # the decomposition divides by log2 n, which is 0 at n = 1
     with pytest.raises(PreconditionError):
-        length_slack_terms(8, 2, 2, 3)  # order must divide n
+        length_slack_terms(1, 2, 2, 1)
+    tc = enumerate_type_class(empirical_distribution(BINARY.to_block("0"), 1))
+    table = build_universal_table(1, 2, "plain")
+    with pytest.raises(PreconditionError):
+        converse_length_bound(tc, 0, HAMMING, 1.0, table)
 
 
 def test_one_over_order_term_smallest_at_full_order():
@@ -339,8 +382,8 @@ def test_type_log_size_slack_nonnegative_default_convention():
 
 def test_converse_length_bound_report():
     t = build_universal_table(6, 2, "plain")
-    x = BINARY.to_block("010101")
-    rep = converse_length_bound(x, Fraction(1, 6), HAMMING, 1, 1.0, t)
+    tc = enumerate_type_class(empirical_distribution(BINARY.to_block("010101"), 1))
+    rep = converse_length_bound(tc, Fraction(1, 6), HAMMING, 1.0, t)
     assert rep.min_codebook_size is not None
     assert rep.sphere_mass_bits > 0
     assert rep.bound_bits == pytest.approx(

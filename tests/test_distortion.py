@@ -132,6 +132,33 @@ def test_witness_matches_exhaustive_search():
                 assert w is None
 
 
+def _one_plus_flips(x, y):
+    # never zero, so level 0 leaves every sphere empty
+    return 1 + sum(a != b for a, b in zip(x.symbols, y.symbols))
+
+
+@pytest.mark.parametrize(
+    "spec, some_sphere_empty",
+    [
+        pytest.param(squared_disagreement(BINARY, BINARY), False, id="squared"),
+        pytest.param(callable_spec(_one_plus_flips, BINARY, BINARY), True, id="callable"),
+    ],
+)
+def test_witness_is_first_sphere_block_for_other_kinds(spec, some_sphere_empty):
+    firsts = []
+    for x in enumerate_blocks(5, 2):
+        for level in (0, Fraction(1, 5), Fraction(2, 5), Fraction(1, 2)):
+            budget = 5 * level
+            first = next(
+                (y for y in enumerate_blocks(5, 2) if distortion(x, y, spec) <= budget), None
+            )
+            assert find_witness(x, level, spec) == first
+            firsts.append(first)
+        with pytest.raises(PreconditionError):
+            find_witness(x, Fraction(-1, 5), spec)
+    assert (None in firsts) == some_sphere_empty
+
+
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=7), st.integers(0, 7))
 @settings(max_examples=100)
 def test_witness_greedy_agrees_with_brute_force(bits, num):

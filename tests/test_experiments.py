@@ -139,9 +139,15 @@ def test_achievability_report_serialization():
     data = json.loads(rep.to_json())
     assert data["schema_version"] == "1"
     assert len(data["rows"]) == 2
-    csv = rep.to_csv()
-    assert csv.splitlines()[0].startswith("block,")
-    assert len(csv.splitlines()) == 3
+    assert rep.to_csv() == (
+        "block,mass,neg_log2_mass,trials,escapes,mean_log2_index,se_log2_index,"
+        "index_mean_ok,dkw_sup,dkw_ok,semifaithful_failures,mean_actual_bits,"
+        "mean_theoretical_bits,length_violation_fraction\r\n"
+        "0011,3/10,1.736965594166206,10,0,1.6714245517666122,0.3319340679092864,"
+        "True,0.257,True,0,5.3,4.381856856970058,0.0\r\n"
+        "0101,3/10,1.736965594166206,10,0,1.5977279923499916,0.23190745008296368,"
+        "True,0.21000000000000002,True,0,5.2,4.308160297553437,0.0\r\n"
+    )
 
 
 def test_ensemble_full_sphere_never_fails():
@@ -286,6 +292,23 @@ def test_converse_experiment_builds_two_cover_matrices(monkeypatch):
     rep = converse_experiment(cfg)
     assert rep.min_codebook_size == 14
     assert len(calls) <= 2 * math.comb(8, 4) + 1
+
+
+def test_converse_experiment_enumerates_each_class_once(monkeypatch):
+    # the source class, and the best cover class inside covering_lower_bound;
+    # the length bound reads both from its caller
+    calls = []
+    original = importlib.import_module("unirdc.converse").enumerate_type_class
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in ("unirdc.converse", "unirdc.experiments"):
+        monkeypatch.setattr(f"{module}.enumerate_type_class", counting)
+    rep = converse_experiment(ExperimentConfig(n=8, level=Fraction(1, 8)))
+    assert rep.min_codebook_size == 14
+    assert len(calls) <= 2
 
 
 def test_run_experiment_dispatch():
