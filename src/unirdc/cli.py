@@ -154,7 +154,7 @@ def _cmd_encode(args) -> int:
         max_draws=args.max_draws,
         length_mode=args.length_mode,
     )
-    messages = [codec.encode(b, level, spec, stream) for b in blocks]
+    messages = codec.encode_blocks(blocks, level, spec, stream)
     out = args.out or "-"
     if out == "-":
         codec.write_container(sys.stdout.buffer, stream, level, messages)
@@ -185,7 +185,7 @@ def _cmd_decode(args) -> int:
         max_draws=args.max_draws,
         length_mode=header.length_mode,
     )
-    blocks = [codec.decode(m, stream) for m in messages]
+    blocks = codec.decode_messages(messages, stream)
     _write_text(args.out, "".join(repro.to_text(b) + "\n" for b in blocks))
     return 0
 

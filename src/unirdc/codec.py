@@ -6,6 +6,11 @@ self-delimiting integer code behind a one-bit escape flag. The decoder
 regenerates the same stream from the shared seed and replays it up to the
 index, so codewords are never stored. When the draw budget runs out, the
 escape path ships an explicit witness block in raw fixed-width symbols.
+
+One stream serves a whole batch: encode_blocks resolves every block of a
+batch against one scan, and decode_messages replays one stream up to the
+largest index of a batch. Each block's index is the one a scan of its own
+would find.
 """
 from __future__ import annotations
 
@@ -16,8 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import BitReader, BitString, BitWriter, Block
-from .distortion import DistortionSpec, distortion, find_witness
+import numpy as np
+
+from .core import BitReader, BitString, BitWriter, Block, blocks_at
+from .distortion import (
+    DistortionSpec,
+    _budget,
+    _folds,
+    distortion,
+    find_witness,
+    sphere_indicator,
+)
 from .errors import (
     CapacityError,
     CorruptStreamError,
@@ -42,12 +56,22 @@ __all__ = [
     "index_code_decode",
     "theoretical_length",
     "encode",
+    "encode_blocks",
     "decode",
+    "decode_messages",
     "write_container",
     "read_container",
 ]
 
 DEFAULT_MAX_DRAWS = 1 << 20
+
+# Table indices drawn per step when a batch scans or replays the exact stream:
+# enough to amortise the array work of a step, few enough that the draws past
+# a batch's last first hit stay cheap.
+_CHUNK = 1024
+# Largest (distinct blocks) x K^n sphere mask one scan holds; a batch with
+# more rows scans the stream once per group of rows.
+_MASK_BYTES = 1 << 24
 
 EXACT = "exact"
 BITFEED = "bitfeed"
@@ -104,8 +128,11 @@ class CodebookStream:
     def codewords(self):
         """Infinite deterministic codeword sequence; restart on every call."""
         s = self.sampler()
+        if self.mode == BITFEED:
+            while True:
+                yield s.draw()
         while True:
-            yield s.draw()
+            yield from blocks_at(s.indices(_CHUNK), self.n, self.alphabet_size)
 
 
 def index_code_encode(i: int) -> BitString:
@@ -191,10 +218,21 @@ class EncodedMessage:
         return 1 + self.payload.length
 
 
-def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> EncodedMessage:
-    """Scan the stream for the first codeword within the budget and code it."""
-    if x.n != stream.n:
-        raise PreconditionError("block length does not match the stream")
+def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> list[EncodedMessage]:
+    """Code every block of a batch by its first codeword within the budget.
+
+    One scan of the stream serves the whole batch, and each distinct block is
+    resolved once. In exact mode with a per-letter measure that fits the
+    integer fold, a draw hits a block when its table index lies in the
+    block's sphere row; other measures, and bitfeed mode, test each draw with
+    distortion() in stream order until the block's first hit. A block with no
+    hit within max_draws escapes to a witness.
+    """
+    xs = list(xs)
+    for x in xs:
+        if x.n != stream.n:
+            raise PreconditionError("block length does not match the stream")
+        x.validate(spec.source_size)
     if spec.repro_size != stream.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the stream")
     if stream.nominal_base <= spec.repro_size:
@@ -203,34 +241,88 @@ def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> Enc
             "the length accounting loses its interpretation",
             stacklevel=2,
         )
-    budget = x.n * Fraction(level)
+    budget = _budget(stream.n, level)
+    distinct = list(dict.fromkeys(xs))
+    if stream.mode == EXACT and _folds(spec, stream.n):
+        first = _first_hits_in_masks(distinct, level, spec, stream)
+    else:
+        if spec.kind == "per_letter_matrix":
+            for x in distinct:
+                if find_witness(x, level, spec) is None:
+                    raise UncodableInputError("no reproduction block meets the budget")
+        first = _first_hits_by_distortion(distinct, budget, spec, stream)
+    coded = {
+        x: _index_message(i, stream) if i else _escape_message(x, level, spec)
+        for x, i in zip(distinct, first)
+    }
+    return [coded[x] for x in xs]
 
-    witness: Block | None = None
-    if spec.kind == "per_letter_matrix":
-        witness = find_witness(x, level, spec)
-        if witness is None:
-            raise UncodableInputError("no reproduction block meets the budget")
 
+def _first_hits_in_masks(distinct, level, spec, stream) -> list[int]:
+    """First-hit index of each block (0 for none), read off its sphere row."""
+    size = stream.resolved_table.size
+    group = max(1, _MASK_BYTES // size)
+    mask = np.empty((min(group, len(distinct)), size), dtype=bool)
+    first = np.zeros(len(distinct), dtype=np.int64)
+    for lo in range(0, len(distinct), group):
+        rows = distinct[lo : lo + group]
+        for r, x in enumerate(rows):
+            mask[r] = sphere_indicator(x, level, spec)
+            if not mask[r].any():
+                raise UncodableInputError("no reproduction block meets the budget")
+        hits = first[lo : lo + len(rows)]
+        pending = np.arange(len(rows))
+        for drawn, idx in _index_chunks(stream, stream.max_draws):
+            inside = mask[pending[:, None], idx]
+            found = inside.any(axis=1)
+            hits[pending[found]] = drawn + 1 + inside[found].argmax(axis=1)
+            pending = pending[~found]
+            if not pending.size:
+                break
+    return first.tolist()
+
+
+def _index_chunks(stream: CodebookStream, limit: int):
+    """The first limit table indices of a fresh exact sampler, _CHUNK at a
+    time, each chunk with the number of draws before it."""
     sampler = stream.sampler()
-    for i in range(1, stream.max_draws + 1):
-        xhat = sampler.draw()
-        if distortion(x, xhat, spec) <= budget:
-            return EncodedMessage(
-                escape=False,
-                payload=index_code_encode(i),
-                index=i,
-                theoretical_bits=theoretical_length(i, x.n, stream.nominal_base).bits,
-            )
+    for drawn in range(0, limit, _CHUNK):
+        yield drawn, sampler.indices(min(_CHUNK, limit - drawn))
 
+
+def _first_hits_by_distortion(distinct, budget, spec, stream) -> list[int]:
+    """First-hit index of each block (0 for none), one distortion() per test."""
+    first = [0] * len(distinct)
+    pending = list(range(len(distinct)))
+    for i, xhat in zip(range(1, stream.max_draws + 1), stream.codewords()):
+        still = []
+        for r in pending:
+            if distortion(distinct[r], xhat, spec) <= budget:
+                first[r] = i
+            else:
+                still.append(r)
+        pending = still
+        if not pending:
+            break
+    return first
+
+
+def _index_message(i: int, stream: CodebookStream) -> EncodedMessage:
+    return EncodedMessage(
+        escape=False,
+        payload=index_code_encode(i),
+        index=i,
+        theoretical_bits=theoretical_length(i, stream.n, stream.nominal_base).bits,
+    )
+
+
+def _escape_message(x: Block, level, spec: DistortionSpec) -> EncodedMessage:
+    try:
+        witness = find_witness(x, level, spec)
+    except EnumerationCapError as e:
+        raise CapacityError(f"draw budget exhausted and witness search is infeasible: {e}")
     if witness is None:
-        try:
-            witness = find_witness(x, level, spec)
-        except EnumerationCapError as e:
-            raise CapacityError(
-                f"draw budget exhausted and witness search is infeasible: {e}"
-            )
-        if witness is None:
-            raise UncodableInputError("no reproduction block meets the budget")
+        raise UncodableInputError("no reproduction block meets the budget")
     sym_w = symbol_width(spec.repro_size)
     w = BitWriter()
     for s in witness.symbols:
@@ -242,6 +334,11 @@ def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> Enc
         index=None,
         theoretical_bits=1 + payload.length,
     )
+
+
+def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> EncodedMessage:
+    """Scan the stream for the first codeword within the budget and code it."""
+    return encode_blocks([x], level, spec, stream)[0]
 
 
 def _read_index(payload: BitString) -> int:
@@ -256,30 +353,67 @@ def _read_index(payload: BitString) -> int:
     return index
 
 
+def _read_witness(msg: EncodedMessage, stream: CodebookStream) -> Block:
+    sym_w = symbol_width(stream.alphabet_size)
+    if msg.payload.length != stream.n * sym_w:
+        raise CorruptStreamError("witness payload has the wrong bit count")
+    reader = BitReader(msg.payload)
+    symbols = []
+    for _ in range(stream.n):
+        v = reader.read(sym_w)
+        if v >= stream.alphabet_size:
+            raise CorruptStreamError(f"witness symbol {v} outside alphabet")
+        symbols.append(v)
+    return Block(tuple(symbols))
+
+
+def decode_messages(msgs, stream: CodebookStream) -> list[Block]:
+    """Replay the stream once, up to the largest index, or read the witnesses.
+
+    The replay keeps only the draws at transmitted indices, so its work grows
+    with the largest index, never with the number of messages. An index above
+    max_draws is corrupt and is refused before any draw.
+    """
+    msgs = list(msgs)
+    out: list[Block | None] = [None] * len(msgs)
+    wanted: dict[int, list[int]] = {}
+    for p, msg in enumerate(msgs):
+        if msg.escape:
+            out[p] = _read_witness(msg, stream)
+            continue
+        index = _read_index(msg.payload)
+        if index > stream.max_draws:
+            raise CorruptStreamError(
+                f"index {index} exceeds the stream's draw budget {stream.max_draws}"
+            )
+        wanted.setdefault(index, []).append(p)
+    if not wanted:
+        return out
+    top = max(wanted)
+    if stream.mode == EXACT:
+        need = np.array(sorted(wanted), dtype=np.int64)
+        picked = np.empty(len(need), dtype=np.int64)
+        k = 0
+        for drawn, idx in _index_chunks(stream, top):
+            j = int(np.searchsorted(need, drawn + len(idx), side="right"))
+            picked[k:j] = idx[need[k:j] - drawn - 1]
+            k = j
+        found = zip(need.tolist(), blocks_at(picked, stream.n, stream.alphabet_size))
+    else:
+        found = (
+            (i, xhat)
+            for i, xhat in zip(range(1, top + 1), stream.codewords())
+            if i in wanted
+        )
+    for i, xhat in found:
+        for p in wanted[i]:
+            out[p] = xhat
+    return out
+
+
 def decode(msg: EncodedMessage, stream: CodebookStream) -> Block:
     """Replay the stream up to the transmitted index, or read the witness."""
-    if msg.escape:
-        sym_w = symbol_width(stream.alphabet_size)
-        if msg.payload.length != stream.n * sym_w:
-            raise CorruptStreamError("witness payload has the wrong bit count")
-        reader = BitReader(msg.payload)
-        symbols = []
-        for _ in range(stream.n):
-            v = reader.read(sym_w)
-            if v >= stream.alphabet_size:
-                raise CorruptStreamError(f"witness symbol {v} outside alphabet")
-            symbols.append(v)
-        return Block(tuple(symbols))
-    index = _read_index(msg.payload)
-    if index > stream.max_draws:
-        raise CorruptStreamError(
-            f"index {index} exceeds the stream's draw budget {stream.max_draws}"
-        )
-    sampler = stream.sampler()
-    xhat = None
-    for _ in range(index):
-        xhat = sampler.draw()
-    return xhat
+    return decode_messages([msg], stream)[0]
 
 
 def message_from_bits(bits: BitString) -> EncodedMessage:

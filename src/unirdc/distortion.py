@@ -160,6 +160,23 @@ def _budget(n: int, level) -> Fraction:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _scaled_costs(matrix, n: int) -> tuple[int, list[list[int]], int] | None:
+    """Common denominator, integer-scaled entries and largest scaled total over
+    n letters of a per-letter matrix, or None when that total may not fit in
+    int64."""
+    scale = math.lcm(*(Fraction(v).denominator for row in matrix for v in row))
+    rows = [[int(v * scale) for v in row] for row in matrix]
+    top = max(map(max, rows)) * n
+    if top > _INT64_MAX:
+        return None
+    return scale, rows, top
+
+
+def _folds(spec: DistortionSpec, n: int) -> bool:
+    """True when sphere_indicator answers blocks of length n by the integer fold."""
+    return spec.kind == PER_LETTER and _scaled_costs(spec.matrix, n) is not None
+
+
 def _additive_mask(matrix, symbols, budget) -> np.ndarray | None:
     """Total per-letter cost <= budget, for every block against one fixed block.
 
@@ -169,11 +186,10 @@ def _additive_mask(matrix, symbols, budget) -> np.ndarray | None:
     position at a time, so entry i of the result belongs to the block with the
     base-K digits of i. None when the scaled totals may not fit in int64.
     """
-    scale = math.lcm(*(Fraction(v).denominator for row in matrix for v in row))
-    rows = [[int(v * scale) for v in row] for row in matrix]
-    top = max(map(max, rows)) * len(symbols)
-    if top > _INT64_MAX:
+    scaled = _scaled_costs(matrix, len(symbols))
+    if scaled is None:
         return None
+    scale, rows, top = scaled
     threshold = math.floor(budget * scale)
     if threshold < 0:
         return np.zeros(len(rows[0]) ** len(symbols), dtype=bool)

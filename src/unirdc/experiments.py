@@ -19,7 +19,13 @@ from itertools import product
 
 import numpy as np
 
-from .codec import CodebookStream, decode, encode, index_code_encode, theoretical_length
+from .codec import (
+    CodebookStream,
+    decode_messages,
+    encode_blocks,
+    index_code_encode,
+    theoretical_length,
+)
 from .converse import (
     converse_length_bound,
     enumerate_type_class,
@@ -340,11 +346,11 @@ def _achievability_chunk(cfg_json: str, seeds: list[int]):
     bad = [0] * len(sources)
     for seed in seeds:
         stream = cfg.stream(seed, table)
-        for si, x in enumerate(sources):
-            msg = encode(x, cfg.level, spec, stream)
+        msgs = encode_blocks(sources, cfg.level, spec, stream)
+        xhats = decode_messages(msgs, stream)
+        for si, (x, msg, xhat) in enumerate(zip(sources, msgs, xhats)):
             key = msg.index if msg.index is not None else -1
             hists[si][key] = hists[si].get(key, 0) + 1
-            xhat = decode(msg, stream)
             if distortion(x, xhat, spec) > budgets[si]:
                 bad[si] += 1
     return hists, bad
@@ -485,8 +491,7 @@ def _ensemble_chunk(cfg_json: str, indexed_seeds: list[tuple[int, int]]):
         stream = cfg.stream(seed, table)
         fail = False
         worst = -math.inf
-        for x, lplus in zip(sources, plus):
-            msg = encode(x, cfg.level, spec, stream)
+        for msg, lplus in zip(encode_blocks(sources, cfg.level, spec, stream), plus):
             if msg.index is None:
                 fail = True
                 length = theoretical_length(cfg.max_draws, cfg.n, base).bits

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
-from .core import Block, block_index, check_enumerable, enumerate_blocks
-from .distortion import DistortionSpec, distortion, sphere_indicator
-from .errors import PreconditionError
+from .core import Block, block_index, blocks_at, check_enumerable, enumerate_blocks
+from .distortion import _INT64_MAX, DistortionSpec, distortion, sphere_indicator
+from .errors import CapacityError, PreconditionError
 from . import lz78
 
 __all__ = [
@@ -50,8 +48,7 @@ class UniversalTable:
 
     Block i is the base-K digits of i, so only the code lengths are kept:
     bits[i] is the length of block i, in a read-only int64 array. The blocks
-    themselves and the cumulative weights are built on first use. Tables
-    compare and hash by identity.
+    themselves are built on first use. Tables compare and hash by identity.
     """
 
     n: int
@@ -87,11 +84,6 @@ class UniversalTable:
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
         return tuple(enumerate_blocks(self.n, self.alphabet_size))
-
-    @cached_property
-    def _cumulative(self) -> list[int]:
-        top = self.max_bits
-        return list(accumulate(1 << (top - b) for b in self.bits.tolist()))
 
     def bit_length_of(self, block: Block) -> int:
         if block.n != self.n:
@@ -220,33 +212,55 @@ def sphere_mass(x: Block, level, spec: DistortionSpec, table: UniversalTable) ->
 
 
 class _ExactSampler:
-    """Seeded stream of blocks drawn i.i.d. with their exact table probabilities.
+    """Seeded stream of table indices drawn i.i.d. with their exact probabilities.
 
     Cumulative inversion runs on scaled integer weights: a uniform integer
     below the scaled total is drawn by rejection from the seeded bit stream,
-    so every block comes out with exactly its rational probability.
+    and searchsorted(side="right") on the int64 cumulative weights maps it to
+    its block's index, so every block comes out with exactly its rational
+    probability. Totals beyond int64 raise CapacityError rather than round.
     """
 
     def __init__(self, table: UniversalTable, seed: int):
+        total = table._total
+        if total > _INT64_MAX:
+            raise CapacityError(
+                f"the scaled table total needs {total.bit_length()} bits; "
+                "the exact sampler works in int64"
+            )
         self.table = table
         self.rng = random.Random(seed)
-        self._cum = table._cumulative
-        self._total = self._cum[-1]
-        self._nbits = self._total.bit_length()
+        self._cum = np.cumsum(np.left_shift(1, table.max_bits - table.bits))
+        self._total = total
+        self._nbits = total.bit_length()
+
+    def indices(self, count: int) -> np.ndarray:
+        """The next count table indices of the stream, as an int64 array."""
+        getrandbits, nbits, total = self.rng.getrandbits, self._nbits, self._total
+        out = []
+        for _ in range(count):
+            r = getrandbits(nbits)
+            while r >= total:
+                r = getrandbits(nbits)
+            out.append(r)
+        return np.searchsorted(self._cum, np.array(out, dtype=np.int64), side="right")
 
     def draw(self) -> Block:
-        r = self.rng.getrandbits(self._nbits)
-        while r >= self._total:
-            r = self.rng.getrandbits(self._nbits)
-        return self.table.blocks[bisect_right(self._cum, r)]
+        t = self.table
+        return blocks_at(self.indices(1), t.n, t.alphabet_size)[0]
 
 
 def sample_exact(table: UniversalTable, seed: int, count: int) -> list[Block]:
-    """Draw count blocks i.i.d. with their exact table probabilities."""
+    """Draw count blocks i.i.d. with their exact table probabilities.
+
+    Repeated draws share one Block object per distinct index.
+    """
     if count < 0:
         raise PreconditionError("count must be non-negative")
-    sampler = _ExactSampler(table, seed)
-    return [sampler.draw() for _ in range(count)]
+    drawn = _ExactSampler(table, seed).indices(count)
+    distinct, inverse = np.unique(drawn, return_inverse=True)
+    blocks = blocks_at(distinct, table.n, table.alphabet_size)
+    return [blocks[i] for i in inverse.tolist()]
 
 
 class _BitfeedSampler:

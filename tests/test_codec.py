@@ -1,32 +1,44 @@
 import io
 import math
+from unittest.mock import patch
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from unirdc import (
     BINARY,
     Alphabet,
     BitReader,
     BitString,
+    BitWriter,
+    Block,
     CodebookStream,
     CorruptStreamError,
+    EncodedMessage,
     PreconditionError,
     UncodableInputError,
     build_universal_table,
     decode,
+    decode_messages,
     distortion,
     encode,
+    encode_blocks,
     enumerate_blocks,
+    find_witness,
     hamming,
     index_code_decode,
     index_code_encode,
     per_letter,
     read_container,
+    sample_exact,
+    squared_disagreement,
     theoretical_length,
     write_container,
 )
+from unirdc import codec
 from unirdc.codec import message_from_bits
+from unirdc.lz78 import symbol_width
 
 HAMMING = hamming(BINARY)
 
@@ -317,3 +329,160 @@ def test_stream_validation():
     t = build_universal_table(4, 2, "plain")
     with pytest.raises(PreconditionError):
         CodebookStream(seed=1, n=5, alphabet_size=2, mode="exact", table=t)
+
+
+# The per-block scan that batch encoding replaced, kept as its oracle: one
+# fresh stream per block, one draw and one distortion() at a time.
+def _scan_one(x, level, spec, s):
+    budget = x.n * Fraction(level)
+    if spec.kind == "per_letter_matrix" and find_witness(x, level, spec) is None:
+        raise UncodableInputError("no reproduction block meets the budget")
+    sampler = s.sampler()
+    for i in range(1, s.max_draws + 1):
+        if distortion(x, sampler.draw(), spec) <= budget:
+            return EncodedMessage(
+                escape=False,
+                payload=index_code_encode(i),
+                index=i,
+                theoretical_bits=theoretical_length(i, x.n, s.nominal_base).bits,
+            )
+    witness = find_witness(x, level, spec)
+    if witness is None:
+        raise UncodableInputError("no reproduction block meets the budget")
+    w = BitWriter()
+    for sym in witness.symbols:
+        w.write(sym, symbol_width(spec.repro_size))
+    return EncodedMessage(
+        escape=True, payload=w.getvalue(), index=None, theoretical_bits=1 + w.getvalue().length
+    )
+
+
+def _replay_one(msg, s, witness):
+    if msg.escape:
+        return witness
+    sampler = s.sampler()
+    for _ in range(msg.index):
+        xhat = sampler.draw()
+    return xhat
+
+
+TERNARY = Alphabet("012")
+RATIONAL = per_letter(
+    [[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]], TERNARY, TERNARY
+)
+# near-Hamming costs whose common denominator overflows int64, so the
+# integer fold does not apply and exact mode tests each draw with distortion()
+OVERFLOWING = per_letter(
+    [[0, Fraction(3**40 + 1, 3**40)], [Fraction(2**62 - 1, 2**62), 0]], BINARY, BINARY
+)
+
+
+@st.composite
+def batch_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    alpha = BINARY if k == 2 else TERNARY
+    specs = [hamming(alpha), squared_disagreement(alpha)]
+    specs.append(RATIONAL if k == 3 else OVERFLOWING)
+    spec = draw(st.sampled_from(specs))
+    block = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(
+        lambda syms: Block(tuple(syms))
+    )
+    pool = draw(st.lists(block, min_size=1, max_size=4))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    s = CodebookStream(
+        seed=draw(st.integers(0, 2**32)),
+        n=n,
+        alphabet_size=k,
+        mode=draw(st.sampled_from(["exact", "bitfeed"])),
+        max_draws=draw(st.integers(1, 60)),
+    )
+    level = Fraction(draw(st.integers(0, n)), 2 * n)
+    # small chunks put first hits past chunk boundaries, and small masks
+    # make the scan run once per group of rows
+    chunk = draw(st.sampled_from([1, 3, 7, codec._CHUNK]))
+    mask_bytes = draw(st.sampled_from([k**n, 2 * k**n, codec._MASK_BYTES]))
+    return xs, level, spec, s, chunk, mask_bytes
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_batch_equals_per_block_scan(case):
+    xs, level, spec, s, chunk, mask_bytes = case
+    with patch.object(codec, "_CHUNK", chunk), patch.object(codec, "_MASK_BYTES", mask_bytes):
+        msgs = encode_blocks(xs, level, spec, s)
+        decoded = decode_messages(msgs, s)
+    expected = [_scan_one(x, level, spec, s) for x in xs]
+    for got, want in zip(msgs, expected, strict=True):
+        assert got.escape == want.escape
+        assert got.payload == want.payload
+        assert got.index == want.index
+        assert got.theoretical_bits == want.theoretical_bits
+    witnesses = [find_witness(x, level, spec) for x in xs]
+    assert decoded == [_replay_one(m, s, w) for m, w in zip(msgs, witnesses)]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Count every codeword drawn from any stream's sampler."""
+    counted = [0]
+    make = CodebookStream.sampler
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def indices(self, count):
+            counted[0] += count
+            return self.inner.indices(count)
+
+        def draw(self):
+            counted[0] += 1
+            return self.inner.draw()
+
+    monkeypatch.setattr(CodebookStream, "sampler", lambda self: Counting(make(self)))
+    return counted
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_batch_with_an_uncodable_block_draws_nothing(mode, draws):
+    # every letter costs 1, so a block of n letters can never meet n/2
+    spec = per_letter([[1, 1], [1, 1]], BINARY, BINARY)
+    s = CodebookStream(seed=2, n=4, alphabet_size=2, mode=mode)
+    xs = [BINARY.to_block("0101"), BINARY.to_block("1100")]
+    with pytest.raises(UncodableInputError):
+        encode_blocks(xs, Fraction(1, 2), spec, s)
+    assert draws[0] == 0
+
+
+def test_negative_level_is_rejected_before_any_draw(draws):
+    s = stream(seed=3)  # default max_draws: 2^20
+    with pytest.raises(PreconditionError):
+        encode(BINARY.to_block("011010"), -1, squared_disagreement(BINARY), s)
+    assert draws[0] == 0
+
+
+def test_decode_work_grows_with_the_largest_index(draws):
+    s = CodebookStream(seed=5, n=8, alphabet_size=2, mode="exact")
+    far = EncodedMessage(
+        escape=False, payload=index_code_encode(1 << 16), index=1 << 16, theoretical_bits=0.0
+    )
+    buf = io.BytesIO()
+    write_container(buf, s, Fraction(1, 4), [far] * 100)
+    buf.seek(0)
+    _, msgs = read_container(buf)
+    blocks = decode_messages(msgs, s)
+    assert draws[0] <= 1 << 16  # one replay, not one per record
+    target = sample_exact(s.resolved_table, 5, 1 << 16)[-1]
+    assert blocks == [target] * 100
+
+
+def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
+    s = stream(seed=7, max_draws=10)
+    msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s)] + [
+        EncodedMessage(escape=False, payload=index_code_encode(11), index=11, theoretical_bits=0.0)
+    ]
+    draws[0] = 0
+    with pytest.raises(CorruptStreamError):
+        decode_messages(msgs, s)
+    assert draws[0] == 0

@@ -6,12 +6,15 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from hypothesis import given, settings, strategies as st
 
 from unirdc import (
     BINARY,
     Alphabet,
+    CapacityError,
     PreconditionError,
+    UniversalTable,
     bitfeed_distribution,
     build_universal_table,
     enumerate_blocks,
@@ -193,6 +196,37 @@ def test_sample_exact_stream_is_pinned():
     assert [tuple(b) for b in draws[:4]] == [
         (2, 2, 1, 2, 2), (1, 0, 2, 0, 1), (1, 1, 1, 1, 2), (2, 2, 2, 2, 1)
     ]
+
+
+def test_sample_exact_stream_is_pinned_binary_n16():
+    # the same getrandbits rejection and bisect_right on the Python-int
+    # cumulative weights, on a table whose scaled total needs 19 bits
+    t = build_universal_table(16, 2, "plain")
+    cum = list(accumulate(1 << (t.max_bits - b) for b in t.bits.tolist()))
+    total = cum[-1]
+    rng = random.Random(16)
+    expected = []
+    for _ in range(200):
+        r = rng.getrandbits(total.bit_length())
+        while r >= total:
+            r = rng.getrandbits(total.bit_length())
+        expected.append(t.blocks[bisect_right(cum, r)])
+    assert sample_exact(t, 16, 200) == expected
+
+
+def test_sample_exact_shares_blocks_between_repeats():
+    t = build_universal_table(2, 2, "plain")
+    draws = sample_exact(t, 3, 50)
+    assert len({id(b) for b in draws}) == len(set(draws))
+
+
+def test_exact_sampler_refuses_totals_beyond_int64():
+    wide = UniversalTable(n=2, alphabet_size=2, length_mode="plain", bits=[1, 70, 70, 70])
+    with pytest.raises(CapacityError):
+        sample_exact(wide, 0, 1)
+    # a total of 2^62 + 3 still fits: block 00 carries all but 3 / (2^62 + 3)
+    edge = UniversalTable(n=2, alphabet_size=2, length_mode="plain", bits=[1, 63, 63, 63])
+    assert sample_exact(edge, 0, 5) == [BINARY.to_block("00")] * 5
 
 
 def test_sample_exact_single_symbol_frequencies():
