@@ -150,7 +150,6 @@ def _cmd_encode(args) -> int:
         n=blocks[0].n,
         alphabet_size=repro.size,
         mode=args.mode,
-        base=args.base,
         max_draws=args.max_draws,
         length_mode=args.length_mode,
     )
@@ -368,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "bitfeed"], default="exact")
     p.add_argument("--length-mode", choices=["plain", "capped"], default="plain")
     p.add_argument("--max-draws", type=int, default=codec.DEFAULT_MAX_DRAWS)
-    p.add_argument("--base", type=float, default=None)
     common(p, repro=True, dist=True, level=True, fmt=False)
     p.set_defaults(func=_cmd_encode)
 

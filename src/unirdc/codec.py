@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,16 +80,14 @@ BITFEED = "bitfeed"
 class CodebookStream:
     """Deterministic codeword stream configuration shared by both ends.
 
-    mode selects the exact table sampler or the approximate bitfeed sampler;
-    base is the nominal per-symbol codebook size used only in the length
-    accounting, and max_draws caps the scan before the escape path.
+    mode selects the exact table sampler or the approximate bitfeed sampler,
+    and max_draws caps the scan before the escape path.
     """
 
     seed: int
     n: int
     alphabet_size: int
     mode: str = EXACT
-    base: float | None = None
     max_draws: int = DEFAULT_MAX_DRAWS
     length_mode: str = "plain"
     table: UniversalTable | None = None
@@ -108,10 +105,6 @@ class CodebookStream:
             or self.table.length_mode != self.length_mode
         ):
             raise PreconditionError("supplied table does not match the stream")
-
-    @property
-    def nominal_base(self) -> float:
-        return self.base if self.base is not None else 2.0 * self.alphabet_size
 
     @cached_property
     def resolved_table(self) -> UniversalTable:
@@ -200,12 +193,11 @@ def theoretical_length(index: int, n: int, base: float) -> TheoreticalLength:
 
 @dataclass(frozen=True)
 class EncodedMessage:
-    """One encoded block: escape flag, payload bits, and length accounting."""
+    """One encoded block: escape flag, payload bits, and the index it codes."""
 
     escape: bool
     payload: BitString
     index: int | None
-    theoretical_bits: float
 
     def to_bits(self) -> BitString:
         w = BitWriter()
@@ -235,12 +227,6 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
         x.validate(spec.source_size)
     if spec.repro_size != stream.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the stream")
-    if stream.nominal_base <= spec.repro_size:
-        warnings.warn(
-            "nominal codebook base does not exceed the reproduction alphabet size; "
-            "the length accounting loses its interpretation",
-            stacklevel=2,
-        )
     budget = _budget(stream.n, level)
     distinct = list(dict.fromkeys(xs))
     if stream.mode == EXACT and _folds(spec, stream.n):
@@ -252,7 +238,7 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
                     raise UncodableInputError("no reproduction block meets the budget")
         first = _first_hits_by_distortion(distinct, budget, spec, stream)
     coded = {
-        x: _index_message(i, stream) if i else _escape_message(x, level, spec)
+        x: _index_message(i) if i else _escape_message(x, level, spec)
         for x, i in zip(distinct, first)
     }
     return [coded[x] for x in xs]
@@ -307,13 +293,8 @@ def _first_hits_by_distortion(distinct, budget, spec, stream) -> list[int]:
     return first
 
 
-def _index_message(i: int, stream: CodebookStream) -> EncodedMessage:
-    return EncodedMessage(
-        escape=False,
-        payload=index_code_encode(i),
-        index=i,
-        theoretical_bits=theoretical_length(i, stream.n, stream.nominal_base).bits,
-    )
+def _index_message(i: int) -> EncodedMessage:
+    return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
 
 
 def _escape_message(x: Block, level, spec: DistortionSpec) -> EncodedMessage:
@@ -327,13 +308,7 @@ def _escape_message(x: Block, level, spec: DistortionSpec) -> EncodedMessage:
     w = BitWriter()
     for s in witness.symbols:
         w.write(s, sym_w)
-    payload = w.getvalue()
-    return EncodedMessage(
-        escape=True,
-        payload=payload,
-        index=None,
-        theoretical_bits=1 + payload.length,
-    )
+    return EncodedMessage(escape=True, payload=w.getvalue(), index=None)
 
 
 def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> EncodedMessage:
@@ -420,8 +395,8 @@ def message_from_bits(bits: BitString) -> EncodedMessage:
     """Split a wire bit string into escape flag and payload.
 
     Index messages carry a self-delimiting integer, so the index is restored
-    here; theoretical_bits is advisory and not on the wire, so it stays 0. An
-    index code that runs past the message, or leaves bits after it, is corrupt.
+    here. An index code that runs past the message, or leaves bits after it,
+    is corrupt.
     """
     if bits.length < 1:
         raise TruncationError("empty message")
@@ -431,7 +406,7 @@ def message_from_bits(bits: BitString) -> EncodedMessage:
     index = None
     if not escape:
         index = _read_index(payload)
-    return EncodedMessage(escape=escape, payload=payload, index=index, theoretical_bits=0.0)
+    return EncodedMessage(escape=escape, payload=payload, index=index)
 
 
 MAGIC = b"UR"

@@ -56,13 +56,12 @@ def _exact(value):
         raise PreconditionError("matrix entries must be numbers")
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
-    if isinstance(value, float):
-        f = Fraction(str(value))
-        return int(f) if f.denominator == 1 else f
-    if isinstance(value, str):
-        f = Fraction(value)
+    if isinstance(value, (Fraction, float, str)):
+        try:
+            # a float goes through its shortest repr, so 0.1 stays 1/10
+            f = Fraction(str(value) if isinstance(value, float) else value)
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"matrix entry {value!r} is not a finite rational")
         return int(f) if f.denominator == 1 else f
     raise PreconditionError(f"cannot interpret matrix entry {value!r}")
 
@@ -93,6 +92,10 @@ class DistortionSpec:
 
 
 def per_letter(matrix, source: Alphabet, repro: Alphabet) -> DistortionSpec:
+    if not isinstance(matrix, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in matrix
+    ):
+        raise PreconditionError("a per-letter matrix must be a list of rows")
     rows = tuple(tuple(_exact(v) for v in row) for row in matrix)
     if len(rows) != source.size or any(len(r) != repro.size for r in rows):
         raise PreconditionError("matrix shape must be source size by repro size")

@@ -2,8 +2,13 @@
 index statistics, ensemble failure decomposition, and the covering converse.
 
 Every run is driven by an explicit seed list (or a master seed it is derived
-from), workers receive disjoint seed chunks, and reductions are pure merges,
-so reports are bit-identical for a given config regardless of worker count.
+from). The achievability and ensemble experiments are two reductions of one
+seed sweep: workers receive disjoint seed chunks and return the first-hit
+index of every source under every seed, and the chunks are joined in seed
+order, so reports are bit-identical for a given config regardless of worker
+count. The idealized index length that the achievability bound is tested
+against, which needs a nominal codebook base, is accounted for here only;
+the codec never sees it.
 """
 from __future__ import annotations
 
@@ -12,9 +17,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -183,11 +191,31 @@ class ExperimentConfig:
             n=self.n,
             alphabet_size=len(self.repro_alphabet),
             mode=self.mode,
-            base=self.base,
             max_draws=self.max_draws,
             length_mode=self.length_mode,
             table=table,
         )
+
+    @property
+    def nominal_base(self) -> float:
+        """Per-symbol codebook size assumed by the idealized index length.
+
+        base when given, else twice the reproduction alphabet size. It must
+        lie strictly between 1 and infinity; a base that does not exceed the
+        reproduction alphabet size is allowed with a UserWarning, since the
+        length accounting then loses its interpretation.
+        """
+        k = len(self.repro_alphabet)
+        base = 2.0 * k if self.base is None else self.base
+        if not 1 < base < math.inf:
+            raise PreconditionError(f"nominal base must lie in (1, inf), got {base!r}")
+        if base <= k:
+            warnings.warn(
+                "nominal codebook base does not exceed the reproduction alphabet size; "
+                "the length accounting loses its interpretation",
+                stacklevel=2,
+            )
+        return base
 
     def sources(self) -> list[Block]:
         alpha = Alphabet(self.source_alphabet)
@@ -211,7 +239,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_constant=_refuse_constant)
         except json.JSONDecodeError as e:
             raise PreconditionError(f"invalid config JSON: {e}")
         if not isinstance(data, dict):
@@ -260,6 +288,10 @@ _FIELD_TYPES = {
     "source_blocks": list,
     "jobs": int,
 }
+
+
+def _refuse_constant(name: str):
+    raise PreconditionError(f"config JSON may not hold the non-JSON number {name}")
 
 
 def _check_json_type(name: str, value, types) -> None:
@@ -335,49 +367,51 @@ class AchievabilityReport:
         return out.getvalue()
 
 
-def _achievability_chunk(cfg_json: str, seeds: list[int]):
-    """Worker: first-hit histograms and round-trip failures for a seed chunk."""
+def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
+    """Worker: the first-hit index of every source under every seed of a chunk.
+
+    Returns an int64 (seeds x sources) array of indices, 0 for an escape, and
+    a bool array of the same shape that marks decoded blocks outside the
+    budget. The round trip runs only when round_trip is set; otherwise no
+    block is decoded and the failure array stays all False.
+    """
     cfg = ExperimentConfig.from_json(cfg_json)
     spec = cfg.spec()
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     sources = cfg.sources()
-    budgets = [x.n * Fraction(cfg.level) for x in sources]
-    hists: list[dict[int, int]] = [{} for _ in sources]
-    bad = [0] * len(sources)
-    for seed in seeds:
+    budget = cfg.n * Fraction(cfg.level)
+    first = np.zeros((len(seeds), len(sources)), dtype=np.int64)
+    failed = np.zeros(first.shape, dtype=bool)
+    for t, seed in enumerate(seeds):
         stream = cfg.stream(seed, table)
         msgs = encode_blocks(sources, cfg.level, spec, stream)
-        xhats = decode_messages(msgs, stream)
-        for si, (x, msg, xhat) in enumerate(zip(sources, msgs, xhats)):
-            key = msg.index if msg.index is not None else -1
-            hists[si][key] = hists[si].get(key, 0) + 1
-            if distortion(x, xhat, spec) > budgets[si]:
-                bad[si] += 1
-    return hists, bad
-
-
-def _merge_hists(parts):
-    hists, bad = None, None
-    for part_h, part_b in parts:
-        if hists is None:
-            hists = [dict(h) for h in part_h]
-            bad = list(part_b)
-            continue
-        for i, h in enumerate(part_h):
-            for k, v in h.items():
-                hists[i][k] = hists[i].get(k, 0) + v
-            bad[i] += part_b[i]
-    return hists, bad
+        first[t] = [m.index or 0 for m in msgs]
+        if round_trip:
+            xhats = decode_messages(msgs, stream)
+            failed[t] = [distortion(x, xhat, spec) > budget for x, xhat in zip(sources, xhats)]
+    return first, failed
 
 
 def _run_chunked(worker, cfg: ExperimentConfig, seeds: list[int]):
+    """worker(cfg_json, chunk) over disjoint seed chunks, results in chunk order.
+
+    The pool never holds more processes than there are chunks or CPUs.
+    """
     jobs = max(1, cfg.jobs)
     if jobs == 1 or len(seeds) < 2:
         return [worker(cfg.to_json(), seeds)]
     chunk = (len(seeds) + jobs - 1) // jobs
     chunks = [seeds[i : i + chunk] for i in range(0, len(seeds), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, [cfg.to_json()] * len(chunks), chunks))
+
+
+def _sweep(cfg: ExperimentConfig, round_trip: bool):
+    """First-hit indices and round-trip failures, (seeds x sources), seed order."""
+    worker = partial(_sweep_chunk, round_trip=round_trip)
+    firsts, fails = zip(*_run_chunked(worker, cfg, cfg.seed_list()))
+    return np.concatenate(firsts), np.concatenate(fails)
 
 
 def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
@@ -388,6 +422,7 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
     index statistics against the geometric law implied by the exact sphere
     mass: a uniform CDF band for the tail, and the log-mean bound.
     """
+    base = cfg.nominal_base
     spec = cfg.spec()
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     sources = cfg.sources()
@@ -397,22 +432,24 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
             raise UncodableInputError(
                 f"source block {x.symbols} has an empty sphere at level {cfg.level}"
             )
-    seeds = cfg.seed_list()
-    parts = _run_chunked(_achievability_chunk, cfg, seeds)
-    hists, bad = _merge_hists(parts)
+    first, failed = _sweep(cfg, round_trip=True)
 
-    tl_const = math.log2(cfg.n * math.log(cfg.stream(0).nominal_base) + 1)
-    c_const = math.log2(math.log(cfg.stream(0).nominal_base) + 1)
-    eps_band = dkw_band(len(seeds))
+    tl_const = math.log2(cfg.n * math.log(base) + 1)
+    c_const = math.log2(math.log(base) + 1)
+    trials = len(first)
+    eps_band = dkw_band(trials)
     rows = []
     total_viol = 0
     total_samples = 0
-    for x, m, hist, nbad in zip(sources, masses, hists, bad):
-        trials = sum(hist.values())
-        escapes = hist.get(-1, 0)
+    for x, m, column, bad in zip(sources, masses, first.T, failed.T):
+        # distinct indices in order of first occurrence: the float sums below
+        # depend on that order
+        keys, at, counts = np.unique(column, return_index=True, return_counts=True)
+        order = np.argsort(at)
+        keys, counts = keys[order], counts[order]
+        escapes = int(counts[keys == 0].sum())
+        values, counts = keys[keys != 0], counts[keys != 0]
         neg_log2 = m.neg_log2_mass()
-        values = np.array([k for k in hist if k != -1], dtype=np.int64)
-        counts = np.array([hist[k] for k in values], dtype=np.int64)
         logs = np.log2(values.astype(float))
         m_eff = int(counts.sum())
         mean_log = float((logs * counts).sum() / m_eff) if m_eff else math.inf
@@ -455,7 +492,7 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
                 index_mean_ok=index_ok,
                 dkw_sup=dkw_sup,
                 dkw_ok=dkw_ok,
-                semifaithful_failures=nbad,
+                semifaithful_failures=int(bad.sum()),
                 mean_actual_bits=mean_actual,
                 mean_theoretical_bits=mean_theo,
                 length_violation_fraction=viol / trials if trials else 0.0,
@@ -471,35 +508,6 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
         length_violation_fraction=total_viol / total_samples if total_samples else 0.0,
         config=json.loads(cfg.to_json()),
     )
-
-
-def _ensemble_chunk(cfg_json: str, indexed_seeds: list[tuple[int, int]]):
-    """Worker: per-seed coverage failure flag and clamped worst overshoot."""
-    cfg = ExperimentConfig.from_json(cfg_json)
-    spec = cfg.spec()
-    table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
-    sources = cfg.sources()
-    masses = [sphere_mass(x, cfg.level, spec, table) for x in sources]
-    base = cfg.stream(0).nominal_base
-    c_const = math.log2(math.log(base) + 1)
-    plus = [
-        m.neg_log2_mass() + math.log2(cfg.n) + c_const for m in masses
-    ]
-    pad = (1 + cfg.epsilon) * math.log2(cfg.n)
-    out = []
-    for t, seed in indexed_seeds:
-        stream = cfg.stream(seed, table)
-        fail = False
-        worst = -math.inf
-        for msg, lplus in zip(encode_blocks(sources, cfg.level, spec, stream), plus):
-            if msg.index is None:
-                fail = True
-                length = theoretical_length(cfg.max_draws, cfg.n, base).bits
-            else:
-                length = msg.theoretical_bits
-            worst = max(worst, length - lplus - pad)
-        out.append((t, fail, max(0.0, worst)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -525,14 +533,29 @@ def ensemble_failure_experiment(cfg: ExperimentConfig) -> EnsembleFailureReport:
     worst per-block length overshoot past the padded per-block bound,
     clamped at zero.
     """
-    parts = _run_chunked(_ensemble_chunk, cfg, list(enumerate(cfg.seed_list())))
-    merged = sorted((row for part in parts for row in part), key=lambda r: r[0])
-    fails = sum(1 for _, f, _ in merged if f)
-    overshoot = sum(o for _, _, o in merged) / len(merged)
+    base = cfg.nominal_base
+    spec = cfg.spec()
+    table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
+    c_const = math.log2(math.log(base) + 1)
+    plus = [
+        sphere_mass(x, cfg.level, spec, table).neg_log2_mass() + math.log2(cfg.n) + c_const
+        for x in cfg.sources()
+    ]
+    pad = (1 + cfg.epsilon) * math.log2(cfg.n)
+    first, _ = _sweep(cfg, round_trip=False)
+    overshoots = []
+    for row in first.tolist():
+        # an escape is charged the length of the last index the budget allows
+        excess = [
+            theoretical_length(i or cfg.max_draws, cfg.n, base).bits - lplus - pad
+            for i, lplus in zip(row, plus)
+        ]
+        overshoots.append(max([0.0, *excess]))
+    fails = int((first == 0).any(axis=1).sum())
     return EnsembleFailureReport(
-        coverage_failure_rate=fails / len(merged),
-        length_overshoot_mean=overshoot,
-        trials=len(merged),
+        coverage_failure_rate=fails / len(first),
+        length_overshoot_mean=sum(overshoots) / len(first),
+        trials=len(first),
         per_seed_failures=fails,
         config=json.loads(cfg.to_json()),
     )

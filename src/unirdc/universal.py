@@ -47,8 +47,8 @@ class UniversalTable:
     """Exact weight table over all blocks of one length, in lexicographic order.
 
     Block i is the base-K digits of i, so only the code lengths are kept:
-    bits[i] is the length of block i, in a read-only int64 array. The blocks
-    themselves are built on first use. Tables compare and hash by identity.
+    bits[i] is the length of block i, in a read-only int64 array. Tables
+    compare and hash by identity.
     """
 
     n: int
@@ -81,17 +81,10 @@ class UniversalTable:
         """Exact total weight; at most 1 by the Kraft inequality."""
         return Fraction(self._total, 1 << self.max_bits)
 
-    @cached_property
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(enumerate_blocks(self.n, self.alphabet_size))
-
     def bit_length_of(self, block: Block) -> int:
         if block.n != self.n:
             raise PreconditionError("block length does not match the table")
         return int(self.bits[block_index(block, self.alphabet_size)])
-
-    def weight(self, block: Block) -> Fraction:
-        return Fraction(1, 1 << self.bit_length_of(block))
 
     def prob(self, block: Block) -> Fraction:
         """Exact normalized probability of one block."""
@@ -101,7 +94,7 @@ class UniversalTable:
         top, total = self.max_bits, self._total
         return {
             b: Fraction(1 << (top - bits), total)
-            for b, bits in zip(self.blocks, self.bits.tolist())
+            for b, bits in zip(enumerate_blocks(self.n, self.alphabet_size), self.bits.tolist())
         }
 
     @property
@@ -112,7 +105,7 @@ class UniversalTable:
     def to_csv(self, f, alphabet=None) -> None:
         """Rows of block, bit length, and the dyadic weight 1 * 2^-bits."""
         f.write("block,bits,weight_numerator,weight_exponent\n")
-        for b, bits in zip(self.blocks, self.bits.tolist()):
+        for b, bits in zip(enumerate_blocks(self.n, self.alphabet_size), self.bits.tolist()):
             text = alphabet.to_text(b) if alphabet else "".join(str(s) for s in b)
             f.write(f"{text},{bits},1,{bits}\n")
 

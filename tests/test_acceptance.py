@@ -247,7 +247,7 @@ def test_acceptance_8_sampler_fidelity():
     t = build_universal_table(8, 2, "plain")
     draws = sample_exact(t, 11, 100_000)  # committed seed
     c = Counter(draws)
-    obs = [c.get(b, 0) for b in t.blocks]
+    obs = [c.get(b, 0) for b in enumerate_blocks(8, 2)]
     exp = [float(p) * 100_000 for p in t.probs().values()]
     stat, p_value = chisquare(obs, exp)
     assert p_value > 0.01

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import shutil
@@ -243,6 +244,28 @@ def test_ill_typed_dist_alphabets_are_precondition_errors(tmp_path, capsys, dist
 
 
 @pytest.mark.parametrize(
+    "matrix",
+    [
+        "[[0, NaN], [1, 0]]",
+        "[[0, Infinity], [1, 0]]",
+        '[[0, "abc"], [1, 0]]',
+        '[[0, "1/0"], [1, 0]]',
+        "[0, 1]",
+        '"x"',
+    ],
+)
+def test_malformed_dist_matrices_are_precondition_errors(tmp_path, capsys, matrix):
+    p = tmp_path / "b.txt"
+    p.write_text("0101\n")
+    code, out = invoke(
+        capsys, "sphere-mass", "--alphabet", "01", "--in", str(p), "--D", "1/4",
+        "--dist", '{"kind": "per_letter_matrix", "matrix": %s}' % matrix,
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize(
     "field",
     [
         {"n": "x"},
@@ -259,6 +282,10 @@ def test_ill_typed_dist_alphabets_are_precondition_errors(tmp_path, capsys, dist
         {"source_alphabet": 1},
         {"epsilon": "big"},
         {"base": "e"},
+        {"epsilon": math.nan},
+        {"base": math.nan},
+        {"base": math.inf},
+        {"epsilon": -math.inf},
     ],
     ids=json.dumps,
 )

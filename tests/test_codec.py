@@ -129,12 +129,6 @@ def test_escape_round_trip_returns_witness():
     assert msg.total_bits == 1 + 6
 
 
-def test_escape_theoretical_bits_is_raw_cost():
-    s = stream(seed=3, max_draws=1)
-    msg = encode(BINARY.to_block("010110"), 0, HAMMING, s)
-    assert msg.theoretical_bits == msg.total_bits
-
-
 def test_uncodable_input():
     src = Alphabet("abc")
     spec = per_letter([[1, 2], [2, 1], [1, 1]], src, BINARY)
@@ -165,12 +159,6 @@ def test_bitfeed_mode_round_trip():
     for x in list(enumerate_blocks(6, 2))[::7]:
         y = decode(encode(x, level, HAMMING, s), s)
         assert distortion(x, y, HAMMING) <= 6 * level
-
-
-def test_base_warning():
-    s = stream(base=2.0)
-    with pytest.warns(UserWarning):
-        encode(BINARY.to_block("000000"), 1, HAMMING, s)
 
 
 def test_decode_rejects_out_of_range_index():
@@ -340,21 +328,14 @@ def _scan_one(x, level, spec, s):
     sampler = s.sampler()
     for i in range(1, s.max_draws + 1):
         if distortion(x, sampler.draw(), spec) <= budget:
-            return EncodedMessage(
-                escape=False,
-                payload=index_code_encode(i),
-                index=i,
-                theoretical_bits=theoretical_length(i, x.n, s.nominal_base).bits,
-            )
+            return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
     witness = find_witness(x, level, spec)
     if witness is None:
         raise UncodableInputError("no reproduction block meets the budget")
     w = BitWriter()
     for sym in witness.symbols:
         w.write(sym, symbol_width(spec.repro_size))
-    return EncodedMessage(
-        escape=True, payload=w.getvalue(), index=None, theoretical_bits=1 + w.getvalue().length
-    )
+    return EncodedMessage(escape=True, payload=w.getvalue(), index=None)
 
 
 def _replay_one(msg, s, witness):
@@ -417,7 +398,6 @@ def test_batch_equals_per_block_scan(case):
         assert got.escape == want.escape
         assert got.payload == want.payload
         assert got.index == want.index
-        assert got.theoretical_bits == want.theoretical_bits
     witnesses = [find_witness(x, level, spec) for x in xs]
     assert decoded == [_replay_one(m, s, w) for m, w in zip(msgs, witnesses)]
 
@@ -464,9 +444,7 @@ def test_negative_level_is_rejected_before_any_draw(draws):
 
 def test_decode_work_grows_with_the_largest_index(draws):
     s = CodebookStream(seed=5, n=8, alphabet_size=2, mode="exact")
-    far = EncodedMessage(
-        escape=False, payload=index_code_encode(1 << 16), index=1 << 16, theoretical_bits=0.0
-    )
+    far = EncodedMessage(escape=False, payload=index_code_encode(1 << 16), index=1 << 16)
     buf = io.BytesIO()
     write_container(buf, s, Fraction(1, 4), [far] * 100)
     buf.seek(0)
@@ -480,7 +458,7 @@ def test_decode_work_grows_with_the_largest_index(draws):
 def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
     s = stream(seed=7, max_draws=10)
     msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s)] + [
-        EncodedMessage(escape=False, payload=index_code_encode(11), index=11, theoretical_bits=0.0)
+        EncodedMessage(escape=False, payload=index_code_encode(11), index=11)
     ]
     draws[0] = 0
     with pytest.raises(CorruptStreamError):

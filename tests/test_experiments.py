@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import json
 import math
+import warnings
 
 import pytest
 from fractions import Fraction
@@ -21,6 +23,7 @@ from unirdc import (
     lz_parse,
     run_experiment,
 )
+from unirdc import experiments
 
 
 def test_derive_seed_stable_and_distinct():
@@ -167,6 +170,81 @@ def test_ensemble_parallel_matches_serial():
     assert 0 < r1.per_seed_failures < r1.trials
     assert {**vars(r1), "config": None} == {**vars(r2), "config": None}
     assert r1.config | {"jobs": 2} == r2.config
+
+
+# A sweep with escapes and positive overshoots; the values were taken from
+# the code that kept per-source index histograms and per-seed worker rows.
+_PINNED_SWEEP = dict(
+    n=6, level=Fraction(1, 6), trials=30, master_seed=4, max_draws=30, epsilon=-1.5
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ensemble_report_is_pinned(jobs):
+    rep = ensemble_failure_experiment(ExperimentConfig(**_PINNED_SWEEP, jobs=jobs))
+    assert rep.per_seed_failures == 28
+    assert rep.coverage_failure_rate == 0.9333333333333333
+    assert rep.length_overshoot_mean == 2.479077700455814
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_achievability_csv_is_pinned(jobs):
+    rep = achievability_experiment(ExperimentConfig(**_PINNED_SWEEP, jobs=jobs))
+    assert sum(r.escapes for r in rep.rows) == 143
+    assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == (
+        "21a1b3f9d11762b145182d9543bd90b78a8a405eb9be7ec8082af9c845d42ebb"
+    )
+
+
+@pytest.mark.parametrize("base", [0.1, 0, 1, math.inf, math.nan])
+@pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
+def test_bad_base_is_refused_before_the_sweep(monkeypatch, run, base):
+    swept = []
+    monkeypatch.setattr(experiments, "_run_chunked", lambda *args: swept.append(args))
+    with pytest.raises(PreconditionError):
+        run(ExperimentConfig(n=4, level=Fraction(1, 4), trials=3, base=base))
+    assert swept == []
+
+
+def test_base_warning():
+    assert ExperimentConfig(n=4, repro_alphabet="012").nominal_base == 6.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ExperimentConfig(n=4, base=2.5).nominal_base == 2.5
+    with pytest.warns(UserWarning):
+        assert ExperimentConfig(n=4, base=2.0).nominal_base == 2.0
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers", [(5000, 8, 8), (5000, 512, 100), (3, 8, 3), (5000, None, 1)]
+)
+def test_pool_is_sized_by_the_work(monkeypatch, jobs, cpus, workers):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    cfg = ExperimentConfig(n=4, level=Fraction(1, 4), max_draws=3, jobs=jobs)
+    rep = ensemble_failure_experiment(cfg)
+    assert _InlinePool.sizes == [workers]
+    serial = ensemble_failure_experiment(ExperimentConfig(**{**vars(cfg), "jobs": 1}))
+    assert {**vars(rep), "config": None} == {**vars(serial), "config": None}
 
 
 def test_ensemble_failure_decays_when_draws_scale():

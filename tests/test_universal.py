@@ -39,7 +39,7 @@ def test_single_symbol_table_is_uniform():
     assert all(p == Fraction(1, 2) for p in t.probs().values())
 
     t4 = build_universal_table(1, 4, "plain")
-    assert all(t4.bit_length_of(b) == 2 for b in t4.blocks)
+    assert all(t4.bit_length_of(b) == 2 for b in enumerate_blocks(1, 4))
     assert all(p == Fraction(1, 4) for p in t4.probs().values())
 
 
@@ -53,7 +53,7 @@ def test_normalizer_is_kraft_sum():
 
 def test_table_lengths_match_parser():
     t = build_universal_table(6, 2, "plain")
-    for b in t.blocks:
+    for b in enumerate_blocks(6, 2):
         assert t.bit_length_of(b) == lz_bit_length(b, 2)
 
 
@@ -69,7 +69,7 @@ def test_table_bits_match_parser_every_block(shape):
 def test_bit_length_of_matches_dict_lookup():
     for n, k in ((5, 2), (4, 3)):
         t = build_universal_table(n, k, "plain")
-        index = {b: i for i, b in enumerate(t.blocks)}
+        index = {b: i for i, b in enumerate(enumerate_blocks(n, k))}
         for b in enumerate_blocks(n, k):
             assert t.bit_length_of(b) == t.bits[index[b]]
         with pytest.raises(PreconditionError):
@@ -180,8 +180,9 @@ def test_sample_exact_stream_is_pinned():
     # as before the table became an array, so seeds keep their codewords
     t = build_universal_table(5, 3, "plain")
     top = t.max_bits
+    blocks = list(enumerate_blocks(5, 3))
     cum, acc = [], 0
-    for b in enumerate_blocks(5, 3):
+    for b in blocks:
         acc += 1 << (top - lz_bit_length(b, 3))
         cum.append(acc)
     rng = random.Random(5)
@@ -190,7 +191,7 @@ def test_sample_exact_stream_is_pinned():
         r = rng.getrandbits(acc.bit_length())
         while r >= acc:
             r = rng.getrandbits(acc.bit_length())
-        expected.append(t.blocks[bisect_right(cum, r)])
+        expected.append(blocks[bisect_right(cum, r)])
     draws = sample_exact(t, 5, 200)
     assert draws == expected
     assert [tuple(b) for b in draws[:4]] == [
@@ -204,13 +205,14 @@ def test_sample_exact_stream_is_pinned_binary_n16():
     t = build_universal_table(16, 2, "plain")
     cum = list(accumulate(1 << (t.max_bits - b) for b in t.bits.tolist()))
     total = cum[-1]
+    blocks = list(enumerate_blocks(16, 2))
     rng = random.Random(16)
     expected = []
     for _ in range(200):
         r = rng.getrandbits(total.bit_length())
         while r >= total:
             r = rng.getrandbits(total.bit_length())
-        expected.append(t.blocks[bisect_right(cum, r)])
+        expected.append(blocks[bisect_right(cum, r)])
     assert sample_exact(t, 16, 200) == expected
 
 
@@ -235,7 +237,7 @@ def test_sample_exact_single_symbol_frequencies():
     c = Counter(draws)
     from scipy.stats import chisquare
 
-    stat, p = chisquare([c[b] for b in t.blocks], [50_000.0, 50_000.0])
+    stat, p = chisquare([c[b] for b in enumerate_blocks(1, 2)], [50_000.0, 50_000.0])
     assert p > 0.01
 
 
@@ -245,7 +247,7 @@ def test_sample_exact_matches_table():
     c = Counter(draws)
     from scipy.stats import chisquare
 
-    obs = [c.get(b, 0) for b in t.blocks]
+    obs = [c.get(b, 0) for b in enumerate_blocks(8, 2)]
     exp = [float(p) * 100_000 for p in t.probs().values()]
     assert min(exp) > 5  # every cell is testable without binning
     stat, p = chisquare(obs, exp)
