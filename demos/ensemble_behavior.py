@@ -55,7 +55,6 @@ def main() -> None:
             trials=200,
             master_seed=321,
             max_draws=draws,
-            slack_bits=2.0,
         )
         rep = ensemble_failure_experiment(cfg)
         print(

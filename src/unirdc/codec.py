@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import BitReader, BitString, BitWriter, Block, blocks_at
 from .distortion import (
+    PER_LETTER,
     DistortionSpec,
     _budget,
-    _folds,
     distortion,
     find_witness,
     sphere_indicator,
@@ -214,11 +214,11 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
     """Code every block of a batch by its first codeword within the budget.
 
     One scan of the stream serves the whole batch, and each distinct block is
-    resolved once. In exact mode with a per-letter measure that fits the
-    integer fold, a draw hits a block when its table index lies in the
-    block's sphere row; other measures, and bitfeed mode, test each draw with
-    distortion() in stream order until the block's first hit. A block with no
-    hit within max_draws escapes to a witness.
+    resolved once. In exact mode with a per-letter measure, a draw hits a
+    block when its table index lies in the block's sphere row; other
+    measures, and bitfeed mode, test each draw with distortion() in stream
+    order until the block's first hit. A block with no hit within max_draws
+    escapes to a witness.
     """
     xs = list(xs)
     for x in xs:
@@ -229,10 +229,10 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
         raise PreconditionError("reproduction alphabet does not match the stream")
     budget = _budget(stream.n, level)
     distinct = list(dict.fromkeys(xs))
-    if stream.mode == EXACT and _folds(spec, stream.n):
+    if stream.mode == EXACT and spec.kind == PER_LETTER:
         first = _first_hits_in_masks(distinct, level, spec, stream)
     else:
-        if spec.kind == "per_letter_matrix":
+        if spec.kind == PER_LETTER:
             for x in distinct:
                 if find_witness(x, level, spec) is None:
                     raise UncodableInputError("no reproduction block meets the budget")

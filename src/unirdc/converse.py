@@ -315,7 +315,7 @@ def short_codeword_count(codebook_size: int, n: int, epsilon: float) -> ShortCod
     """
     if codebook_size < 1:
         raise PreconditionError("codebook size must be positive")
-    if n < 1 or epsilon <= 0:
+    if n < 1 or not epsilon > 0:
         raise PreconditionError("need n >= 1 and epsilon > 0")
     threshold = math.log2(codebook_size) - epsilon * math.log2(n)
     bound = 2.0 ** (threshold + 1) - 1

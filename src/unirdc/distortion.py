@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -90,6 +91,15 @@ class DistortionSpec:
         """True when the measure depends only on the first-order joint type."""
         return self.kind in (PER_LETTER, JOINT_TYPE)
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(scale, costs) of a per-letter matrix: scale is the common
+        denominator of its entries and costs[a][b] is matrix[a][b] * scale,
+        an exact Python int. Worked out once per spec; the matrix is
+        immutable."""
+        scale = math.lcm(*(Fraction(v).denominator for row in self.matrix for v in row))
+        return scale, tuple(tuple(int(v * scale) for v in row) for row in self.matrix)
+
 
 def per_letter(matrix, source: Alphabet, repro: Alphabet) -> DistortionSpec:
     if not isinstance(matrix, (list, tuple)) or not all(
@@ -163,43 +173,25 @@ def _budget(n: int, level) -> Fraction:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _scaled_costs(matrix, n: int) -> tuple[int, list[list[int]], int] | None:
-    """Common denominator, integer-scaled entries and largest scaled total over
-    n letters of a per-letter matrix, or None when that total may not fit in
-    int64."""
-    scale = math.lcm(*(Fraction(v).denominator for row in matrix for v in row))
-    rows = [[int(v * scale) for v in row] for row in matrix]
-    top = max(map(max, rows)) * n
-    if top > _INT64_MAX:
-        return None
-    return scale, rows, top
+def _additive_mask(costs, symbols, threshold: int) -> np.ndarray:
+    """Total integer cost <= threshold, for every block against one fixed block.
 
-
-def _folds(spec: DistortionSpec, n: int) -> bool:
-    """True when sphere_indicator answers blocks of length n by the integer fold."""
-    return spec.kind == PER_LETTER and _scaled_costs(spec.matrix, n) is not None
-
-
-def _additive_mask(matrix, symbols, budget) -> np.ndarray | None:
-    """Total per-letter cost <= budget, for every block against one fixed block.
-
-    matrix[a][b] is the cost of letter b of the enumerated block facing letter
-    a of the fixed block, whose letters are symbols. Entries are scaled to a
-    common integer denominator and the totals of all blocks are folded in one
-    position at a time, so entry i of the result belongs to the block with the
-    base-K digits of i. None when the scaled totals may not fit in int64.
+    costs[a][b] is the cost of letter b of the enumerated block facing letter
+    a of the fixed block, whose letters are symbols. The totals of all blocks
+    are folded in one position at a time, so entry i of the result belongs to
+    the block with the base-K digits of i. They are int64 when the largest
+    total fits and exact Python ints (object dtype) otherwise.
     """
-    scaled = _scaled_costs(matrix, len(symbols))
-    if scaled is None:
-        return None
-    scale, rows, top = scaled
-    threshold = math.floor(budget * scale)
     if threshold < 0:
-        return np.zeros(len(rows[0]) ** len(symbols), dtype=bool)
-    costs = np.array(rows, dtype=np.int64)
-    totals = np.zeros(1, dtype=np.int64)
+        return np.zeros(len(costs[0]) ** len(symbols), dtype=bool)
+    top = max(map(max, costs)) * len(symbols)
+    dtype = np.int64 if top <= _INT64_MAX else object
+    table = np.array(costs, dtype=dtype)
+    totals = np.zeros(1, dtype=dtype)
     for a in symbols:
-        totals = (totals[:, None] + costs[a]).ravel()
+        totals = (totals[:, None] + table[a]).ravel()
+    # the clamp keeps the right side within int64 for int64 totals: NumPy
+    # before 2.0 may not compare them with a larger Python int exactly
     return totals <= min(threshold, top)
 
 
@@ -212,8 +204,8 @@ def sphere_indicator(
     total distortion n * level of center. The enumerated blocks are
     reproductions around a source center, or with reverse=True sources around
     a reproduction center. A negative level gives the empty sphere. Per-letter
-    matrices take the exact integer fold of _additive_mask; other kinds, and
-    matrices too large for int64, take one exact scalar pass.
+    matrices take the exact integer fold of _additive_mask on spec.scaled;
+    joint-type and callable kinds take one exact scalar pass.
     """
     if center.n == 0:
         raise PreconditionError("blocks must be nonempty")
@@ -222,10 +214,9 @@ def sphere_indicator(
     check_enumerable(k**center.n, "sphere scan")
     budget = center.n * Fraction(level)
     if spec.kind == PER_LETTER:
-        matrix = tuple(zip(*spec.matrix)) if reverse else spec.matrix
-        mask = _additive_mask(matrix, center.symbols, budget)
-        if mask is not None:
-            return mask
+        scale, costs = spec.scaled
+        costs = tuple(zip(*costs)) if reverse else costs
+        return _additive_mask(costs, center.symbols, math.floor(budget * scale))
     pairs = (
         ((b, center) if reverse else (center, b)) for b in enumerate_blocks(center.n, k)
     )
@@ -254,22 +245,18 @@ def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:
     """Some reproduction block within the budget, or None if the sphere is empty.
 
     For per-letter measures the per-position argmin minimizes the additive
-    total, so the greedy choice decides emptiness without enumeration. Other
-    kinds return the lexicographically first block of the sphere, under the cap.
+    total, so the greedy choice decides emptiness without enumeration; it
+    takes the first argmin of each row of the scaled costs, which is that of
+    the matrix. Other kinds return the lexicographically first block of the
+    sphere, under the cap.
     """
     budget = _budget(x.n, level)
     if spec.kind == PER_LETTER:
-        m = spec.matrix
-        best_syms = []
-        total = 0
-        for a in x.symbols:
-            row = m[a]
-            j = min(range(spec.repro_size), key=lambda k: row[k])
-            best_syms.append(j)
-            total += row[j]
-        if total <= budget:
-            return Block(tuple(best_syms))
-        return None
+        scale, costs = spec.scaled
+        best = [min(range(spec.repro_size), key=row.__getitem__) for row in costs]
+        if sum(costs[a][best[a]] for a in x.symbols) > budget * scale:
+            return None
+        return Block(tuple(best[a] for a in x.symbols))
     inside = sphere_indicator(x, level, spec)
     first = int(inside.argmax())
     return blocks_at([first], x.n, spec.repro_size)[0] if inside[first] else None

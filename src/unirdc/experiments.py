@@ -41,7 +41,7 @@ from .converse import (
     short_codeword_count,
     shortest_first_lengths,
 )
-from .core import Alphabet, Block, EmpiricalDistribution, enumerate_blocks
+from .core import Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks
 from .distortion import distortion, spec_from_json
 from .errors import PreconditionError, UncodableInputError
 from .lz78 import lz_parse
@@ -129,6 +129,7 @@ def build_counting_sequence(depth: int, alphabet_size: int) -> CountingSequence:
         raise PreconditionError("depth must be positive")
     if alphabet_size < 2:
         raise PreconditionError("alphabet size must be at least 2")
+    check_enumerable(counting_length(depth, alphabet_size), "counting sequence")
     symbols: list[int] = []
     for i in range(1, depth + 1):
         for word in product(range(alphabet_size), repeat=i):
@@ -169,6 +170,13 @@ class ExperimentConfig:
     type_counts: dict | None = None
     source_blocks: tuple[str, ...] | None = None
     jobs: int = 1
+
+    def __post_init__(self):
+        # every experiment would otherwise fail late, or pass vacuously
+        if self.level < 0:
+            raise PreconditionError(f"distortion level must be non-negative, got {self.level}")
+        if self.source_blocks is not None and not self.source_blocks:
+            raise PreconditionError("an experiment needs at least one source block")
 
     def spec(self):
         data = dict(self.distortion)
@@ -392,25 +400,23 @@ def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
     return first, failed
 
 
-def _run_chunked(worker, cfg: ExperimentConfig, seeds: list[int]):
-    """worker(cfg_json, chunk) over disjoint seed chunks, results in chunk order.
-
-    The pool never holds more processes than there are chunks or CPUs.
-    """
-    jobs = max(1, cfg.jobs)
-    if jobs == 1 or len(seeds) < 2:
-        return [worker(cfg.to_json(), seeds)]
-    chunk = (len(seeds) + jobs - 1) // jobs
-    chunks = [seeds[i : i + chunk] for i in range(0, len(seeds), chunk)]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, [cfg.to_json()] * len(chunks), chunks))
-
-
 def _sweep(cfg: ExperimentConfig, round_trip: bool):
-    """First-hit indices and round-trip failures, (seeds x sources), seed order."""
+    """First-hit indices and round-trip failures, (seeds x sources), seed order.
+
+    With jobs > 1 the seeds are cut into one contiguous chunk per worker
+    process, and the pool never holds more processes than jobs, seeds or CPUs.
+    """
+    seeds = cfg.seed_list()
     worker = partial(_sweep_chunk, round_trip=round_trip)
-    firsts, fails = zip(*_run_chunked(worker, cfg, cfg.seed_list()))
+    if cfg.jobs <= 1 or len(seeds) < 2:
+        results = [worker(cfg.to_json(), seeds)]
+    else:
+        workers = min(cfg.jobs, len(seeds), os.cpu_count() or 1)
+        cuts = [len(seeds) * w // workers for w in range(workers + 1)]
+        chunks = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, [cfg.to_json()] * workers, chunks))
+    firsts, fails = zip(*results)
     return np.concatenate(firsts), np.concatenate(fails)
 
 
@@ -597,10 +603,7 @@ def _type_distribution(cfg: ExperimentConfig) -> EmpiricalDistribution:
         for text, count in cfg.type_counts.items():
             if len(text) != cfg.order:
                 raise PreconditionError(f"type chunk {text!r} has the wrong order")
-            try:
-                count = int(count)
-            except (TypeError, ValueError):
-                raise PreconditionError(f"type count {count!r} is not an integer")
+            _check_json_type("type_counts entry", count, int)
             if count < 0:
                 raise PreconditionError(f"type count {count} is negative")
             counts[tuple(alpha.index(ch) for ch in text)] = count

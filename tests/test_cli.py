@@ -305,7 +305,17 @@ def test_config_that_is_not_json_is_precondition_error(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "precondition"
 
 
-@pytest.mark.parametrize("counts", ["[3, 3]", "nope", '{"0": "x", "1": 3}', '{"0": -1, "1": 7}'])
+@pytest.mark.parametrize(
+    "counts",
+    [
+        "[3, 3]",
+        "nope",
+        '{"0": "x", "1": 3}',
+        '{"0": -1, "1": 7}',
+        '{"0": 3.5, "1": 3.5}',
+        '{"0": true, "1": 5}',
+    ],
+)
 def test_bad_type_counts_are_precondition_errors(capsys, counts):
     code, out = invoke(
         capsys, "converse-check", "--alphabet", "01", "--n", "6", "--D", "1/6",
@@ -323,6 +333,7 @@ def test_bad_type_counts_are_precondition_errors(capsys, counts):
         ["--n", "1", "--type-counts", '{"0": 1}'],
         ["--n", "6", "--order", "0"],
         ["--n", "6", "--order", "-1"],
+        ["--n", "6", "--epsilon", "nan"],
     ],
     ids=" ".join,
 )
@@ -340,6 +351,37 @@ def test_empty_seed_list_is_precondition_error(tmp_path, capsys, experiment, fie
     code, out = invoke(capsys, "experiment", "--config", str(cfg))
     assert code == 2
     assert json.loads(out)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("experiment", ["achievability", "ensemble_failure", "converse"])
+@pytest.mark.parametrize("field", [{"level": "-1"}, {"source_blocks": []}], ids=json.dumps)
+def test_negative_level_or_no_sources_is_precondition_error(
+    tmp_path, capsys, monkeypatch, experiment, field
+):
+    swept = []
+    monkeypatch.setattr(unirdc.experiments, "_sweep", lambda *args: swept.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "n": 4, "trials": 2} | field))
+    code, out = invoke(capsys, "experiment", "--config", str(cfg))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+    assert swept == []
+
+
+def test_sphere_mass_at_a_negative_level_is_the_empty_sphere(tmp_path, capsys):
+    p = tmp_path / "b.txt"
+    p.write_text("0101\n")
+    code, out = invoke(capsys, "sphere-mass", "--alphabet", "01", "--in", str(p), "--D", "-1")
+    assert code == 0
+    assert out.splitlines()[1] == "0,0,0,,inf"
+
+
+def test_counting_seq_is_refused_beyond_the_cap(capsys, monkeypatch):
+    # binary depth 16 is 1,966,082 symbols, past the default cap of 2^20
+    monkeypatch.delenv("UNIRDC_CAP", raising=False)
+    code, out = invoke(capsys, "counting-seq", "--alphabet", "01", "--depth", "16")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "enumeration_cap"
 
 
 @pytest.mark.parametrize(

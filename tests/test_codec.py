@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 from unittest.mock import patch
@@ -41,6 +42,8 @@ from unirdc.codec import message_from_bits
 from unirdc.lz78 import symbol_width
 
 HAMMING = hamming(BINARY)
+# the package exports the function distortion under the module's name
+distortion_module = importlib.import_module("unirdc.distortion")
 
 
 def stream(seed=7, n=6, k=2, **kw):
@@ -351,8 +354,8 @@ TERNARY = Alphabet("012")
 RATIONAL = per_letter(
     [[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]], TERNARY, TERNARY
 )
-# near-Hamming costs whose common denominator overflows int64, so the
-# integer fold does not apply and exact mode tests each draw with distortion()
+# near-Hamming costs whose scaled totals overflow int64, so the integer fold
+# runs on exact Python ints
 OVERFLOWING = per_letter(
     [[0, Fraction(3**40 + 1, 3**40)], [Fraction(2**62 - 1, 2**62), 0]], BINARY, BINARY
 )
@@ -400,6 +403,24 @@ def test_batch_equals_per_block_scan(case):
         assert got.index == want.index
     witnesses = [find_witness(x, level, spec) for x in xs]
     assert decoded == [_replay_one(m, s, w) for m, w in zip(msgs, witnesses)]
+
+
+def test_exact_encode_folds_an_overflowing_matrix(monkeypatch):
+    calls = []
+    for module in (codec, distortion_module):
+        real = module.distortion
+        monkeypatch.setattr(
+            module, "distortion", lambda *a, real=real: calls.append(a) or real(*a)
+        )
+    s = CodebookStream(seed=11, n=6, alphabet_size=2, mode="exact", max_draws=10)
+    xs = list(enumerate_blocks(6, 2))
+    for level in (Fraction(1, 6), Fraction(1, 3)):
+        msgs = encode_blocks(xs, level, OVERFLOWING, s)
+        assert calls == []
+        assert any(m.escape for m in msgs) and not all(m.escape for m in msgs)
+        expected = [_scan_one(x, level, OVERFLOWING, s) for x in xs]
+        for got, want in zip(msgs, expected, strict=True):
+            assert (got.escape, got.payload, got.index) == (want.escape, want.payload, want.index)
 
 
 @pytest.fixture

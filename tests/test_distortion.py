@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -26,8 +27,9 @@ from unirdc import (
     sphere_indicator,
 )
 from unirdc import build_universal_table, min_lz_in_sphere, sphere_mass
-from unirdc.distortion import _additive_mask
 
+# the package exports the function distortion under the module's name
+distortion_module = importlib.import_module("unirdc.distortion")
 AB = Alphabet("ab")
 HAMMING = hamming(BINARY)
 
@@ -238,7 +240,7 @@ def test_kernel_matches_scalar_oracle(source, repro):
         spec = per_letter(_random_rational_matrix(rng, src.size, rep.size), src, rep)
         top = max(max(row) for row in spec.matrix)
         x = Block(tuple(rng.randrange(src.size) for _ in range(n)))
-        levels = [0, Fraction(-1, 3), top, top + 1, Fraction(rng.randint(1, 30), 7)]
+        levels = [0, Fraction(-1, 3), top, top + 1, Fraction(rng.randint(1, 30), 7), 10**400]
         for level in levels:
             m = sphere_mass(x, level, spec, table)
             assert (m.mass, m.sphere_size, m.min_bits) == _oracle_sphere(x, level, spec, table)
@@ -247,17 +249,23 @@ def test_kernel_matches_scalar_oracle(source, repro):
         assert not sphere_indicator(x, Fraction(-1, 3), spec).any()
 
 
-def test_kernel_overflowing_denominator_takes_exact_path():
-    # the common denominator is about 2^40 * 3^30 > 2^63, so the integer
-    # fold cannot run; the answer must still be the exact one
+def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):
+    # the common denominator is about 2^40 * 3^30 * 7 > 2^63, so the scaled
+    # totals fold as exact Python ints; no block is tested with distortion()
     big = [[0, Fraction(1, 2**40 + 15)], [Fraction(1, 3**30), Fraction(5, 7)]]
     spec = per_letter(big, BINARY, BINARY)
-    assert _additive_mask(spec.matrix, (0, 1), Fraction(1)) is None
+    calls = []
+    real = distortion_module.distortion
+    monkeypatch.setattr(
+        distortion_module, "distortion", lambda *a: calls.append(a) or real(*a)
+    )
     table = build_universal_table(6, 2, "plain")
     x = BINARY.to_block("011010")
-    for level in (0, Fraction(1, 3**30), Fraction(1, 6), Fraction(5, 7)):
+    for level in (0, Fraction(1, 3**30), Fraction(1, 6), Fraction(5, 7), 10**400):
         m = sphere_mass(x, level, spec, table)
         assert (m.mass, m.sphere_size, m.min_bits) == _oracle_sphere(x, level, spec, table)
+    assert sphere_indicator(x, 10**400, spec, reverse=True).all()
+    assert calls == []
 
 
 def test_kernel_scalar_kinds_match_oracle():

@@ -200,7 +200,7 @@ def test_achievability_csv_is_pinned(jobs):
 @pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
 def test_bad_base_is_refused_before_the_sweep(monkeypatch, run, base):
     swept = []
-    monkeypatch.setattr(experiments, "_run_chunked", lambda *args: swept.append(args))
+    monkeypatch.setattr(experiments, "_sweep", lambda *args: swept.append(args))
     with pytest.raises(PreconditionError):
         run(ExperimentConfig(n=4, level=Fraction(1, 4), trials=3, base=base))
     assert swept == []
@@ -234,15 +234,22 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize(
-    "jobs, cpus, workers", [(5000, 8, 8), (5000, 512, 100), (3, 8, 3), (5000, None, 1)]
+    "jobs, cpus, workers",
+    [(5000, 8, 8), (5000, 512, 100), (3, 8, 3), (5000, None, 1), (100, 2, 2)],
 )
 def test_pool_is_sized_by_the_work(monkeypatch, jobs, cpus, workers):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    chunks = []
+    sweep_chunk = experiments._sweep_chunk
+    monkeypatch.setattr(
+        experiments, "_sweep_chunk", lambda *a, **k: chunks.append(a) or sweep_chunk(*a, **k)
+    )
     cfg = ExperimentConfig(n=4, level=Fraction(1, 4), max_draws=3, jobs=jobs)
     rep = ensemble_failure_experiment(cfg)
     assert _InlinePool.sizes == [workers]
+    assert len(chunks) == workers  # one chunk of seeds per worker
     serial = ensemble_failure_experiment(ExperimentConfig(**{**vars(cfg), "jobs": 1}))
     assert {**vars(rep), "config": None} == {**vars(serial), "config": None}
 
