@@ -10,7 +10,8 @@ escape path ships an explicit witness block in raw fixed-width symbols.
 One stream serves a whole batch: encode_blocks resolves every block of a
 batch against one scan, and decode_messages replays one stream up to the
 largest index of a batch. Each block's index is the one a scan of its own
-would find.
+would find. encode_streams codes one batch under many seeds and builds each
+block's sphere row once for all of them.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ __all__ = [
     "theoretical_length",
     "encode",
     "encode_blocks",
+    "encode_streams",
     "decode",
     "decode_messages",
     "write_container",
@@ -68,8 +70,8 @@ DEFAULT_MAX_DRAWS = 1 << 20
 # enough to amortise the array work of a step, few enough that the draws past
 # a batch's last first hit stay cheap.
 _CHUNK = 1024
-# Largest (distinct blocks) x K^n sphere mask one scan holds; a batch with
-# more rows scans the stream once per group of rows.
+# Largest (distinct blocks) x K^n array of sphere rows held at once; a batch
+# with more rows scans each stream once per group of rows.
 _MASK_BYTES = 1 << 24
 
 EXACT = "exact"
@@ -220,7 +222,24 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
     order until the block's first hit. A block with no hit within max_draws
     escapes to a witness.
     """
+    return next(encode_streams(xs, level, spec, [stream]))
+
+
+def encode_streams(xs, level, spec: DistortionSpec, streams):
+    """encode_blocks for one batch under each of several streams, in order.
+
+    The streams differ at most in seed and max_draws. Every distinct block's
+    sphere row is built once and every stream is scanned against it, so a
+    seed sweep pays for the rows once. A per-letter block with an empty
+    sphere raises UncodableInputError before any stream is drawn from. The
+    first hits of all streams are found here; the returned iterator builds
+    one stream's messages at a time.
+    """
     xs = list(xs)
+    streams = list(streams)
+    if len({(s.n, s.alphabet_size, s.mode, s.length_mode) for s in streams}) != 1:
+        raise PreconditionError("the streams of one batch must differ only in seed and budget")
+    stream = streams[0]
     for x in xs:
         if x.n != stream.n:
             raise PreconditionError("block length does not match the stream")
@@ -230,42 +249,68 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
     budget = _budget(stream.n, level)
     distinct = list(dict.fromkeys(xs))
     if stream.mode == EXACT and spec.kind == PER_LETTER:
-        first = _first_hits_in_masks(distinct, level, spec, stream)
+        first = _first_hits_in_rows(distinct, level, spec, streams)
     else:
         if spec.kind == PER_LETTER:
-            for x in distinct:
-                if find_witness(x, level, spec) is None:
-                    raise UncodableInputError("no reproduction block meets the budget")
-        first = _first_hits_by_distortion(distinct, budget, spec, stream)
+            _refuse_uncodable(distinct, level, spec)
+        first = np.array(
+            [_first_hits_by_distortion(distinct, budget, spec, s) for s in streams],
+            dtype=np.int64,
+        ).reshape(len(streams), len(distinct))
+    return (_messages(xs, distinct, hits.tolist(), level, spec) for hits in first)
+
+
+def _messages(xs, distinct, hits, level, spec) -> list[EncodedMessage]:
+    """Each block's message from the first hits of its distinct block."""
     coded = {
         x: _index_message(i) if i else _escape_message(x, level, spec)
-        for x, i in zip(distinct, first)
+        for x, i in zip(distinct, hits)
     }
     return [coded[x] for x in xs]
 
 
-def _first_hits_in_masks(distinct, level, spec, stream) -> list[int]:
-    """First-hit index of each block (0 for none), read off its sphere row."""
-    size = stream.resolved_table.size
+def _first_hits_in_rows(distinct, level, spec, streams) -> np.ndarray:
+    """(streams x blocks) first-hit indices, 0 for none, read off the blocks'
+    sphere rows.
+
+    The rows are built once per group of at most _MASK_BYTES, and every
+    stream scans a group before the next one is built. An empty row raises
+    before any draw: blocks whose rows follow the first group's scans are
+    checked for a witness first.
+    """
+    size = streams[0].resolved_table.size
     group = max(1, _MASK_BYTES // size)
-    mask = np.empty((min(group, len(distinct)), size), dtype=bool)
-    first = np.zeros(len(distinct), dtype=np.int64)
+    _refuse_uncodable(distinct[group:], level, spec)
+    rows = np.empty((min(group, len(distinct)), size), dtype=bool)
+    first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
     for lo in range(0, len(distinct), group):
-        rows = distinct[lo : lo + group]
-        for r, x in enumerate(rows):
-            mask[r] = sphere_indicator(x, level, spec)
-            if not mask[r].any():
+        part = distinct[lo : lo + group]
+        for r, x in enumerate(part):
+            rows[r] = sphere_indicator(x, level, spec)
+            if not rows[r].any():
                 raise UncodableInputError("no reproduction block meets the budget")
-        hits = first[lo : lo + len(rows)]
-        pending = np.arange(len(rows))
-        for drawn, idx in _index_chunks(stream, stream.max_draws):
-            inside = mask[pending[:, None], idx]
-            found = inside.any(axis=1)
-            hits[pending[found]] = drawn + 1 + inside[found].argmax(axis=1)
-            pending = pending[~found]
-            if not pending.size:
-                break
-    return first.tolist()
+        for stream, hits in zip(streams, first[:, lo : lo + len(part)]):
+            _scan(rows[: len(part)], stream, hits)
+    return first
+
+
+def _refuse_uncodable(blocks, level, spec) -> None:
+    """UncodableInputError if some block has an empty per-letter sphere."""
+    for x in blocks:
+        if find_witness(x, level, spec) is None:
+            raise UncodableInputError("no reproduction block meets the budget")
+
+
+def _scan(rows, stream: CodebookStream, hits) -> None:
+    """Write into hits the 1-based index of each row's first draw inside it."""
+    pending = np.arange(len(rows))
+    for drawn, idx in _index_chunks(stream, stream.max_draws):
+        inside = rows[pending[:, None], idx]
+        found = inside.any(axis=1)
+        hits[pending[found]] = drawn + 1 + inside[found].argmax(axis=1)
+        pending = pending[~found]
+        if not pending.size:
+            break
 
 
 def _index_chunks(stream: CodebookStream, limit: int):

@@ -30,7 +30,7 @@ import numpy as np
 from .codec import (
     CodebookStream,
     decode_messages,
-    encode_blocks,
+    encode_streams,
     index_code_encode,
     theoretical_length,
 )
@@ -381,7 +381,8 @@ def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
     Returns an int64 (seeds x sources) array of indices, 0 for an escape, and
     a bool array of the same shape that marks decoded blocks outside the
     budget. The round trip runs only when round_trip is set; otherwise no
-    block is decoded and the failure array stays all False.
+    block is decoded and the failure array stays all False. Each source's
+    sphere row is built once for the whole chunk.
     """
     cfg = ExperimentConfig.from_json(cfg_json)
     spec = cfg.spec()
@@ -390,9 +391,9 @@ def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
     budget = cfg.n * Fraction(cfg.level)
     first = np.zeros((len(seeds), len(sources)), dtype=np.int64)
     failed = np.zeros(first.shape, dtype=bool)
-    for t, seed in enumerate(seeds):
-        stream = cfg.stream(seed, table)
-        msgs = encode_blocks(sources, cfg.level, spec, stream)
+    streams = [cfg.stream(seed, table) for seed in seeds]
+    coded = encode_streams(sources, cfg.level, spec, streams)
+    for t, (stream, msgs) in enumerate(zip(streams, coded)):
         first[t] = [m.index or 0 for m in msgs]
         if round_trip:
             xhats = decode_messages(msgs, stream)
@@ -403,15 +404,16 @@ def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
 def _sweep(cfg: ExperimentConfig, round_trip: bool):
     """First-hit indices and round-trip failures, (seeds x sources), seed order.
 
-    With jobs > 1 the seeds are cut into one contiguous chunk per worker
-    process, and the pool never holds more processes than jobs, seeds or CPUs.
+    The sweep runs on min(jobs, seeds, CPUs) workers: one runs in-process,
+    and more are worker processes that each take one contiguous chunk of the
+    seeds.
     """
     seeds = cfg.seed_list()
     worker = partial(_sweep_chunk, round_trip=round_trip)
-    if cfg.jobs <= 1 or len(seeds) < 2:
+    workers = min(cfg.jobs, len(seeds), os.cpu_count() or 1)
+    if workers <= 1:
         results = [worker(cfg.to_json(), seeds)]
     else:
-        workers = min(cfg.jobs, len(seeds), os.cpu_count() or 1)
         cuts = [len(seeds) * w // workers for w in range(workers + 1)]
         chunks = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:

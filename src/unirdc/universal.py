@@ -77,6 +77,19 @@ class UniversalTable:
         return _scaled_sum(self.bits, self.max_bits)
 
     @cached_property
+    def _cumulative(self) -> np.ndarray:
+        """Running sums of the scaled weights, the int64 array every exact
+        sampler of this table inverts; CapacityError beyond int64."""
+        if self._total > _INT64_MAX:
+            raise CapacityError(
+                f"the scaled table total needs {self._total.bit_length()} bits; "
+                "the exact sampler works in int64"
+            )
+        cum = np.cumsum(np.left_shift(1, self.max_bits - self.bits))
+        cum.flags.writeable = False
+        return cum
+
+    @cached_property
     def normalizer(self) -> Fraction:
         """Exact total weight; at most 1 by the Kraft inequality."""
         return Fraction(self._total, 1 << self.max_bits)
@@ -209,23 +222,18 @@ class _ExactSampler:
 
     Cumulative inversion runs on scaled integer weights: a uniform integer
     below the scaled total is drawn by rejection from the seeded bit stream,
-    and searchsorted(side="right") on the int64 cumulative weights maps it to
-    its block's index, so every block comes out with exactly its rational
-    probability. Totals beyond int64 raise CapacityError rather than round.
+    and searchsorted(side="right") on the table's int64 cumulative weights
+    (one array that all samplers of the table share) maps it to its block's
+    index, so every block comes out with exactly its rational probability.
+    Totals beyond int64 raise CapacityError rather than round.
     """
 
     def __init__(self, table: UniversalTable, seed: int):
-        total = table._total
-        if total > _INT64_MAX:
-            raise CapacityError(
-                f"the scaled table total needs {total.bit_length()} bits; "
-                "the exact sampler works in int64"
-            )
+        self._cum = table._cumulative
         self.table = table
         self.rng = random.Random(seed)
-        self._cum = np.cumsum(np.left_shift(1, table.max_bits - table.bits))
-        self._total = total
-        self._nbits = total.bit_length()
+        self._total = table._total
+        self._nbits = self._total.bit_length()
 
     def indices(self, count: int) -> np.ndarray:
         """The next count table indices of the stream, as an int64 array."""

@@ -25,6 +25,7 @@ from unirdc import (
     distortion,
     encode,
     encode_blocks,
+    encode_streams,
     enumerate_blocks,
     find_witness,
     hamming,
@@ -454,6 +455,83 @@ def test_batch_with_an_uncodable_block_draws_nothing(mode, draws):
     with pytest.raises(UncodableInputError):
         encode_blocks(xs, Fraction(1, 2), spec, s)
     assert draws[0] == 0
+
+
+SWEEP_SEEDS = [0, 1, 7, 2**40 + 3]
+# every batch repeats a source
+SIX = ["000000", "011010", "111111", "011010", "100001"]
+FIVE = ["00000", "01101", "00000", "11100"]
+ALL = codec.DEFAULT_MAX_DRAWS
+
+
+@pytest.mark.parametrize("rows_per_group", [None, 2])
+@pytest.mark.parametrize(
+    "mode, spec, texts, level, max_draws",
+    [
+        ("exact", HAMMING, SIX, Fraction(1, 6), ALL),
+        ("exact", RATIONAL, ["0120", "2222", "0120", "1021"], Fraction(1, 4), ALL),
+        ("exact", squared_disagreement(BINARY), FIVE, Fraction(1, 5), ALL),
+        ("bitfeed", HAMMING, FIVE, Fraction(1, 5), ALL),
+        ("exact", HAMMING, SIX, Fraction(1, 6), 5),
+    ],
+)
+def test_streams_equal_per_seed_encodes(
+    monkeypatch, mode, spec, texts, level, max_draws, rows_per_group
+):
+    alpha = TERNARY if spec is RATIONAL else BINARY
+    xs = [alpha.to_block(t) for t in texts]
+    n, k = xs[0].n, spec.repro_size
+    if rows_per_group:
+        monkeypatch.setattr(codec, "_MASK_BYTES", rows_per_group * k**n)
+    table = build_universal_table(n, k, "plain")
+    streams = [
+        CodebookStream(seed=seed, n=n, alphabet_size=k, mode=mode, max_draws=max_draws, table=table)
+        for seed in SWEEP_SEEDS
+    ]
+    rows = []
+    real = codec.sphere_indicator
+    monkeypatch.setattr(codec, "sphere_indicator", lambda *a: rows.append(a) or real(*a))
+    swept = list(encode_streams(xs, level, spec, streams))
+    # each distinct block's sphere row is built once for all the seeds
+    by_rows = mode == "exact" and spec.kind == "per_letter_matrix"
+    assert len(rows) == (len(set(xs)) if by_rows else 0)
+    per_seed = [encode_blocks(xs, level, spec, s) for s in streams]
+    assert len(swept) == len(SWEEP_SEEDS)
+    for got_msgs, want_msgs in zip(swept, per_seed, strict=True):
+        for got, want in zip(got_msgs, want_msgs, strict=True):
+            assert (got.escape, got.payload, got.index) == (want.escape, want.payload, want.index)
+    escapes = [m.escape for msgs in swept for m in msgs]
+    assert any(escapes) == (max_draws == 5) and not all(escapes)
+
+
+@pytest.mark.parametrize("run", ["streams", "blocks"])
+def test_uncodable_block_in_a_later_row_group_draws_nothing(monkeypatch, draws, run):
+    monkeypatch.setattr(codec, "_MASK_BYTES", 2**4)  # one sphere row per group
+    # letter 1 costs 1 against either reproduction, so 1111 misses 4 * 1/2
+    spec = per_letter([[0, 1], [1, 1]], BINARY, BINARY)
+    xs = [BINARY.to_block(t) for t in ("0000", "0001", "1111")]
+    streams = [CodebookStream(seed=seed, n=4, alphabet_size=2, mode="exact") for seed in (1, 2)]
+    with pytest.raises(UncodableInputError):
+        if run == "streams":
+            encode_streams(xs, Fraction(1, 2), spec, streams)
+        else:
+            encode_blocks(xs, Fraction(1, 2), spec, streams[0])
+    assert draws[0] == 0
+
+
+def test_streams_of_one_batch_differ_only_in_seed_and_budget():
+    xs = [BINARY.to_block("0110")]
+    exact = CodebookStream(seed=1, n=4, alphabet_size=2, mode="exact")
+    for other in (
+        CodebookStream(seed=2, n=4, alphabet_size=2, mode="bitfeed"),
+        CodebookStream(seed=2, n=4, alphabet_size=2, mode="exact", length_mode="capped"),
+    ):
+        with pytest.raises(PreconditionError):
+            encode_streams(xs, Fraction(1, 4), HAMMING, [exact, other])
+    budgets = [exact, CodebookStream(seed=2, n=4, alphabet_size=2, mode="exact", max_draws=1)]
+    assert [m[0] for m in encode_streams(xs, Fraction(1, 4), HAMMING, budgets)] == [
+        encode(xs[0], Fraction(1, 4), HAMMING, s) for s in budgets
+    ]
 
 
 def test_negative_level_is_rejected_before_any_draw(draws):

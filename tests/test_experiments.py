@@ -196,6 +196,24 @@ def test_achievability_csv_is_pinned(jobs):
     )
 
 
+@pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
+def test_sweep_builds_each_sphere_row_once(monkeypatch, run):
+    calls = []
+    for module in ("unirdc.codec", "unirdc.universal"):
+        module = importlib.import_module(module)
+        real = module.sphere_indicator
+        monkeypatch.setattr(
+            module, "sphere_indicator", lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
+        )
+    counts = []
+    for trials in (20, 60):
+        calls.clear()
+        run(ExperimentConfig(n=6, level=Fraction(1, 6), trials=trials, max_draws=40))
+        counts.append(len(calls))
+    # the masses, then one row per source for every seed of the one chunk
+    assert counts[0] == counts[1] <= 2 * 2**6
+
+
 @pytest.mark.parametrize("base", [0.1, 0, 1, math.inf, math.nan])
 @pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
 def test_bad_base_is_refused_before_the_sweep(monkeypatch, run, base):
@@ -248,7 +266,8 @@ def test_pool_is_sized_by_the_work(monkeypatch, jobs, cpus, workers):
     )
     cfg = ExperimentConfig(n=4, level=Fraction(1, 4), max_draws=3, jobs=jobs)
     rep = ensemble_failure_experiment(cfg)
-    assert _InlinePool.sizes == [workers]
+    # one worker runs in-process, as jobs=1 does, and opens no pool
+    assert _InlinePool.sizes == ([workers] if workers > 1 else [])
     assert len(chunks) == workers  # one chunk of seeds per worker
     serial = ensemble_failure_experiment(ExperimentConfig(**{**vars(cfg), "jobs": 1}))
     assert {**vars(rep), "config": None} == {**vars(serial), "config": None}
