@@ -10,8 +10,10 @@ escape path ships an explicit witness block in raw fixed-width symbols.
 One stream serves a whole batch: encode_blocks resolves every block of a
 batch against one scan, and decode_messages replays one stream up to the
 largest index of a batch. Each block's index is the one a scan of its own
-would find. encode_streams codes one batch under many seeds and builds each
-block's sphere row once for all of them.
+would find. encode_streams codes one batch under many seeds: it builds each
+block's sphere row once for all of them, exposes the first-hit indices as an
+array, and builds one message per distinct index. A scan draws in chunks that
+double its draws, so it draws at most about twice the batch's last first hit.
 """
 from __future__ import annotations
 
@@ -42,18 +44,23 @@ from .errors import (
 )
 from .lz78 import symbol_width
 from .universal import (
+    SphereMass,
     UniversalTable,
     _BitfeedSampler,
     _ExactSampler,
     build_universal_table,
+    row_mass,
+    sphere_mass,
 )
 
 __all__ = [
     "CodebookStream",
     "EncodedMessage",
+    "BatchCodes",
     "TheoreticalLength",
     "index_code_encode",
     "index_code_decode",
+    "index_code_length",
     "theoretical_length",
     "encode",
     "encode_blocks",
@@ -66,9 +73,13 @@ __all__ = [
 
 DEFAULT_MAX_DRAWS = 1 << 20
 
-# Table indices drawn per step when a batch scans or replays the exact stream:
-# enough to amortise the array work of a step, few enough that the draws past
-# a batch's last first hit stay cheap.
+# Table indices drawn per step when a batch scans or replays the exact stream.
+# The first step draws _FIRST_CHUNK and each later one as many as were drawn
+# before it, up to _CHUNK: a batch whose last first hit is h draws at most
+# max(_FIRST_CHUNK, 2h) codewords, and a long scan still amortises the array
+# work of a step. Chunking never changes the stream, which is drawn one index
+# at a time.
+_FIRST_CHUNK = 64
 _CHUNK = 1024
 # Largest (distinct blocks) x K^n array of sphere rows held at once; a batch
 # with more rows scans each stream once per group of rows.
@@ -122,12 +133,12 @@ class CodebookStream:
 
     def codewords(self):
         """Infinite deterministic codeword sequence; restart on every call."""
-        s = self.sampler()
         if self.mode == BITFEED:
+            s = self.sampler()
             while True:
                 yield s.draw()
-        while True:
-            yield from blocks_at(s.indices(_CHUNK), self.n, self.alphabet_size)
+        for _, idx in _index_chunks(self):
+            yield from blocks_at(idx, self.n, self.alphabet_size)
 
 
 def index_code_encode(i: int) -> BitString:
@@ -146,6 +157,14 @@ def index_code_encode(i: int) -> BitString:
     w.write(nbits, prefix + 1)  # leading bit of nbits is the terminator
     w.write(i & ((1 << (nbits - 1)) - 1), nbits - 1)
     return w.getvalue()
+
+
+def index_code_length(i: int) -> int:
+    """Bit count of index_code_encode(i), in closed form."""
+    if i < 1:
+        raise PreconditionError("index must be positive")
+    nbits = i.bit_length()
+    return nbits + 2 * (nbits.bit_length() - 1)
 
 
 def index_code_decode(reader: BitReader) -> int:
@@ -222,18 +241,43 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
     order until the block's first hit. A block with no hit within max_draws
     escapes to a witness.
     """
-    return next(encode_streams(xs, level, spec, [stream]))
+    return next(iter(encode_streams(xs, level, spec, [stream])))
 
 
-def encode_streams(xs, level, spec: DistortionSpec, streams):
+@dataclass(frozen=True, eq=False)
+class BatchCodes:
+    """One batch coded under several streams, as encode_streams returns it.
+
+    first is an int64 (streams x blocks) array: the first-hit index of each
+    block of the batch under each stream, 0 for an escape. masses holds each
+    block's SphereMass when encode_streams was asked to weigh the blocks, else
+    None. Iterating yields each stream's messages in stream order; the
+    messages are built only then, one per distinct index for the whole batch
+    and one witness message per escaping block of a stream.
+    """
+
+    blocks: tuple[Block, ...]
+    first: np.ndarray
+    masses: tuple[SphereMass, ...] | None
+    level: Fraction
+    spec: DistortionSpec
+
+    def __iter__(self):
+        coded: dict[int, EncodedMessage] = {}
+        for hits in self.first.tolist():
+            yield _messages(self.blocks, hits, self.level, self.spec, coded)
+
+
+def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = False) -> BatchCodes:
     """encode_blocks for one batch under each of several streams, in order.
 
     The streams differ at most in seed and max_draws. Every distinct block's
     sphere row is built once and every stream is scanned against it, so a
-    seed sweep pays for the rows once. A per-letter block with an empty
-    sphere raises UncodableInputError before any stream is drawn from. The
-    first hits of all streams are found here; the returned iterator builds
-    one stream's messages at a time.
+    seed sweep pays for the rows once. With masses set, each block is also
+    weighed against the streams' table: from the row the scan holds, or by
+    sphere_mass where the scan reads no rows. A block with an empty sphere
+    raises UncodableInputError before any stream is drawn from, whenever the
+    measure is per-letter or the blocks are weighed.
     """
     xs = list(xs)
     streams = list(streams)
@@ -247,41 +291,63 @@ def encode_streams(xs, level, spec: DistortionSpec, streams):
     if spec.repro_size != stream.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the stream")
     budget = _budget(stream.n, level)
-    distinct = list(dict.fromkeys(xs))
+    at: dict[Block, int] = {}
+    where = [at.setdefault(x, len(at)) for x in xs]
+    distinct = list(at)
+    weighed = [] if masses else None
     if stream.mode == EXACT and spec.kind == PER_LETTER:
-        first = _first_hits_in_rows(distinct, level, spec, streams)
+        first = _first_hits_in_rows(distinct, level, spec, streams, weighed)
     else:
-        if spec.kind == PER_LETTER:
+        if masses:
+            table = stream.resolved_table
+            weighed.extend(sphere_mass(x, level, spec, table) for x in distinct)
+            if any(m.empty for m in weighed):
+                raise UncodableInputError("no reproduction block meets the budget")
+        elif spec.kind == PER_LETTER:
             _refuse_uncodable(distinct, level, spec)
         first = np.array(
             [_first_hits_by_distortion(distinct, budget, spec, s) for s in streams],
             dtype=np.int64,
         ).reshape(len(streams), len(distinct))
-    return (_messages(xs, distinct, hits.tolist(), level, spec) for hits in first)
+    return BatchCodes(
+        blocks=tuple(xs),
+        first=first[:, where],
+        masses=None if weighed is None else tuple(weighed[j] for j in where),
+        level=level,
+        spec=spec,
+    )
 
 
-def _messages(xs, distinct, hits, level, spec) -> list[EncodedMessage]:
-    """Each block's message from the first hits of its distinct block."""
-    coded = {
-        x: _index_message(i) if i else _escape_message(x, level, spec)
-        for x, i in zip(distinct, hits)
-    }
-    return [coded[x] for x in xs]
+def _messages(xs, hits, level, spec, coded) -> list[EncodedMessage]:
+    """Each block's message from its first hit under one stream.
+
+    coded maps an index to its message and is shared by every stream of a
+    batch; a block that escapes gets its witness message here.
+    """
+    escaped = {}
+    for x, i in zip(xs, hits):
+        if not i:
+            if x not in escaped:
+                escaped[x] = _escape_message(x, level, spec)
+        elif i not in coded:
+            coded[i] = _index_message(i)
+    return [coded[i] if i else escaped[x] for x, i in zip(xs, hits)]
 
 
-def _first_hits_in_rows(distinct, level, spec, streams) -> np.ndarray:
+def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndarray:
     """(streams x blocks) first-hit indices, 0 for none, read off the blocks'
     sphere rows.
 
     The rows are built once per group of at most _MASK_BYTES, and every
     stream scans a group before the next one is built. An empty row raises
     before any draw: blocks whose rows follow the first group's scans are
-    checked for a witness first.
+    checked for a witness first. When weighed is a list, each row's mass is
+    appended to it as the row is built.
     """
-    size = streams[0].resolved_table.size
-    group = max(1, _MASK_BYTES // size)
+    table = streams[0].resolved_table
+    group = max(1, _MASK_BYTES // table.size)
     _refuse_uncodable(distinct[group:], level, spec)
-    rows = np.empty((min(group, len(distinct)), size), dtype=bool)
+    rows = np.empty((min(group, len(distinct)), table.size), dtype=bool)
     first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
     for lo in range(0, len(distinct), group):
         part = distinct[lo : lo + group]
@@ -289,6 +355,8 @@ def _first_hits_in_rows(distinct, level, spec, streams) -> np.ndarray:
             rows[r] = sphere_indicator(x, level, spec)
             if not rows[r].any():
                 raise UncodableInputError("no reproduction block meets the budget")
+            if weighed is not None:
+                weighed.append(row_mass(rows[r], table))
         for stream, hits in zip(streams, first[:, lo : lo + len(part)]):
             _scan(rows[: len(part)], stream, hits)
     return first
@@ -313,12 +381,18 @@ def _scan(rows, stream: CodebookStream, hits) -> None:
             break
 
 
-def _index_chunks(stream: CodebookStream, limit: int):
-    """The first limit table indices of a fresh exact sampler, _CHUNK at a
-    time, each chunk with the number of draws before it."""
+def _index_chunks(stream: CodebookStream, limit: int | None = None):
+    """The table indices of a fresh exact sampler, the first limit of them or
+    without end, in chunks that double the draws up to _CHUNK at a time, each
+    chunk with the number of draws before it."""
     sampler = stream.sampler()
-    for drawn in range(0, limit, _CHUNK):
-        yield drawn, sampler.indices(min(_CHUNK, limit - drawn))
+    drawn = 0
+    while limit is None or drawn < limit:
+        take = min(max(drawn, _FIRST_CHUNK), _CHUNK)
+        if limit is not None:
+            take = min(take, limit - drawn)
+        yield drawn, sampler.indices(take)
+        drawn += take
 
 
 def _first_hits_by_distortion(distinct, budget, spec, stream) -> list[int]:
@@ -391,21 +465,26 @@ def decode_messages(msgs, stream: CodebookStream) -> list[Block]:
     """Replay the stream once, up to the largest index, or read the witnesses.
 
     The replay keeps only the draws at transmitted indices, so its work grows
-    with the largest index, never with the number of messages. An index above
-    max_draws is corrupt and is refused before any draw.
+    with the largest index, never with the number of messages. Each distinct
+    payload is parsed once. An index above max_draws is corrupt and is
+    refused before any draw.
     """
     msgs = list(msgs)
     out: list[Block | None] = [None] * len(msgs)
     wanted: dict[int, list[int]] = {}
+    parsed: dict[tuple[int, int], int] = {}
     for p, msg in enumerate(msgs):
         if msg.escape:
             out[p] = _read_witness(msg, stream)
             continue
-        index = _read_index(msg.payload)
-        if index > stream.max_draws:
-            raise CorruptStreamError(
-                f"index {index} exceeds the stream's draw budget {stream.max_draws}"
-            )
+        key = (msg.payload.value, msg.payload.length)
+        index = parsed.get(key)
+        if index is None:
+            index = parsed[key] = _read_index(msg.payload)
+            if index > stream.max_draws:
+                raise CorruptStreamError(
+                    f"index {index} exceeds the stream's draw budget {stream.max_draws}"
+                )
         wanted.setdefault(index, []).append(p)
     if not wanted:
         return out

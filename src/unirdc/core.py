@@ -37,7 +37,17 @@ def enumeration_cap() -> int:
 def check_enumerable(count: int, what: str = "enumeration") -> None:
     cap = enumeration_cap()
     if count > cap:
-        raise EnumerationCapError(f"{what} needs {count} states but the cap is {cap}")
+        raise EnumerationCapError(
+            f"{what} needs {_count_text(count)} states but the cap is {_count_text(cap)}"
+        )
+
+
+def _count_text(count: int) -> str:
+    """A count in decimal, or by its bit length once it has more than 18 digits:
+    Python refuses to print an int of more than 4300 digits."""
+    if count < 10**18:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
 
 
 @dataclass(frozen=True)

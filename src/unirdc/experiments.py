@@ -31,7 +31,7 @@ from .codec import (
     CodebookStream,
     decode_messages,
     encode_streams,
-    index_code_encode,
+    index_code_length,
     theoretical_length,
 )
 from .converse import (
@@ -43,9 +43,9 @@ from .converse import (
 )
 from .core import Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks
 from .distortion import distortion, spec_from_json
-from .errors import PreconditionError, UncodableInputError
+from .errors import PreconditionError
 from .lz78 import lz_parse
-from .universal import build_universal_table, sphere_mass
+from .universal import build_universal_table
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -378,35 +378,37 @@ class AchievabilityReport:
 def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
     """Worker: the first-hit index of every source under every seed of a chunk.
 
-    Returns an int64 (seeds x sources) array of indices, 0 for an escape, and
-    a bool array of the same shape that marks decoded blocks outside the
-    budget. The round trip runs only when round_trip is set; otherwise no
-    block is decoded and the failure array stays all False. Each source's
-    sphere row is built once for the whole chunk.
+    Returns an int64 (seeds x sources) array of indices, 0 for an escape, a
+    bool array of the same shape that marks decoded blocks outside the
+    budget, and each source's SphereMass. The round trip runs only when
+    round_trip is set; otherwise no message is built, no block is decoded and
+    the failure array stays all False. Each source's sphere row is built
+    once for the whole chunk, and its mass is read off that row. A source
+    with an empty sphere raises UncodableInputError before any draw.
     """
     cfg = ExperimentConfig.from_json(cfg_json)
     spec = cfg.spec()
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     sources = cfg.sources()
     budget = cfg.n * Fraction(cfg.level)
-    first = np.zeros((len(seeds), len(sources)), dtype=np.int64)
-    failed = np.zeros(first.shape, dtype=bool)
     streams = [cfg.stream(seed, table) for seed in seeds]
-    coded = encode_streams(sources, cfg.level, spec, streams)
-    for t, (stream, msgs) in enumerate(zip(streams, coded)):
-        first[t] = [m.index or 0 for m in msgs]
-        if round_trip:
+    coded = encode_streams(sources, cfg.level, spec, streams, masses=True)
+    failed = np.zeros(coded.first.shape, dtype=bool)
+    if round_trip:
+        for t, (stream, msgs) in enumerate(zip(streams, coded)):
             xhats = decode_messages(msgs, stream)
             failed[t] = [distortion(x, xhat, spec) > budget for x, xhat in zip(sources, xhats)]
-    return first, failed
+    return coded.first, failed, coded.masses
 
 
 def _sweep(cfg: ExperimentConfig, round_trip: bool):
-    """First-hit indices and round-trip failures, (seeds x sources), seed order.
+    """First-hit indices and round-trip failures, (seeds x sources), seed order,
+    and each source's SphereMass.
 
     The sweep runs on min(jobs, seeds, CPUs) workers: one runs in-process,
     and more are worker processes that each take one contiguous chunk of the
-    seeds.
+    seeds. The masses do not depend on the seeds and are taken from the
+    first chunk.
     """
     seeds = cfg.seed_list()
     worker = partial(_sweep_chunk, round_trip=round_trip)
@@ -418,8 +420,8 @@ def _sweep(cfg: ExperimentConfig, round_trip: bool):
         chunks = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, [cfg.to_json()] * workers, chunks))
-    firsts, fails = zip(*results)
-    return np.concatenate(firsts), np.concatenate(fails)
+    firsts, fails, masses = zip(*results)
+    return np.concatenate(firsts), np.concatenate(fails), masses[0]
 
 
 def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
@@ -431,16 +433,8 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
     mass: a uniform CDF band for the tail, and the log-mean bound.
     """
     base = cfg.nominal_base
-    spec = cfg.spec()
-    table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     sources = cfg.sources()
-    masses = [sphere_mass(x, cfg.level, spec, table) for x in sources]
-    for x, m in zip(sources, masses):
-        if m.mass == 0:
-            raise UncodableInputError(
-                f"source block {x.symbols} has an empty sphere at level {cfg.level}"
-            )
-    first, failed = _sweep(cfg, round_trip=True)
+    first, failed, masses = _sweep(cfg, round_trip=True)
 
     tl_const = math.log2(cfg.n * math.log(base) + 1)
     c_const = math.log2(math.log(base) + 1)
@@ -470,17 +464,14 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
         p = float(m.mass)
         max_i = int(values.max()) if m_eff else 0
         grid = np.arange(0, max_i + 1)
-        emp = np.zeros(max_i + 1)
-        for v, cnt in zip(values, counts):
-            emp[v:] += cnt
+        # integer-valued float sums, so the order of the terms does not matter
+        emp = np.cumsum(np.bincount(values, weights=counts, minlength=max_i + 1))
         emp /= trials
         theo = 1.0 - (1.0 - p) ** grid
         dkw_sup = float(np.max(np.abs(emp - theo))) if max_i else abs(0.0)
         dkw_ok = dkw_sup <= eps_band
 
-        actual = np.array(
-            [1 + index_code_encode(int(v)).length for v in values], dtype=float
-        )
+        actual = np.array([1 + index_code_length(v) for v in values.tolist()], dtype=float)
         mean_actual = float((actual * counts).sum() / m_eff) if m_eff else math.inf
         theo_bits = logs + tl_const
         mean_theo = float((theo_bits * counts).sum() / m_eff) if m_eff else math.inf
@@ -542,15 +533,10 @@ def ensemble_failure_experiment(cfg: ExperimentConfig) -> EnsembleFailureReport:
     clamped at zero.
     """
     base = cfg.nominal_base
-    spec = cfg.spec()
-    table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     c_const = math.log2(math.log(base) + 1)
-    plus = [
-        sphere_mass(x, cfg.level, spec, table).neg_log2_mass() + math.log2(cfg.n) + c_const
-        for x in cfg.sources()
-    ]
     pad = (1 + cfg.epsilon) * math.log2(cfg.n)
-    first, _ = _sweep(cfg, round_trip=False)
+    first, _, masses = _sweep(cfg, round_trip=False)
+    plus = [m.neg_log2_mass() + math.log2(cfg.n) + c_const for m in masses]
     overshoots = []
     for row in first.tolist():
         # an escape is charged the length of the last index the budget allows

@@ -28,6 +28,7 @@ __all__ = [
     "MassEstimate",
     "build_universal_table",
     "sphere_mass",
+    "row_mass",
     "sample_exact",
     "sample_bitfeed",
     "bitfeed_distribution",
@@ -207,7 +208,13 @@ def sphere_mass(x: Block, level, spec: DistortionSpec, table: UniversalTable) ->
         raise PreconditionError("block length does not match the table")
     if spec.repro_size != table.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the table")
-    inside = table.bits[sphere_indicator(x, level, spec)]
+    return row_mass(sphere_indicator(x, level, spec), table)
+
+
+def row_mass(row: np.ndarray, table: UniversalTable) -> SphereMass:
+    """Exact mass, size, and minimum code length of the blocks a bool sphere
+    row marks, in the table's lexicographic order."""
+    inside = table.bits[row]
     if not inside.size:
         return SphereMass(mass=Fraction(0), sphere_size=0, min_bits=None)
     return SphereMass(

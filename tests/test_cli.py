@@ -3,6 +3,7 @@ import math
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,20 @@ def test_enumeration_cap_is_runtime_error(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["error"]["code"] == "enumeration_cap"
+
+
+def test_container_beyond_any_table_is_an_error_object(tmp_path, capsys):
+    # exact mode, K=2, n=65535, level 1/4, seed 0, one record: index 1
+    header = b"UR" + struct.pack(">BBHBBQ", 0x10, 2, 0xFFFF, 1, 4, 0)
+    record = struct.pack(">I", 2) + bytes([0b01000000])
+    crafted = tmp_path / "huge.urc"
+    crafted.write_bytes(header + struct.pack(">I", 1) + record)
+    assert crafted.stat().st_size == 25
+    code, out = invoke(capsys, "decode", "--alphabet", "01", "--in", str(crafted))
+    assert code in (1, 2)
+    err = json.loads(out)["error"]
+    assert err["code"] == "enumeration_cap"
+    assert "2^65535" in err["message"]
 
 
 @pytest.mark.skipif(

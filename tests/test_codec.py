@@ -31,6 +31,7 @@ from unirdc import (
     hamming,
     index_code_decode,
     index_code_encode,
+    index_code_length,
     per_letter,
     read_container,
     sample_exact,
@@ -39,6 +40,7 @@ from unirdc import (
     write_container,
 )
 from unirdc import codec
+from unirdc.universal import _ExactSampler, sphere_mass
 from unirdc.codec import message_from_bits
 from unirdc.lz78 import symbol_width
 
@@ -68,6 +70,17 @@ def test_index_code_round_trip():
 def test_index_code_dense_range_exact():
     for i in range(1, 5000):
         assert index_code_decode(BitReader(index_code_encode(i))) == i
+
+
+def test_index_code_length_closed_form_dense():
+    for i in range(1, (1 << 16) + 1):
+        assert index_code_length(i) == index_code_encode(i).length
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1 << 80))
+def test_index_code_length_closed_form(i):
+    assert index_code_length(i) == index_code_encode(i).length
 
 
 def test_index_code_rejects_garbage():
@@ -563,3 +576,53 @@ def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
     with pytest.raises(CorruptStreamError):
         decode_messages(msgs, s)
     assert draws[0] == 0
+
+
+@pytest.mark.parametrize("n, level", [(8, Fraction(1, 4)), (8, Fraction(1, 8)), (10, Fraction(1, 10))])
+def test_scan_draws_track_the_last_first_hit(monkeypatch, n, level):
+    drawn = []
+    real = _ExactSampler.indices
+    monkeypatch.setattr(
+        _ExactSampler, "indices", lambda self, count: drawn.append(count) or real(self, count)
+    )
+    xs = list(enumerate_blocks(n, 2))
+    s = CodebookStream(seed=3, n=n, alphabet_size=2, mode="exact")
+    first = encode_streams(xs, level, HAMMING, [s]).first
+    h = int(first.max())
+    assert first.min() >= 1
+    assert sum(drawn) <= max(64, 2 * h)
+    monkeypatch.setattr(codec, "_CHUNK", 3)
+    assert (encode_streams(xs, level, HAMMING, [s]).first == first).all()
+
+
+@pytest.mark.parametrize("mode, spec", [("exact", HAMMING), ("bitfeed", HAMMING),
+                                        ("exact", squared_disagreement(BINARY))])
+def test_first_hit_array_and_masses_match_the_messages(mode, spec):
+    xs = [BINARY.to_block(t) for t in SIX]
+    table = build_universal_table(6, 2, "plain")
+    streams = [
+        CodebookStream(seed=seed, n=6, alphabet_size=2, mode=mode, max_draws=5, table=table)
+        for seed in SWEEP_SEEDS
+    ]
+    coded = encode_streams(xs, Fraction(1, 6), spec, streams, masses=True)
+    assert coded.first.shape == (len(streams), len(xs))
+    assert coded.masses == tuple(sphere_mass(x, Fraction(1, 6), spec, table) for x in xs)
+    msgs = list(coded)
+    assert [[m.index or 0 for m in row] for row in msgs] == coded.first.tolist()
+    # one message object per distinct index, shared by every stream
+    by_index = {}
+    for m in (m for row in msgs for m in row if not m.escape):
+        assert by_index.setdefault(m.index, m) is m
+    assert encode_streams(xs, Fraction(1, 6), spec, streams).masses is None
+
+
+def test_decode_parses_each_distinct_payload_once(monkeypatch):
+    s = stream(seed=9)
+    xs = [BINARY.to_block(t) for t in SIX] * 20
+    msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
+    parsed = []
+    real = codec._read_index
+    monkeypatch.setattr(codec, "_read_index", lambda payload: parsed.append(payload) or real(payload))
+    blocks = decode_messages(msgs, s)
+    assert len(parsed) == len({m.index for m in msgs}) < len(msgs)
+    assert blocks == [decode(m, s) for m in msgs]

@@ -23,7 +23,7 @@ from unirdc import (
     lz_parse,
     run_experiment,
 )
-from unirdc import experiments
+from unirdc import build_universal_table, codec, experiments, sphere_mass
 
 
 def test_derive_seed_stable_and_distinct():
@@ -121,7 +121,9 @@ def test_achievability_full_sphere():
     assert rep.schema_version == "1"
 
 
-def test_achievability_uncodable_level():
+def test_achievability_uncodable_level(monkeypatch):
+    # both sweeps refuse the level before any codeword is drawn
+    monkeypatch.setattr(codec.CodebookStream, "sampler", lambda self: pytest.fail("drew"))
     cfg = ExperimentConfig(
         n=3,
         source_alphabet="abc",
@@ -131,8 +133,9 @@ def test_achievability_uncodable_level():
         distortion={"kind": "per_letter_matrix",
                     "matrix": [[1, 2], [2, 1], [1, 1]]},
     )
-    with pytest.raises(UncodableInputError):
-        achievability_experiment(cfg)
+    for run in (achievability_experiment, ensemble_failure_experiment):
+        with pytest.raises(UncodableInputError):
+            run(cfg)
 
 
 def test_achievability_report_serialization():
@@ -210,8 +213,35 @@ def test_sweep_builds_each_sphere_row_once(monkeypatch, run):
         calls.clear()
         run(ExperimentConfig(n=6, level=Fraction(1, 6), trials=trials, max_draws=40))
         counts.append(len(calls))
-    # the masses, then one row per source for every seed of the one chunk
-    assert counts[0] == counts[1] <= 2 * 2**6
+    # one row per source for every seed of the one chunk, masses included
+    assert counts[0] == counts[1] == 2**6
+
+
+def test_sweep_masses_are_the_sphere_masses():
+    cfg = ExperimentConfig(
+        n=4, source_alphabet="012", repro_alphabet="012", level=Fraction(1, 4), trials=3,
+        distortion={"kind": "per_letter_matrix",
+                    "matrix": [[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]]},
+    )
+    spec = cfg.spec()
+    table = build_universal_table(cfg.n, 3, cfg.length_mode)
+    _, _, masses = experiments._sweep(cfg, round_trip=False)
+    want = [sphere_mass(x, cfg.level, spec, table) for x in cfg.sources()]
+    assert [m.mass for m in masses] == [m.mass for m in want]
+    assert all(isinstance(m.mass, Fraction) for m in masses)
+    assert masses == tuple(want)
+    rep = achievability_experiment(cfg)
+    assert [r.mass for r in rep.rows] == [m.mass for m in want]
+
+
+def test_ensemble_builds_no_messages(monkeypatch):
+    built = []
+    for name in ("_index_message", "_escape_message"):
+        real = getattr(codec, name)
+        monkeypatch.setattr(codec, name, lambda *a, real=real: built.append(a) or real(*a))
+    rep = ensemble_failure_experiment(ExperimentConfig(**_PINNED_SWEEP))
+    assert rep.per_seed_failures == 28  # escapes taken, yet no witness built
+    assert built == []
 
 
 @pytest.mark.parametrize("base", [0.1, 0, 1, math.inf, math.nan])
