@@ -7,7 +7,10 @@ with 1 for runtime errors or 2 for precondition and usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -64,12 +67,31 @@ def _read_block_file(path: str, alpha: Alphabet):
     return blocks
 
 
+def _write_bytes(path: str, data: bytes) -> None:
+    """Overwrite path with data in place.
+
+    The file is opened without O_TRUNC, written, and only then cut to the new
+    length: truncating a just-written file to zero first can make the file
+    system flush its pages to disk. An existing file keeps its inode and mode,
+    a symlink is followed, and a device or FIFO is written but never cut. The
+    write is not atomic.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write_bytes(path, text.encode("utf-8"))
 
 
 def _emit(args, rows: list[dict], columns: list[str]) -> None:
@@ -159,8 +181,9 @@ def _cmd_encode(args) -> int:
         codec.write_container(sys.stdout.buffer, stream, level, messages)
         sys.stdout.buffer.flush()
     else:
-        with open(out, "wb") as f:
-            codec.write_container(f, stream, level, messages)
+        buf = io.BytesIO()
+        codec.write_container(buf, stream, level, messages)
+        _write_bytes(out, buf.getvalue())
     return 0
 
 
@@ -423,7 +446,7 @@ def run(argv: list[str]) -> int:
     except UnirdcError as e:
         print(json.dumps({"error": {"code": e.code, "message": str(e)}}, sort_keys=True))
         return 2 if isinstance(e, PreconditionError) else 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(
             json.dumps(
                 {"error": {"code": "precondition", "message": str(e)}}, sort_keys=True

@@ -29,7 +29,7 @@ from .core import (
 from .distortion import DistortionSpec, sphere_indicator
 from .errors import PreconditionError, UncoverableError
 from .lz78 import parse_overhead
-from .universal import UniversalTable, sphere_mass
+from .universal import SphereMass, UniversalTable, sphere_mass
 
 __all__ = [
     "TypeClass",
@@ -223,6 +223,11 @@ class ConverseBoundReport:
         return None if self.best_cover_class is None else self.best_cover_class.distribution
 
 
+def _require_joint_type(spec: DistortionSpec) -> None:
+    if not spec.first_order_only:
+        raise PreconditionError("covering bounds need a joint-type-based measure")
+
+
 def covering_lower_bound(
     source_class: TypeClass, level, spec: DistortionSpec
 ) -> ConverseBoundReport:
@@ -233,10 +238,14 @@ def covering_lower_bound(
     is verified against the double-counting identity, read from the same
     matrix at that type's class, before returning; that class is reported.
     """
-    if not spec.first_order_only:
-        raise PreconditionError("covering bounds need a joint-type-based measure")
-    n = source_class.distribution.n
-    cover = _cover_matrix(source_class, level, spec)
+    _require_joint_type(spec)
+    return _covering(_cover_matrix(source_class, level, spec), source_class, spec)
+
+
+def _covering(
+    cover: np.ndarray, source_class: TypeClass, spec: DistortionSpec
+) -> ConverseBoundReport:
+    """The covering bound read off a cover matrix of the class."""
     covered = cover.sum(axis=0)
     best_i = int(covered.argmax())
     best = int(covered[best_i])
@@ -244,7 +253,7 @@ def covering_lower_bound(
         return ConverseBoundReport(min_codebook_size=None, best_cover_class=None)
 
     bound = Fraction(source_class.cardinality, best)
-    best_xhat = blocks_at([best_i], n, spec.repro_size)[0]
+    best_xhat = blocks_at([best_i], source_class.distribution.n, spec.repro_size)[0]
     repro_class = enumerate_type_class(
         empirical_distribution(best_xhat, source_class.distribution.order)
     )
@@ -274,8 +283,12 @@ def greedy_cover(source_class: TypeClass, level, spec: DistortionSpec) -> Greedy
     Candidates are all reproduction blocks in lexicographic order; ties go to
     the earlier candidate, so the result is deterministic.
     """
+    return _greedy(_cover_matrix(source_class, level, spec), source_class, spec)
+
+
+def _greedy(cover: np.ndarray, source_class: TypeClass, spec: DistortionSpec) -> GreedyCover:
+    """The greedy cover read off a cover matrix of the class."""
     members = source_class.members
-    cover = _cover_matrix(source_class, level, spec)
     uncoverable = np.flatnonzero(~cover.any(axis=1))
     if uncoverable.size:
         j = int(uncoverable[-1])
@@ -387,10 +400,23 @@ def converse_length_bound(
     worst gap between log2 |best cover class| and the parse lengths of its
     members after the slack, a quantity reported with its sign intact.
     """
-    n, order = source_class.distribution.n, source_class.distribution.order
     report = covering_lower_bound(source_class, level, spec)
-    terms = length_slack_terms(n, spec.source_size, spec.repro_size, order)
     mass = sphere_mass(source_class.members[0], level, spec, table)
+    return _length_bound(report, mass, source_class, spec, epsilon, table)
+
+
+def _length_bound(
+    report: ConverseBoundReport,
+    mass: SphereMass,
+    source_class: TypeClass,
+    spec: DistortionSpec,
+    epsilon: float,
+    table: UniversalTable,
+) -> ConverseBoundReport:
+    """The length-converse report from the class's covering report and the
+    sphere mass at its first member."""
+    n, order = source_class.distribution.n, source_class.distribution.order
+    terms = length_slack_terms(n, spec.source_size, spec.repro_size, order)
     mass_bits = mass.neg_log2_mass()
     bound = mass_bits - n * terms["delta_per_symbol"] - epsilon * math.log2(n)
 

@@ -35,9 +35,12 @@ from .codec import (
     theoretical_length,
 )
 from .converse import (
-    converse_length_bound,
+    _cover_matrix,
+    _covering,
+    _greedy,
+    _length_bound,
+    _require_joint_type,
     enumerate_type_class,
-    greedy_cover,
     short_codeword_count,
     shortest_first_lengths,
 )
@@ -45,7 +48,7 @@ from .core import Alphabet, Block, EmpiricalDistribution, check_enumerable, enum
 from .distortion import distortion, spec_from_json
 from .errors import PreconditionError
 from .lz78 import lz_parse
-from .universal import build_universal_table
+from .universal import build_universal_table, row_mass
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -611,14 +614,20 @@ def _type_distribution(cfg: ExperimentConfig) -> EmpiricalDistribution:
 def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
     """Check the covering bound against a greedy codebook for one type class.
 
-    identity_ok is true in every returned report: covering_lower_bound raises
-    unless double counting holds at the best cover type.
+    identity_ok is true in every returned report: the covering bound raises
+    unless double counting holds at the best cover type. The covering bound,
+    the sphere mass at the class's first member and the greedy cover all read
+    one cover matrix, one sphere row per class member.
     """
     spec = cfg.spec()
     source_class = enumerate_type_class(_type_distribution(cfg))
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
-    rep = converse_length_bound(source_class, cfg.level, spec, cfg.epsilon, table)
-    greedy = greedy_cover(source_class, cfg.level, spec)
+    _require_joint_type(spec)
+    cover = _cover_matrix(source_class, cfg.level, spec)
+    covering = _covering(cover, source_class, spec)
+    mass = row_mass(cover[0], table)
+    rep = _length_bound(covering, mass, source_class, spec, cfg.epsilon, table)
+    greedy = _greedy(cover, source_class, spec)
     lengths = shortest_first_lengths(greedy.size)
     scb = short_codeword_count(greedy.size, cfg.n, cfg.epsilon)
     # greedy covered every member, so some sphere meets the class and M0 exists

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -193,6 +194,27 @@ def test_converse_check_wire_keys(capsys):
     assert data["M0"] == "5"
     assert data["identity_ok"] is True
     assert data["S_ell"] == 3
+
+
+@pytest.mark.parametrize(
+    "ones, level, digest",
+    [
+        (4, "1/10", "07f0c4332efe92ead56abe818886014f6f11b03c178512cdd2895444bd8fe733"),
+        (4, "1/5", "3210fa334e0b6e088722a64860f91d7396771611e9ad52ed91f0695388bf9611"),
+        (5, "1/10", "660e8fd25d5e735650407c73f143a11abcebe89c4dc87d9bff4aef1252537e60"),
+        (5, "1/5", "6f7c9e080b8b82e0a960cd7f7a347c0bcf9eb77099e867a1df7b78f2cca29c65"),
+        (6, "1/10", "07f0c4332efe92ead56abe818886014f6f11b03c178512cdd2895444bd8fe733"),
+        (6, "1/5", "b6d5819d7b61568f6821e9c807e1cb09d9b403a77b0a286fdf0de99dd8f0011f"),
+    ],
+)
+def test_converse_check_pinned_stdout(capsys, ones, level, digest):
+    # binary Hamming at n = 10, the classes with 4, 5 and 6 ones
+    code, out = invoke(
+        capsys, "converse-check", "--alphabet", "01", "--n", "10", "--D", level,
+        "--type-counts", json.dumps({"0": 10 - ones, "1": ones}),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_counting_seq(capsys):
@@ -422,6 +444,23 @@ def test_missing_file_is_precondition_error(capsys):
     assert json.loads(out)["error"]["code"] == "precondition"
 
 
+@pytest.mark.parametrize("case", ["out_dir", "decode_in_dir", "lz_in_dir", "config_dir"])
+def test_path_errors_are_precondition_errors(tmp_path, capsys, case):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("0110\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "out_dir": ["lz-length", "--alphabet", "01", "--in", str(blocks), "--out", str(folder)],
+        "decode_in_dir": ["decode", "--alphabet", "01", "--in", str(folder)],
+        "lz_in_dir": ["lz-length", "--alphabet", "01", "--in", str(folder)],
+        "config_dir": ["experiment", "--config", str(folder)],
+    }[case]
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
 def test_corrupt_container_is_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"XX not a container")
@@ -466,3 +505,87 @@ def test_installed_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["block"] == "01"
+
+
+# -- --out files are overwritten in place -----------------------------------
+
+COUNTING_ARGV = ["counting-seq", "--alphabet", "01", "--depth", "2"]
+
+
+def _encode_argv(tmp_path):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("011010\n000000\n111100\n")
+    return ["encode", "--alphabet", "01", "--in", str(blocks), "--D", "1/6", "--seed", "42"]
+
+
+def test_shorter_text_output_leaves_only_the_new_bytes(tmp_path, capsys):
+    code, expected = invoke(capsys, *COUNTING_ARGV)
+    assert code == 0
+    out = tmp_path / "seq.json"
+    out.write_text("x" * 4096)
+    code, _ = invoke(capsys, *COUNTING_ARGV, "--out", str(out))
+    assert code == 0
+    assert out.read_text() == expected
+
+
+def test_encode_to_a_file_writes_the_stdout_bytes(tmp_path, capsysbinary):
+    argv = _encode_argv(tmp_path)
+    assert run([*argv, "--out", "-"]) == 0
+    expected = capsysbinary.readouterr().out
+    assert expected[:2] == b"UR"
+    container = tmp_path / "out.bin"
+    container.write_bytes(b"\xff" * 4096)
+    assert run([*argv, "--out", str(container)]) == 0
+    assert container.read_bytes() == expected
+    capsysbinary.readouterr()
+    assert run(["decode", "--alphabet", "01", "--in", str(container)]) == 0
+    assert len(capsysbinary.readouterr().out.splitlines()) == 3
+
+
+def test_out_through_a_symlink_writes_the_target(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old contents that run longer than the new ones " * 20)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _ = invoke(capsys, *COUNTING_ARGV, "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["block"] == "0100011011"
+
+
+def test_out_keeps_the_inode_and_mode(tmp_path, capsys):
+    out = tmp_path / "seq.json"
+    out.write_text("old")
+    out.chmod(0o640)
+    before = out.stat()
+    code, _ = invoke(capsys, *COUNTING_ARGV, "--out", str(out))
+    assert code == 0
+    after = out.stat()
+    assert after.st_ino == before.st_ino
+    assert after.st_mode == before.st_mode
+    assert json.loads(out.read_text())["depth"] == 2
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_out_to_the_null_device(tmp_path, capsys):
+    assert invoke(capsys, *COUNTING_ARGV, "--out", os.devnull) == (0, "")
+    assert invoke(capsys, *_encode_argv(tmp_path), "--out", os.devnull) == (0, "")
+
+
+def test_out_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    opened = []
+    original = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return original(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    text_out, container = tmp_path / "seq.json", tmp_path / "out.bin"
+    for argv, out in ((COUNTING_ARGV, text_out), (_encode_argv(tmp_path), container)):
+        out.write_bytes(b"\0" * 4096)
+        code, _ = invoke(capsys, *argv, "--out", str(out))
+        assert code == 0
+    written = {path for path, flags in opened if flags & (os.O_WRONLY | os.O_RDWR)}
+    assert written == {str(text_out), str(container)}
+    assert not any(flags & os.O_TRUNC for _, flags in opened)

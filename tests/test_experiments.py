@@ -8,12 +8,15 @@ import pytest
 from fractions import Fraction
 
 from unirdc import (
+    BINARY,
     Alphabet,
     ExperimentConfig,
     PreconditionError,
     UncodableInputError,
+    UncoverableError,
     achievability_experiment,
     build_counting_sequence,
+    callable_spec,
     converse_experiment,
     counting_length,
     counting_phrases,
@@ -410,9 +413,7 @@ def test_converse_experiment_pinned_reports(kwargs, expected):
             assert getattr(rep, name) == value, name
 
 
-def test_converse_experiment_builds_two_cover_matrices(monkeypatch):
-    # covering (with its identity cross-check) and greedy each stack one row
-    # per class member; the sphere-mass bound weighs one more sphere
+def _count_sphere_rows(monkeypatch):
     calls = []
     for module in ("unirdc.converse", "unirdc.universal"):
         original = getattr(importlib.import_module(module), "sphere_indicator")
@@ -422,10 +423,42 @@ def test_converse_experiment_builds_two_cover_matrices(monkeypatch):
             return original(*args, **kwargs)
 
         monkeypatch.setattr(f"{module}.sphere_indicator", counting)
+    return calls
+
+
+def test_converse_experiment_builds_one_cover_matrix(monkeypatch):
+    # covering (with its identity cross-check), the sphere-mass bound and
+    # greedy all read one matrix of one row per class member
+    calls = _count_sphere_rows(monkeypatch)
     cfg = ExperimentConfig(n=8, level=Fraction(1, 8))
     rep = converse_experiment(cfg)
     assert rep.min_codebook_size == 14
-    assert len(calls) <= 2 * math.comb(8, 4) + 1
+    assert len(calls) == math.comb(8, 4)
+
+
+def test_converse_experiment_refuses_a_callable_measure_before_any_row(monkeypatch):
+    calls = _count_sphere_rows(monkeypatch)
+    spec = callable_spec(lambda x, xh: 0, BINARY, BINARY)
+    monkeypatch.setattr(ExperimentConfig, "spec", lambda self: spec)
+    with pytest.raises(PreconditionError, match="joint-type"):
+        converse_experiment(ExperimentConfig(n=4, level=Fraction(1, 4)))
+    assert calls == []
+
+
+def test_converse_experiment_uncoverable_level_raises_from_greedy():
+    # every letter costs at least 1, so no block lies within 1/3 of any member;
+    # the covering bound has no densest sphere and greedy refuses
+    cfg = ExperimentConfig(
+        n=3,
+        source_alphabet="abc",
+        repro_alphabet="01",
+        distortion={"kind": "per_letter_matrix", "matrix": [[1, 2], [2, 1], [1, 1]]},
+        level=Fraction(1, 3),
+    )
+    with pytest.raises(UncoverableError) as info:
+        converse_experiment(cfg)
+    assert info.value.member is not None
+    assert "outside every candidate sphere" in str(info.value)
 
 
 def test_converse_experiment_enumerates_each_class_once(monkeypatch):
