@@ -214,11 +214,18 @@ def theoretical_length(index: int, n: int, base: float) -> TheoreticalLength:
 
 @dataclass(frozen=True)
 class EncodedMessage:
-    """One encoded block: escape flag, payload bits, and the index it codes."""
+    """One encoded block: escape flag, payload bits, and the index it codes.
+
+    An index message carries its positive index and an escape carries none.
+    """
 
     escape: bool
     payload: BitString
     index: int | None
+
+    def __post_init__(self):
+        if self.escape != (self.index is None) or (self.index is not None and self.index < 1):
+            raise PreconditionError("an index message needs a positive index, an escape none")
 
     def to_bits(self) -> BitString:
         w = BitWriter()
@@ -290,7 +297,7 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
         x.validate(spec.source_size)
     if spec.repro_size != stream.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the stream")
-    budget = _budget(stream.n, level)
+    _budget(stream.n, level)  # a negative level is refused before any draw
     at: dict[Block, int] = {}
     where = [at.setdefault(x, len(at)) for x in xs]
     distinct = list(at)
@@ -305,8 +312,9 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
                 raise UncodableInputError("no reproduction block meets the budget")
         elif spec.kind == PER_LETTER:
             _refuse_uncodable(distinct, level, spec)
+        refuse = not masses and spec.kind != PER_LETTER
         first = np.array(
-            [_first_hits_by_distortion(distinct, budget, spec, s) for s in streams],
+            [_first_hits_by_distortion(distinct, level, spec, s, refuse) for s in streams],
             dtype=np.int64,
         ).reshape(len(streams), len(distinct))
     return BatchCodes(
@@ -363,7 +371,7 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
 
 
 def _refuse_uncodable(blocks, level, spec) -> None:
-    """UncodableInputError if some block has an empty per-letter sphere."""
+    """UncodableInputError if some block has an empty sphere."""
     for x in blocks:
         if find_witness(x, level, spec) is None:
             raise UncodableInputError("no reproduction block meets the budget")
@@ -395,8 +403,16 @@ def _index_chunks(stream: CodebookStream, limit: int | None = None):
         drawn += take
 
 
-def _first_hits_by_distortion(distinct, budget, spec, stream) -> list[int]:
-    """First-hit index of each block (0 for none), one distortion() per test."""
+def _first_hits_by_distortion(distinct, level, spec, stream, refuse) -> list[int]:
+    """First-hit index of each block (0 for none), one distortion() per test.
+
+    With refuse set, the blocks still pending after K^n draws, about the cost
+    of one sphere row, are checked for a witness once, so an empty sphere
+    raises UncodableInputError without scanning max_draws. Beyond the
+    enumeration cap the check is skipped and the scan goes on.
+    """
+    budget = _budget(stream.n, level)
+    check_at = stream.alphabet_size**stream.n if refuse else 0
     first = [0] * len(distinct)
     pending = list(range(len(distinct)))
     for i, xhat in zip(range(1, stream.max_draws + 1), stream.codewords()):
@@ -409,6 +425,11 @@ def _first_hits_by_distortion(distinct, budget, spec, stream) -> list[int]:
         pending = still
         if not pending:
             break
+        if i == check_at:
+            try:
+                _refuse_uncodable([distinct[r] for r in pending], level, spec)
+            except EnumerationCapError:
+                pass
     return first
 
 
@@ -465,27 +486,22 @@ def decode_messages(msgs, stream: CodebookStream) -> list[Block]:
     """Replay the stream once, up to the largest index, or read the witnesses.
 
     The replay keeps only the draws at transmitted indices, so its work grows
-    with the largest index, never with the number of messages. Each distinct
-    payload is parsed once. An index above max_draws is corrupt and is
-    refused before any draw.
+    with the largest index, never with the number of messages. Each message's
+    index is read as it was parsed off the wire. An index above max_draws is
+    corrupt and is refused before any draw.
     """
     msgs = list(msgs)
     out: list[Block | None] = [None] * len(msgs)
     wanted: dict[int, list[int]] = {}
-    parsed: dict[tuple[int, int], int] = {}
     for p, msg in enumerate(msgs):
         if msg.escape:
             out[p] = _read_witness(msg, stream)
             continue
-        key = (msg.payload.value, msg.payload.length)
-        index = parsed.get(key)
-        if index is None:
-            index = parsed[key] = _read_index(msg.payload)
-            if index > stream.max_draws:
-                raise CorruptStreamError(
-                    f"index {index} exceeds the stream's draw budget {stream.max_draws}"
-                )
-        wanted.setdefault(index, []).append(p)
+        if msg.index > stream.max_draws:
+            raise CorruptStreamError(
+                f"index {msg.index} exceeds the stream's draw budget {stream.max_draws}"
+            )
+        wanted.setdefault(msg.index, []).append(p)
     if not wanted:
         return out
     top = max(wanted)

@@ -29,7 +29,7 @@ from .core import (
 from .distortion import DistortionSpec, sphere_indicator
 from .errors import PreconditionError, UncoverableError
 from .lz78 import parse_overhead
-from .universal import SphereMass, UniversalTable, sphere_mass
+from .universal import UniversalTable, row_mass
 
 __all__ = [
     "TypeClass",
@@ -69,45 +69,32 @@ class TypeClass:
         return len(self.members)
 
 
-def _multiset_permutations(items):
-    """Distinct permutations of a sorted item multiset, lexicographically."""
-    counts = {}
-    for it in items:
-        counts[it] = counts.get(it, 0) + 1
-    keys = sorted(counts)
-    total = len(items)
-    current = []
-
-    def rec():
-        if len(current) == total:
-            yield tuple(current)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                current.append(k)
-                yield from rec()
-                current.pop()
-                counts[k] += 1
-
-    yield from rec()
-
-
 def enumerate_type_class(dist: EmpiricalDistribution) -> TypeClass:
-    """Materialize the class of a chunk distribution, in lexicographic order."""
+    """Materialize the class of a chunk distribution, in lexicographic order.
+
+    The members are the distinct orderings of the sorted chunk list, walked by
+    the standard next-permutation step, so no class is too long to list.
+    """
     if dist.is_joint:
         raise PreconditionError("type classes are built from single-block distributions")
-    chunks = []
-    for chunk, count in dist.counts.items():
-        chunks.extend([chunk] * count)
     size = multinomial(dist.n // dist.order, dist.counts.values())
     check_enumerable(size, "type class")
+    chunks = sorted(chunk for chunk, count in dist.counts.items() for _ in range(count))
     members = []
-    for perm in _multiset_permutations(chunks):
-        symbols = []
-        for chunk in perm:
-            symbols.extend(chunk)
-        members.append(Block(tuple(symbols)))
+    while True:
+        members.append(Block(tuple(s for chunk in chunks for s in chunk)))
+        # the rightmost ascent, swapped with the last chunk above it; the
+        # descending tail after it is then reversed into ascending order
+        i = len(chunks) - 2
+        while i >= 0 and chunks[i] >= chunks[i + 1]:
+            i -= 1
+        if i < 0:
+            break
+        j = len(chunks) - 1
+        while chunks[j] <= chunks[i]:
+            j -= 1
+        chunks[i], chunks[j] = chunks[j], chunks[i]
+        chunks[i + 1 :] = reversed(chunks[i + 1 :])
     assert len(members) == size
     return TypeClass(distribution=dist, members=tuple(members))
 
@@ -223,9 +210,16 @@ class ConverseBoundReport:
         return None if self.best_cover_class is None else self.best_cover_class.distribution
 
 
-def _require_joint_type(spec: DistortionSpec) -> None:
+def _require_joint_type(spec: DistortionSpec, source_class=None, table=None) -> None:
+    """Refuse a measure the covering bounds cannot use and, when a table is
+    given, a table the class's sphere masses cannot be read from."""
     if not spec.first_order_only:
         raise PreconditionError("covering bounds need a joint-type-based measure")
+    if table is not None:
+        if source_class.distribution.n != table.n:
+            raise PreconditionError("block length does not match the table")
+        if spec.repro_size != table.alphabet_size:
+            raise PreconditionError("reproduction alphabet does not match the table")
 
 
 def covering_lower_bound(
@@ -398,26 +392,28 @@ def converse_length_bound(
     per-symbol slack terms at the class's order into
     bound_bits = -log2 mass - n * slack - epsilon * log2 n. Also measures the
     worst gap between log2 |best cover class| and the parse lengths of its
-    members after the slack, a quantity reported with its sign intact.
+    members after the slack, a quantity reported with its sign intact. All of
+    it is read off one cover matrix of the class.
     """
-    report = covering_lower_bound(source_class, level, spec)
-    mass = sphere_mass(source_class.members[0], level, spec, table)
-    return _length_bound(report, mass, source_class, spec, epsilon, table)
+    _require_joint_type(spec, source_class, table)
+    return _length_bound(
+        _cover_matrix(source_class, level, spec), source_class, spec, epsilon, table
+    )
 
 
 def _length_bound(
-    report: ConverseBoundReport,
-    mass: SphereMass,
+    cover: np.ndarray,
     source_class: TypeClass,
     spec: DistortionSpec,
     epsilon: float,
     table: UniversalTable,
 ) -> ConverseBoundReport:
-    """The length-converse report from the class's covering report and the
-    sphere mass at its first member."""
+    """The length-converse report read off a cover matrix of the class: the
+    covering report, and the sphere mass at the first member from row 0."""
+    report = _covering(cover, source_class, spec)
     n, order = source_class.distribution.n, source_class.distribution.order
     terms = length_slack_terms(n, spec.source_size, spec.repro_size, order)
-    mass_bits = mass.neg_log2_mass()
+    mass_bits = row_mass(cover[0], table).neg_log2_mass()
     bound = mass_bits - n * terms["delta_per_symbol"] - epsilon * math.log2(n)
 
     slack = math.inf

@@ -36,7 +36,6 @@ from .codec import (
 )
 from .converse import (
     _cover_matrix,
-    _covering,
     _greedy,
     _length_bound,
     _require_joint_type,
@@ -48,7 +47,7 @@ from .core import Alphabet, Block, EmpiricalDistribution, check_enumerable, enum
 from .distortion import distortion, spec_from_json
 from .errors import PreconditionError
 from .lz78 import lz_parse
-from .universal import build_universal_table, row_mass
+from .universal import build_universal_table
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -178,6 +177,8 @@ class ExperimentConfig:
         # every experiment would otherwise fail late, or pass vacuously
         if self.level < 0:
             raise PreconditionError(f"distortion level must be non-negative, got {self.level}")
+        if not math.isfinite(self.epsilon):
+            raise PreconditionError(f"epsilon must be finite, got {self.epsilon}")
         if self.source_blocks is not None and not self.source_blocks:
             raise PreconditionError("an experiment needs at least one source block")
 
@@ -624,9 +625,7 @@ def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     _require_joint_type(spec)
     cover = _cover_matrix(source_class, cfg.level, spec)
-    covering = _covering(cover, source_class, spec)
-    mass = row_mass(cover[0], table)
-    rep = _length_bound(covering, mass, source_class, spec, cfg.epsilon, table)
+    rep = _length_bound(cover, source_class, spec, cfg.epsilon, table)
     greedy = _greedy(cover, source_class, spec)
     lengths = shortest_first_lengths(greedy.size)
     scb = short_codeword_count(greedy.size, cfg.n, cfg.epsilon)

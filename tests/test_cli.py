@@ -357,6 +357,7 @@ def test_bad_type_counts_are_precondition_errors(capsys, counts):
         ["--n", "6", "--order", "0"],
         ["--n", "6", "--order", "-1"],
         ["--n", "6", "--epsilon", "nan"],
+        ["--n", "6", "--epsilon", "inf"],
     ],
     ids=" ".join,
 )
@@ -478,6 +479,17 @@ def test_enumeration_cap_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["error"]["code"] == "enumeration_cap"
 
 
+def test_converse_on_a_long_type_class_is_an_error_object(capsys):
+    # the class has 1200 members; listing it needs no recursion, and the
+    # 2^1200-block table is then refused at the cap
+    code, out = invoke(
+        capsys, "converse-check", "--alphabet", "01", "--n", "1200", "--D", "1/1200",
+        "--type-counts", '{"0": 1199, "1": 1}',
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "enumeration_cap"
+
+
 def test_container_beyond_any_table_is_an_error_object(tmp_path, capsys):
     # exact mode, K=2, n=65535, level 1/4, seed 0, one record: index 1
     header = b"UR" + struct.pack(">BBHBBQ", 0x10, 2, 0xFFFF, 1, 4, 0)
@@ -490,6 +502,18 @@ def test_container_beyond_any_table_is_an_error_object(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["code"] == "enumeration_cap"
     assert "2^65535" in err["message"]
+
+
+def test_container_witness_outside_the_alphabet_is_an_error_object(tmp_path, capsys):
+    # exact mode, K=3, n=2, level 1/6, seed 11, one escape whose witness
+    # holds the 2-bit symbols 2 and 3
+    header = b"UR" + struct.pack(">BBHBBQ", 0x10, 3, 2, 1, 6, 11)
+    record = struct.pack(">I", 5) + bytes([0b11011000])
+    crafted = tmp_path / "bad.urc"
+    crafted.write_bytes(header + struct.pack(">I", 1) + record)
+    code, out = invoke(capsys, "decode", "--alphabet", "012", "--in", str(crafted))
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "corrupt_stream"
 
 
 @pytest.mark.skipif(

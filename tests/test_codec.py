@@ -1,6 +1,8 @@
 import importlib
 import io
 import math
+import os
+import struct
 from unittest.mock import patch
 
 import pytest
@@ -14,11 +16,14 @@ from unirdc import (
     BitString,
     BitWriter,
     Block,
+    CapacityError,
     CodebookStream,
     CorruptStreamError,
     EncodedMessage,
     PreconditionError,
+    TruncationError,
     UncodableInputError,
+    UnirdcError,
     build_universal_table,
     decode,
     decode_messages,
@@ -232,9 +237,9 @@ def test_container_rejects_truncation():
         read_container(io.BytesIO(raw[:-1]))
 
 
-def _one_record_container(record: str) -> bytes:
+def _one_record_container(record: str, s=None) -> bytes:
     buf = io.BytesIO()
-    write_container(buf, stream(seed=11), Fraction(1, 6), [])
+    write_container(buf, s or stream(seed=11), Fraction(1, 6), [])
     raw = bytearray(buf.getvalue())
     raw[16:20] = (1).to_bytes(4, "big")  # one record follows
     rec = io.BytesIO()
@@ -324,6 +329,87 @@ def test_container_rejects_zero_block_length():
 def test_container_rejects_unknown_flag_bits(bit):
     with pytest.raises(CorruptStreamError):
         read_container(_patched_header(2, (1 << 4) | (1 << bit)))
+
+
+@pytest.mark.parametrize(
+    "offset, value, message", [(2, 2 << 4, "version 2"), (7, 0, "denominator is zero")]
+)
+def test_container_rejects_a_bad_version_or_level(offset, value, message):
+    with pytest.raises(CorruptStreamError, match=message):
+        read_container(_patched_header(offset, value))
+
+
+def test_container_without_a_message_count_is_truncated():
+    buf = io.BytesIO()
+    write_container(buf, stream(seed=11), Fraction(1, 6), [])
+    with pytest.raises(TruncationError, match="message count"):
+        read_container(io.BytesIO(buf.getvalue()[:18]))
+
+
+def test_container_witness_with_the_wrong_bit_count_is_corrupt():
+    # escape flag 1, then five 1-bit symbols where n=6 needs six
+    _, msgs = read_container(io.BytesIO(_one_record_container("101010")))
+    with pytest.raises(CorruptStreamError, match="bit count"):
+        decode_messages(msgs, stream(seed=11))
+
+
+def test_container_witness_symbol_outside_the_alphabet_is_corrupt():
+    # ternary n=2: escape flag 1, then the 2-bit symbols 2 and 3
+    s = CodebookStream(seed=11, n=2, alphabet_size=3)
+    _, msgs = read_container(io.BytesIO(_one_record_container("11011", s)))
+    with pytest.raises(CorruptStreamError, match="symbol 3 outside"):
+        decode_messages(msgs, s)
+
+
+@pytest.mark.parametrize("escape, index", [(False, None), (False, 0), (True, 3)])
+def test_message_index_is_present_exactly_when_not_an_escape(escape, index):
+    with pytest.raises(PreconditionError):
+        EncodedMessage(escape=escape, payload=index_code_encode(3), index=index)
+
+
+def _decode_untrusted(raw: bytes) -> None:
+    """Read and decode a container as `unirdc decode` does, with a small budget."""
+    header, msgs = read_container(io.BytesIO(raw))
+    replay = CodebookStream(
+        seed=header.seed, n=header.n, alphabet_size=header.alphabet_size,
+        mode=header.mode, length_mode=header.length_mode, max_draws=64,
+    )
+    assert len(decode_messages(msgs, replay)) == len(msgs)
+
+
+def _record(text: str) -> bytes:
+    rec = io.BytesIO()
+    BitString.from_text(text).write(rec)
+    return rec.getvalue()
+
+
+_HEADERS = st.builds(
+    lambda mode, capped, k, n, num, den, seed: b"UR" + struct.pack(
+        ">BBHBBQ", (1 << 4) | mode | capped << 1, k, n, num, den, seed
+    ),
+    st.integers(0, 1), st.integers(0, 1), st.integers(2, 4), st.integers(1, 8),
+    st.integers(0, 255), st.integers(1, 255), st.integers(0, 2**64 - 1),
+)
+_RECORDS = st.lists(st.text("01", min_size=1, max_size=40), max_size=6)
+
+
+@settings(max_examples=400, deadline=2000, derandomize=True)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.tuples(_HEADERS, st.integers(0, 8), _RECORDS, st.binary(max_size=8)).map(
+            lambda p: p[0] + struct.pack(">I", p[1]) + b"".join(map(_record, p[2])) + p[3]
+        ),
+    )
+)
+def test_untrusted_containers_decode_or_raise_a_package_error(raw):
+    # arbitrary bytes, and valid headers with random records, record counts
+    # and tails: each either decodes or raises a UnirdcError
+    with patch.dict(os.environ, {"UNIRDC_CAP": str(1 << 12)}):
+        try:
+            _decode_untrusted(raw)
+        except UnirdcError:
+            pass
 
 
 def test_stream_validation():
@@ -547,6 +633,27 @@ def test_streams_of_one_batch_differ_only_in_seed_and_budget():
     ]
 
 
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_empty_joint_type_sphere_is_refused_after_k_to_the_n_draws(mode, draws):
+    # 2222 disagrees with every binary block in all four letters: 4 > 4 * 1/4
+    spec = squared_disagreement(TERNARY, BINARY)
+    s = CodebookStream(seed=1, n=4, alphabet_size=2, mode=mode)
+    with pytest.raises(UncodableInputError):
+        encode(TERNARY.to_block("2222"), Fraction(1, 4), spec, s)
+    assert draws[0] <= max(64, 2 * 2**4)
+
+
+def test_empty_sphere_check_beyond_the_cap_scans_the_budget(monkeypatch, draws):
+    # the 2^4 table is past a cap of 8, so no witness search runs until the
+    # budget is spent, and the escape path then cannot search either
+    monkeypatch.setenv("UNIRDC_CAP", "8")
+    spec = squared_disagreement(TERNARY, BINARY)
+    s = CodebookStream(seed=1, n=4, alphabet_size=2, mode="bitfeed", max_draws=100)
+    with pytest.raises(CapacityError):
+        encode(TERNARY.to_block("2222"), Fraction(1, 4), spec, s)
+    assert draws[0] == 100
+
+
 def test_negative_level_is_rejected_before_any_draw(draws):
     s = stream(seed=3)  # default max_draws: 2^20
     with pytest.raises(PreconditionError):
@@ -616,7 +723,7 @@ def test_first_hit_array_and_masses_match_the_messages(mode, spec):
     assert encode_streams(xs, Fraction(1, 6), spec, streams).masses is None
 
 
-def test_decode_parses_each_distinct_payload_once(monkeypatch):
+def test_decode_reads_each_index_without_parsing(monkeypatch):
     s = stream(seed=9)
     xs = [BINARY.to_block(t) for t in SIX] * 20
     msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
@@ -624,5 +731,5 @@ def test_decode_parses_each_distinct_payload_once(monkeypatch):
     real = codec._read_index
     monkeypatch.setattr(codec, "_read_index", lambda payload: parsed.append(payload) or real(payload))
     blocks = decode_messages(msgs, s)
-    assert len(parsed) == len({m.index for m in msgs}) < len(msgs)
+    assert parsed == []
     assert blocks == [decode(m, s) for m in msgs]

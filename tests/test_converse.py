@@ -51,6 +51,11 @@ def test_type_class_counting_oracles():
     assert enumerate_type_class(dist_of("aabb")).cardinality == 6
     assert enumerate_type_class(dist_of("abab", 2)).cardinality == 1
     assert enumerate_type_class(dist_of("aaabba", 2)).cardinality == 6
+    # a class of 1200 chunks is walked without recursion, in lexicographic order
+    long = enumerate_type_class(EmpiricalDistribution(1, 1200, {(0,): 1199, (1,): 1}))
+    assert [m.symbols for m in long.members] == [
+        (0,) * (1199 - j) + (1,) + (0,) * j for j in range(1200)
+    ]
 
 
 def test_type_class_members_consistent():

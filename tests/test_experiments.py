@@ -18,6 +18,10 @@ from unirdc import (
     build_counting_sequence,
     callable_spec,
     converse_experiment,
+    converse_length_bound,
+    empirical_distribution,
+    enumerate_type_class,
+    hamming,
     counting_length,
     counting_phrases,
     derive_seed,
@@ -434,6 +438,34 @@ def test_converse_experiment_builds_one_cover_matrix(monkeypatch):
     rep = converse_experiment(cfg)
     assert rep.min_codebook_size == 14
     assert len(calls) == math.comb(8, 4)
+
+
+def test_converse_length_bound_builds_one_cover_matrix(monkeypatch):
+    # the covering report and the sphere mass at the first member both read
+    # the class's one matrix: |class| rows, not one more for the mass
+    tc = enumerate_type_class(empirical_distribution(BINARY.to_block("01010101"), 1))
+    table = build_universal_table(8, 2, "plain")
+    level, spec = Fraction(1, 8), hamming(BINARY)
+    mass = sphere_mass(tc.members[0], level, spec, table)
+    calls = _count_sphere_rows(monkeypatch)
+    rep = converse_length_bound(tc, level, spec, 1.0, table)
+    assert len(calls) == tc.cardinality == math.comb(8, 4)
+    assert rep.min_codebook_size == 14
+    assert rep.sphere_mass_bits == mass.neg_log2_mass()
+
+
+@pytest.mark.parametrize(
+    "n, k, message", [(6, 2, "block length"), (8, 3, "reproduction alphabet")]
+)
+def test_converse_length_bound_refuses_a_mismatched_table_before_any_row(
+    monkeypatch, n, k, message
+):
+    tc = enumerate_type_class(empirical_distribution(BINARY.to_block("01010101"), 1))
+    table = build_universal_table(n, k, "plain")
+    calls = _count_sphere_rows(monkeypatch)
+    with pytest.raises(PreconditionError, match=message):
+        converse_length_bound(tc, Fraction(1, 8), hamming(BINARY), 1.0, table)
+    assert calls == []
 
 
 def test_converse_experiment_refuses_a_callable_measure_before_any_row(monkeypatch):
