@@ -7,6 +7,7 @@ verbatim copy when the scan budget runs out. The decoder replays the same
 stream. A container file carries the shared parameters plus the messages.
 """
 import io
+import math
 from fractions import Fraction
 
 from unirdc import (
@@ -18,10 +19,10 @@ from unirdc import (
     encode,
     hamming,
     index_code_encode,
+    index_length_terms,
     read_container,
     sphere_mass,
     build_universal_table,
-    theoretical_length,
     write_container,
 )
 
@@ -47,15 +48,16 @@ def main() -> None:
 
     table = build_universal_table(n, 2)
     mass = sphere_mass(x, level, HAMMING, table)
-    tl = theoretical_length(msg.index, n, 2.0)
+    normalizer, log_term = index_length_terms(n, 2.0)
+    bits = math.log2(msg.index) + normalizer
     print(
         f"sphere mass {mass.mass} -> success per draw; expected index about "
         f"{float(1 / mass.mass):.1f}, got {msg.index}"
     )
     print(
-        f"advisory length for this index: {tl.bits:.2f} bits "
-        f"(log2 i + normalizer term {tl.log_term:.2f}), "
-        f"decomposed ceiling {tl.decomposed_bound:.2f}"
+        f"advisory length for this index: {bits:.2f} bits "
+        f"(log2 i + normalizer term {log_term:.2f}), "
+        f"decomposed ceiling {math.log2(msg.index) + math.log2(n) + log_term:.2f}"
     )
 
     print("\nindex law across 12 independent codebooks (same source block):")

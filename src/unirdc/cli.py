@@ -175,6 +175,7 @@ def _cmd_encode(args) -> int:
         max_draws=args.max_draws,
         length_mode=args.length_mode,
     )
+    codec.check_container_header(stream, level)  # refused before any draw
     messages = codec.encode_blocks(blocks, level, spec, stream)
     out = args.out or "-"
     if out == "-":

@@ -17,7 +17,6 @@ double its draws, so it draws at most about twice the batch's last first hit.
 """
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,11 +56,9 @@ __all__ = [
     "CodebookStream",
     "EncodedMessage",
     "BatchCodes",
-    "TheoreticalLength",
     "index_code_encode",
     "index_code_decode",
     "index_code_length",
-    "theoretical_length",
     "encode",
     "encode_blocks",
     "encode_streams",
@@ -180,36 +177,6 @@ def index_code_decode(reader: BitReader) -> int:
     nbits = (1 << prefix) | reader.read(prefix)
     rest = reader.read(nbits - 1)
     return (1 << (nbits - 1)) | rest
-
-
-@dataclass(frozen=True)
-class TheoreticalLength:
-    """Idealized index-description length under the harmonic weighting."""
-
-    bits: float
-    decomposed_bound: float
-    log_term: float
-
-
-def theoretical_length(index: int, n: int, base: float) -> TheoreticalLength:
-    """-log2 of the normalized harmonic weight of the index.
-
-    The normalizer over base^n candidates is bounded by n ln(base) + 1, so the
-    value is log2(index) + log2(n ln base + 1); the decomposed bound replaces
-    the second term with log2 n + log2(ln base + 1), which dominates it for
-    every n >= 1.
-    """
-    if index < 1:
-        raise PreconditionError("index must be positive")
-    if base <= 1:
-        raise PreconditionError("base must exceed 1")
-    log_term = math.log2(math.log(base) + 1)
-    bits = math.log2(index) + math.log2(n * math.log(base) + 1)
-    return TheoreticalLength(
-        bits=bits,
-        decomposed_bound=math.log2(index) + math.log2(n) + log_term,
-        log_term=log_term,
-    )
 
 
 @dataclass(frozen=True)
@@ -567,9 +534,9 @@ class ContainerHeader:
     level: Fraction
 
 
-def write_container(f, stream: CodebookStream, level, messages) -> None:
-    """16-byte header (magic, flags, K, n, level as a rational, seed), then
-    one bit-counted record per message."""
+def check_container_header(stream: CodebookStream, level) -> Fraction:
+    """The level as a Fraction, once the stream and level fit a container
+    header; PreconditionError otherwise."""
     level = Fraction(level)
     if not (0 <= level.numerator <= 255 and 1 <= level.denominator <= 255):
         raise PreconditionError("container stores the level as a uint8/uint8 rational")
@@ -579,6 +546,13 @@ def write_container(f, stream: CodebookStream, level, messages) -> None:
         raise PreconditionError("container stores the alphabet size as a uint8 of at least 2")
     if not 1 <= stream.n <= 0xFFFF:
         raise PreconditionError("container stores the block length as a positive uint16")
+    return level
+
+
+def write_container(f, stream: CodebookStream, level, messages) -> None:
+    """16-byte header (magic, flags, K, n, level as a rational, seed), then
+    one bit-counted record per message."""
+    level = check_container_header(stream, level)
     flags = (
         (_VERSION << 4)
         | _MODE_CODES[stream.mode]

@@ -32,7 +32,6 @@ from .codec import (
     decode_messages,
     encode_streams,
     index_code_length,
-    theoretical_length,
 )
 from .converse import (
     _cover_matrix,
@@ -66,6 +65,7 @@ __all__ = [
     "converse_experiment",
     "run_experiment",
     "dkw_band",
+    "index_length_terms",
 ]
 
 SCHEMA_VERSION = "1"
@@ -86,6 +86,15 @@ def derive_seed(master: int, *indices: int) -> int:
 def dkw_band(trials: int, alpha: float = ALPHA) -> float:
     """Two-sided uniform CDF deviation allowed with probability 1 - alpha."""
     return math.sqrt(math.log(2 / alpha) / (2 * trials))
+
+
+def index_length_terms(n: int, base: float) -> tuple[float, float]:
+    """log2(n ln base + 1) and log2(ln base + 1). The idealized length of index
+    i is log2 i plus the first; the achievability bound charges log2 n plus
+    the second, which dominates the first for every n >= 1."""
+    if base <= 1:
+        raise PreconditionError("base must exceed 1")
+    return math.log2(n * math.log(base) + 1), math.log2(math.log(base) + 1)
 
 
 @dataclass(frozen=True)
@@ -436,12 +445,10 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
     index statistics against the geometric law implied by the exact sphere
     mass: a uniform CDF band for the tail, and the log-mean bound.
     """
-    base = cfg.nominal_base
+    tl_const, c_const = index_length_terms(cfg.n, cfg.nominal_base)
     sources = cfg.sources()
     first, failed, masses = _sweep(cfg, round_trip=True)
 
-    tl_const = math.log2(cfg.n * math.log(base) + 1)
-    c_const = math.log2(math.log(base) + 1)
     trials = len(first)
     eps_band = dkw_band(trials)
     rows = []
@@ -536,8 +543,7 @@ def ensemble_failure_experiment(cfg: ExperimentConfig) -> EnsembleFailureReport:
     worst per-block length overshoot past the padded per-block bound,
     clamped at zero.
     """
-    base = cfg.nominal_base
-    c_const = math.log2(math.log(base) + 1)
+    tl_const, c_const = index_length_terms(cfg.n, cfg.nominal_base)
     pad = (1 + cfg.epsilon) * math.log2(cfg.n)
     first, _, masses = _sweep(cfg, round_trip=False)
     plus = [m.neg_log2_mass() + math.log2(cfg.n) + c_const for m in masses]
@@ -545,7 +551,7 @@ def ensemble_failure_experiment(cfg: ExperimentConfig) -> EnsembleFailureReport:
     for row in first.tolist():
         # an escape is charged the length of the last index the budget allows
         excess = [
-            theoretical_length(i or cfg.max_draws, cfg.n, base).bits - lplus - pad
+            math.log2(i or cfg.max_draws) + tl_const - lplus - pad
             for i, lplus in zip(row, plus)
         ]
         overshoots.append(max([0.0, *excess]))
@@ -618,12 +624,14 @@ def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
     identity_ok is true in every returned report: the covering bound raises
     unless double counting holds at the best cover type. The covering bound,
     the sphere mass at the class's first member and the greedy cover all read
-    one cover matrix, one sphere row per class member.
+    one cover matrix, one sphere row per class member. The type, the measure and
+    the table size are checked before the class is listed.
     """
     spec = cfg.spec()
-    source_class = enumerate_type_class(_type_distribution(cfg))
-    table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
+    source_type = _type_distribution(cfg)
     _require_joint_type(spec)
+    table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
+    source_class = enumerate_type_class(source_type)
     cover = _cover_matrix(source_class, cfg.level, spec)
     rep = _length_bound(cover, source_class, spec, cfg.epsilon, table)
     greedy = _greedy(cover, source_class, spec)

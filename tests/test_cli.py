@@ -480,8 +480,8 @@ def test_enumeration_cap_is_runtime_error(tmp_path, capsys, monkeypatch):
 
 
 def test_converse_on_a_long_type_class_is_an_error_object(capsys):
-    # the class has 1200 members; listing it needs no recursion, and the
-    # 2^1200-block table is then refused at the cap
+    # the class has 1200 members, and the 2^1200-block table is refused at
+    # the cap before the class is listed
     code, out = invoke(
         capsys, "converse-check", "--alphabet", "01", "--n", "1200", "--D", "1/1200",
         "--type-counts", '{"0": 1199, "1": 1}',
@@ -529,6 +529,26 @@ def test_installed_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["block"] == "01"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--seed", str(1 << 64)), ("--D", "1/300")],
+)
+def test_unwritable_container_is_refused_before_any_draw(
+    tmp_path, capsys, monkeypatch, flag, value
+):
+    def no_draws(*args):
+        raise AssertionError("encode_blocks was called")
+
+    monkeypatch.setattr(unirdc.codec, "encode_blocks", no_draws)
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("011010\n000000\n")
+    args = {"--alphabet": "01", "--in": str(blocks), "--D": "1/6", "--seed": "42"}
+    args[flag] = value
+    code, out = invoke(capsys, "encode", *(part for item in args.items() for part in item))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
 
 
 # -- --out files are overwritten in place -----------------------------------

@@ -41,7 +41,6 @@ from unirdc import (
     read_container,
     sample_exact,
     squared_disagreement,
-    theoretical_length,
     write_container,
 )
 from unirdc import codec
@@ -91,24 +90,6 @@ def test_index_code_length_closed_form(i):
 def test_index_code_rejects_garbage():
     with pytest.raises(CorruptStreamError):
         index_code_decode(BitReader(BitString.from_text("0" * 70)))
-
-
-def test_theoretical_length_values():
-    tl = theoretical_length(1, 10, 2.0)
-    assert tl.bits == pytest.approx(math.log2(10 * math.log(2) + 1))
-    assert tl.bits <= tl.decomposed_bound
-    tl = theoretical_length(4, 10, 2.0)
-    assert tl.bits == pytest.approx(2 + math.log2(10 * math.log(2) + 1))
-    assert tl.log_term == pytest.approx(math.log2(math.log(2) + 1))
-
-
-def test_theoretical_length_dominance_sweep():
-    for base in (2.0, 4.0):
-        c = math.log2(math.log(base) + 1)
-        for n in (1, 2, 16, 128, 1024):
-            for i in (1, 2, 3, 255, 4096, 65536):
-                tl = theoretical_length(i, n, base)
-                assert tl.bits <= math.log2(i) + math.log2(n) + c + 1e-12
 
 
 def test_round_trip_exhaustive_small():

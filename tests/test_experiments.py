@@ -21,12 +21,14 @@ from unirdc import (
     converse_length_bound,
     empirical_distribution,
     enumerate_type_class,
+    EnumerationCapError,
     hamming,
     counting_length,
     counting_phrases,
     derive_seed,
     dkw_band,
     ensemble_failure_experiment,
+    index_length_terms,
     lz_parse,
     run_experiment,
 )
@@ -45,6 +47,24 @@ def test_dkw_band_value():
     assert dkw_band(1000) == pytest.approx(math.sqrt(math.log(2 / 0.01) / 2000))
     assert dkw_band(1000) == pytest.approx(0.0514700, abs=1e-6)
     assert dkw_band(4000) == dkw_band(1000) / 2
+
+
+def test_index_length_terms_values_and_dominance():
+    normalizer, log_term = index_length_terms(10, 2.0)
+    assert normalizer == pytest.approx(math.log2(10 * math.log(2) + 1))
+    assert log_term == pytest.approx(math.log2(math.log(2) + 1))
+    assert math.log2(4) + normalizer == pytest.approx(2 + math.log2(10 * math.log(2) + 1))
+    # the achievability bound relies on log2 n + log_term dominating the
+    # normalizer term
+    assert normalizer <= math.log2(10) + log_term
+    for base in (2.0, 4.0):
+        c = math.log2(math.log(base) + 1)
+        for n in (1, 2, 16, 128, 1024):
+            normalizer, log_term = index_length_terms(n, base)
+            assert log_term == c
+            assert normalizer <= math.log2(n) + c + 1e-12
+    with pytest.raises(PreconditionError):
+        index_length_terms(8, 1.0)
 
 
 def test_counting_closed_forms():
@@ -508,6 +528,18 @@ def test_converse_experiment_enumerates_each_class_once(monkeypatch):
     rep = converse_experiment(ExperimentConfig(n=8, level=Fraction(1, 8)))
     assert rep.min_codebook_size == 14
     assert len(calls) <= 2
+
+
+def test_converse_experiment_refuses_a_long_class_before_listing_it(monkeypatch):
+    listed = []
+    monkeypatch.setattr(
+        "unirdc.experiments.enumerate_type_class", lambda *args: listed.append(args)
+    )
+    # 1200 members, but the 2^1200-block table is beyond the cap
+    cfg = ExperimentConfig(n=1200, level=Fraction(1, 1200), type_counts={"0": 1199, "1": 1})
+    with pytest.raises(EnumerationCapError):
+        converse_experiment(cfg)
+    assert listed == []
 
 
 def test_run_experiment_dispatch():
