@@ -37,6 +37,7 @@ from unirdc import (
     index_code_decode,
     index_code_encode,
     index_code_length,
+    index_length_terms,
     per_letter,
     read_container,
     sample_exact,
@@ -90,6 +91,29 @@ def test_index_code_length_closed_form(i):
 def test_index_code_rejects_garbage():
     with pytest.raises(CorruptStreamError):
         index_code_decode(BitReader(BitString.from_text("0" * 70)))
+
+
+def test_theoretical_length_values():
+    # the idealized length of index i is log2 i + log2(n ln base + 1); the
+    # achievability bound charges log2 i + log2 n + log2(ln base + 1)
+    normalizer, log_term = index_length_terms(10, 2.0)
+    assert math.log2(1) + normalizer == pytest.approx(math.log2(10 * math.log(2) + 1))
+    assert normalizer <= math.log2(10) + log_term
+    assert math.log2(4) + normalizer == pytest.approx(2 + math.log2(10 * math.log(2) + 1))
+    assert log_term == pytest.approx(math.log2(math.log(2) + 1))
+    with pytest.raises(PreconditionError):
+        index_length_terms(8, 1.0)
+
+
+def test_theoretical_length_dominance_sweep():
+    for base in (2.0, 4.0):
+        c = math.log2(math.log(base) + 1)
+        for n in (1, 2, 16, 128, 1024):
+            normalizer, log_term = index_length_terms(n, base)
+            assert log_term == c
+            for i in (1, 2, 3, 255, 4096, 65536):
+                bits = math.log2(i) + normalizer
+                assert bits <= math.log2(i) + math.log2(n) + c + 1e-12
 
 
 def test_round_trip_exhaustive_small():

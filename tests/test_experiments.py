@@ -28,7 +28,6 @@ from unirdc import (
     derive_seed,
     dkw_band,
     ensemble_failure_experiment,
-    index_length_terms,
     lz_parse,
     run_experiment,
 )
@@ -47,24 +46,6 @@ def test_dkw_band_value():
     assert dkw_band(1000) == pytest.approx(math.sqrt(math.log(2 / 0.01) / 2000))
     assert dkw_band(1000) == pytest.approx(0.0514700, abs=1e-6)
     assert dkw_band(4000) == dkw_band(1000) / 2
-
-
-def test_index_length_terms_values_and_dominance():
-    normalizer, log_term = index_length_terms(10, 2.0)
-    assert normalizer == pytest.approx(math.log2(10 * math.log(2) + 1))
-    assert log_term == pytest.approx(math.log2(math.log(2) + 1))
-    assert math.log2(4) + normalizer == pytest.approx(2 + math.log2(10 * math.log(2) + 1))
-    # the achievability bound relies on log2 n + log_term dominating the
-    # normalizer term
-    assert normalizer <= math.log2(10) + log_term
-    for base in (2.0, 4.0):
-        c = math.log2(math.log(base) + 1)
-        for n in (1, 2, 16, 128, 1024):
-            normalizer, log_term = index_length_terms(n, base)
-            assert log_term == c
-            assert normalizer <= math.log2(n) + c + 1e-12
-    with pytest.raises(PreconditionError):
-        index_length_terms(8, 1.0)
 
 
 def test_counting_closed_forms():
