@@ -56,8 +56,9 @@ def main() -> None:
     )
     print(
         f"advisory length for this index: {bits:.2f} bits "
-        f"(log2 i + normalizer term {log_term:.2f}), "
-        f"decomposed ceiling {math.log2(msg.index) + math.log2(n) + log_term:.2f}"
+        f"(log2 i + normalizer term {normalizer:.2f}), "
+        f"decomposed ceiling {math.log2(msg.index) + math.log2(n) + log_term:.2f} "
+        f"(log2 i + log2 n + decomposed-bound constant {log_term:.2f})"
     )
 
     print("\nindex law across 12 independent codebooks (same source block):")

@@ -128,6 +128,8 @@ def _cmd_lz_length(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:  # before the exact mode builds a whole table
+        raise PreconditionError("count must be non-negative")
     alpha = Alphabet(args.alphabet)
     if args.mode == "exact":
         table = universal.build_universal_table(args.n, alpha.size, args.length_mode)

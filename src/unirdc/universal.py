@@ -124,42 +124,70 @@ class UniversalTable:
             f.write(f"{text},{bits},1,{bits}\n")
 
 
-def _parse_lengths(n: int, alphabet_size: int) -> list[int]:
+def _parse_lengths(n: int, alphabet_size: int) -> np.ndarray:
     """Plain parse code length of every block of length n, in lexicographic order.
 
     Blocks with a common prefix share the incremental parse of that prefix,
-    so one depth-first walk over the prefix tree replaces K^n separate parses.
-    Each step pushes one symbol onto the parse, either following an existing
-    trie edge or adding a phrase with its edge, and pops it on the way back.
-    The walk carries the next phrase number and the bits of the phrases
-    completed so far.
+    so the prefix tree is walked one depth at a time in arrays instead of
+    parsing K^n blocks. At depth d the K^d prefixes stand in lexicographic
+    order, each with its own parse trie (a rows x K table of child phrase
+    numbers, 0 for no edge), the node it stands at, its next phrase number
+    and the bits of the phrases it has completed. A step repeats every prefix
+    K times and pushes one symbol: it follows the trie edge where there is
+    one, and otherwise writes the edge, adds the new phrase's pointer and
+    symbol bits and goes back to the root. The last two symbols are read off
+    the depth n-2 tries, so no depth n-1 trie is built. Phrase numbers and
+    bits are kept in the narrowest unsigned types that hold them.
     """
-    sym_w = lz78.symbol_width(alphabet_size)
-    pointer_width = lz78.pointer_width
-    symbols = range(alphabet_size)
-    trie: dict[tuple[int, int], int] = {}
-    out: list[int] = []
+    k = alphabet_size
+    sym_w = lz78.symbol_width(k)
+    if n == 1:
+        return np.full(k, sym_w)  # one new phrase: symbol only
+    phrase_t = np.min_scalar_type(n + 1)
+    bits_t = np.min_scalar_type(n * (lz78.pointer_width(n + 1) + sym_w))
+    pointer_bits = np.array([lz78.pointer_width(i) for i in range(n + 1)], dtype=bits_t)
+    trie = np.zeros((1, 1, k), dtype=phrase_t)
+    node = np.zeros(1, dtype=phrase_t)
+    next_id = np.ones(1, dtype=phrase_t)
+    done = np.zeros(1, dtype=bits_t)
 
-    def walk(depth: int, node: int, next_id: int, done_bits: int) -> None:
-        if depth == n - 1:
-            # The last symbol either completes a new phrase (pointer and
-            # symbol) or leaves a final duplicate phrase (pointer only).
-            last = done_bits + pointer_width(next_id)
-            for s in symbols:
-                out.append(last if (node, s) in trie else last + sym_w)
-            return
-        for s in symbols:
-            edge = (node, s)
-            child = trie.get(edge)
-            if child is not None:
-                walk(depth + 1, child, next_id, done_bits)
-            else:
-                trie[edge] = next_id
-                walk(depth + 1, 0, next_id + 1, done_bits + pointer_width(next_id) + sym_w)
-                del trie[edge]
+    def widen(trie: np.ndarray, next_id: np.ndarray) -> np.ndarray:
+        # every node a prefix can reach is below its next phrase number
+        rows = int(next_id.max())
+        if trie.shape[1] >= rows:
+            return trie
+        grown = np.zeros((len(trie), rows, k), dtype=phrase_t)
+        grown[:, : trie.shape[1]] = trie
+        return grown
 
-    walk(0, 0, 1, 0)
-    return out
+    for _ in range(n - 2):
+        trie = np.repeat(widen(trie, next_id), k, axis=0)
+        node, next_id, done = (np.repeat(a, k) for a in (node, next_id, done))
+        at = np.arange(len(node))
+        sym = at % k
+        child = trie[at, node, sym]
+        new = child == 0
+        trie[at[new], node[new], sym[new]] = next_id[new]
+        done += new * (pointer_bits[next_id] + sym_w)
+        next_id += new
+        node = child  # a new phrase sends the walk back to the root, node 0
+
+    # Symbol n-1 moves each prefix to the row of its child, or to the root
+    # row, which gains the edge just written when the phrase began there.
+    trie = widen(trie, next_id)
+    at = np.arange(len(node))
+    child = trie[at, node]
+    new = child == 0
+    edge = trie[at[:, None], child] != 0
+    symbols = np.arange(k)
+    edge[:, symbols, symbols] |= new & (node == 0)[:, None]
+    done = done[:, None] + new * (pointer_bits[next_id] + sym_w)[:, None]
+    next_id = next_id[:, None] + new
+    del trie, child
+    # The last symbol either completes a new phrase (pointer and symbol) or
+    # leaves a final duplicate phrase (pointer only).
+    last = (done + pointer_bits[next_id])[:, :, None]
+    return np.where(edge, last, last + sym_w).reshape(-1)
 
 
 def build_universal_table(
@@ -173,7 +201,7 @@ def build_universal_table(
     if length_mode not in ("plain", "capped"):
         raise PreconditionError(f"unknown length mode {length_mode!r}")
     check_enumerable(alphabet_size**n, "universal table")
-    bits = np.array(_parse_lengths(n, alphabet_size), dtype=np.int64)
+    bits = _parse_lengths(n, alphabet_size)
     if length_mode == "capped":
         # lz78.lz_capped_length: min(parse code, raw symbols) plus a flag bit
         bits = np.minimum(bits, n * lz78.symbol_width(alphabet_size)) + 1

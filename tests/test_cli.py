@@ -79,6 +79,22 @@ def test_sample_bitfeed_mode(capsys):
     assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_negative_sample_count_is_refused_before_any_table(capsys, monkeypatch, mode):
+    def no_table(*args):
+        raise AssertionError("build_universal_table was called")
+
+    monkeypatch.setattr(unirdc.universal, "build_universal_table", no_table)
+    code, out = invoke(
+        capsys, "sample", "--alphabet", "01", "--n", "20", "--count", "-1",
+        "--seed", "1", "--mode", mode,
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {"code": "precondition", "message": "count must be non-negative"}
+    }
+
+
 def test_sphere_mass_output(tmp_path, capsys):
     p = tmp_path / "blocks.txt"
     p.write_text("0000\n")

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import math
+import tracemalloc
 
 import pytest
 import random
@@ -57,13 +59,40 @@ def test_table_lengths_match_parser():
         assert t.bit_length_of(b) == lz_bit_length(b, 2)
 
 
-@given(st.tuples(st.integers(1, 9), st.integers(2, 5)).filter(lambda s: s[1] ** s[0] <= 3000))
+@given(st.tuples(st.integers(1, 9), st.integers(2, 9)).filter(lambda s: s[1] ** s[0] <= 3000))
 @settings(max_examples=30, deadline=None)
 def test_table_bits_match_parser_every_block(shape):
     n, k = shape
     for mode, length in (("plain", lz_bit_length), ("capped", lz_capped_length)):
         t = build_universal_table(n, k, mode)
         assert t.bits.tolist() == [length(b, k) for b in enumerate_blocks(n, k)]
+
+
+@pytest.mark.parametrize(
+    "n, k, digest",
+    [
+        (10, 3, "14cd0aa7467e87e727cb3d2acb4962805ab1e7f5a320a902ac7ad98dccd3682c"),
+        (16, 2, "306775b8b46dc6fec6226f48144835e8cd6b27505bfbf53751353db4ceaf99a0"),
+        (9, 4, "b2b8ea87045a612110314fd561ac671a6eff307a78450ec8e779033f4cecee3e"),
+        (20, 2, "6967fa2c03c2dde5681aa25db91af85c4dedc746db137adee506bdf6e02e1db8"),
+    ],
+)
+def test_table_bits_pinned_digest(n, k, digest):
+    # digests of the int64 bits of the tables the recursive per-prefix walk built
+    t = build_universal_table(n, k, "plain")
+    assert hashlib.sha256(t.bits.tobytes()).hexdigest() == digest
+
+
+def test_table_build_memory_at_the_cap():
+    # 2^20 blocks is the default cap; the recursive per-prefix walk peaked at
+    # 24.06 MiB of traced memory here (Python 3.11, numpy 2.4)
+    tracemalloc.start()
+    try:
+        build_universal_table(20, 2, "plain")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24.06 * 2**20
 
 
 def test_bit_length_of_matches_dict_lookup():
