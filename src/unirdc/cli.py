@@ -7,6 +7,7 @@ with 1 for runtime errors or 2 for precondition and usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -438,10 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every run in this process, built on the first one:
+    parse_args keeps no state between calls, and help is formatted anew for
+    the terminal each time."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:

@@ -31,7 +31,7 @@ from .distortion import (
     _budget,
     distortion,
     find_witness,
-    sphere_indicator,
+    sphere_rows,
 )
 from .errors import (
     CapacityError,
@@ -313,27 +313,25 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
     """(streams x blocks) first-hit indices, 0 for none, read off the blocks'
     sphere rows.
 
-    The rows are built once per group of at most _MASK_BYTES, and every
-    stream scans a group before the next one is built. An empty row raises
-    before any draw: blocks whose rows follow the first group's scans are
-    checked for a witness first. When weighed is a list, each row's mass is
-    appended to it as the row is built.
+    The rows are built by one sphere_rows call per group of at most
+    _MASK_BYTES, and every stream scans a group before the next one is built.
+    An empty row raises before any draw: blocks whose rows follow the first
+    group's scans are checked for a witness first. When weighed is a list,
+    each row's mass is appended to it as its group is built.
     """
     table = streams[0].resolved_table
     group = max(1, _MASK_BYTES // table.size)
     _refuse_uncodable(distinct[group:], level, spec)
-    rows = np.empty((min(group, len(distinct)), table.size), dtype=bool)
     first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
     for lo in range(0, len(distinct), group):
-        part = distinct[lo : lo + group]
-        for r, x in enumerate(part):
-            rows[r] = sphere_indicator(x, level, spec)
-            if not rows[r].any():
-                raise UncodableInputError("no reproduction block meets the budget")
-            if weighed is not None:
-                weighed.append(row_mass(rows[r], table))
-        for stream, hits in zip(streams, first[:, lo : lo + len(part)]):
-            _scan(rows[: len(part)], stream, hits)
+        rows = sphere_rows(distinct[lo : lo + group], level, spec)
+        if not rows.any(axis=1).all():
+            raise UncodableInputError("no reproduction block meets the budget")
+        if weighed is not None:
+            weighed.extend(row_mass(row, table) for row in rows)
+        for stream, hits in zip(streams, first[:, lo : lo + len(rows)]):
+            _scan(rows, stream, hits)
+        del rows  # one group's rows live at a time
     return first
 
 

@@ -26,7 +26,7 @@ from .core import (
     check_enumerable,
     empirical_distribution,
 )
-from .distortion import DistortionSpec, sphere_indicator
+from .distortion import DistortionSpec, sphere_rows
 from .errors import PreconditionError, UncoverableError
 from .lz78 import parse_overhead
 from .universal import UniversalTable, row_mass
@@ -125,7 +125,7 @@ def _cover_matrix(source_class: TypeClass, level, spec: DistortionSpec) -> np.nd
     lexicographic order, so column i lists the members the block with the
     base-K digits of i covers. All covering counts are sums over this array.
     """
-    return np.stack([sphere_indicator(x, level, spec) for x in source_class.members])
+    return sphere_rows(source_class.members, level, spec)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ __all__ = [
     "callable_spec",
     "squared_disagreement",
     "distortion",
+    "sphere_rows",
     "sphere_indicator",
     "enumerate_sphere",
     "enumerate_reverse_sphere",
@@ -173,58 +174,88 @@ def _budget(n: int, level) -> Fraction:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _additive_mask(costs, symbols, threshold: int) -> np.ndarray:
-    """Total integer cost <= threshold, for every block against one fixed block.
+def _fold(table: np.ndarray, letters: list[tuple[int, ...]]) -> np.ndarray:
+    """(len(letters), K^L) totals: row j holds the total cost of every block
+    of L letters, in lexicographic order, against the L letters letters[j].
+    Row a of table holds the cost of each enumerated letter facing letter a;
+    one position is folded in at a time, for every row at once."""
+    totals = np.zeros((len(letters), 1), dtype=table.dtype)
+    for column in np.array(letters, dtype=np.intp).T:
+        totals = (totals[:, :, None] + table[column][:, None, :]).reshape(len(letters), -1)
+    return totals
 
-    costs[a][b] is the cost of letter b of the enumerated block facing letter
-    a of the fixed block, whose letters are symbols. The totals of all blocks
-    are folded in one position at a time, so entry i of the result belongs to
-    the block with the base-K digits of i. They are int64 when the largest
-    total fits and exact Python ints (object dtype) otherwise.
+
+def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> np.ndarray:
+    """Sphere membership of every block around each center, one row per center.
+
+    Entry (r, i) is True when the block with the base-K digits of i lies
+    within total distortion n * level of centers[r]. The enumerated blocks are
+    reproductions around source centers, or with reverse=True sources around
+    reproduction centers. The centers share one length n. A negative level
+    gives empty spheres.
+
+    Per-letter matrices fold spec.scaled in integers: the first h = n // 2
+    letters of a center over the K^h heads and the others over the K^(n-h)
+    tails, so block i = head * K^(n-h) + tail is inside when its tail total is
+    at most the threshold less its head total. Each distinct half is folded
+    once per call. The totals are int64 when the largest fits and exact
+    Python ints (object dtype) otherwise; no total of a whole block is ever
+    formed. Joint-type and callable kinds take one exact scalar pass per
+    center.
     """
+    centers = list(centers)
+    if not centers:
+        raise PreconditionError("need at least one sphere center")
+    n = centers[0].n
+    if n == 0:
+        raise PreconditionError("blocks must be nonempty")
+    for c in centers:
+        if c.n != n:
+            raise PreconditionError("sphere centers must have equal length")
+        c.validate(spec.repro_size if reverse else spec.source_size)
+    k = spec.source_size if reverse else spec.repro_size
+    check_enumerable(k**n, "sphere scan")
+    budget = n * Fraction(level)
+    rows = np.zeros((len(centers), k**n), dtype=bool)
+    if spec.kind != PER_LETTER:
+        for row, c in zip(rows, centers):
+            pairs = ((b, c) if reverse else (c, b) for b in enumerate_blocks(n, k))
+            row[:] = np.fromiter(
+                (distortion(x, xhat, spec) <= budget for x, xhat in pairs),
+                dtype=bool,
+                count=k**n,
+            )
+        return rows
+    scale, costs = spec.scaled
+    costs = tuple(zip(*costs)) if reverse else costs
+    threshold = math.floor(budget * scale)
     if threshold < 0:
-        return np.zeros(len(costs[0]) ** len(symbols), dtype=bool)
-    top = max(map(max, costs)) * len(symbols)
-    dtype = np.int64 if top <= _INT64_MAX else object
-    table = np.array(costs, dtype=dtype)
-    totals = np.zeros(1, dtype=dtype)
-    for a in symbols:
-        totals = (totals[:, None] + table[a]).ravel()
-    # the clamp keeps the right side within int64 for int64 totals: NumPy
-    # before 2.0 may not compare them with a larger Python int exactly
-    return totals <= min(threshold, top)
+        return rows
+    top = max(map(max, costs)) * n
+    table = np.array(costs, dtype=np.int64 if top <= _INT64_MAX else object)
+    # the clamp keeps the room within int64 for int64 totals: NumPy before
+    # 2.0 may not subtract from a larger Python int exactly
+    threshold = min(threshold, top)
+    h = n // 2
+    heads, tails = {}, {}
+    head_of = [heads.setdefault(c.symbols[:h], len(heads)) for c in centers]
+    tail_of = [tails.setdefault(c.symbols[h:], len(tails)) for c in centers]
+    rooms = threshold - _fold(table, list(heads))
+    totals = _fold(table, list(tails))
+    np.less_equal(
+        totals[tail_of][:, None, :],
+        rooms[head_of][:, :, None],
+        out=rows.reshape(len(centers), k**h, k ** (n - h)),
+    )
+    return rows
 
 
 def sphere_indicator(
     center: Block, level, spec: DistortionSpec, reverse: bool = False
 ) -> np.ndarray:
-    """Sphere membership of every block, in lexicographic order.
-
-    Entry i is True when the block with the base-K digits of i lies within
-    total distortion n * level of center. The enumerated blocks are
-    reproductions around a source center, or with reverse=True sources around
-    a reproduction center. A negative level gives the empty sphere. Per-letter
-    matrices take the exact integer fold of _additive_mask on spec.scaled;
-    joint-type and callable kinds take one exact scalar pass.
-    """
-    if center.n == 0:
-        raise PreconditionError("blocks must be nonempty")
-    center.validate(spec.repro_size if reverse else spec.source_size)
-    k = spec.source_size if reverse else spec.repro_size
-    check_enumerable(k**center.n, "sphere scan")
-    budget = center.n * Fraction(level)
-    if spec.kind == PER_LETTER:
-        scale, costs = spec.scaled
-        costs = tuple(zip(*costs)) if reverse else costs
-        return _additive_mask(costs, center.symbols, math.floor(budget * scale))
-    pairs = (
-        ((b, center) if reverse else (center, b)) for b in enumerate_blocks(center.n, k)
-    )
-    return np.fromiter(
-        (distortion(x, xhat, spec) <= budget for x, xhat in pairs),
-        dtype=bool,
-        count=k**center.n,
-    )
+    """Sphere membership of every block around one center, in lexicographic
+    order: the one row of sphere_rows([center], ...)."""
+    return sphere_rows([center], level, spec, reverse)[0]
 
 
 def enumerate_sphere(x: Block, level, spec: DistortionSpec) -> list[Block]:

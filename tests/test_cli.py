@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import unirdc
 from unirdc import BINARY, binary_entropy, build_universal_table, sphere_mass, hamming
-from unirdc.cli import run
+from unirdc.cli import _parser, run
 
 
 def invoke(capsys, *argv):
@@ -31,6 +31,39 @@ def test_help_exits_zero(capsys):
 def test_unknown_subcommand_exits_two(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_prints_what_fresh_parsers_print(capsys):
+    # the parser is built on the first run of a process and serves every
+    # later one; usage errors between runs leave help, usage, error and
+    # output bytes as a fresh parser per run prints them
+    argvs = [
+        ["--help"],
+        ["counting-seq", "--alphabet", "01", "--depth", "2"],
+        ["counting-seq", "--alphabet", "01"],
+        ["encode", "--help"],
+        ["sample", "--alphabet", "01", "--n", "4", "--seed", "1", "--mode", "fair"],
+        ["frobnicate"],
+        ["sample", "--alphabet", "01", "--n", "4", "--seed", "1", "--count", "2"],
+        ["counting-seq", "--alphabet", "01", "--depth", "two"],
+        ["counting-seq", "--alphabet", "01", "--depth", "2"],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        printed = capsys.readouterr()
+        return code, printed.out, printed.err
+
+    fresh = []
+    for argv in argvs:
+        _parser.cache_clear()
+        fresh.append(outcome(argv))
+    _parser.cache_clear()
+    shared = [outcome(argv) for argv in argvs]
+    assert _parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 2, 0, 2, 0]
+    assert fresh[0][1].startswith("usage: unirdc") and "required: --depth" in fresh[2][2]
 
 
 def test_lz_length_csv(tmp_path, capsys):

@@ -593,8 +593,13 @@ def test_streams_equal_per_seed_encodes(
         for seed in SWEEP_SEEDS
     ]
     rows = []
-    real = codec.sphere_indicator
-    monkeypatch.setattr(codec, "sphere_indicator", lambda *a: rows.append(a) or real(*a))
+    real = codec.sphere_rows
+
+    def counting(centers, *args):
+        rows.extend(centers)
+        return real(centers, *args)
+
+    monkeypatch.setattr(codec, "sphere_rows", counting)
     swept = list(encode_streams(xs, level, spec, streams))
     # each distinct block's sphere row is built once for all the seeds
     by_rows = mode == "exact" and spec.kind == "per_letter_matrix"

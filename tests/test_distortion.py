@@ -2,6 +2,7 @@ import importlib
 import json
 import random
 
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from unirdc import (
     spec_to_json,
     squared_disagreement,
     sphere_indicator,
+    sphere_rows,
 )
 from unirdc import build_universal_table, min_lz_in_sphere, sphere_mass
 
@@ -249,6 +251,71 @@ def test_kernel_matches_scalar_oracle(source, repro):
         assert not sphere_indicator(x, Fraction(-1, 3), spec).any()
 
 
+def _oracle_rows(centers, level, spec, reverse=False):
+    """Stacked sphere rows by one distortion() call per pair."""
+    n = centers[0].n
+    budget = n * Fraction(level)
+    blocks = list(enumerate_blocks(n, spec.source_size if reverse else spec.repro_size))
+    return np.array(
+        [
+            [distortion(*((b, c) if reverse else (c, b)), spec) <= budget for b in blocks]
+            for c in centers
+        ],
+        dtype=bool,
+    )
+
+
+def _centers_sharing_halves(rng, n, size):
+    """Every join of two heads of n // 2 letters with two tails, then a few
+    random blocks and a repeat."""
+    h = n // 2
+    heads = [tuple(rng.randrange(size) for _ in range(h)) for _ in range(2)]
+    tails = [tuple(rng.randrange(size) for _ in range(n - h)) for _ in range(2)]
+    centers = [Block(a + b) for a in heads for b in tails]
+    centers += [Block(tuple(rng.randrange(size) for _ in range(n))) for _ in range(3)]
+    return centers + centers[:1]
+
+
+def _levels_on_the_boundary(rng, center, spec, reverse):
+    """Levels at which some block lies exactly on center's sphere."""
+    k = spec.source_size if reverse else spec.repro_size
+    others = [Block(tuple(rng.randrange(k) for _ in range(center.n))) for _ in range(3)]
+    pairs = [(b, center) if reverse else (center, b) for b in others]
+    return [Fraction(distortion(x, xhat, spec)) / center.n for x, xhat in pairs]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "source,repro", [("01", "01"), ("012", "012"), ("abc", "01"), ("01", "xyz")]
+)
+def test_sphere_rows_match_stacked_scalar_rows(source, repro, n, reverse):
+    rng = random.Random(f"{source}/{repro}/{n}/{reverse}")
+    src, rep = Alphabet(source), Alphabet(repro)
+    spec = per_letter(_random_rational_matrix(rng, src.size, rep.size), src, rep)
+    centers = _centers_sharing_halves(rng, n, (rep if reverse else src).size)
+    top = max(max(row) for row in spec.matrix)
+    levels = [0, Fraction(-1, 3), Fraction(rng.randint(1, 30), 7), top]
+    levels += _levels_on_the_boundary(rng, centers[0], spec, reverse)
+    for level in levels:
+        rows = sphere_rows(centers, level, spec, reverse=reverse)
+        want = _oracle_rows(centers, level, spec, reverse)
+        assert rows.dtype == bool and rows.shape == want.shape
+        assert (rows == want).all()
+        assert (sphere_indicator(centers[1], level, spec, reverse) == want[1]).all()
+    # every block lies within the largest entry
+    assert sphere_rows(centers, top, spec, reverse=reverse).all()
+
+
+def test_sphere_rows_refuse_mixed_lengths_and_no_centers():
+    with pytest.raises(PreconditionError, match="equal length"):
+        sphere_rows([BINARY.to_block("01"), BINARY.to_block("011")], 0, HAMMING)
+    with pytest.raises(PreconditionError, match="center"):
+        sphere_rows([], 0, HAMMING)
+    with pytest.raises(PreconditionError, match="out of range"):
+        sphere_rows([BINARY.to_block("01"), Block((0, 2))], 0, HAMMING)
+
+
 def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):
     # the common denominator is about 2^40 * 3^30 * 7 > 2^63, so the scaled
     # totals fold as exact Python ints; no block is tested with distortion()
@@ -265,7 +332,19 @@ def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):
         m = sphere_mass(x, level, spec, table)
         assert (m.mass, m.sphere_size, m.min_bits) == _oracle_sphere(x, level, spec, table)
     assert sphere_indicator(x, 10**400, spec, reverse=True).all()
+    centers = _centers_sharing_halves(random.Random(7), 7, 2)
+    rng = random.Random(7)
+    levels = [0, Fraction(-1, 7), Fraction(1, 3**30), Fraction(2, 7), Fraction(5, 7)]
+    levels += _levels_on_the_boundary(rng, centers[0], spec, False)
+    levels += _levels_on_the_boundary(rng, centers[0], spec, True)
+    rows = {
+        (level, reverse): sphere_rows(centers, level, spec, reverse)
+        for level in levels
+        for reverse in (False, True)
+    }
     assert calls == []
+    for (level, reverse), got in rows.items():
+        assert (got == _oracle_rows(centers, level, spec, reverse)).all()
 
 
 def test_kernel_scalar_kinds_match_oracle():

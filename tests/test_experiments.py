@@ -209,13 +209,7 @@ def test_achievability_csv_is_pinned(jobs):
 
 @pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
 def test_sweep_builds_each_sphere_row_once(monkeypatch, run):
-    calls = []
-    for module in ("unirdc.codec", "unirdc.universal"):
-        module = importlib.import_module(module)
-        real = module.sphere_indicator
-        monkeypatch.setattr(
-            module, "sphere_indicator", lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
-        )
+    calls = _count_sphere_rows(monkeypatch, "unirdc.codec")
     counts = []
     for trials in (20, 60):
         calls.clear()
@@ -418,16 +412,21 @@ def test_converse_experiment_pinned_reports(kwargs, expected):
             assert getattr(rep, name) == value, name
 
 
-def _count_sphere_rows(monkeypatch):
+def _count_sphere_rows(monkeypatch, caller="unirdc.converse"):
+    """The center of every sphere row built through caller's sphere_rows or
+    through distortion.sphere_rows, which sphere_indicator (and so
+    sphere_mass) calls."""
     calls = []
-    for module in ("unirdc.converse", "unirdc.universal"):
-        original = getattr(importlib.import_module(module), "sphere_indicator")
+    for module in (caller, "unirdc.distortion"):
+        module = importlib.import_module(module)
+        original = module.sphere_rows
 
-        def counting(*args, original=original, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(centers, *args, original=original, **kwargs):
+            centers = list(centers)
+            calls.extend(centers)
+            return original(centers, *args, **kwargs)
 
-        monkeypatch.setattr(f"{module}.sphere_indicator", counting)
+        monkeypatch.setattr(module, "sphere_rows", counting)
     return calls
 
 
