@@ -197,11 +197,11 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     Per-letter matrices fold spec.scaled in integers: the first h = n // 2
     letters of a center over the K^h heads and the others over the K^(n-h)
     tails, so block i = head * K^(n-h) + tail is inside when its tail total is
-    at most the threshold less its head total. Each distinct half is folded
-    once per call. The totals are int64 when the largest fits and exact
-    Python ints (object dtype) otherwise; no total of a whole block is ever
-    formed. Joint-type and callable kinds take one exact scalar pass per
-    center.
+    at most the threshold less its head total. All centers' halves fold
+    together, one NumPy op per position. The totals are int64 when the
+    largest fits and exact Python ints (object dtype) otherwise; no total of
+    a whole block is ever formed. Joint-type and callable kinds take one
+    exact scalar pass per center.
     """
     centers = list(centers)
     if not centers:
@@ -237,14 +237,11 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     # 2.0 may not subtract from a larger Python int exactly
     threshold = min(threshold, top)
     h = n // 2
-    heads, tails = {}, {}
-    head_of = [heads.setdefault(c.symbols[:h], len(heads)) for c in centers]
-    tail_of = [tails.setdefault(c.symbols[h:], len(tails)) for c in centers]
-    rooms = threshold - _fold(table, list(heads))
-    totals = _fold(table, list(tails))
+    rooms = threshold - _fold(table, [c.symbols[:h] for c in centers])
+    totals = _fold(table, [c.symbols[h:] for c in centers])
     np.less_equal(
-        totals[tail_of][:, None, :],
-        rooms[head_of][:, :, None],
+        totals[:, None, :],
+        rooms[:, :, None],
         out=rows.reshape(len(centers), k**h, k ** (n - h)),
     )
     return rows

@@ -26,9 +26,9 @@ from unirdc import (
     spec_to_json,
     squared_disagreement,
     sphere_indicator,
-    sphere_rows,
 )
 from unirdc import build_universal_table, min_lz_in_sphere, sphere_mass
+from unirdc.distortion import sphere_rows
 
 # the package exports the function distortion under the module's name
 distortion_module = importlib.import_module("unirdc.distortion")

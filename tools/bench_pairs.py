@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Before/after benchmark: perfbench runs in pairs, a parent checkout against this one.
 
-    python3 tools/bench_pairs.py --parent DIR --pr N [--pairs 10] [--seconds 8]
-        [--seed 0] [--workload NAME ...] [--out FILE]
+    python3 tools/bench_pairs.py --parent DIR --pr N [--seed 0]
+        [--workload NAME ...] [--out FILE]
 
 DIR is a checkout of the parent commit, made for example with ``git clone``
 or ``git archive`` (not inside this checkout). Each pair runs
 ``perfbench/run.py --trace 0`` once in DIR and once in this checkout for
-every workload, one process at a time; the side that goes first alternates
-from pair to pair, so a drift of the host's speed hits both sides alike.
+every workload, one process at a time, for the ``run_seconds`` that
+``BENCHMARK.json`` sets; there are 10 pairs, and the side that goes first
+alternates from pair to pair, so a drift of the host's speed hits both sides
+alike.
 
 The result, ``BENCH_<N>.json`` in this checkout unless --out says otherwise,
 holds for every workload and end-to-end metric of ``BENCHMARK.json`` each
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -85,36 +88,33 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     p.add_argument("--pr", required=True, type=int)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workload", action="append", default=None,
                    help="a workload to run (repeatable); all of BENCHMARK.json by default")
     p.add_argument("--out", type=Path, default=None)
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 for quartiles")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {side: {name: [] for name in workloads} for side in SIDES}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for name in workloads:
             for side in order:
-                record, result = perfbench(checkouts[side], name, args.seed, args.seconds)
+                record, result = perfbench(checkouts[side], name, args.seed, seconds)
                 runs[side][name].append((record, result))
                 value = result["metrics"]["items_per_s"]["value"]
-                print(f"pair {i + 1}/{args.pairs} {name} {side}: items_per_s {value:.2f}",
+                print(f"pair {i + 1}/{PAIRS} {name} {side}: items_per_s {value:.2f}",
                       file=sys.stderr)
     records = {side: [rec for name in workloads for rec, _ in runs[side][name]] for side in SIDES}
     first = records["change"][0]
     report = {
         "pr": args.pr,
-        "command": ["perfbench/run.py", "--trace", "0", "--seconds", str(args.seconds),
+        "command": ["perfbench/run.py", "--trace", "0", "--seconds", str(seconds),
                     "--seed", str(args.seed)],
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "python": first["python"],
         "numpy": first["numpy"],
         "nproc": first["nproc"],
