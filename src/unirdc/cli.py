@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import codec, converse, experiments, lz78, reference, universal
-from .core import Alphabet, read_blocks
+from .core import Alphabet, check_enumerable, read_blocks
 from .distortion import (
     hamming,
     load_spec,
@@ -131,6 +131,7 @@ def _cmd_lz_length(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 0:  # before the exact mode builds a whole table
         raise PreconditionError("count must be non-negative")
+    universal.require_seed(args.seed)
     alpha = Alphabet(args.alphabet)
     if args.mode == "exact":
         table = universal.build_universal_table(args.n, alpha.size, args.length_mode)
@@ -223,12 +224,9 @@ def _parse_grid(text: str) -> list[Fraction]:
     lo, hi, step = (_parse_level(p) for p in parts)
     if step <= 0 or hi < lo:
         raise PreconditionError("grid needs step > 0 and stop >= start")
-    out = []
-    v = lo
-    while v <= hi:
-        out.append(v)
-        v += step
-    return out
+    count = (hi - lo) // step + 1
+    check_enumerable(count, "grid")
+    return [lo + i * step for i in range(count)]
 
 
 def _parse_dist_vector(text: str, size: int) -> list[Fraction]:

@@ -4,6 +4,9 @@ A type class collects every block sharing one empirical distribution of
 aligned chunks. For distortion measures that depend only on the first-order
 joint type, sphere sizes are constant over a type class, which yields an
 exact double-counting identity and an exact rational covering lower bound.
+Every covering count is a sum over one cover matrix, the sphere rows of the
+class members: row j is member j's sphere over all reproduction blocks in
+lexicographic order, so column i lists the members block i covers.
 The length-converse report, taken for a type class its caller holds, folds
 the parse-length overhead terms into a single per-symbol slack, all reported
 rather than asserted tight.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -21,7 +24,7 @@ import numpy as np
 from .core import (
     Block,
     EmpiricalDistribution,
-    block_index,
+    block_indices,
     blocks_at,
     check_enumerable,
     empirical_distribution,
@@ -118,16 +121,6 @@ def all_type_classes(n: int, order: int, alphabet_size: int) -> list[TypeClass]:
     ]
 
 
-def _cover_matrix(source_class: TypeClass, level, spec: DistortionSpec) -> np.ndarray:
-    """Which reproduction blocks cover which class members, as one bool array.
-
-    Row j is the sphere of member j over every reproduction block in
-    lexicographic order, so column i lists the members the block with the
-    base-K digits of i covers. All covering counts are sums over this array.
-    """
-    return sphere_rows(source_class.members, level, spec)
-
-
 @dataclass(frozen=True)
 class DoubleCountingResult:
     ok: bool
@@ -147,11 +140,10 @@ def double_counting_check(
     what makes the covering bound well defined. Requires a measure that
     depends only on the first-order joint type.
     """
-    if not spec.first_order_only:
-        raise PreconditionError("double counting needs a joint-type-based measure")
+    _require_joint_type(spec)
     if repro_class.distribution.n != source_class.distribution.n:
         raise PreconditionError("classes must share the block length")
-    cover = _cover_matrix(source_class, level, spec)
+    cover = sphere_rows(source_class.members, level, spec)
     return _double_count(cover, source_class, repro_class, spec.repro_size)
 
 
@@ -159,8 +151,7 @@ def _double_count(
     cover: np.ndarray, source_class: TypeClass, repro_class: TypeClass, repro_size: int
 ) -> DoubleCountingResult:
     """The identity on a cover matrix, read at the repro-class columns."""
-    columns = [block_index(xh, repro_size) for xh in repro_class.members]
-    cover = cover[:, columns]
+    cover = cover[:, block_indices(repro_class.members, repro_size)]
     forward = cover.sum(axis=1).tolist()
     reverse = cover.sum(axis=0).tolist()
     constant_forward = len(set(forward)) == 1
@@ -210,16 +201,10 @@ class ConverseBoundReport:
         return None if self.best_cover_class is None else self.best_cover_class.distribution
 
 
-def _require_joint_type(spec: DistortionSpec, source_class=None, table=None) -> None:
-    """Refuse a measure the covering bounds cannot use and, when a table is
-    given, a table the class's sphere masses cannot be read from."""
+def _require_joint_type(spec: DistortionSpec) -> None:
+    """Refuse a measure the covering bounds cannot use."""
     if not spec.first_order_only:
         raise PreconditionError("covering bounds need a joint-type-based measure")
-    if table is not None:
-        if source_class.distribution.n != table.n:
-            raise PreconditionError("block length does not match the table")
-        if spec.repro_size != table.alphabet_size:
-            raise PreconditionError("reproduction alphabet does not match the table")
 
 
 def covering_lower_bound(
@@ -233,7 +218,7 @@ def covering_lower_bound(
     matrix at that type's class, before returning; that class is reported.
     """
     _require_joint_type(spec)
-    return _covering(_cover_matrix(source_class, level, spec), source_class, spec)
+    return _covering(sphere_rows(source_class.members, level, spec), source_class, spec)
 
 
 def _covering(
@@ -277,7 +262,7 @@ def greedy_cover(source_class: TypeClass, level, spec: DistortionSpec) -> Greedy
     Candidates are all reproduction blocks in lexicographic order; ties go to
     the earlier candidate, so the result is deterministic.
     """
-    return _greedy(_cover_matrix(source_class, level, spec), source_class, spec)
+    return _greedy(sphere_rows(source_class.members, level, spec), source_class, spec)
 
 
 def _greedy(cover: np.ndarray, source_class: TypeClass, spec: DistortionSpec) -> GreedyCover:
@@ -395,9 +380,10 @@ def converse_length_bound(
     members after the slack, a quantity reported with its sign intact. All of
     it is read off one cover matrix of the class.
     """
-    _require_joint_type(spec, source_class, table)
+    _require_joint_type(spec)
+    table.require_fit(source_class.distribution.n, spec.repro_size)
     return _length_bound(
-        _cover_matrix(source_class, level, spec), source_class, spec, epsilon, table
+        sphere_rows(source_class.members, level, spec), source_class, spec, epsilon, table
     )
 
 
@@ -413,22 +399,19 @@ def _length_bound(
     report = _covering(cover, source_class, spec)
     n, order = source_class.distribution.n, source_class.distribution.order
     terms = length_slack_terms(n, spec.source_size, spec.repro_size, order)
+    delta = terms["delta_per_symbol"]
     mass_bits = row_mass(cover[0], table).neg_log2_mass()
-    bound = mass_bits - n * terms["delta_per_symbol"] - epsilon * math.log2(n)
+    bound = mass_bits - n * delta - epsilon * math.log2(n)
 
     slack = math.inf
     if report.best_cover_class is not None:
+        # the gap falls as the parse length grows: the longest member sets it
         repro_class = report.best_cover_class
-        log_size = math.log2(repro_class.cardinality)
-        for member in repro_class.members:
-            bits = table.bit_length_of(member)
-            gap = log_size - (bits - n * terms["delta_per_symbol"])
-            slack = min(slack, gap)
-    return ConverseBoundReport(
-        min_codebook_size=report.min_codebook_size,
-        best_cover_class=report.best_cover_class,
-        max_covered=report.max_covered,
-        delta_per_symbol=terms["delta_per_symbol"],
+        bits = table.bits[block_indices(repro_class.members, spec.repro_size)]
+        slack = math.log2(repro_class.cardinality) - (int(bits.max()) - n * delta)
+    return replace(
+        report,
+        delta_per_symbol=delta,
         base_slack_per_symbol=terms["base_slack"],
         tree_nodes=terms["tree_nodes"],
         epsilon=epsilon,

@@ -128,21 +128,25 @@ def enumerate_blocks(n: int, alphabet_size: int) -> Iterator[Block]:
         yield Block(tup)
 
 
-def block_index(block: Block, alphabet_size: int) -> int:
-    """Position of the block in the lexicographic order of enumerate_blocks.
+def block_indices(blocks, alphabet_size: int) -> np.ndarray:
+    """Positions of equal-length blocks in the lexicographic order of
+    enumerate_blocks, as an int64 array (inverse of blocks_at).
 
-    That position is the block read as a base-K number, first symbol most
-    significant.
+    A position is the block read as a base-K number, first symbol most
+    significant. Callers hold a table or a cover matrix over all K^n blocks,
+    so K^n is within the cap and every position fits in int64.
     """
-    block.validate(alphabet_size)
-    i = 0
-    for s in block.symbols:
-        i = i * alphabet_size + s
-    return i
+    rows = [b.symbols for b in blocks]
+    symbols = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)
+    if symbols.size and symbols.max() >= alphabet_size:
+        raise PreconditionError(
+            f"symbol index {symbols.max()} out of range for alphabet of size {alphabet_size}"
+        )
+    return symbols @ alphabet_size ** np.arange(symbols.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 def blocks_at(indices, n: int, alphabet_size: int) -> list[Block]:
-    """The blocks at the given lexicographic positions (inverse of block_index)."""
+    """The blocks at the given lexicographic positions (inverse of block_indices)."""
     idx = np.asarray(indices, dtype=np.int64)
     powers = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     digits = (idx[:, None] // powers) % alphabet_size

@@ -34,7 +34,6 @@ from .codec import (
     index_code_length,
 )
 from .converse import (
-    _cover_matrix,
     _greedy,
     _length_bound,
     _require_joint_type,
@@ -43,10 +42,10 @@ from .converse import (
     shortest_first_lengths,
 )
 from .core import Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks
-from .distortion import distortion, spec_from_json
+from .distortion import distortion, spec_from_json, sphere_rows
 from .errors import PreconditionError
 from .lz78 import lz_parse
-from .universal import build_universal_table
+from .universal import build_universal_table, require_seed
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -204,6 +203,8 @@ class ExperimentConfig:
             seeds = [derive_seed(self.master_seed, i) for i in range(self.trials)]
         if not seeds:
             raise PreconditionError("an experiment needs at least one seed")
+        for seed in seeds:
+            require_seed(seed)
         return list(seeds)
 
     def stream(self, seed: int, table=None) -> CodebookStream:
@@ -632,7 +633,7 @@ def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
     _require_joint_type(spec)
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     source_class = enumerate_type_class(source_type)
-    cover = _cover_matrix(source_class, cfg.level, spec)
+    cover = sphere_rows(source_class.members, cfg.level, spec)
     rep = _length_bound(cover, source_class, spec, cfg.epsilon, table)
     greedy = _greedy(cover, source_class, spec)
     lengths = shortest_first_lengths(greedy.size)

@@ -219,10 +219,7 @@ def min_lz_in_sphere(
     x: Block, level, spec: DistortionSpec, table: UniversalTable
 ) -> tuple[int, Block]:
     """Shortest parse code inside the sphere around x; lexicographic tie-break."""
-    if x.n != table.n:
-        raise PreconditionError("block length does not match the table")
-    if spec.repro_size != table.alphabet_size:
-        raise PreconditionError("reproduction alphabet does not match the table")
+    table.require_fit(x.n, spec.repro_size)
     inside = np.flatnonzero(sphere_indicator(x, level, spec))
     if not inside.size:
         raise InfeasibleError("the distortion sphere is empty")

@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
 
-from .core import Block, block_index, blocks_at, check_enumerable, enumerate_blocks
+from .core import Block, block_indices, blocks_at, check_enumerable, enumerate_blocks
 from .distortion import _INT64_MAX, DistortionSpec, distortion, sphere_indicator
 from .errors import CapacityError, PreconditionError
 from . import lz78
@@ -95,10 +96,16 @@ class UniversalTable:
         """Exact total weight; at most 1 by the Kraft inequality."""
         return Fraction(self._total, 1 << self.max_bits)
 
-    def bit_length_of(self, block: Block) -> int:
-        if block.n != self.n:
+    def require_fit(self, n: int, alphabet_size: int) -> None:
+        """Refuse blocks of another length or alphabet than the table's."""
+        if n != self.n:
             raise PreconditionError("block length does not match the table")
-        return int(self.bits[block_index(block, self.alphabet_size)])
+        if alphabet_size != self.alphabet_size:
+            raise PreconditionError("reproduction alphabet does not match the table")
+
+    def bit_length_of(self, block: Block) -> int:
+        self.require_fit(block.n, self.alphabet_size)
+        return int(self.bits[block_indices([block], self.alphabet_size)[0]])
 
     def prob(self, block: Block) -> Fraction:
         """Exact normalized probability of one block."""
@@ -232,10 +239,7 @@ class SphereMass:
 
 def sphere_mass(x: Block, level, spec: DistortionSpec, table: UniversalTable) -> SphereMass:
     """Exact mass, size, and minimum code length of the sphere around x."""
-    if x.n != table.n:
-        raise PreconditionError("block length does not match the table")
-    if spec.repro_size != table.alphabet_size:
-        raise PreconditionError("reproduction alphabet does not match the table")
+    table.require_fit(x.n, spec.repro_size)
     return row_mass(sphere_indicator(x, level, spec), table)
 
 
@@ -252,6 +256,13 @@ def row_mass(row: np.ndarray, table: UniversalTable) -> SphereMass:
     )
 
 
+def require_seed(seed: int) -> None:
+    """Refuse a negative seed: random.Random seeds by the absolute value, so
+    -s would replay the stream of s."""
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
+
+
 class _ExactSampler:
     """Seeded stream of table indices drawn i.i.d. with their exact probabilities.
 
@@ -264,6 +275,7 @@ class _ExactSampler:
     """
 
     def __init__(self, table: UniversalTable, seed: int):
+        require_seed(seed)
         self._cum = table._cumulative
         self.table = table
         self.rng = random.Random(seed)
@@ -303,6 +315,7 @@ class _BitfeedSampler:
     """Fair bits from random.Random(seed) fed into the phrase decoder loop."""
 
     def __init__(self, n: int, alphabet_size: int, seed: int):
+        require_seed(seed)
         self.n = n
         self.alphabet_size = alphabet_size
         self.rng = random.Random(seed)
@@ -428,9 +441,7 @@ def estimate_sphere_mass(
     hits = sum(distortion(x, sampler.draw(), spec) <= budget for _ in range(trials))
     p = hits / trials
     # Wilson score interval
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + confidence / 2))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2)
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))

@@ -128,6 +128,22 @@ def test_negative_sample_count_is_refused_before_any_table(capsys, monkeypatch, 
     }
 
 
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_negative_sample_seed_is_refused_before_any_table(capsys, monkeypatch, mode):
+    def no_table(*args):
+        raise AssertionError("build_universal_table was called")
+
+    monkeypatch.setattr(unirdc.universal, "build_universal_table", no_table)
+    code, out = invoke(
+        capsys, "sample", "--alphabet", "01", "--n", "20", "--count", "3",
+        "--seed", "-7", "--mode", mode,
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {"code": "precondition", "message": "seed must be non-negative"}
+    }
+
+
 def test_sphere_mass_output(tmp_path, capsys):
     p = tmp_path / "blocks.txt"
     p.write_text("0000\n")
@@ -218,6 +234,32 @@ def test_rd_curve_with_mass_column(capsys):
     t = build_universal_table(6, 2, "plain")
     m = sphere_mass(BINARY.to_block("010101"), Fraction(1, 4), hamming(BINARY), t)
     assert float(val) == pytest.approx(m.neg_log2_mass() / 6)
+
+
+@pytest.mark.parametrize(
+    "grid, digest",
+    [
+        ("1/10:3/10:1/10", "fd10059ff33d4707f27f6fb05b31edb3ca2f9699e83d6a15dcbd2d70c792aedf"),
+        ("0:1/2:1/20", "f0148af32c7acab05bc3fa7402be947d569993b832a48f4401806d02d276c408"),
+        ("1/7:9/10:3/22", "911e61261a157d364219fb3ab2135f963a71afe92085954a5bae09ed4c6ff834"),
+    ],
+)
+def test_rd_curve_grid_output_is_pinned(capsys, grid, digest):
+    code, out = invoke(
+        capsys, "rd-curve", "--alphabet", "01", "--grid", grid, "--source", "010110"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_huge_rd_curve_grid_is_refused_before_any_point(capsys, monkeypatch):
+    def no_point(*args):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(unirdc.reference, "blahut_arimoto", no_point)
+    code, out = invoke(capsys, "rd-curve", "--alphabet", "01", "--grid", "0:1e9:1e-9")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "enumeration_cap"
 
 
 def test_rd_curve_bad_source_dist_is_precondition_error(capsys):

@@ -385,6 +385,26 @@ def test_type_log_size_slack_nonnegative_default_convention():
                     assert log_size >= lz_bit_length(xh, 2) - n * delta
 
 
+@pytest.mark.parametrize(
+    "k, n, order",
+    [(2, n, 1) for n in range(2, 9)] + [(2, n, 2) for n in (2, 4, 6, 8)] + [(3, 4, 1)],
+)
+def test_type_log_size_slack_is_the_least_member_gap(k, n, order):
+    # the report's closed form against the gap of every best-cover-class member
+    alphabet = Alphabet("012"[:k])
+    spec = hamming(alphabet)
+    table = build_universal_table(n, k, "plain")
+    for level in (Fraction(0), Fraction(1, n), Fraction(1, 2)):
+        for tc in all_type_classes(n, order, k):
+            rep = converse_length_bound(tc, level, spec, 1.0, table)
+            best = rep.best_cover_class
+            want = min(
+                math.log2(best.cardinality) - (lz_bit_length(xh, k) - n * rep.delta_per_symbol)
+                for xh in best.members
+            )
+            assert rep.type_log_size_slack == want
+
+
 def test_converse_length_bound_report():
     t = build_universal_table(6, 2, "plain")
     tc = enumerate_type_class(empirical_distribution(BINARY.to_block("010101"), 1))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from unirdc import (
     read_blocks,
     write_blocks,
 )
+from unirdc.core import block_indices, blocks_at
 
 
 def test_alphabet_basics():
@@ -55,6 +57,20 @@ def test_enumerate_blocks_lexicographic():
     assert blocks == [Block((0, 0)), Block((0, 1)), Block((1, 0)), Block((1, 1))]
     assert len(list(enumerate_blocks(3, 3))) == 27
     assert list(enumerate_blocks(0, 2)) == [Block(())]
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (5, 3)])
+def test_block_indices_invert_blocks_at(n, k):
+    everything = np.arange(k**n)
+    got = block_indices(blocks_at(everything, n, k), k)
+    assert got.dtype == np.int64
+    assert got.tolist() == everything.tolist()
+    assert block_indices([], k).tolist() == []
+
+
+def test_block_indices_refuse_a_symbol_outside_the_alphabet():
+    with pytest.raises(PreconditionError, match="out of range"):
+        block_indices([Block((0, 1)), Block((2, 0))], 2)
 
 
 def test_enumeration_cap_env(monkeypatch):

@@ -209,7 +209,7 @@ def test_achievability_csv_is_pinned(jobs):
 
 @pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
 def test_sweep_builds_each_sphere_row_once(monkeypatch, run):
-    calls = _count_sphere_rows(monkeypatch, "unirdc.codec")
+    calls = _count_sphere_rows(monkeypatch, ("unirdc.codec",))
     counts = []
     for trials in (20, 60):
         calls.clear()
@@ -253,6 +253,16 @@ def test_bad_base_is_refused_before_the_sweep(monkeypatch, run, base):
     monkeypatch.setattr(experiments, "_sweep", lambda *args: swept.append(args))
     with pytest.raises(PreconditionError):
         run(ExperimentConfig(n=4, level=Fraction(1, 4), trials=3, base=base))
+    assert swept == []
+
+
+@pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
+def test_negative_seed_is_refused_before_the_sweep(monkeypatch, run):
+    # Random(-3) seeds like Random(3), so [3, -3] would count one codebook twice
+    swept = []
+    monkeypatch.setattr(experiments, "_sweep_chunk", lambda *args, **kw: swept.append(args))
+    with pytest.raises(PreconditionError, match="seed must be non-negative"):
+        run(ExperimentConfig(n=4, level=Fraction(1, 4), seeds=(3, -3)))
     assert swept == []
 
 
@@ -412,12 +422,12 @@ def test_converse_experiment_pinned_reports(kwargs, expected):
             assert getattr(rep, name) == value, name
 
 
-def _count_sphere_rows(monkeypatch, caller="unirdc.converse"):
-    """The center of every sphere row built through caller's sphere_rows or
-    through distortion.sphere_rows, which sphere_indicator (and so
+def _count_sphere_rows(monkeypatch, callers=("unirdc.converse", "unirdc.experiments")):
+    """The center of every sphere row built through the callers' sphere_rows
+    or through distortion.sphere_rows, which sphere_indicator (and so
     sphere_mass) calls."""
     calls = []
-    for module in (caller, "unirdc.distortion"):
+    for module in (*callers, "unirdc.distortion"):
         module = importlib.import_module(module)
         original = module.sphere_rows
 

@@ -25,6 +25,7 @@ from unirdc import (
     kraft_sum,
     lz_bit_length,
     lz_capped_length,
+    min_lz_in_sphere,
     per_letter,
     sample_bitfeed,
     sample_exact,
@@ -103,6 +104,23 @@ def test_bit_length_of_matches_dict_lookup():
             assert t.bit_length_of(b) == t.bits[index[b]]
         with pytest.raises(PreconditionError):
             t.bit_length_of(BINARY.to_block("0" * (n + 1)))
+
+
+@pytest.mark.parametrize(
+    "n, k, message", [(5, 2, "block length"), (4, 3, "reproduction alphabet")]
+)
+def test_every_table_reader_refuses_a_table_that_does_not_fit(n, k, message):
+    x = BINARY.to_block("0101")
+    t = build_universal_table(n, k, "plain")
+    with pytest.raises(PreconditionError, match=message):
+        t.require_fit(x.n, 2)
+    with pytest.raises(PreconditionError, match=message):
+        sphere_mass(x, Fraction(1, 4), HAMMING, t)
+    with pytest.raises(PreconditionError, match=message):
+        min_lz_in_sphere(x, Fraction(1, 4), HAMMING, t)
+    if message == "block length":
+        with pytest.raises(PreconditionError, match=message):
+            t.bit_length_of(x)
 
 
 def test_table_is_immutable():
@@ -350,6 +368,19 @@ def test_estimate_interval_and_errors():
     assert est.low <= est.estimate <= est.high
     with pytest.raises(PreconditionError):
         estimate_sphere_mass(x, Fraction(1, 4), HAMMING, seed=4, trials=0)
+
+
+def test_negative_seeds_are_refused():
+    # random.Random(-s) seeds like Random(s), so -s would replay the stream of s
+    x = BINARY.to_block("0101")
+    t = build_universal_table(4, 2, "plain")
+    for call in (
+        lambda: estimate_sphere_mass(x, Fraction(1, 4), HAMMING, seed=-4, trials=10),
+        lambda: sample_exact(t, -7, 3),
+        lambda: sample_bitfeed(4, 2, -7, 3),
+    ):
+        with pytest.raises(PreconditionError, match="seed must be non-negative"):
+            call()
 
 
 @pytest.mark.xfail(
