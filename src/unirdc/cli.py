@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import codec, converse, experiments, lz78, reference, universal
-from .core import Alphabet, check_enumerable, read_blocks
+from .core import Alphabet, check_enumerable, parse_rational, read_blocks
 from .distortion import (
     hamming,
     load_spec,
@@ -28,10 +28,7 @@ from .errors import PreconditionError, UnirdcError
 
 
 def _parse_level(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"cannot parse distortion level {text!r} as a rational")
+    return parse_rational(text, f"cannot parse distortion level {text!r} as a rational")
 
 
 def _parse_json(text: str, what: str):
@@ -230,10 +227,8 @@ def _parse_grid(text: str) -> list[Fraction]:
 
 
 def _parse_dist_vector(text: str, size: int) -> list[Fraction]:
-    try:
-        parts = [Fraction(p) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"cannot parse source distribution {text!r} as rationals")
+    error = f"cannot parse source distribution {text!r} as rationals"
+    parts = [parse_rational(p, error) for p in text.split(",")]
     if len(parts) != size or sum(parts) != 1 or any(p < 0 for p in parts):
         raise PreconditionError("source distribution must be a probability vector")
     return parts

@@ -324,7 +324,7 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
     _refuse_uncodable(distinct[group:], level, spec)
     first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
     for lo in range(0, len(distinct), group):
-        rows = sphere_rows(distinct[lo : lo + group], level, spec)
+        rows = sphere_rows(np.array([x.symbols for x in distinct[lo : lo + group]]), level, spec)
         if not rows.any(axis=1).all():
             raise UncodableInputError("no reproduction block meets the budget")
         if weighed is not None:

@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -62,44 +63,49 @@ def multinomial(total: int, counts) -> int:
 
 @dataclass(frozen=True)
 class TypeClass:
-    """All blocks sharing one aligned-chunk empirical distribution."""
+    """All blocks sharing one aligned-chunk empirical distribution, one per
+    row of symbols in lexicographic order. Classes compare and hash by their
+    distributions; members builds the Blocks on first use."""
 
     distribution: EmpiricalDistribution
-    members: tuple[Block, ...]
+    symbols: np.ndarray = field(compare=False, repr=False)
 
     @property
     def cardinality(self) -> int:
-        return len(self.members)
+        return len(self.symbols)
+
+    @cached_property
+    def members(self) -> tuple[Block, ...]:
+        return tuple(map(Block, self.symbols.tolist()))
 
 
 def enumerate_type_class(dist: EmpiricalDistribution) -> TypeClass:
     """Materialize the class of a chunk distribution, in lexicographic order.
 
-    The members are the distinct orderings of the sorted chunk list, walked by
-    the standard next-permutation step, so no class is too long to list.
+    One chunk position at a time, every prefix is extended by each chunk kind
+    it has left, in sorted order, and the members are read back from each
+    position's picks through their parent prefixes.
     """
     if dist.is_joint:
         raise PreconditionError("type classes are built from single-block distributions")
     size = multinomial(dist.n // dist.order, dist.counts.values())
     check_enumerable(size, "type class")
-    chunks = sorted(chunk for chunk, count in dist.counts.items() for _ in range(count))
-    members = []
-    while True:
-        members.append(Block(tuple(s for chunk in chunks for s in chunk)))
-        # the rightmost ascent, swapped with the last chunk above it; the
-        # descending tail after it is then reversed into ascending order
-        i = len(chunks) - 2
-        while i >= 0 and chunks[i] >= chunks[i + 1]:
-            i -= 1
-        if i < 0:
-            break
-        j = len(chunks) - 1
-        while chunks[j] <= chunks[i]:
-            j -= 1
-        chunks[i], chunks[j] = chunks[j], chunks[i]
-        chunks[i + 1 :] = reversed(chunks[i + 1 :])
-    assert len(members) == size
-    return TypeClass(distribution=dist, members=tuple(members))
+    kinds = sorted(chunk for chunk, count in dist.counts.items() if count)
+    narrow = np.min_scalar_type(size), np.min_scalar_type(len(kinds))
+    left, levels = np.array([[dist.counts[c] for c in kinds]]), []
+    for _ in range(dist.n // dist.order):
+        parent, pick = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(len(parent)), pick] -= 1
+        levels.append((parent.astype(narrow[0]), pick.astype(narrow[1])))
+    picks, at = np.empty((size, len(levels)), dtype=narrow[1]), np.arange(size)
+    for depth in reversed(range(len(levels))):
+        parent, pick = levels[depth]
+        picks[:, depth], at = pick[at], parent[at]
+    chunks = np.array(kinds, dtype=np.min_scalar_type(max(map(max, kinds), default=0)))
+    symbols = chunks[picks].reshape(size, dist.n)
+    symbols.flags.writeable = False  # members, once built, must keep matching it
+    return TypeClass(distribution=dist, symbols=symbols)
 
 
 def all_type_classes(n: int, order: int, alphabet_size: int) -> list[TypeClass]:
@@ -143,7 +149,7 @@ def double_counting_check(
     _require_joint_type(spec)
     if repro_class.distribution.n != source_class.distribution.n:
         raise PreconditionError("classes must share the block length")
-    cover = sphere_rows(source_class.members, level, spec)
+    cover = sphere_rows(source_class.symbols, level, spec)
     return _double_count(cover, source_class, repro_class, spec.repro_size)
 
 
@@ -151,7 +157,7 @@ def _double_count(
     cover: np.ndarray, source_class: TypeClass, repro_class: TypeClass, repro_size: int
 ) -> DoubleCountingResult:
     """The identity on a cover matrix, read at the repro-class columns."""
-    cover = cover[:, block_indices(repro_class.members, repro_size)]
+    cover = cover[:, block_indices(repro_class.symbols, repro_size)]
     forward = cover.sum(axis=1).tolist()
     reverse = cover.sum(axis=0).tolist()
     constant_forward = len(set(forward)) == 1
@@ -218,7 +224,7 @@ def covering_lower_bound(
     matrix at that type's class, before returning; that class is reported.
     """
     _require_joint_type(spec)
-    return _covering(sphere_rows(source_class.members, level, spec), source_class, spec)
+    return _covering(sphere_rows(source_class.symbols, level, spec), source_class, spec)
 
 
 def _covering(
@@ -262,22 +268,20 @@ def greedy_cover(source_class: TypeClass, level, spec: DistortionSpec) -> Greedy
     Candidates are all reproduction blocks in lexicographic order; ties go to
     the earlier candidate, so the result is deterministic.
     """
-    return _greedy(sphere_rows(source_class.members, level, spec), source_class, spec)
+    return _greedy(sphere_rows(source_class.symbols, level, spec), source_class, spec)
 
 
 def _greedy(cover: np.ndarray, source_class: TypeClass, spec: DistortionSpec) -> GreedyCover:
     """The greedy cover read off a cover matrix of the class."""
-    members = source_class.members
     uncoverable = np.flatnonzero(~cover.any(axis=1))
     if uncoverable.size:
-        j = int(uncoverable[-1])
+        member = source_class.members[int(uncoverable[-1])]
         raise UncoverableError(
-            f"member {members[j].symbols} is outside every candidate sphere",
-            member=members[j],
+            f"member {member.symbols} is outside every candidate sphere", member=member
         )
     # covered[i] counts the still uncovered members that candidate i covers
     covered = cover.sum(axis=0)
-    uncovered = np.ones(len(members), dtype=bool)
+    uncovered = np.ones(source_class.cardinality, dtype=bool)
     chosen, gains = [], []
     while uncovered.any():
         i = int(covered.argmax())
@@ -383,7 +387,7 @@ def converse_length_bound(
     _require_joint_type(spec)
     table.require_fit(source_class.distribution.n, spec.repro_size)
     return _length_bound(
-        sphere_rows(source_class.members, level, spec), source_class, spec, epsilon, table
+        sphere_rows(source_class.symbols, level, spec), source_class, spec, epsilon, table
     )
 
 
@@ -407,7 +411,7 @@ def _length_bound(
     if report.best_cover_class is not None:
         # the gap falls as the parse length grows: the longest member sets it
         repro_class = report.best_cover_class
-        bits = table.bits[block_indices(repro_class.members, spec.repro_size)]
+        bits = table.bits[block_indices(repro_class.symbols, spec.repro_size)]
         slack = math.log2(repro_class.cardinality) - (int(bits.max()) - n * delta)
     return replace(
         report,

@@ -7,6 +7,7 @@ exact Fractions, so equality between distributions is exact.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,30 @@ def _count_text(count: int) -> str:
     if count < 10**18:
         return str(count)
     return f"at least 2^{count.bit_length() - 1}"
+
+
+_INT_DIGITS = 4300  # Python's own limit on the digits of an int read from text
+_INT_LIMIT = 10**_INT_DIGITS  # worked out once: it takes tens of microseconds
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
+
+
+def parse_rational(value, error: str) -> Fraction:
+    """value (a str, int, float or Fraction) as an exact Fraction, or
+    PreconditionError(error). A numerator, denominator or decimal exponent
+    beyond Python's int-string limit is refused too: no report could print
+    it, and the exponent is refused before it is expanded."""
+    beyond = f"{error}: beyond the {_INT_DIGITS}-digit limit"
+    if isinstance(value, str) and (exponent := _EXPONENT.search(value)):
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_INT_DIGITS)) or int(digits or 0) > _INT_DIGITS:
+            raise PreconditionError(beyond)
+    try:
+        f = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise PreconditionError(error)
+    if max(abs(f.numerator), f.denominator) >= _INT_LIMIT:
+        raise PreconditionError(beyond)
+    return f
 
 
 @dataclass(frozen=True)
@@ -128,16 +153,14 @@ def enumerate_blocks(n: int, alphabet_size: int) -> Iterator[Block]:
         yield Block(tup)
 
 
-def block_indices(blocks, alphabet_size: int) -> np.ndarray:
-    """Positions of equal-length blocks in the lexicographic order of
-    enumerate_blocks, as an int64 array (inverse of blocks_at).
+def block_indices(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Positions of the (count x n) symbol array's rows in the lexicographic
+    order of enumerate_blocks, as an int64 array (inverse of blocks_at).
 
-    A position is the block read as a base-K number, first symbol most
+    A position is the row read as a base-K number, first symbol most
     significant. Callers hold a table or a cover matrix over all K^n blocks,
     so K^n is within the cap and every position fits in int64.
     """
-    rows = [b.symbols for b in blocks]
-    symbols = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 0)
     if symbols.size and symbols.max() >= alphabet_size:
         raise PreconditionError(
             f"symbol index {symbols.max()} out of range for alphabet of size {alphabet_size}"

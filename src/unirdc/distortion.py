@@ -26,6 +26,7 @@ from .core import (
     check_enumerable,
     enumerate_blocks,
     joint_empirical_distribution,
+    parse_rational,
 )
 from .errors import PreconditionError
 
@@ -59,11 +60,8 @@ def _exact(value):
     if isinstance(value, int):
         return value
     if isinstance(value, (Fraction, float, str)):
-        try:
-            # a float goes through its shortest repr, so 0.1 stays 1/10
-            f = Fraction(str(value) if isinstance(value, float) else value)
-        except (ValueError, ZeroDivisionError):
-            raise PreconditionError(f"matrix entry {value!r} is not a finite rational")
+        text = str(value) if isinstance(value, float) else value  # so 0.1 stays 1/10
+        f = parse_rational(text, f"matrix entry {value!r} is not a finite rational")
         return int(f) if f.denominator == 1 else f
     raise PreconditionError(f"cannot interpret matrix entry {value!r}")
 
@@ -174,13 +172,13 @@ def _budget(n: int, level) -> Fraction:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _fold(table: np.ndarray, letters: list[tuple[int, ...]]) -> np.ndarray:
+def _fold(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """(len(letters), K^L) totals: row j holds the total cost of every block
     of L letters, in lexicographic order, against the L letters letters[j].
     Row a of table holds the cost of each enumerated letter facing letter a;
-    one position is folded in at a time, for every row at once."""
+    one column of letters is folded in at a time, for every row at once."""
     totals = np.zeros((len(letters), 1), dtype=table.dtype)
-    for column in np.array(letters, dtype=np.intp).T:
+    for column in letters.T:
         totals = (totals[:, :, None] + table[column][:, None, :]).reshape(len(letters), -1)
     return totals
 
@@ -188,11 +186,11 @@ def _fold(table: np.ndarray, letters: list[tuple[int, ...]]) -> np.ndarray:
 def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> np.ndarray:
     """Sphere membership of every block around each center, one row per center.
 
+    centers is a (count x n) integer array, one center's symbols per row.
     Entry (r, i) is True when the block with the base-K digits of i lies
     within total distortion n * level of centers[r]. The enumerated blocks are
     reproductions around source centers, or with reverse=True sources around
-    reproduction centers. The centers share one length n. A negative level
-    gives empty spheres.
+    reproduction centers. A negative level gives empty spheres.
 
     Per-letter matrices fold spec.scaled in integers: the first h = n // 2
     letters of a center over the K^h heads and the others over the K^(n-h)
@@ -203,22 +201,23 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     a whole block is ever formed. Joint-type and callable kinds take one
     exact scalar pass per center.
     """
-    centers = list(centers)
-    if not centers:
+    if not len(centers):
         raise PreconditionError("need at least one sphere center")
-    n = centers[0].n
+    count, n = centers.shape
     if n == 0:
         raise PreconditionError("blocks must be nonempty")
-    for c in centers:
-        if c.n != n:
-            raise PreconditionError("sphere centers must have equal length")
-        c.validate(spec.repro_size if reverse else spec.source_size)
+    size = spec.repro_size if reverse else spec.source_size
+    outside = centers[(centers < 0) | (centers >= size)]
+    if outside.size:
+        raise PreconditionError(
+            f"symbol index {outside[0]} out of range for alphabet of size {size}"
+        )
     k = spec.source_size if reverse else spec.repro_size
     check_enumerable(k**n, "sphere scan")
     budget = n * Fraction(level)
-    rows = np.zeros((len(centers), k**n), dtype=bool)
+    rows = np.zeros((count, k**n), dtype=bool)
     if spec.kind != PER_LETTER:
-        for row, c in zip(rows, centers):
+        for row, c in zip(rows, map(Block, centers.tolist())):
             pairs = ((b, c) if reverse else (c, b) for b in enumerate_blocks(n, k))
             row[:] = np.fromiter(
                 (distortion(x, xhat, spec) <= budget for x, xhat in pairs),
@@ -237,12 +236,10 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     # 2.0 may not subtract from a larger Python int exactly
     threshold = min(threshold, top)
     h = n // 2
-    rooms = threshold - _fold(table, [c.symbols[:h] for c in centers])
-    totals = _fold(table, [c.symbols[h:] for c in centers])
+    rooms = threshold - _fold(table, centers[:, :h])
+    totals = _fold(table, centers[:, h:])
     np.less_equal(
-        totals[:, None, :],
-        rooms[:, :, None],
-        out=rows.reshape(len(centers), k**h, k ** (n - h)),
+        totals[:, None, :], rooms[:, :, None], out=rows.reshape(count, k**h, k ** (n - h))
     )
     return rows
 
@@ -251,8 +248,8 @@ def sphere_indicator(
     center: Block, level, spec: DistortionSpec, reverse: bool = False
 ) -> np.ndarray:
     """Sphere membership of every block around one center, in lexicographic
-    order: the one row of sphere_rows([center], ...)."""
-    return sphere_rows([center], level, spec, reverse)[0]
+    order: the one row of sphere_rows over its symbols."""
+    return sphere_rows(np.array([center.symbols]), level, spec, reverse)[0]
 
 
 def enumerate_sphere(x: Block, level, spec: DistortionSpec) -> list[Block]:

@@ -41,7 +41,9 @@ from .converse import (
     short_codeword_count,
     shortest_first_lengths,
 )
-from .core import Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks
+from .core import (
+    Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks, parse_rational
+)
 from .distortion import distortion, spec_from_json, sphere_rows
 from .errors import PreconditionError
 from .lz78 import lz_parse
@@ -281,10 +283,9 @@ class ExperimentConfig:
                     _check_json_type(f"{name} entry", item, item_types)
                 data[name] = tuple(data[name])
         if "level" in data:
-            try:
-                data["level"] = Fraction(data["level"])
-            except (ValueError, ZeroDivisionError, OverflowError):
-                raise PreconditionError(f"cannot parse config level {data['level']!r}")
+            data["level"] = parse_rational(
+                data["level"], f"cannot parse config level {data['level']!r}"
+            )
         return cls(**data)
 
 
@@ -389,7 +390,7 @@ class AchievabilityReport:
         return out.getvalue()
 
 
-def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
+def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     """Worker: the first-hit index of every source under every seed of a chunk.
 
     Returns an int64 (seeds x sources) array of indices, 0 for an escape, a
@@ -400,7 +401,6 @@ def _sweep_chunk(cfg_json: str, seeds: list[int], round_trip: bool):
     once for the whole chunk, and its mass is read off that row. A source
     with an empty sphere raises UncodableInputError before any draw.
     """
-    cfg = ExperimentConfig.from_json(cfg_json)
     spec = cfg.spec()
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     sources = cfg.sources()
@@ -428,12 +428,12 @@ def _sweep(cfg: ExperimentConfig, round_trip: bool):
     worker = partial(_sweep_chunk, round_trip=round_trip)
     workers = min(cfg.jobs, len(seeds), os.cpu_count() or 1)
     if workers <= 1:
-        results = [worker(cfg.to_json(), seeds)]
+        results = [worker(cfg, seeds)]
     else:
         cuts = [len(seeds) * w // workers for w in range(workers + 1)]
         chunks = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, [cfg.to_json()] * workers, chunks))
+            results = list(pool.map(worker, [cfg] * workers, chunks))
     firsts, fails, masses = zip(*results)
     return np.concatenate(firsts), np.concatenate(fails), masses[0]
 
@@ -633,7 +633,7 @@ def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
     _require_joint_type(spec)
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     source_class = enumerate_type_class(source_type)
-    cover = sphere_rows(source_class.members, cfg.level, spec)
+    cover = sphere_rows(source_class.symbols, cfg.level, spec)
     rep = _length_bound(cover, source_class, spec, cfg.epsilon, table)
     greedy = _greedy(cover, source_class, spec)
     lengths = shortest_first_lengths(greedy.size)

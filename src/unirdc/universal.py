@@ -105,7 +105,7 @@ class UniversalTable:
 
     def bit_length_of(self, block: Block) -> int:
         self.require_fit(block.n, self.alphabet_size)
-        return int(self.bits[block_indices([block], self.alphabet_size)[0]])
+        return int(self.bits[block_indices(np.array([block.symbols]), self.alphabet_size)[0]])
 
     def prob(self, block: Block) -> Fraction:
         """Exact normalized probability of one block."""

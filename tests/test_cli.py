@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -724,3 +725,43 @@ def test_out_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
     written = {path for path, flags in opened if flags & (os.O_WRONLY | os.O_RDWR)}
     assert written == {str(text_out), str(container)}
     assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+
+_HUGE = "1e99999999"  # Fraction() would expand it into a 100-million-digit integer
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["level", "grid", "source_dist", "config_level", "matrix_entry", "printable_level"],
+)
+def test_huge_decimal_exponent_is_refused_at_once(tmp_path, capsys, where):
+    blocks = tmp_path / "b.txt"
+    blocks.write_text("0101\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "converse", "n": 4, "level": _HUGE}))
+    matrix = json.dumps({"kind": "per_letter_matrix", "matrix": [[0, _HUGE], [1, 0]]})
+    mass = ["sphere-mass", "--alphabet", "01", "--in", str(blocks)]
+    argv = {
+        "level": [*mass, "--D", _HUGE],
+        "grid": ["rd-curve", "--alphabet", "01", "--grid", f"0:{_HUGE}:1"],
+        "source_dist": ["rd-curve", "--alphabet", "01", "--grid", "0:1:1",
+                        "--source-dist", f"{_HUGE},0"],
+        "config_level": ["experiment", "--config", str(cfg)],
+        "matrix_entry": [*mass, "--dist", matrix, "--D", "1/4"],
+        # 10^4300 has 4301 digits: a report could not print it
+        "printable_level": ["converse-check", "--alphabet", "01", "--n", "4", "--D", "1e4300"],
+    }[where]
+    start = time.perf_counter()
+    code, out = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "precondition" and "4300-digit limit" in error["message"]
+
+
+def test_decimal_exponents_within_the_limit_still_parse(tmp_path, capsys):
+    blocks = tmp_path / "b.txt"
+    blocks.write_text("0101\n")
+    mass = ["sphere-mass", "--alphabet", "01", "--in", str(blocks), "--D"]
+    assert invoke(capsys, *mass, "2.5e-1") == invoke(capsys, *mass, "1/4")
+    assert invoke(capsys, *mass, "1e4299")[0] == 0

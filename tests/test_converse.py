@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from unirdc import (
     squared_disagreement,
     tree_node_count,
 )
-from unirdc.core import EmpiricalDistribution
+from unirdc.core import EmpiricalDistribution, block_indices
 
 AB = Alphabet("ab")
 HAMMING = hamming(BINARY)
@@ -51,7 +52,7 @@ def test_type_class_counting_oracles():
     assert enumerate_type_class(dist_of("aabb")).cardinality == 6
     assert enumerate_type_class(dist_of("abab", 2)).cardinality == 1
     assert enumerate_type_class(dist_of("aaabba", 2)).cardinality == 6
-    # a class of 1200 chunks is walked without recursion, in lexicographic order
+    # a class of 1200 chunks is listed, in lexicographic order
     long = enumerate_type_class(EmpiricalDistribution(1, 1200, {(0,): 1199, (1,): 1}))
     assert [m.symbols for m in long.members] == [
         (0,) * (1199 - j) + (1,) + (0,) * j for j in range(1200)
@@ -65,6 +66,32 @@ def test_type_class_members_consistent():
         assert empirical_distribution(m, 1) == tc.distribution
     # members are produced in lexicographic order
     assert [m.symbols for m in tc.members] == sorted(m.symbols for m in tc.members)
+
+
+@pytest.mark.parametrize("k, max_n, orders", [(2, 10, (1, 2)), (3, 6, (1, 2))])
+def test_type_class_symbols_are_the_members_positions(k, max_n, orders):
+    # each row of symbols is its member, read as a base-K number in the
+    # order of a lexicographic scan of all blocks
+    for order in orders:
+        for n in range(order, max_n + 1, order):
+            for tc in all_type_classes(n, order, k):
+                got = block_indices(tc.symbols, k)
+                want = [int("".join(map(str, m.symbols)), k) for m in tc.members]
+                assert got.tolist() == want
+                assert (np.diff(got) > 0).all()
+                assert tc.symbols.shape == (tc.cardinality, n)
+
+
+def test_type_class_compares_by_distribution():
+    p, q = enumerate_type_class(dist_of("aabb")), enumerate_type_class(dist_of("abab"))
+    assert p == q and hash(p) == hash(q)
+    assert p != enumerate_type_class(dist_of("abbb"))
+    assert "symbols" not in repr(p)
+    # members are built once, on first use, from rows that cannot change
+    assert p.members is p.members
+    assert [m.symbols for m in p.members] == [tuple(row) for row in p.symbols.tolist()]
+    with pytest.raises(ValueError):
+        p.symbols[0, 0] = 1
 
 
 def _grouped_type_classes(n, order, alphabet_size):

@@ -21,7 +21,7 @@ from unirdc import (
     read_blocks,
     write_blocks,
 )
-from unirdc.core import block_indices, blocks_at
+from unirdc.core import block_indices, blocks_at, parse_rational
 
 
 def test_alphabet_basics():
@@ -62,15 +62,15 @@ def test_enumerate_blocks_lexicographic():
 @pytest.mark.parametrize("n, k", [(8, 2), (5, 3)])
 def test_block_indices_invert_blocks_at(n, k):
     everything = np.arange(k**n)
-    got = block_indices(blocks_at(everything, n, k), k)
+    got = block_indices(np.array([b.symbols for b in blocks_at(everything, n, k)]), k)
     assert got.dtype == np.int64
     assert got.tolist() == everything.tolist()
-    assert block_indices([], k).tolist() == []
+    assert block_indices(np.zeros((0, n), dtype=np.uint8), k).tolist() == []
 
 
 def test_block_indices_refuse_a_symbol_outside_the_alphabet():
     with pytest.raises(PreconditionError, match="out of range"):
-        block_indices([Block((0, 1)), Block((2, 0))], 2)
+        block_indices(np.array([[0, 1], [2, 0]]), 2)
 
 
 def test_enumeration_cap_env(monkeypatch):
@@ -192,3 +192,24 @@ def test_read_write_blocks_round_trip():
 def test_binary_alias():
     assert BINARY.symbols == "01"
     assert BINARY.to_block("01").n == 2
+
+
+@pytest.mark.parametrize(
+    "text", ["1/4", " 3 ", "-2/6", "0.125", "2.5e-1", "1_000e-3", "1E2", "7e4299", "1e-4299", "0"]
+)
+def test_parse_rational_is_fraction_within_the_limit(text):
+    assert parse_rational(text, "bad") == Fraction(text)
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "", "1e", float("nan"), float("inf")])
+def test_parse_rational_refuses_what_is_not_a_finite_rational(value):
+    with pytest.raises(PreconditionError, match="^bad$"):
+        parse_rational(value, "bad")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e4301", "1E-4301", "1e1_0000", "1e99999999", "1e" + "9" * 5000, "1e4300", "12e4299"]
+)
+def test_parse_rational_refuses_digits_beyond_the_limit(text):
+    with pytest.raises(PreconditionError, match="^bad: beyond the 4300-digit limit$"):
+        parse_rational(text, "bad")

@@ -265,6 +265,11 @@ def _oracle_rows(centers, level, spec, reverse=False):
     )
 
 
+def _symbols(blocks):
+    """The blocks' symbols, one block per row: sphere_rows takes its centers so."""
+    return np.array([b.symbols for b in blocks])
+
+
 def _centers_sharing_halves(rng, n, size):
     """Every join of two heads of n // 2 letters with two tails, then a few
     random blocks and a repeat."""
@@ -298,22 +303,26 @@ def test_sphere_rows_match_stacked_scalar_rows(source, repro, n, reverse):
     levels = [0, Fraction(-1, 3), Fraction(rng.randint(1, 30), 7), top]
     levels += _levels_on_the_boundary(rng, centers[0], spec, reverse)
     for level in levels:
-        rows = sphere_rows(centers, level, spec, reverse=reverse)
+        rows = sphere_rows(_symbols(centers), level, spec, reverse=reverse)
         want = _oracle_rows(centers, level, spec, reverse)
         assert rows.dtype == bool and rows.shape == want.shape
         assert (rows == want).all()
         assert (sphere_indicator(centers[1], level, spec, reverse) == want[1]).all()
     # every block lies within the largest entry
-    assert sphere_rows(centers, top, spec, reverse=reverse).all()
+    assert sphere_rows(_symbols(centers), top, spec, reverse=reverse).all()
 
 
-def test_sphere_rows_refuse_mixed_lengths_and_no_centers():
-    with pytest.raises(PreconditionError, match="equal length"):
-        sphere_rows([BINARY.to_block("01"), BINARY.to_block("011")], 0, HAMMING)
+def test_sphere_rows_refuse_no_centers_and_out_of_range():
     with pytest.raises(PreconditionError, match="center"):
-        sphere_rows([], 0, HAMMING)
-    with pytest.raises(PreconditionError, match="out of range"):
-        sphere_rows([BINARY.to_block("01"), Block((0, 2))], 0, HAMMING)
+        sphere_rows(np.zeros((0, 2), dtype=np.int64), 0, HAMMING)
+    with pytest.raises(PreconditionError, match="nonempty"):
+        sphere_rows(np.zeros((1, 0), dtype=np.int64), 0, HAMMING)
+    for bad, shown in (((0, 2), 2), ((-1, 0), -1)):
+        with pytest.raises(PreconditionError, match=f"index {shown} out of range"):
+            sphere_rows(np.array([[0, 1], bad]), 0, HAMMING)
+    # a block's symbol past int64 is out of range, not an overflow
+    with pytest.raises(PreconditionError, match=f"index {2**70} out of range"):
+        sphere_indicator(Block((0, 2**70)), 0, HAMMING)
 
 
 def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):
@@ -338,7 +347,7 @@ def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):
     levels += _levels_on_the_boundary(rng, centers[0], spec, False)
     levels += _levels_on_the_boundary(rng, centers[0], spec, True)
     rows = {
-        (level, reverse): sphere_rows(centers, level, spec, reverse)
+        (level, reverse): sphere_rows(_symbols(centers), level, spec, reverse)
         for level in levels
         for reverse in (False, True)
     }

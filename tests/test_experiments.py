@@ -32,6 +32,7 @@ from unirdc import (
     run_experiment,
 )
 from unirdc import build_universal_table, codec, experiments, sphere_mass
+from unirdc import converse as converse_module
 
 
 def test_derive_seed_stable_and_distinct():
@@ -315,6 +316,23 @@ def test_pool_is_sized_by_the_work(monkeypatch, jobs, cpus, workers):
     assert {**vars(rep), "config": None} == {**vars(serial), "config": None}
 
 
+@pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
+def test_sweep_hands_each_chunk_the_config_itself(monkeypatch, run):
+    # no worker re-parses the config from JSON, in-process or in a pool
+    parsed, chunks = [], []
+    monkeypatch.setattr(
+        ExperimentConfig, "from_json", classmethod(lambda cls, text: parsed.append(text))
+    )
+    sweep_chunk = experiments._sweep_chunk
+    monkeypatch.setattr(
+        experiments, "_sweep_chunk", lambda *a, **k: chunks.append(a) or sweep_chunk(*a, **k)
+    )
+    cfg = ExperimentConfig(n=4, level=Fraction(1, 4), trials=3, max_draws=5)
+    run(cfg)
+    assert parsed == []
+    assert [args[0] for args in chunks] == [cfg]
+
+
 def test_ensemble_failure_decays_when_draws_scale():
     # calibrated draw budgets isolate the decay of the uncovered-source rate
     rates = []
@@ -423,16 +441,15 @@ def test_converse_experiment_pinned_reports(kwargs, expected):
 
 
 def _count_sphere_rows(monkeypatch, callers=("unirdc.converse", "unirdc.experiments")):
-    """The center of every sphere row built through the callers' sphere_rows
-    or through distortion.sphere_rows, which sphere_indicator (and so
-    sphere_mass) calls."""
+    """The symbols of the center of every sphere row built through the
+    callers' sphere_rows or through distortion.sphere_rows, which
+    sphere_indicator (and so sphere_mass) calls."""
     calls = []
     for module in (*callers, "unirdc.distortion"):
         module = importlib.import_module(module)
         original = module.sphere_rows
 
         def counting(centers, *args, original=original, **kwargs):
-            centers = list(centers)
             calls.extend(centers)
             return original(centers, *args, **kwargs)
 
@@ -448,6 +465,31 @@ def test_converse_experiment_builds_one_cover_matrix(monkeypatch):
     rep = converse_experiment(cfg)
     assert rep.min_codebook_size == 14
     assert len(calls) == math.comb(8, 4)
+
+
+@pytest.mark.parametrize(
+    "fields, m0",
+    [
+        ({"n": 10, "level": Fraction(1, 10)}, 42),
+        ({"n": 8, "order": 2, "level": Fraction(1, 4)}, 3),
+        (
+            {"n": 6, "source_alphabet": "012", "repro_alphabet": "012", "level": Fraction(1, 6),
+             "distortion": {"kind": "per_letter_matrix",
+                            "matrix": [[0, "1/2", 1], ["1/2", 0, "1/2"], [1, "1/2", 0]]}},
+            Fraction(15, 2),
+        ),
+    ],
+)
+def test_converse_experiment_reads_no_class_members(monkeypatch, fields, m0):
+    # every step of a check runs on the class's symbol array; Blocks of the
+    # members are built only for the public API and the uncoverable error
+    reads = []
+    monkeypatch.setattr(
+        converse_module.TypeClass, "members", property(lambda self: reads.append(self))
+    )
+    rep = converse_experiment(ExperimentConfig(**fields))
+    assert reads == []
+    assert rep.min_codebook_size == m0 and rep.greedy_size >= math.ceil(m0)
 
 
 def test_converse_length_bound_builds_one_cover_matrix(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from unirdc import (
     BINARY,
     Alphabet,
+    Block,
     CapacityError,
     PreconditionError,
     UniversalTable,
@@ -104,6 +105,9 @@ def test_bit_length_of_matches_dict_lookup():
             assert t.bit_length_of(b) == t.bits[index[b]]
         with pytest.raises(PreconditionError):
             t.bit_length_of(BINARY.to_block("0" * (n + 1)))
+        # a symbol past int64 is out of range, not an overflow
+        with pytest.raises(PreconditionError, match="out of range"):
+            t.bit_length_of(Block((0,) * (n - 1) + (2**70,)))
 
 
 @pytest.mark.parametrize(
