@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import BitReader, BitString, BitWriter, Block, blocks_at
 from .distortion import (
-    PER_LETTER,
     DistortionSpec,
     _budget,
     distortion,
@@ -209,11 +208,10 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
     """Code every block of a batch by its first codeword within the budget.
 
     One scan of the stream serves the whole batch, and each distinct block is
-    resolved once. In exact mode with a per-letter measure, a draw hits a
-    block when its table index lies in the block's sphere row; other
-    measures, and bitfeed mode, test each draw with distortion() in stream
-    order until the block's first hit. A block with no hit within max_draws
-    escapes to a witness.
+    resolved once. In exact mode a draw hits a block when its table index
+    lies in the block's sphere row; bitfeed mode tests each draw with
+    distortion() in stream order until the block's first hit. A block with no
+    hit within max_draws escapes to a witness.
     """
     return next(iter(encode_streams(xs, level, spec, [stream])))
 
@@ -245,13 +243,14 @@ class BatchCodes:
 def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = False) -> BatchCodes:
     """encode_blocks for one batch under each of several streams, in order.
 
-    The streams differ at most in seed and max_draws. Every distinct block's
-    sphere row is built once and every stream is scanned against it, so a
-    seed sweep pays for the rows once. With masses set, each block is also
-    weighed against the streams' table: from the row the scan holds, or by
-    sphere_mass where the scan reads no rows. A block with an empty sphere
-    raises UncodableInputError before any stream is drawn from, whenever the
-    measure is per-letter or the blocks are weighed.
+    The streams differ at most in seed and max_draws. In exact mode every
+    distinct block's sphere row is built once, whatever the measure, and
+    every stream is scanned against it, so a seed sweep pays for the rows
+    once. With masses set, each block is also weighed against the streams'
+    table: from the row the scan holds, or by sphere_mass in bitfeed mode. A
+    block with an empty sphere raises UncodableInputError before any stream
+    is drawn from; in bitfeed mode a block whose sphere is beyond the
+    enumeration cap is left to the scan.
     """
     xs = list(xs)
     streams = list(streams)
@@ -269,19 +268,17 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     where = [at.setdefault(x, len(at)) for x in xs]
     distinct = list(at)
     weighed = [] if masses else None
-    if stream.mode == EXACT and spec.kind == PER_LETTER:
+    if stream.mode == EXACT:
         first = _first_hits_in_rows(distinct, level, spec, streams, weighed)
     else:
         if masses:
-            table = stream.resolved_table
-            weighed.extend(sphere_mass(x, level, spec, table) for x in distinct)
+            weighed.extend(sphere_mass(x, level, spec, stream.resolved_table) for x in distinct)
             if any(m.empty for m in weighed):
                 raise UncodableInputError("no reproduction block meets the budget")
-        elif spec.kind == PER_LETTER:
+        else:
             _refuse_uncodable(distinct, level, spec)
-        refuse = not masses and spec.kind != PER_LETTER
         first = np.array(
-            [_first_hits_by_distortion(distinct, level, spec, s, refuse) for s in streams],
+            [_first_hits_by_distortion(distinct, level, spec, s) for s in streams],
             dtype=np.int64,
         ).reshape(len(streams), len(distinct))
     return BatchCodes(
@@ -336,9 +333,13 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
 
 
 def _refuse_uncodable(blocks, level, spec) -> None:
-    """UncodableInputError if some block has an empty sphere."""
+    """UncodableInputError if some block's sphere is empty; one beyond the cap is skipped."""
     for x in blocks:
-        if find_witness(x, level, spec) is None:
+        try:
+            witness = find_witness(x, level, spec)
+        except EnumerationCapError:
+            continue
+        if witness is None:
             raise UncodableInputError("no reproduction block meets the budget")
 
 
@@ -368,16 +369,9 @@ def _index_chunks(stream: CodebookStream, limit: int | None = None):
         drawn += take
 
 
-def _first_hits_by_distortion(distinct, level, spec, stream, refuse) -> list[int]:
-    """First-hit index of each block (0 for none), one distortion() per test.
-
-    With refuse set, the blocks still pending after K^n draws, about the cost
-    of one sphere row, are checked for a witness once, so an empty sphere
-    raises UncodableInputError without scanning max_draws. Beyond the
-    enumeration cap the check is skipped and the scan goes on.
-    """
+def _first_hits_by_distortion(distinct, level, spec, stream) -> list[int]:
+    """First-hit index of each block (0 for none) in a bitfeed stream, by distortion()."""
     budget = _budget(stream.n, level)
-    check_at = stream.alphabet_size**stream.n if refuse else 0
     first = [0] * len(distinct)
     pending = list(range(len(distinct)))
     for i, xhat in zip(range(1, stream.max_draws + 1), stream.codewords()):
@@ -390,11 +384,6 @@ def _first_hits_by_distortion(distinct, level, spec, stream, refuse) -> list[int
         pending = still
         if not pending:
             break
-        if i == check_at:
-            try:
-                _refuse_uncodable([distinct[r] for r in pending], level, spec)
-            except EnumerationCapError:
-                pass
     return first
 
 

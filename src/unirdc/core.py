@@ -58,9 +58,11 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
 
 def parse_rational(value, error: str) -> Fraction:
     """value (a str, int, float or Fraction) as an exact Fraction, or
-    PreconditionError(error). A numerator, denominator or decimal exponent
-    beyond Python's int-string limit is refused too: no report could print
-    it, and the exponent is refused before it is expanded."""
+    PreconditionError(error). A float is read by its shortest repr, so 0.1 is
+    1/10. A numerator, denominator or decimal exponent beyond Python's
+    int-string limit is refused too: no report could print it, and the
+    exponent is refused before it is expanded."""
+    value = repr(value) if isinstance(value, float) else value
     beyond = f"{error}: beyond the {_INT_DIGITS}-digit limit"
     if isinstance(value, str) and (exponent := _EXPONENT.search(value)):
         digits = exponent[1].replace("_", "").lstrip("0")

@@ -60,8 +60,7 @@ def _exact(value):
     if isinstance(value, int):
         return value
     if isinstance(value, (Fraction, float, str)):
-        text = str(value) if isinstance(value, float) else value  # so 0.1 stays 1/10
-        f = parse_rational(text, f"matrix entry {value!r} is not a finite rational")
+        f = parse_rational(value, f"matrix entry {value!r} is not a finite rational")
         return int(f) if f.denominator == 1 else f
     raise PreconditionError(f"cannot interpret matrix entry {value!r}")
 
@@ -196,10 +195,13 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     letters of a center over the K^h heads and the others over the K^(n-h)
     tails, so block i = head * K^(n-h) + tail is inside when its tail total is
     at most the threshold less its head total. All centers' halves fold
-    together, one NumPy op per position. The totals are int64 when the
-    largest fits and exact Python ints (object dtype) otherwise; no total of
-    a whole block is ever formed. Joint-type and callable kinds take one
-    exact scalar pass per center.
+    together, one NumPy op per position. A joint-type measure folds the cost
+    (n+1)^(a * |repro| + b) for letters a, b, so a block's total keys its
+    joint type with the center, and distortion() runs once per distinct key
+    of the call, on the first block that has it; only these keys total whole
+    blocks, one center at a time. The totals are int64 when the largest fits
+    and exact Python ints (object dtype) otherwise. Callable measures take
+    one exact scalar pass per center.
     """
     if not len(centers):
         raise PreconditionError("need at least one sphere center")
@@ -216,30 +218,40 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     check_enumerable(k**n, "sphere scan")
     budget = n * Fraction(level)
     rows = np.zeros((count, k**n), dtype=bool)
-    if spec.kind != PER_LETTER:
+    if spec.kind == CALLABLE:
         for row, c in zip(rows, map(Block, centers.tolist())):
             pairs = ((b, c) if reverse else (c, b) for b in enumerate_blocks(n, k))
-            row[:] = np.fromiter(
-                (distortion(x, xhat, spec) <= budget for x, xhat in pairs),
-                dtype=bool,
-                count=k**n,
-            )
+            row[:] = [distortion(x, xhat, spec) <= budget for x, xhat in pairs]
         return rows
-    scale, costs = spec.scaled
+    if spec.kind == PER_LETTER:
+        scale, costs = spec.scaled
+        threshold = math.floor(budget * scale)
+        if threshold < 0:
+            return rows
+    else:
+        cells = np.arange(spec.source_size * spec.repro_size, dtype=object)
+        costs = (n + 1) ** cells.reshape(spec.source_size, spec.repro_size)
     costs = tuple(zip(*costs)) if reverse else costs
-    threshold = math.floor(budget * scale)
-    if threshold < 0:
-        return rows
     top = max(map(max, costs)) * n
     table = np.array(costs, dtype=np.int64 if top <= _INT64_MAX else object)
+    h = n // 2
+    heads = _fold(table, centers[:, :h])
+    tails = _fold(table, centers[:, h:])
+    if spec.kind == JOINT_TYPE:
+        inside = {}  # key -> within the budget, for every row of the call
+        for row, c, head, tail in zip(rows, map(Block, centers.tolist()), heads, tails):
+            totals = np.add.outer(head, tail).ravel()
+            keys, first, inverse = np.unique(totals, return_index=True, return_inverse=True)
+            for key, b in zip(keys.tolist(), blocks_at(first, n, k)):
+                if key not in inside:
+                    inside[key] = distortion(*((b, c) if reverse else (c, b)), spec) <= budget
+            row[:] = np.array([inside[key] for key in keys.tolist()])[inverse]
+        return rows
     # the clamp keeps the room within int64 for int64 totals: NumPy before
     # 2.0 may not subtract from a larger Python int exactly
-    threshold = min(threshold, top)
-    h = n // 2
-    rooms = threshold - _fold(table, centers[:, :h])
-    totals = _fold(table, centers[:, h:])
+    rooms = min(threshold, top) - heads
     np.less_equal(
-        totals[:, None, :], rooms[:, :, None], out=rows.reshape(count, k**h, k ** (n - h))
+        tails[:, None, :], rooms[:, :, None], out=rows.reshape(count, k**h, k ** (n - h))
     )
     return rows
 

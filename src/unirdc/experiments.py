@@ -184,6 +184,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        self.level = parse_rational(self.level, f"cannot parse config level {self.level!r}")
         # every experiment would otherwise fail late, or pass vacuously
         if self.level < 0:
             raise PreconditionError(f"distortion level must be non-negative, got {self.level}")
@@ -282,10 +283,6 @@ class ExperimentConfig:
                 for item in data[name]:
                     _check_json_type(f"{name} entry", item, item_types)
                 data[name] = tuple(data[name])
-        if "level" in data:
-            data["level"] = parse_rational(
-                data["level"], f"cannot parse config level {data['level']!r}"
-            )
         return cls(**data)
 
 

@@ -25,6 +25,7 @@ from unirdc import (
     UncodableInputError,
     UnirdcError,
     build_universal_table,
+    callable_spec,
     decode,
     decode_messages,
     distortion,
@@ -602,7 +603,7 @@ def test_streams_equal_per_seed_encodes(
     monkeypatch.setattr(codec, "sphere_rows", counting)
     swept = list(encode_streams(xs, level, spec, streams))
     # each distinct block's sphere row is built once for all the seeds
-    by_rows = mode == "exact" and spec.kind == "per_letter_matrix"
+    by_rows = mode == "exact"
     assert len(rows) == (len(set(xs)) if by_rows else 0)
     per_seed = [encode_blocks(xs, level, spec, s) for s in streams]
     assert len(swept) == len(SWEEP_SEEDS)
@@ -651,6 +652,25 @@ def test_empty_joint_type_sphere_is_refused_after_k_to_the_n_draws(mode, draws):
     with pytest.raises(UncodableInputError):
         encode(TERNARY.to_block("2222"), Fraction(1, 4), spec, s)
     assert draws[0] <= max(64, 2 * 2**4)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HAMMING, squared_disagreement(BINARY), callable_spec(lambda x, y: x != y, BINARY, BINARY)],
+)
+def test_only_bitfeed_streams_test_draws_with_distortion(monkeypatch, spec):
+    xs = [BINARY.to_block(t) for t in FIVE]
+    scans = []
+    real = codec._first_hits_by_distortion
+    monkeypatch.setattr(
+        codec, "_first_hits_by_distortion", lambda *a: scans.append(a[3].mode) or real(*a)
+    )
+    for mode in ("exact", "bitfeed"):
+        streams = [CodebookStream(seed=s, n=5, alphabet_size=2, mode=mode) for s in (1, 2)]
+        for masses in (False, True):
+            coded = encode_streams(xs, Fraction(1, 5), spec, streams, masses=masses)
+            assert coded.first.min() >= 1
+    assert scans == ["bitfeed"] * 4
 
 
 def test_empty_sphere_check_beyond_the_cap_scans_the_budget(monkeypatch, draws):

@@ -201,6 +201,12 @@ def test_parse_rational_is_fraction_within_the_limit(text):
     assert parse_rational(text, "bad") == Fraction(text)
 
 
+def test_parse_rational_reads_a_float_by_its_shortest_repr():
+    assert parse_rational(0.1, "bad") == Fraction(1, 10)
+    assert parse_rational(0.3, "bad") == Fraction(3, 10) != Fraction(0.3)
+    assert parse_rational(1e300, "bad") == 10**300
+
+
 @pytest.mark.parametrize("value", ["abc", "1/0", "", "1e", float("nan"), float("inf")])
 def test_parse_rational_refuses_what_is_not_a_finite_rational(value):
     with pytest.raises(PreconditionError, match="^bad$"):

@@ -19,6 +19,7 @@ from unirdc import (
     enumerate_sphere,
     find_witness,
     hamming,
+    joint_empirical_distribution,
     joint_type_spec,
     load_spec,
     per_letter,
@@ -265,6 +266,14 @@ def _oracle_rows(centers, level, spec, reverse=False):
     )
 
 
+def _oracle_costs(centers, spec, reverse=False):
+    """The distortion of every (center, block) pair, one distortion() call each."""
+    blocks = list(enumerate_blocks(centers[0].n, spec.source_size if reverse else spec.repro_size))
+    return np.array(
+        [[distortion(*((b, c) if reverse else (c, b)), spec) for b in blocks] for c in centers]
+    )
+
+
 def _symbols(blocks):
     """The blocks' symbols, one block per row: sphere_rows takes its centers so."""
     return np.array([b.symbols for b in blocks])
@@ -310,6 +319,13 @@ def test_sphere_rows_match_stacked_scalar_rows(source, repro, n, reverse):
         assert (sphere_indicator(centers[1], level, spec, reverse) == want[1]).all()
     # every block lies within the largest entry
     assert sphere_rows(_symbols(centers), top, spec, reverse=reverse).all()
+    # the joint-type key fold, against distortions worked out once per pair
+    squared = squared_disagreement(src, rep)
+    costs = _oracle_costs(centers, squared, reverse)
+    levels = [0, Fraction(1, 10), Fraction(1, 4), Fraction(-1, 3), 10**400]
+    for level in levels + _levels_on_the_boundary(rng, centers[0], squared, reverse):
+        rows = sphere_rows(_symbols(centers), level, squared, reverse=reverse)
+        assert rows.dtype == bool and (rows == (costs <= n * level)).all()
 
 
 def test_sphere_rows_refuse_no_centers_and_out_of_range():
@@ -358,16 +374,56 @@ def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):
 
 def test_kernel_scalar_kinds_match_oracle():
     table = build_universal_table(5, 2, "plain")
-    specs = [
-        squared_disagreement(BINARY),
-        callable_spec(lambda x, y: sum(a != b for a, b in zip(x, y)) ** 2, BINARY, BINARY),
+    cases = [
+        (squared_disagreement(BINARY), ["01101", "00000"]),
+        (squared_disagreement(Alphabet("abc"), BINARY), ["abcab", "ccccc"]),
+        (
+            callable_spec(lambda x, y: sum(a != b for a, b in zip(x, y)) ** 2, BINARY, BINARY),
+            ["01101", "00000"],
+        ),
     ]
-    for spec in specs:
-        for x in (BINARY.to_block("01101"), BINARY.to_block("00000")):
-            for level in (0, Fraction(1, 5), Fraction(2, 5), 5):
+    levels = [0, Fraction(1, 10), Fraction(1, 5), Fraction(1, 4), Fraction(2, 5), 5]
+    for spec, texts in cases:
+        for x in map(spec.source.to_block, texts):
+            for level in levels + [Fraction(-1, 5), 10**400]:
                 m = sphere_mass(x, level, spec, table)
                 want = _oracle_sphere(x, level, spec, table)
                 assert (m.mass, m.sphere_size, m.min_bits) == want
+    # five letters at n=5: the key of a pair reaches 6^24, so the totals
+    # (up to 5 * 6^24) fold as Python ints
+    five = Alphabet("abcde")
+    spec = squared_disagreement(five)
+    assert 5 * 6**24 > distortion_module._INT64_MAX
+    centers = [five.to_block("abcde"), five.to_block("eeeea")]
+    costs = _oracle_costs(centers, spec)
+    for level in (0, Fraction(1, 5), Fraction(4, 5)):
+        assert (sphere_rows(_symbols(centers), level, spec) == (costs <= 5 * level)).all()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_joint_type_row_evaluates_each_joint_type_once(monkeypatch, reverse):
+    spec = squared_disagreement(Alphabet("abc"), BINARY)
+    calls = []
+    real = distortion_module.distortion
+    monkeypatch.setattr(distortion_module, "distortion", lambda *a: calls.append(a) or real(*a))
+    k = spec.source_size if reverse else spec.repro_size
+    texts = ["011001", "111111", "100110"] if reverse else ["abcabc", "aaacca", "cbacba"]
+    centers = list(map((spec.repro if reverse else spec.source).to_block, texts))
+    every = set()
+    for c in centers:
+        calls.clear()
+        row = sphere_indicator(c, Fraction(1, 3), spec, reverse)
+        pairs = [(b, c) if reverse else (c, b) for b in enumerate_blocks(6, k)]
+        types = {joint_empirical_distribution(x, xhat, 1) for x, xhat in pairs}
+        # one call per joint type, not one per block
+        assert len(calls) == len(types) < k**6
+        assert {joint_empirical_distribution(x, xhat, 1) for x, xhat, _ in calls} == types
+        assert row.tolist() == [distortion(x, xhat, spec) <= 2 for x, xhat in pairs]
+        every |= types
+    # the rows of one call share their joint types
+    calls.clear()
+    sphere_rows(_symbols(centers), Fraction(1, 3), spec, reverse)
+    assert len(calls) == len(every)
 
 
 def test_reverse_sphere_matches_scalar_oracle():

@@ -94,6 +94,19 @@ def test_config_json_round_trip():
     assert again.level == Fraction(1, 6)
 
 
+def test_float_level_reads_as_its_shortest_repr():
+    # 0.3 is 3/10, not the double just below it, so the blocks at distance 3
+    # of a balanced n=10 source stay inside the budget
+    reports = [
+        converse_experiment(ExperimentConfig.from_json(json.dumps({"n": 10, "level": level})))
+        for level in (0.3, "3/10")
+    ]
+    for rep in reports:
+        assert (rep.min_codebook_size, rep.greedy_size) == (Fraction(42, 11), 7)
+    assert reports[0].to_json() == reports[1].to_json()
+    assert ExperimentConfig(n=4, level=0.1).level == Fraction(1, 10)
+
+
 def test_config_rejects_unknown_fields():
     with pytest.raises(PreconditionError):
         ExperimentConfig.from_json('{"n": 4, "mystery_knob": 1}')
