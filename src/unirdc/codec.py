@@ -129,12 +129,9 @@ class CodebookStream:
 
     def codewords(self):
         """Infinite deterministic codeword sequence; restart on every call."""
-        if self.mode == BITFEED:
-            s = self.sampler()
-            while True:
-                yield s.draw()
-        for _, idx in _index_chunks(self):
-            yield from blocks_at(idx, self.n, self.alphabet_size)
+        s = self.sampler()
+        while True:
+            yield s.draw()
 
 
 def index_code_encode(i: int) -> BitString:
@@ -224,8 +221,8 @@ class BatchCodes:
     block of the batch under each stream, 0 for an escape. masses holds each
     block's SphereMass when encode_streams was asked to weigh the blocks, else
     None. Iterating yields each stream's messages in stream order; the
-    messages are built only then, one per distinct index for the whole batch
-    and one witness message per escaping block of a stream.
+    messages are built only then, one per distinct index and one witness
+    message per escaping block, for the whole batch.
     """
 
     blocks: tuple[Block, ...]
@@ -247,10 +244,11 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     distinct block's sphere row is built once, whatever the measure, and
     every stream is scanned against it, so a seed sweep pays for the rows
     once. With masses set, each block is also weighed against the streams'
-    table: from the row the scan holds, or by sphere_mass in bitfeed mode. A
-    block with an empty sphere raises UncodableInputError before any stream
-    is drawn from; in bitfeed mode a block whose sphere is beyond the
-    enumeration cap is left to the scan.
+    table: from the row the scan holds, or by sphere_mass in bitfeed mode.
+    Before any stream is opened, _refuse_uncodable checks one block per
+    source type (one per distinct block for a callable measure) and raises
+    UncodableInputError if its sphere is empty; a block whose sphere is
+    beyond the enumeration cap is left to the scan.
     """
     xs = list(xs)
     streams = list(streams)
@@ -267,16 +265,13 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     at: dict[Block, int] = {}
     where = [at.setdefault(x, len(at)) for x in xs]
     distinct = list(at)
+    _refuse_uncodable(distinct, level, spec)
     weighed = [] if masses else None
     if stream.mode == EXACT:
         first = _first_hits_in_rows(distinct, level, spec, streams, weighed)
     else:
         if masses:
             weighed.extend(sphere_mass(x, level, spec, stream.resolved_table) for x in distinct)
-            if any(m.empty for m in weighed):
-                raise UncodableInputError("no reproduction block meets the budget")
-        else:
-            _refuse_uncodable(distinct, level, spec)
         first = np.array(
             [_first_hits_by_distortion(distinct, level, spec, s) for s in streams],
             dtype=np.int64,
@@ -293,17 +288,14 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
 def _messages(xs, hits, level, spec, coded) -> list[EncodedMessage]:
     """Each block's message from its first hit under one stream.
 
-    coded maps an index to its message and is shared by every stream of a
-    batch; a block that escapes gets its witness message here.
+    coded maps an index, or a block that escapes, to its message and is
+    shared by every stream of a batch, so a block that escapes under several
+    streams gets its witness message once.
     """
-    escaped = {}
     for x, i in zip(xs, hits):
-        if not i:
-            if x not in escaped:
-                escaped[x] = _escape_message(x, level, spec)
-        elif i not in coded:
-            coded[i] = _index_message(i)
-    return [coded[i] if i else escaped[x] for x, i in zip(xs, hits)]
+        if (i or x) not in coded:
+            coded[i or x] = _index_message(i) if i else _escape_message(x, level, spec)
+    return [coded[i or x] for x, i in zip(xs, hits)]
 
 
 def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndarray:
@@ -312,18 +304,14 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
 
     The rows are built by one sphere_rows call per group of at most
     _MASK_BYTES, and every stream scans a group before the next one is built.
-    An empty row raises before any draw: blocks whose rows follow the first
-    group's scans are checked for a witness first. When weighed is a list,
-    each row's mass is appended to it as its group is built.
+    encode_streams has refused an empty sphere before this runs. When weighed
+    is a list, each row's mass is appended to it as its group is built.
     """
     table = streams[0].resolved_table
     group = max(1, _MASK_BYTES // table.size)
-    _refuse_uncodable(distinct[group:], level, spec)
     first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
     for lo in range(0, len(distinct), group):
         rows = sphere_rows(np.array([x.symbols for x in distinct[lo : lo + group]]), level, spec)
-        if not rows.any(axis=1).all():
-            raise UncodableInputError("no reproduction block meets the budget")
         if weighed is not None:
             weighed.extend(row_mass(row, table) for row in rows)
         for stream, hits in zip(streams, first[:, lo : lo + len(rows)]):
@@ -333,7 +321,13 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
 
 
 def _refuse_uncodable(blocks, level, spec) -> None:
-    """UncodableInputError if some block's sphere is empty; one beyond the cap is skipped."""
+    """UncodableInputError if some block's sphere is empty; one beyond the cap is skipped.
+
+    A first-order measure's sphere is empty for every member of a source
+    type or for none, so one block per type is checked.
+    """
+    if spec.first_order_only:
+        blocks = {tuple(sorted(x.symbols)): x for x in blocks}.values()
     for x in blocks:
         try:
             witness = find_witness(x, level, spec)
@@ -355,16 +349,14 @@ def _scan(rows, stream: CodebookStream, hits) -> None:
             break
 
 
-def _index_chunks(stream: CodebookStream, limit: int | None = None):
-    """The table indices of a fresh exact sampler, the first limit of them or
-    without end, in chunks that double the draws up to _CHUNK at a time, each
-    chunk with the number of draws before it."""
+def _index_chunks(stream: CodebookStream, limit: int):
+    """The first limit table indices of a fresh exact sampler, in chunks that
+    double the draws up to _CHUNK at a time, each chunk with the number of
+    draws before it."""
     sampler = stream.sampler()
     drawn = 0
-    while limit is None or drawn < limit:
-        take = min(max(drawn, _FIRST_CHUNK), _CHUNK)
-        if limit is not None:
-            take = min(take, limit - drawn)
+    while drawn < limit:
+        take = min(max(drawn, _FIRST_CHUNK), _CHUNK, limit - drawn)
         yield drawn, sampler.indices(take)
         drawn += take
 

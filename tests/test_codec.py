@@ -41,6 +41,7 @@ from unirdc import (
     index_length_terms,
     per_letter,
     read_container,
+    sample_bitfeed,
     sample_exact,
     squared_disagreement,
     write_container,
@@ -179,6 +180,13 @@ def test_same_seed_reproduces_codewords():
     a = list(zip(range(40), stream(seed=13).codewords()))
     b = list(zip(range(40), stream(seed=13).codewords()))
     assert a == b
+    # both modes' streams are the samplers' own draws
+    exact = stream(seed=13)
+    assert [x for _, x in zip(range(200), exact.codewords())] == sample_exact(
+        exact.resolved_table, 13, 200
+    )
+    bitfeed = CodebookStream(seed=13, n=6, alphabet_size=2, mode="bitfeed")
+    assert [x for _, x in zip(range(200), bitfeed.codewords())] == sample_bitfeed(6, 2, 13, 200)
 
 
 def test_bitfeed_mode_round_trip():
@@ -614,12 +622,25 @@ def test_streams_equal_per_seed_encodes(
     assert any(escapes) == (max_draws == 5) and not all(escapes)
 
 
-@pytest.mark.parametrize("run", ["streams", "blocks"])
-def test_uncodable_block_in_a_later_row_group_draws_nothing(monkeypatch, draws, run):
+# letter 1 costs 1 against either reproduction, so 1111 misses 4 * 1/2
+PER_LETTER_MISS = (per_letter([[0, 1], [1, 1]], BINARY, BINARY), BINARY, ("0000", "0001", "1111"))
+# 2222 disagrees with every binary block by at least 1 in each letter
+SQUARED_MISS = (squared_disagreement(TERNARY, BINARY), TERNARY, ("0000", "0120", "2222"))
+
+
+@pytest.mark.parametrize(
+    "run, spec, alpha, texts",
+    [
+        pytest.param(run, *case, id=run + suffix)
+        for suffix, case in (("", PER_LETTER_MISS), ("-squared", SQUARED_MISS))
+        for run in ("streams", "blocks")
+    ],
+)
+def test_uncodable_block_in_a_later_row_group_draws_nothing(
+    monkeypatch, draws, run, spec, alpha, texts
+):
     monkeypatch.setattr(codec, "_MASK_BYTES", 2**4)  # one sphere row per group
-    # letter 1 costs 1 against either reproduction, so 1111 misses 4 * 1/2
-    spec = per_letter([[0, 1], [1, 1]], BINARY, BINARY)
-    xs = [BINARY.to_block(t) for t in ("0000", "0001", "1111")]
+    xs = [alpha.to_block(t) for t in texts]
     streams = [CodebookStream(seed=seed, n=4, alphabet_size=2, mode="exact") for seed in (1, 2)]
     with pytest.raises(UncodableInputError):
         if run == "streams":
@@ -627,6 +648,45 @@ def test_uncodable_block_in_a_later_row_group_draws_nothing(monkeypatch, draws, 
         else:
             encode_blocks(xs, Fraction(1, 2), spec, streams[0])
     assert draws[0] == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+@pytest.mark.parametrize(
+    "spec, alpha, level",
+    [
+        (RATIONAL, TERNARY, Fraction(1, 4)),
+        (squared_disagreement(TERNARY, BINARY), TERNARY, Fraction(1, 2)),
+    ],
+)
+def test_emptiness_is_decided_once_per_source_type(monkeypatch, mode, spec, alpha, level):
+    n, k = 5, spec.repro_size
+    monkeypatch.setattr(codec, "_MASK_BYTES", 2 * k**n)  # two sphere rows per group
+    witnesses = []
+    real = codec.find_witness
+    monkeypatch.setattr(codec, "find_witness", lambda x, *a: witnesses.append(x) or real(x, *a))
+    # at most two 2s: within 5 * 1/2 of a binary block by squared disagreement
+    xs = [x for x in enumerate_blocks(n, alpha.size) if x.symbols.count(2) <= 2]
+    s = CodebookStream(seed=3, n=n, alphabet_size=k, mode=mode, max_draws=ALL)
+    coded = encode_streams(xs, level, spec, [s])
+    assert coded.first.min() >= 1  # no escape, so every witness search is the check
+    types = {tuple(sorted(x.symbols)) for x in xs}
+    assert len(types) < len(xs) // 4
+    assert len(witnesses) == len({tuple(sorted(x.symbols)) for x in witnesses}) == len(types)
+
+
+def test_a_batch_builds_one_witness_message_per_escaping_block(monkeypatch):
+    built = []
+    real = codec._escape_message
+    monkeypatch.setattr(codec, "_escape_message", lambda x, *a: built.append(x) or real(x, *a))
+    xs = [BINARY.to_block(t) for t in SIX]
+    streams = [CodebookStream(seed=seed, n=6, alphabet_size=2, max_draws=3) for seed in SWEEP_SEEDS]
+    swept = list(encode_streams(xs, Fraction(1, 6), HAMMING, streams))
+    escaping = {x for msgs in swept for x, m in zip(xs, msgs) if m.escape}
+    assert escaping and len(built) == len(set(built)) and set(built) == escaping
+    for got_msgs, s in zip(swept, streams, strict=True):
+        want_msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
+        for got, want in zip(got_msgs, want_msgs, strict=True):
+            assert (got.escape, got.payload, got.index) == (want.escape, want.payload, want.index)
 
 
 def test_streams_of_one_batch_differ_only_in_seed_and_budget():
