@@ -10,10 +10,15 @@ escape path ships an explicit witness block in raw fixed-width symbols.
 One stream serves a whole batch: encode_blocks resolves every block of a
 batch against one scan, and decode_messages replays one stream up to the
 largest index of a batch. Each block's index is the one a scan of its own
-would find. encode_streams codes one batch under many seeds: it builds each
-block's sphere row once for all of them, exposes the first-hit indices as an
-array, and builds one message per distinct index. A scan draws in chunks that
-double its draws, so it draws at most about twice the batch's last first hit.
+would find. encode_streams codes one batch under many seeds: it exposes the
+first-hit indices as an array and builds one message per distinct index. One
+scan loop serves both modes. It draws in chunks that double its draws, so it
+draws at most about twice the batch's last first hit, and it tests a chunk
+against every pending block at once: in exact mode by a gather from the
+blocks' sphere rows, built once for all the seeds, and in bitfeed mode, which
+has no table, by the distortion.within() kernel. The replay yields the
+decoded blocks as one symbol array, which the experiments test against the
+sources with the same kernel.
 """
 from __future__ import annotations
 
@@ -24,11 +29,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BitReader, BitString, BitWriter, Block, blocks_at
+from .core import BitReader, BitString, BitWriter, Block, block_symbols
 from .distortion import (
     DistortionSpec,
     _budget,
-    distortion,
+    _membership,
     find_witness,
     sphere_rows,
 )
@@ -46,6 +51,7 @@ from .universal import (
     UniversalTable,
     _BitfeedSampler,
     _ExactSampler,
+    _draw_symbols,
     build_universal_table,
     row_mass,
     sphere_mass,
@@ -127,12 +133,6 @@ class CodebookStream:
             return _ExactSampler(self.resolved_table, self.seed)
         return _BitfeedSampler(self.n, self.alphabet_size, self.seed)
 
-    def codewords(self):
-        """Infinite deterministic codeword sequence; restart on every call."""
-        s = self.sampler()
-        while True:
-            yield s.draw()
-
 
 def index_code_encode(i: int) -> BitString:
     """Self-delimiting code for a positive integer (zero-count prefix form).
@@ -206,9 +206,9 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
 
     One scan of the stream serves the whole batch, and each distinct block is
     resolved once. In exact mode a draw hits a block when its table index
-    lies in the block's sphere row; bitfeed mode tests each draw with
-    distortion() in stream order until the block's first hit. A block with no
-    hit within max_draws escapes to a witness.
+    lies in the block's sphere row; bitfeed mode tests each chunk of draws
+    against every pending block with one distortion.within() call. A block
+    with no hit within max_draws escapes to a witness.
     """
     return next(iter(encode_streams(xs, level, spec, [stream])))
 
@@ -272,10 +272,11 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     else:
         if masses:
             weighed.extend(sphere_mass(x, level, spec, stream.resolved_table) for x in distinct)
-        first = np.array(
-            [_first_hits_by_distortion(distinct, level, spec, s) for s in streams],
-            dtype=np.int64,
-        ).reshape(len(streams), len(distinct))
+        first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
+        centers = np.array([x.symbols for x in distinct], dtype=np.int64).reshape(len(distinct), -1)
+        inside = _membership(stream.n, level, spec)  # one verdict per joint type for the batch
+        for s, hits in zip(streams, first):
+            _scan(s, hits, lambda pending, ys: inside(centers[pending, None], ys[None]))
     return BatchCodes(
         blocks=tuple(xs),
         first=first[:, where],
@@ -315,7 +316,7 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
         if weighed is not None:
             weighed.extend(row_mass(row, table) for row in rows)
         for stream, hits in zip(streams, first[:, lo : lo + len(rows)]):
-            _scan(rows, stream, hits)
+            _scan(stream, hits, lambda pending, idx: rows[pending[:, None], idx])
         del rows  # one group's rows live at a time
     return first
 
@@ -337,46 +338,35 @@ def _refuse_uncodable(blocks, level, spec) -> None:
             raise UncodableInputError("no reproduction block meets the budget")
 
 
-def _scan(rows, stream: CodebookStream, hits) -> None:
-    """Write into hits the 1-based index of each row's first draw inside it."""
-    pending = np.arange(len(rows))
-    for drawn, idx in _index_chunks(stream, stream.max_draws):
-        inside = rows[pending[:, None], idx]
-        found = inside.any(axis=1)
-        hits[pending[found]] = drawn + 1 + inside[found].argmax(axis=1)
+def _scan(stream: CodebookStream, hits, inside) -> None:
+    """Write into hits the 1-based index of each block's first draw inside
+    its sphere. inside(pending, chunk) is the (pending blocks x draws) bool
+    membership of a chunk of draws: a gather from the sphere rows in exact
+    mode, the within() kernel in bitfeed mode."""
+    pending = np.arange(len(hits))
+    for drawn, chunk in _chunks(stream, stream.max_draws if pending.size else 0):
+        member = inside(pending, chunk)
+        found = member.any(axis=1)
+        hits[pending[found]] = drawn + 1 + member[found].argmax(axis=1)
         pending = pending[~found]
         if not pending.size:
             break
 
 
-def _index_chunks(stream: CodebookStream, limit: int):
-    """The first limit table indices of a fresh exact sampler, in chunks that
-    double the draws up to _CHUNK at a time, each chunk with the number of
-    draws before it."""
+def _chunks(stream: CodebookStream, limit: int):
+    """The first limit draws of a fresh sampler, in chunks that double the
+    draws up to _CHUNK at a time, each chunk with the number of draws before
+    it: an array of table indices in exact mode, and in bitfeed mode a
+    (draws x n) symbol array."""
     sampler = stream.sampler()
     drawn = 0
     while drawn < limit:
         take = min(max(drawn, _FIRST_CHUNK), _CHUNK, limit - drawn)
-        yield drawn, sampler.indices(take)
+        if stream.mode == EXACT:
+            yield drawn, sampler.indices(take)
+        else:
+            yield drawn, _draw_symbols(sampler, take, stream.n, stream.alphabet_size)
         drawn += take
-
-
-def _first_hits_by_distortion(distinct, level, spec, stream) -> list[int]:
-    """First-hit index of each block (0 for none) in a bitfeed stream, by distortion()."""
-    budget = _budget(stream.n, level)
-    first = [0] * len(distinct)
-    pending = list(range(len(distinct)))
-    for i, xhat in zip(range(1, stream.max_draws + 1), stream.codewords()):
-        still = []
-        for r in pending:
-            if distortion(distinct[r], xhat, spec) <= budget:
-                first[r] = i
-            else:
-                still.append(r)
-        pending = still
-        if not pending:
-            break
-    return first
 
 
 def _index_message(i: int) -> EncodedMessage:
@@ -436,39 +426,38 @@ def decode_messages(msgs, stream: CodebookStream) -> list[Block]:
     index is read as it was parsed off the wire. An index above max_draws is
     corrupt and is refused before any draw.
     """
+    return [Block(tuple(row)) for row in _decoded_symbols(msgs, stream).tolist()]
+
+
+def _decoded_symbols(msgs, stream: CodebookStream) -> np.ndarray:
+    """decode_messages as a (messages x n) symbol array, one decoded block per
+    row in the narrowest unsigned type: the witness of an escape, else the
+    draw at the message's index (in exact mode the digits of its table
+    index)."""
     msgs = list(msgs)
-    out: list[Block | None] = [None] * len(msgs)
-    wanted: dict[int, list[int]] = {}
+    out = np.empty((len(msgs), stream.n), dtype=np.min_scalar_type(stream.alphabet_size - 1))
+    at, indices = [], []
     for p, msg in enumerate(msgs):
         if msg.escape:
-            out[p] = _read_witness(msg, stream)
+            out[p] = _read_witness(msg, stream).symbols
             continue
         if msg.index > stream.max_draws:
             raise CorruptStreamError(
                 f"index {msg.index} exceeds the stream's draw budget {stream.max_draws}"
             )
-        wanted.setdefault(msg.index, []).append(p)
-    if not wanted:
+        at.append(p)
+        indices.append(msg.index)
+    if not indices:
         return out
-    top = max(wanted)
+    need, where = np.unique(np.array(indices, dtype=np.int64), return_inverse=True)
+    picked = []
+    for drawn, chunk in _chunks(stream, int(need[-1])):
+        lo, hi = np.searchsorted(need, [drawn, drawn + len(chunk)], side="right")
+        picked.append(chunk[need[lo:hi] - drawn - 1])
+    picked = np.concatenate(picked)
     if stream.mode == EXACT:
-        need = np.array(sorted(wanted), dtype=np.int64)
-        picked = np.empty(len(need), dtype=np.int64)
-        k = 0
-        for drawn, idx in _index_chunks(stream, top):
-            j = int(np.searchsorted(need, drawn + len(idx), side="right"))
-            picked[k:j] = idx[need[k:j] - drawn - 1]
-            k = j
-        found = zip(need.tolist(), blocks_at(picked, stream.n, stream.alphabet_size))
-    else:
-        found = (
-            (i, xhat)
-            for i, xhat in zip(range(1, top + 1), stream.codewords())
-            if i in wanted
-        )
-    for i, xhat in found:
-        for p in wanted[i]:
-            out[p] = xhat
+        picked = block_symbols(picked, stream.n, stream.alphabet_size)
+    out[at] = picked[where]
     return out
 
 

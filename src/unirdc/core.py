@@ -170,12 +170,18 @@ def block_indices(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
     return symbols @ alphabet_size ** np.arange(symbols.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def blocks_at(indices, n: int, alphabet_size: int) -> list[Block]:
-    """The blocks at the given lexicographic positions (inverse of block_indices)."""
+def block_symbols(indices, n: int, alphabet_size: int) -> np.ndarray:
+    """The (count x n) symbols of the blocks at the given lexicographic
+    positions, in the narrowest unsigned type (inverse of block_indices)."""
     idx = np.asarray(indices, dtype=np.int64)
     powers = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     digits = (idx[:, None] // powers) % alphabet_size
-    return [Block(tuple(row)) for row in digits.tolist()]
+    return digits.astype(np.min_scalar_type(alphabet_size - 1))
+
+
+def blocks_at(indices, n: int, alphabet_size: int) -> list[Block]:
+    """The blocks at the given lexicographic positions (inverse of block_indices)."""
+    return [Block(tuple(row)) for row in block_symbols(indices, n, alphabet_size).tolist()]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ of the first-order joint type (scaled by n), and arbitrary callables. The first
 two depend on the pair only through its joint type, which is what the covering
 machinery requires; arbitrary callables are rejected there. Per-letter matrices
 with integer or rational entries give exact integer/Fraction distortions, so
-sphere membership tests never touch floats.
+sphere membership tests never touch floats. Two kernels test membership in
+arrays: sphere_rows over all K^n blocks around given centers, and within()
+over given pairs of blocks, such as drawn codewords.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ __all__ = [
     "callable_spec",
     "squared_disagreement",
     "distortion",
+    "within",
     "sphere_rows",
     "sphere_indicator",
     "enumerate_sphere",
@@ -182,6 +185,124 @@ def _fold(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _costs(n: int, level, spec: DistortionSpec, reverse: bool = False):
+    """(table, limit): the integer cost table of a first-order measure for
+    blocks of n letters, and the largest total inside the budget.
+
+    table[a, b] costs source letter a against reproduction letter b, or with
+    reverse=True reproduction letter a against source letter b. A per-letter
+    matrix costs spec.scaled, and limit is floor(n * level * scale), negative
+    when nothing is inside. A joint-type measure costs (n+1)^(a * |repro| +
+    b), so a pair's total is its joint type's counts read as a base-(n+1)
+    number, a key of that type; limit is then None. The table is int64 when n
+    times its largest entry fits, and exact Python ints (object dtype)
+    otherwise.
+    """
+    if spec.kind == PER_LETTER:
+        scale, costs = spec.scaled
+        limit = math.floor(n * Fraction(level) * scale)
+    else:
+        cells = np.arange(spec.source_size * spec.repro_size, dtype=object)
+        costs = (n + 1) ** cells.reshape(spec.source_size, spec.repro_size)
+        limit = None
+    costs = tuple(zip(*costs)) if reverse else costs
+    top = max(map(max, costs)) * n
+    table = np.array(costs, dtype=np.int64 if top <= _INT64_MAX else object)
+    # the clamp keeps the limit within int64 for int64 totals: NumPy before
+    # 2.0 may not subtract a larger Python int from them exactly
+    return table, None if limit is None else min(limit, top)
+
+
+def _judge(keys: np.ndarray, pairs, budget, spec: DistortionSpec, inside: dict) -> np.ndarray:
+    """Whether each joint-type key of the array keys is within the budget, as
+    a bool array of its shape.
+
+    inside maps a key to its verdict. distortion() runs once per distinct key
+    not yet in it, on the first pair that has it: pairs(first) yields the
+    (source, reproduction) Blocks at the first flat position of each
+    distinct key, in increasing key order.
+    """
+    distinct, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    distinct = distinct.tolist()
+    for key, pair in zip(distinct, pairs(first)):
+        if key not in inside:
+            inside[key] = distortion(*pair, spec) <= budget
+    return np.array([inside[key] for key in distinct])[inverse].reshape(keys.shape)
+
+
+def within(xs, ys, level, spec: DistortionSpec) -> np.ndarray:
+    """Whether each source block of xs lies within total distortion n * level
+    of the reproduction block of ys that it faces.
+
+    xs and ys are integer symbol arrays (..., n) that broadcast against each
+    other; the result is a bool array of their broadcast shape less the last
+    axis. Two (blocks x n) arrays test pair by pair (a round trip), and
+    (centers x 1 x n) against (1 x draws x n) tests every draw against every
+    center (a scan). The verdicts are those of distortion(): see _membership.
+    """
+    xs = np.asarray(xs)
+    if not xs.ndim:
+        raise PreconditionError("blocks must be symbol arrays")
+    return _membership(xs.shape[-1], level, spec)(xs, ys)
+
+
+def _membership(n: int, level, spec: DistortionSpec):
+    """within() for blocks of n letters, as a function of (xs, ys) alone.
+
+    A per-letter matrix gathers its spec.scaled costs one position at a time
+    into one total per pair, so no array larger than the broadcast shape is
+    held (never centers x draws x n), and compares the totals with
+    floor(n * level * scale). A joint-type measure gathers the keys of
+    sphere_rows the same way, and distortion() runs once per distinct key,
+    on the first pair that has it; the function keeps those verdicts, so
+    every call through it judges a key once. A callable measure takes one
+    distortion() per pair.
+    """
+    if n == 0:
+        raise PreconditionError("blocks must be nonempty")
+    budget = n * Fraction(level)
+    if spec.kind != CALLABLE:
+        table, limit = _costs(n, level, spec)
+    inside = {}  # joint-type key -> within the budget
+
+    def test(xs, ys) -> np.ndarray:
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        for arr, size in ((xs, spec.source_size), (ys, spec.repro_size)):
+            if not arr.ndim or arr.shape[-1] != n:
+                raise PreconditionError("blocks must have equal length")
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise PreconditionError("block symbols must be integers")
+            outside = arr[(arr < 0) | (arr >= size)]
+            if outside.size:
+                raise PreconditionError(
+                    f"symbol index {outside[0]} out of range for alphabet of size {size}"
+                )
+        shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+        if not shape:
+            return test(xs[None], ys[None])[0]
+        xb, yb = np.broadcast_to(xs, shape + (n,)), np.broadcast_to(ys, shape + (n,))
+        if spec.kind == CALLABLE:
+            out = np.empty(shape, dtype=bool)
+            for at in np.ndindex(shape):
+                out[at] = distortion(Block(xb[at].tolist()), Block(yb[at].tolist()), spec) <= budget
+            return out
+        if limit is not None and limit < 0:
+            return np.zeros(shape, dtype=bool)
+        totals = np.zeros(shape, dtype=table.dtype)
+        for j in range(n):
+            totals += table[xs[..., j], ys[..., j]]
+        if limit is not None:
+            return totals <= limit
+
+        def pairs(first):
+            at = np.unravel_index(first, shape)
+            return zip(map(Block, xb[at].tolist()), map(Block, yb[at].tolist()))
+
+        return _judge(totals, pairs, budget, spec, inside)
+
+    return test
+
+
 def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> np.ndarray:
     """Sphere membership of every block around each center, one row per center.
 
@@ -191,17 +312,15 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     reproductions around source centers, or with reverse=True sources around
     reproduction centers. A negative level gives empty spheres.
 
-    Per-letter matrices fold spec.scaled in integers: the first h = n // 2
-    letters of a center over the K^h heads and the others over the K^(n-h)
-    tails, so block i = head * K^(n-h) + tail is inside when its tail total is
-    at most the threshold less its head total. All centers' halves fold
-    together, one NumPy op per position. A joint-type measure folds the cost
-    (n+1)^(a * |repro| + b) for letters a, b, so a block's total keys its
-    joint type with the center, and distortion() runs once per distinct key
-    of the call, on the first block that has it; only these keys total whole
-    blocks, one center at a time. The totals are int64 when the largest fits
-    and exact Python ints (object dtype) otherwise. Callable measures take
-    one exact scalar pass per center.
+    A first-order measure folds the integer costs of _costs, the ones within()
+    gathers: the first h = n // 2 letters of a center over the K^h heads and
+    the others over the K^(n-h) tails, all centers' halves together, one NumPy
+    op per position. For a per-letter matrix, block i = head * K^(n-h) + tail
+    is inside when its tail total is at most the limit less its head total.
+    For a joint-type measure a block's total keys its joint type with the
+    center, and distortion() runs once per distinct key of the call, on the
+    first block that has it; only these keys total whole blocks, one center at
+    a time. Callable measures take one exact scalar pass per center.
     """
     if not len(centers):
         raise PreconditionError("need at least one sphere center")
@@ -223,35 +342,21 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
             pairs = ((b, c) if reverse else (c, b) for b in enumerate_blocks(n, k))
             row[:] = [distortion(x, xhat, spec) <= budget for x, xhat in pairs]
         return rows
-    if spec.kind == PER_LETTER:
-        scale, costs = spec.scaled
-        threshold = math.floor(budget * scale)
-        if threshold < 0:
-            return rows
-    else:
-        cells = np.arange(spec.source_size * spec.repro_size, dtype=object)
-        costs = (n + 1) ** cells.reshape(spec.source_size, spec.repro_size)
-    costs = tuple(zip(*costs)) if reverse else costs
-    top = max(map(max, costs)) * n
-    table = np.array(costs, dtype=np.int64 if top <= _INT64_MAX else object)
+    table, limit = _costs(n, level, spec, reverse)
+    if limit is not None and limit < 0:
+        return rows
     h = n // 2
     heads = _fold(table, centers[:, :h])
     tails = _fold(table, centers[:, h:])
-    if spec.kind == JOINT_TYPE:
+    if limit is None:
         inside = {}  # key -> within the budget, for every row of the call
         for row, c, head, tail in zip(rows, map(Block, centers.tolist()), heads, tails):
-            totals = np.add.outer(head, tail).ravel()
-            keys, first, inverse = np.unique(totals, return_index=True, return_inverse=True)
-            for key, b in zip(keys.tolist(), blocks_at(first, n, k)):
-                if key not in inside:
-                    inside[key] = distortion(*((b, c) if reverse else (c, b)), spec) <= budget
-            row[:] = np.array([inside[key] for key in keys.tolist()])[inverse]
+            def pairs(first, c=c):
+                return ((b, c) if reverse else (c, b) for b in blocks_at(first, n, k))
+            row[:] = _judge(np.add.outer(head, tail).ravel(), pairs, budget, spec, inside)
         return rows
-    # the clamp keeps the room within int64 for int64 totals: NumPy before
-    # 2.0 may not subtract from a larger Python int exactly
-    rooms = min(threshold, top) - heads
     np.less_equal(
-        tails[:, None, :], rooms[:, :, None], out=rows.reshape(count, k**h, k ** (n - h))
+        tails[:, None, :], (limit - heads)[:, :, None], out=rows.reshape(count, k**h, k ** (n - h))
     )
     return rows
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .codec import (
     CodebookStream,
-    decode_messages,
+    _decoded_symbols,
     encode_streams,
     index_code_length,
 )
@@ -44,7 +44,7 @@ from .converse import (
 from .core import (
     Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks, parse_rational
 )
-from .distortion import distortion, spec_from_json, sphere_rows
+from .distortion import _membership, spec_from_json, sphere_rows
 from .errors import PreconditionError
 from .lz78 import lz_parse
 from .universal import build_universal_table, require_seed
@@ -394,21 +394,24 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     bool array of the same shape that marks decoded blocks outside the
     budget, and each source's SphereMass. The round trip runs only when
     round_trip is set; otherwise no message is built, no block is decoded and
-    the failure array stays all False. Each source's sphere row is built
-    once for the whole chunk, and its mass is read off that row. A source
-    with an empty sphere raises UncodableInputError before any draw.
+    the failure array stays all False. It decodes each seed's messages to a
+    symbol array and tests it against the sources with one within() call,
+    which never reads the sphere rows that chose the hits. Each source's
+    sphere row is built once for the whole chunk, and its mass is read off
+    that row. A source with an empty sphere raises UncodableInputError
+    before any draw.
     """
     spec = cfg.spec()
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     sources = cfg.sources()
-    budget = cfg.n * Fraction(cfg.level)
     streams = [cfg.stream(seed, table) for seed in seeds]
     coded = encode_streams(sources, cfg.level, spec, streams, masses=True)
     failed = np.zeros(coded.first.shape, dtype=bool)
     if round_trip:
+        xs = np.array([x.symbols for x in sources], dtype=np.int64)
+        inside = _membership(cfg.n, cfg.level, spec)
         for t, (stream, msgs) in enumerate(zip(streams, coded)):
-            xhats = decode_messages(msgs, stream)
-            failed[t] = [distortion(x, xhat, spec) > budget for x, xhat in zip(sources, xhats)]
+            failed[t] = ~inside(xs, _decoded_symbols(msgs, stream))
     return coded.first, failed, coded.masses
 
 

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Block, block_indices, blocks_at, check_enumerable, enumerate_blocks
-from .distortion import _INT64_MAX, DistortionSpec, distortion, sphere_indicator
+from .distortion import _INT64_MAX, DistortionSpec, sphere_indicator, within
 from .errors import CapacityError, PreconditionError
 from . import lz78
 
@@ -346,6 +346,15 @@ class _BitfeedSampler:
         return Block(tuple(out))
 
 
+def _draw_symbols(sampler, count: int, n: int, alphabet_size: int) -> np.ndarray:
+    """The next count blocks of sampler.draw() as a (count x n) symbol array,
+    one block per row, in the narrowest unsigned type."""
+    out = np.empty((count, n), dtype=np.min_scalar_type(alphabet_size - 1))
+    for row in out:
+        row[:] = sampler.draw().symbols
+    return out
+
+
 def sample_bitfeed(n: int, alphabet_size: int, seed: int, count: int) -> list[Block]:
     """Approximate sampler: feed fair bits into the phrase decoder loop.
 
@@ -428,17 +437,17 @@ def estimate_sphere_mass(
 ) -> MassEstimate:
     """Estimate the sphere mass by counting bitfeed draws inside the sphere.
 
-    The interval is a Wilson score interval for the hit rate; it covers the
-    sampler's own hit probability, not the exact table mass, since the
-    bitfeed law is biased.
+    The draws are tested against x with one within() call. The interval is
+    a Wilson score interval for the hit rate; it covers the sampler's own hit
+    probability, not the exact table mass, since the bitfeed law is biased.
     """
     if trials <= 0:
         raise PreconditionError("trials must be positive")
     if not 0 < confidence < 1:
         raise PreconditionError("confidence must be in (0, 1)")
-    budget = x.n * Fraction(level)
     sampler = _BitfeedSampler(x.n, spec.repro_size, seed)
-    hits = sum(distortion(x, sampler.draw(), spec) <= budget for _ in range(trials))
+    draws = _draw_symbols(sampler, trials, x.n, spec.repro_size)
+    hits = int(within(np.array([x.symbols]), draws, level, spec).sum())
     p = hits / trials
     # Wilson score interval
     z = NormalDist().inv_cdf(0.5 + confidence / 2)

@@ -39,6 +39,7 @@ from unirdc import (
     index_code_encode,
     index_code_length,
     index_length_terms,
+    joint_empirical_distribution,
     per_letter,
     read_container,
     sample_bitfeed,
@@ -176,17 +177,20 @@ def test_seed_mismatch_detected_by_distortion():
         assert distortion(x, y, HAMMING) > 6 * level
 
 
+def draws_of(s, count):
+    sampler = s.sampler()
+    return [sampler.draw() for _ in range(count)]
+
+
 def test_same_seed_reproduces_codewords():
-    a = list(zip(range(40), stream(seed=13).codewords()))
-    b = list(zip(range(40), stream(seed=13).codewords()))
+    a = draws_of(stream(seed=13), 40)
+    b = draws_of(stream(seed=13), 40)
     assert a == b
     # both modes' streams are the samplers' own draws
     exact = stream(seed=13)
-    assert [x for _, x in zip(range(200), exact.codewords())] == sample_exact(
-        exact.resolved_table, 13, 200
-    )
+    assert draws_of(exact, 200) == sample_exact(exact.resolved_table, 13, 200)
     bitfeed = CodebookStream(seed=13, n=6, alphabet_size=2, mode="bitfeed")
-    assert [x for _, x in zip(range(200), bitfeed.codewords())] == sample_bitfeed(6, 2, 13, 200)
+    assert draws_of(bitfeed, 200) == sample_bitfeed(6, 2, 13, 200)
 
 
 def test_bitfeed_mode_round_trip():
@@ -521,11 +525,8 @@ def test_batch_equals_per_block_scan(case):
 
 def test_exact_encode_folds_an_overflowing_matrix(monkeypatch):
     calls = []
-    for module in (codec, distortion_module):
-        real = module.distortion
-        monkeypatch.setattr(
-            module, "distortion", lambda *a, real=real: calls.append(a) or real(*a)
-        )
+    real = distortion_module.distortion
+    monkeypatch.setattr(distortion_module, "distortion", lambda *a: calls.append(a) or real(*a))
     s = CodebookStream(seed=11, n=6, alphabet_size=2, mode="exact", max_draws=10)
     xs = list(enumerate_blocks(6, 2))
     for level in (Fraction(1, 6), Fraction(1, 3)):
@@ -718,19 +719,51 @@ def test_empty_joint_type_sphere_is_refused_after_k_to_the_n_draws(mode, draws):
     "spec",
     [HAMMING, squared_disagreement(BINARY), callable_spec(lambda x, y: x != y, BINARY, BINARY)],
 )
-def test_only_bitfeed_streams_test_draws_with_distortion(monkeypatch, spec):
+def test_only_bitfeed_streams_test_draws_with_distortion(monkeypatch, draws, spec):
+    # Exact streams read sphere rows and bitfeed streams ask within(), so a
+    # first-order measure calls distortion() at most once per joint type of a
+    # source with some block, whatever the streams draw; only a callable
+    # measure pays one call per (block, draw) pair, and only in bitfeed mode.
     xs = [BINARY.to_block(t) for t in FIVE]
-    scans = []
-    real = codec._first_hits_by_distortion
-    monkeypatch.setattr(
-        codec, "_first_hits_by_distortion", lambda *a: scans.append(a[3].mode) or real(*a)
-    )
+    distinct = set(xs)
+    keys = {
+        joint_empirical_distribution(x, y, 1) for x in distinct for y in enumerate_blocks(5, 2)
+    }
+    calls = {"scan": 0, "aside": 0}  # aside: inside witness searches and masses
+    where = ["scan"]
+    real = distortion_module.distortion
+
+    def counted(*a):
+        calls[where[-1]] += 1
+        return real(*a)
+
+    monkeypatch.setattr(distortion_module, "distortion", counted)
+    for name in ("find_witness", "sphere_mass"):
+
+        def aside(*a, inner=getattr(codec, name)):
+            where.append("aside")
+            try:
+                return inner(*a)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(codec, name, aside)
     for mode in ("exact", "bitfeed"):
-        streams = [CodebookStream(seed=s, n=5, alphabet_size=2, mode=mode) for s in (1, 2)]
-        for masses in (False, True):
-            coded = encode_streams(xs, Fraction(1, 5), spec, streams, masses=masses)
-            assert coded.first.min() >= 1
-    assert scans == ["bitfeed"] * 4
+        for seeds in ((1, 2), range(1, 17)):
+            streams = [CodebookStream(seed=s, n=5, alphabet_size=2, mode=mode) for s in seeds]
+            for masses in (False, True):
+                calls["scan"] = draws[0] = 0
+                coded = encode_streams(xs, Fraction(1, 5), spec, streams, masses=masses)
+                assert coded.first.min() >= 1
+                scanned = calls["scan"]
+                if spec.first_order_only:
+                    assert scanned <= len(keys)
+                elif mode == "exact":
+                    assert scanned == len(distinct) * 2**5  # one scalar row per block
+                else:
+                    assert scanned >= draws[0]  # every draw meets a pending block
+                if spec.kind == "per_letter_matrix":
+                    assert scanned == 0
 
 
 def test_empty_sphere_check_beyond_the_cap_scans_the_budget(monkeypatch, draws):

@@ -29,7 +29,8 @@ from unirdc import (
     sphere_indicator,
 )
 from unirdc import build_universal_table, min_lz_in_sphere, sphere_mass
-from unirdc.distortion import sphere_rows
+from unirdc.core import block_symbols
+from unirdc.distortion import sphere_rows, within
 
 # the package exports the function distortion under the module's name
 distortion_module = importlib.import_module("unirdc.distortion")
@@ -447,3 +448,100 @@ def test_min_lz_in_sphere_lexicographic_tie_break():
                     if best is None or table.bit_length_of(y) < best[0]:
                         best = (table.bit_length_of(y), y)
             assert min_lz_in_sphere(x, level, HAMMING, table) == best
+
+
+TERNARY = Alphabet("012")
+# the pairwise membership kernel against distortion(), one spec per path:
+# int64 gathers, exact Python-int gathers, joint-type keys and the scalar pass
+WITHIN_SPECS = {
+    "hamming": HAMMING,
+    "ternary rational": per_letter(
+        [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]], TERNARY, TERNARY
+    ),
+    "ternary to binary matrix": per_letter([["1/2", 0], [1, "1/3"], [0, 2]], TERNARY, BINARY),
+    # entries near 2^62: two letters already total past int64
+    "near 2^62": per_letter([[1, 2**62 + 3], [2**62 - 1, 0]], BINARY, BINARY),
+    "squared disagreement": squared_disagreement(BINARY),
+    "squared ternary to binary": squared_disagreement(TERNARY, BINARY),
+    "callable": callable_spec(
+        lambda x, y: Fraction(sum(a != b for a, b in zip(x, y)) ** 2, 3), BINARY, BINARY
+    ),
+}
+
+
+def _symbol_rows(draw, n, size, count):
+    rows = st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
+    return np.array(draw(st.lists(rows, min_size=count, max_size=count)), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(WITHIN_SPECS)), st.data())
+def test_within_equals_distortion_on_random_pairs(name, data):
+    spec = WITHIN_SPECS[name]
+    n = data.draw(st.integers(1, 6))
+    xs = _symbol_rows(data.draw, n, spec.source_size, data.draw(st.integers(1, 4)))
+    ys = _symbol_rows(data.draw, n, spec.repro_size, data.draw(st.integers(1, 4)))
+    # every source against every reproduction: distortion() per pair
+    costs = np.array(
+        [[distortion(Block(tuple(x)), Block(tuple(y)), spec) for y in ys.tolist()]
+         for x in xs.tolist()],
+        dtype=object,
+    )
+    on_boundary = Fraction(costs[0, -1]) / n
+    for level in (0, Fraction(1, n), Fraction(1, 4), on_boundary, Fraction(-1, n)):
+        want = costs <= n * level
+        # a scan around source centers, a scan around reproduction centers
+        assert (within(xs[:, None], ys[None], level, spec) == want).all()
+        assert (within(xs[None], ys[:, None], level, spec) == want.T).all()
+        # pair by pair, the round trip's layout
+        m = min(len(xs), len(ys))
+        pairwise = within(xs[:m], ys[:m], level, spec)
+        assert pairwise.dtype == bool and (pairwise == want.diagonal()[:m]).all()
+        assert within(xs[0], ys[-1], level, spec) == want[0, -1]
+
+
+def test_within_takes_python_ints_past_int64():
+    spec = WITHIN_SPECS["near 2^62"]
+    table, limit = distortion_module._costs(2, Fraction(1, 2), spec)
+    assert table.dtype == object and limit == 1
+    xs = np.array([[0, 1], [1, 0], [0, 0]])
+    ys = np.array([[1, 0], [1, 0], [0, 0]])
+    # the pairs total 2^63 + 2 (past int64), 1 and 2
+    assert within(xs, ys, Fraction(1, 2), spec).tolist() == [False, True, False]
+    assert within(xs, ys, 2**62, spec).tolist() == [False, True, True]
+    assert within(xs, ys, Fraction(2**63 + 1, 2), spec).tolist() == [False, True, True]
+    assert within(xs, ys, Fraction(2**63 + 2, 2), spec).tolist() == [True, True, True]
+
+
+@pytest.mark.parametrize("name", sorted(WITHIN_SPECS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_within_over_every_block_equals_sphere_rows(name, n):
+    spec = WITHIN_SPECS[name]
+    rng = random.Random(f"{name}/{n}")
+    sources = block_symbols(np.arange(spec.source_size**n), n, spec.source_size)
+    repros = block_symbols(np.arange(spec.repro_size**n), n, spec.repro_size)
+    for level in (0, Fraction(1, n), Fraction(1, 4), Fraction(2, 3), Fraction(-1, n)):
+        for _ in range(3):
+            x = sources[rng.randrange(len(sources))]
+            xhat = repros[rng.randrange(len(repros))]
+            forward = sphere_rows(x[None], level, spec)
+            reverse = sphere_rows(xhat[None], level, spec, reverse=True)
+            assert (within(x[None], repros, level, spec) == forward[0]).all()
+            assert (within(sources, xhat[None], level, spec) == reverse[0]).all()
+
+
+def test_within_refuses_bad_blocks():
+    xs = np.array([[0, 1]])
+    for ys, message in (
+        (np.array([[0, 1, 1]]), "equal length"),
+        (np.array([[0, 2]]), "index 2 out of range"),
+        (np.array([[-1, 0]]), "index -1 out of range"),
+        (np.array([[0.0, 1.0]]), "integers"),
+        (np.array(1), "equal length"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            within(xs, ys, Fraction(1, 2), HAMMING)
+    with pytest.raises(PreconditionError, match="nonempty"):
+        within(np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=np.int64), 0, HAMMING)
+    with pytest.raises(PreconditionError, match="index 2 out of range"):
+        within(np.array([[2, 0]]), xs, 1, HAMMING)

@@ -143,6 +143,33 @@ def test_achievability_full_sphere():
     assert rep.schema_version == "1"
 
 
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+@pytest.mark.parametrize("dist", ["hamming", "squared_disagreement"])
+def test_round_trip_check_sees_a_corrupted_decode(monkeypatch, mode, dist):
+    # at level 0 only the source itself is inside its sphere, so one shifted
+    # symbol puts the decoded block outside; a check that read the sphere
+    # rows which chose the hit would miss it
+    distortion = {"kind": "hamming"} if dist == "hamming" else {
+        "kind": "joint_type_functional", "functional": "squared_disagreement"}
+    cfg = ExperimentConfig(
+        n=4, level=0, trials=6, master_seed=5, mode=mode, distortion=distortion
+    )
+    clean = achievability_experiment(cfg)
+    assert clean.all_semifaithful
+    assert [row.semifaithful_failures for row in clean.rows] == [0] * 16
+    decoded = experiments._decoded_symbols
+
+    def shifted(msgs, stream):
+        out = decoded(msgs, stream)
+        out[3, 1] ^= 1
+        return out
+
+    monkeypatch.setattr(experiments, "_decoded_symbols", shifted)
+    rep = achievability_experiment(cfg)
+    assert not rep.all_semifaithful
+    assert [row.semifaithful_failures for row in rep.rows] == [0, 0, 0, 6] + [0] * 12
+
+
 def test_achievability_uncodable_level(monkeypatch):
     # both sweeps refuse the level before any codeword is drawn
     monkeypatch.setattr(codec.CodebookStream, "sampler", lambda self: pytest.fail("drew"))

@@ -20,6 +20,7 @@ from unirdc import (
     UniversalTable,
     bitfeed_distribution,
     build_universal_table,
+    distortion,
     enumerate_blocks,
     estimate_sphere_mass,
     hamming,
@@ -31,6 +32,7 @@ from unirdc import (
     sample_bitfeed,
     sample_exact,
     sphere_mass,
+    squared_disagreement,
     total_variation,
 )
 
@@ -372,6 +374,17 @@ def test_estimate_interval_and_errors():
     assert est.low <= est.estimate <= est.high
     with pytest.raises(PreconditionError):
         estimate_sphere_mass(x, Fraction(1, 4), HAMMING, seed=4, trials=0)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**40 + 3])
+@pytest.mark.parametrize("spec", [HAMMING, squared_disagreement(BINARY)])
+def test_estimate_hits_are_a_distortion_count_over_the_draws(seed, spec):
+    x = BINARY.to_block("01101001")
+    for level in (0, Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)):
+        est = estimate_sphere_mass(x, level, spec, seed=seed, trials=400)
+        draws = sample_bitfeed(8, 2, seed, 400)
+        assert est.hits == sum(distortion(x, y, spec) <= 8 * level for y in draws)
+        assert est.estimate == est.hits / 400
 
 
 def test_negative_seeds_are_refused():
