@@ -29,8 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BitReader, BitString, BitWriter, Block, block_symbols
+from .core import BitReader, BitString, BitWriter, Block, block_symbols, symbol_array
 from .distortion import (
+    _INT64_MAX,
     DistortionSpec,
     _budget,
     _membership,
@@ -51,7 +52,6 @@ from .universal import (
     UniversalTable,
     _BitfeedSampler,
     _ExactSampler,
-    _draw_symbols,
     build_universal_table,
     row_mass,
     sphere_mass,
@@ -112,8 +112,9 @@ class CodebookStream:
             raise PreconditionError(f"unknown sampler mode {self.mode!r}")
         if self.n < 1:
             raise PreconditionError("stream needs n >= 1")
-        if self.max_draws < 1:
-            raise PreconditionError("max_draws must be positive")
+        if not 1 <= self.max_draws <= _INT64_MAX:
+            # first hits and replayed indices are int64
+            raise PreconditionError("max_draws must be in [1, 2^63 - 1]")
         if self.table is not None and (
             self.table.n != self.n
             or self.table.alphabet_size != self.alphabet_size
@@ -255,25 +256,25 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     if len({(s.n, s.alphabet_size, s.mode, s.length_mode) for s in streams}) != 1:
         raise PreconditionError("the streams of one batch must differ only in seed and budget")
     stream = streams[0]
-    for x in xs:
-        if x.n != stream.n:
-            raise PreconditionError("block length does not match the stream")
-        x.validate(spec.source_size)
     if spec.repro_size != stream.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the stream")
     _budget(stream.n, level)  # a negative level is refused before any draw
     at: dict[Block, int] = {}
     where = [at.setdefault(x, len(at)) for x in xs]
     distinct = list(at)
+    centers = symbol_array(
+        [x.symbols for x in distinct] or np.zeros((0, stream.n), dtype=np.int64),
+        spec.source_size,
+        stream.n,
+    )
     _refuse_uncodable(distinct, level, spec)
     weighed = [] if masses else None
     if stream.mode == EXACT:
-        first = _first_hits_in_rows(distinct, level, spec, streams, weighed)
+        first = _first_hits_in_rows(centers, level, spec, streams, weighed)
     else:
         if masses:
             weighed.extend(sphere_mass(x, level, spec, stream.resolved_table) for x in distinct)
         first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
-        centers = np.array([x.symbols for x in distinct], dtype=np.int64).reshape(len(distinct), -1)
         inside = _membership(stream.n, level, spec)  # one verdict per joint type for the batch
         for s, hits in zip(streams, first):
             _scan(s, hits, lambda pending, ys: inside(centers[pending, None], ys[None]))
@@ -299,9 +300,9 @@ def _messages(xs, hits, level, spec, coded) -> list[EncodedMessage]:
     return [coded[i or x] for x, i in zip(xs, hits)]
 
 
-def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndarray:
-    """(streams x blocks) first-hit indices, 0 for none, read off the blocks'
-    sphere rows.
+def _first_hits_in_rows(centers, level, spec, streams, weighed=None) -> np.ndarray:
+    """(streams x blocks) first-hit indices, 0 for none, read off the sphere
+    rows of the (blocks x n) symbol array centers.
 
     The rows are built by one sphere_rows call per group of at most
     _MASK_BYTES, and every stream scans a group before the next one is built.
@@ -310,9 +311,9 @@ def _first_hits_in_rows(distinct, level, spec, streams, weighed=None) -> np.ndar
     """
     table = streams[0].resolved_table
     group = max(1, _MASK_BYTES // table.size)
-    first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
-    for lo in range(0, len(distinct), group):
-        rows = sphere_rows(np.array([x.symbols for x in distinct[lo : lo + group]]), level, spec)
+    first = np.zeros((len(streams), len(centers)), dtype=np.int64)
+    for lo in range(0, len(centers), group):
+        rows = sphere_rows(centers[lo : lo + group], level, spec)
         if weighed is not None:
             weighed.extend(row_mass(row, table) for row in rows)
         for stream, hits in zip(streams, first[:, lo : lo + len(rows)]):
@@ -362,10 +363,7 @@ def _chunks(stream: CodebookStream, limit: int):
     drawn = 0
     while drawn < limit:
         take = min(max(drawn, _FIRST_CHUNK), _CHUNK, limit - drawn)
-        if stream.mode == EXACT:
-            yield drawn, sampler.indices(take)
-        else:
-            yield drawn, _draw_symbols(sampler, take, stream.n, stream.alphabet_size)
+        yield drawn, sampler.draw(take)
         drawn += take
 
 

@@ -155,19 +155,50 @@ def enumerate_blocks(n: int, alphabet_size: int) -> Iterator[Block]:
         yield Block(tup)
 
 
-def block_indices(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Positions of the (count x n) symbol array's rows in the lexicographic
+def symbol_array(symbols, alphabet_size: int, n: int | None = None) -> np.ndarray:
+    """symbols as an integer array (..., n) of blocks, one block along the
+    last axis, every symbol in [0, alphabet_size); PreconditionError otherwise.
+
+    n, when given, is the length the last axis must have. Python ints past
+    int64 are range-checked as objects; integer dtypes come back unchanged.
+    """
+    try:
+        arr = np.asarray(symbols)
+    except ValueError:  # a ragged nested list
+        raise PreconditionError("blocks must have equal length")
+    if arr.dtype.kind == "f" and not isinstance(symbols, np.ndarray):
+        arr = np.asarray(symbols, dtype=object)  # NumPy reads ints past int64 as floats
+    if n is not None and (not arr.ndim or arr.shape[-1] != n):
+        raise PreconditionError("blocks must have equal length")
+    if not arr.ndim:
+        raise PreconditionError("blocks must be symbol arrays")
+    if not arr.shape[-1]:
+        raise PreconditionError("blocks must be nonempty")
+    objects = arr.dtype == object
+    if objects:
+        integral = all(isinstance(s, (int, np.integer)) for s in arr.flat)
+    else:
+        integral = np.issubdtype(arr.dtype, np.integer)
+    if not integral:
+        raise PreconditionError("block symbols must be integers")
+    outside = arr[(arr < 0) | (arr >= alphabet_size)]
+    if outside.size:
+        raise PreconditionError(
+            f"symbol index {outside[0]} out of range for alphabet of size {alphabet_size}"
+        )
+    return arr.astype(np.int64) if objects else arr
+
+
+def block_indices(symbols, alphabet_size: int) -> np.ndarray:
+    """Positions of the blocks of a symbol array (..., n) in the lexicographic
     order of enumerate_blocks, as an int64 array (inverse of blocks_at).
 
-    A position is the row read as a base-K number, first symbol most
+    A position is the block read as a base-K number, first symbol most
     significant. Callers hold a table or a cover matrix over all K^n blocks,
     so K^n is within the cap and every position fits in int64.
     """
-    if symbols.size and symbols.max() >= alphabet_size:
-        raise PreconditionError(
-            f"symbol index {symbols.max()} out of range for alphabet of size {alphabet_size}"
-        )
-    return symbols @ alphabet_size ** np.arange(symbols.shape[1] - 1, -1, -1, dtype=np.int64)
+    symbols = symbol_array(symbols, alphabet_size)
+    return symbols @ alphabet_size ** np.arange(symbols.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def block_symbols(indices, n: int, alphabet_size: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .core import (
     enumerate_blocks,
     joint_empirical_distribution,
     parse_rational,
+    symbol_array,
 )
 from .errors import PreconditionError
 
@@ -240,9 +241,7 @@ def within(xs, ys, level, spec: DistortionSpec) -> np.ndarray:
     (centers x 1 x n) against (1 x draws x n) tests every draw against every
     center (a scan). The verdicts are those of distortion(): see _membership.
     """
-    xs = np.asarray(xs)
-    if not xs.ndim:
-        raise PreconditionError("blocks must be symbol arrays")
+    xs = symbol_array(xs, spec.source_size)
     return _membership(xs.shape[-1], level, spec)(xs, ys)
 
 
@@ -258,25 +257,14 @@ def _membership(n: int, level, spec: DistortionSpec):
     every call through it judges a key once. A callable measure takes one
     distortion() per pair.
     """
-    if n == 0:
-        raise PreconditionError("blocks must be nonempty")
     budget = n * Fraction(level)
     if spec.kind != CALLABLE:
         table, limit = _costs(n, level, spec)
     inside = {}  # joint-type key -> within the budget
 
     def test(xs, ys) -> np.ndarray:
-        xs, ys = np.asarray(xs), np.asarray(ys)
-        for arr, size in ((xs, spec.source_size), (ys, spec.repro_size)):
-            if not arr.ndim or arr.shape[-1] != n:
-                raise PreconditionError("blocks must have equal length")
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise PreconditionError("block symbols must be integers")
-            outside = arr[(arr < 0) | (arr >= size)]
-            if outside.size:
-                raise PreconditionError(
-                    f"symbol index {outside[0]} out of range for alphabet of size {size}"
-                )
+        xs = symbol_array(xs, spec.source_size, n)
+        ys = symbol_array(ys, spec.repro_size, n)
         shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
         if not shape:
             return test(xs[None], ys[None])[0]
@@ -306,7 +294,7 @@ def _membership(n: int, level, spec: DistortionSpec):
 def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> np.ndarray:
     """Sphere membership of every block around each center, one row per center.
 
-    centers is a (count x n) integer array, one center's symbols per row.
+    centers is a (count x n) integer symbol array, one center's symbols per row.
     Entry (r, i) is True when the block with the base-K digits of i lies
     within total distortion n * level of centers[r]. The enumerated blocks are
     reproductions around source centers, or with reverse=True sources around
@@ -322,17 +310,10 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     first block that has it; only these keys total whole blocks, one center at
     a time. Callable measures take one exact scalar pass per center.
     """
-    if not len(centers):
-        raise PreconditionError("need at least one sphere center")
+    centers = symbol_array(centers, spec.repro_size if reverse else spec.source_size)
+    if centers.ndim != 2 or not len(centers):
+        raise PreconditionError("need at least one sphere center, one per row")
     count, n = centers.shape
-    if n == 0:
-        raise PreconditionError("blocks must be nonempty")
-    size = spec.repro_size if reverse else spec.source_size
-    outside = centers[(centers < 0) | (centers >= size)]
-    if outside.size:
-        raise PreconditionError(
-            f"symbol index {outside[0]} out of range for alphabet of size {size}"
-        )
     k = spec.source_size if reverse else spec.repro_size
     check_enumerable(k**n, "sphere scan")
     budget = n * Fraction(level)
@@ -366,7 +347,7 @@ def sphere_indicator(
 ) -> np.ndarray:
     """Sphere membership of every block around one center, in lexicographic
     order: the one row of sphere_rows over its symbols."""
-    return sphere_rows(np.array([center.symbols]), level, spec, reverse)[0]
+    return sphere_rows([center.symbols], level, spec, reverse)[0]
 
 
 def enumerate_sphere(x: Block, level, spec: DistortionSpec) -> list[Block]:

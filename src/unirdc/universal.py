@@ -5,7 +5,8 @@ length (or the capped variant); the Kraft inequality makes the weights sum to
 at most one, and normalizing yields an exact rational distribution. Spheres
 are weighed exactly, and two samplers are provided: an exact one driven by
 integer cumulative inversion, and a faster approximate one that feeds fair
-bits straight into the phrase decoder.
+bits straight into the phrase decoder. Each draws arrays, by one method
+draw(count); only sample_exact and sample_bitfeed turn draws into Blocks.
 """
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ class UniversalTable:
 
     def bit_length_of(self, block: Block) -> int:
         self.require_fit(block.n, self.alphabet_size)
-        return int(self.bits[block_indices(np.array([block.symbols]), self.alphabet_size)[0]])
+        return int(self.bits[block_indices([block.symbols], self.alphabet_size)[0]])
 
     def prob(self, block: Block) -> Fraction:
         """Exact normalized probability of one block."""
@@ -277,12 +278,11 @@ class _ExactSampler:
     def __init__(self, table: UniversalTable, seed: int):
         require_seed(seed)
         self._cum = table._cumulative
-        self.table = table
         self.rng = random.Random(seed)
         self._total = table._total
         self._nbits = self._total.bit_length()
 
-    def indices(self, count: int) -> np.ndarray:
+    def draw(self, count: int) -> np.ndarray:
         """The next count table indices of the stream, as an int64 array."""
         getrandbits, nbits, total = self.rng.getrandbits, self._nbits, self._total
         out = []
@@ -293,10 +293,6 @@ class _ExactSampler:
             out.append(r)
         return np.searchsorted(self._cum, np.array(out, dtype=np.int64), side="right")
 
-    def draw(self) -> Block:
-        t = self.table
-        return blocks_at(self.indices(1), t.n, t.alphabet_size)[0]
-
 
 def sample_exact(table: UniversalTable, seed: int, count: int) -> list[Block]:
     """Draw count blocks i.i.d. with their exact table probabilities.
@@ -305,7 +301,7 @@ def sample_exact(table: UniversalTable, seed: int, count: int) -> list[Block]:
     """
     if count < 0:
         raise PreconditionError("count must be non-negative")
-    drawn = _ExactSampler(table, seed).indices(count)
+    drawn = _ExactSampler(table, seed).draw(count)
     distinct, inverse = np.unique(drawn, return_inverse=True)
     blocks = blocks_at(distinct, table.n, table.alphabet_size)
     return [blocks[i] for i in inverse.tolist()]
@@ -320,39 +316,33 @@ class _BitfeedSampler:
         self.alphabet_size = alphabet_size
         self.rng = random.Random(seed)
 
-    def draw(self) -> Block:
-        rng, n, alphabet_size = self.rng, self.n, self.alphabet_size
-        sym_w = lz78.symbol_width(alphabet_size)
-        strings: list[tuple[int, ...]] = [()]
-        out: list[int] = []
-        i = 1
-        while len(out) < n:
-            w = lz78.pointer_width(i)
-            pointer = rng.getrandbits(w) if w else 0
-            while pointer >= i:
-                pointer = rng.getrandbits(w)
-            s = strings[pointer]
-            remaining = n - len(out)
-            if len(s) >= remaining:
-                out.extend(s[:remaining])
-                break
-            symbol = rng.getrandbits(sym_w)
-            while symbol >= alphabet_size:
-                symbol = rng.getrandbits(sym_w)
-            s = s + (symbol,)
-            strings.append(s)
-            out.extend(s)
-            i += 1
-        return Block(tuple(out))
-
-
-def _draw_symbols(sampler, count: int, n: int, alphabet_size: int) -> np.ndarray:
-    """The next count blocks of sampler.draw() as a (count x n) symbol array,
-    one block per row, in the narrowest unsigned type."""
-    out = np.empty((count, n), dtype=np.min_scalar_type(alphabet_size - 1))
-    for row in out:
-        row[:] = sampler.draw().symbols
-    return out
+    def draw(self, count: int) -> np.ndarray:
+        """The next count blocks of the stream as a (count x n) symbol array,
+        one block per row, in the narrowest unsigned type."""
+        getrandbits, n, k = self.rng.getrandbits, self.n, self.alphabet_size
+        sym_w = lz78.symbol_width(k)
+        widths = [lz78.pointer_width(i) for i in range(n + 1)]
+        out = np.empty((count, n), dtype=np.min_scalar_type(k - 1))
+        for row in out:
+            strings: list[tuple[int, ...]] = [()]
+            symbols: list[int] = []
+            while len(symbols) < n:
+                i = len(strings)
+                pointer = getrandbits(widths[i])  # 0 bits give 0 and use no state
+                while pointer >= i:
+                    pointer = getrandbits(widths[i])
+                s = strings[pointer]
+                if len(s) >= n - len(symbols):
+                    symbols += s[: n - len(symbols)]
+                    break
+                symbol = getrandbits(sym_w)
+                while symbol >= k:
+                    symbol = getrandbits(sym_w)
+                s += (symbol,)
+                strings.append(s)
+                symbols += s
+            row[:] = symbols
+        return out
 
 
 def sample_bitfeed(n: int, alphabet_size: int, seed: int, count: int) -> list[Block]:
@@ -368,8 +358,8 @@ def sample_bitfeed(n: int, alphabet_size: int, seed: int, count: int) -> list[Bl
         raise PreconditionError("sampler needs n >= 1")
     if count < 0:
         raise PreconditionError("count must be non-negative")
-    sampler = _BitfeedSampler(n, alphabet_size, seed)
-    return [sampler.draw() for _ in range(count)]
+    drawn = _BitfeedSampler(n, alphabet_size, seed).draw(count)
+    return [Block(tuple(row)) for row in drawn.tolist()]
 
 
 def bitfeed_distribution(n: int, alphabet_size: int) -> dict[Block, Fraction]:
@@ -445,9 +435,8 @@ def estimate_sphere_mass(
         raise PreconditionError("trials must be positive")
     if not 0 < confidence < 1:
         raise PreconditionError("confidence must be in (0, 1)")
-    sampler = _BitfeedSampler(x.n, spec.repro_size, seed)
-    draws = _draw_symbols(sampler, trials, x.n, spec.repro_size)
-    hits = int(within(np.array([x.symbols]), draws, level, spec).sum())
+    draws = _BitfeedSampler(x.n, spec.repro_size, seed).draw(trials)
+    hits = int(within([x.symbols], draws, level, spec).sum())
     p = hits / trials
     # Wilson score interval
     z = NormalDist().inv_cdf(0.5 + confidence / 2)

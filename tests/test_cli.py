@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import unirdc
 from unirdc import BINARY, binary_entropy, build_universal_table, sphere_mass, hamming
+from unirdc import codec
 from unirdc.cli import _parser, run
 
 
@@ -606,6 +607,75 @@ def test_container_witness_outside_the_alphabet_is_an_error_object(tmp_path, cap
     code, out = invoke(capsys, "decode", "--alphabet", "012", "--in", str(crafted))
     assert code == 1
     assert json.loads(out)["error"]["code"] == "corrupt_stream"
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_draw_budget_past_int64_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, mode):
+    # one record holding index 2^64, within a --max-draws of 2^70 but past
+    # any int64 replay
+    stream = codec.CodebookStream(seed=0, n=6, alphabet_size=2, mode=mode)
+    huge = codec.EncodedMessage(escape=False, payload=codec.index_code_encode(2**64), index=2**64)
+    crafted = tmp_path / "huge.urc"
+    with open(crafted, "wb") as f:
+        codec.write_container(f, stream, Fraction(1, 6), [huge])
+    monkeypatch.setattr(codec.CodebookStream, "sampler", lambda self: pytest.fail("drew"))
+    code, out = invoke(
+        capsys, "decode", "--alphabet", "01", "--in", str(crafted), "--max-draws", str(2**70)
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+SQUARED_ONTO_BINARY = {
+    "kind": "joint_type_functional",
+    "functional": "squared_disagreement",
+    "alphabets": {"source": "012", "repro": "01"},
+}
+
+
+# Containers and decodes as the bitfeed sampler gave them when it built one
+# Block per draw, so bitfeed seeds keep their codewords past the first draws.
+@pytest.mark.parametrize(
+    "texts, argv, dist, container_digest, decoded_digest",
+    [
+        # first hits up to 2560
+        (
+            [format(i * 2654435761 % 4096, "012b") for i in range(16)],
+            ["--alphabet", "01", "--D", "1/12", "--seed", "5"],
+            None,
+            "eec9f04b4c6b888bd8ba7228f47ade5737c5b350729ca9ab17e1830110b6de40",
+            "813828c6561284dc78ffdde41010b2243455a9e53c2cf291ff539cb83562b759",
+        ),
+        # 6 of the 12 blocks escape
+        (
+            ["000000", "121010", "210120", "012101", "101211", "021012",
+             "110122", "202100", "001210", "211011", "010121", "102102"],
+            ["--alphabet", "012", "--repro-alphabet", "01", "--D", "1/6", "--seed", "4",
+             "--max-draws", "5"],
+            SQUARED_ONTO_BINARY,
+            "61149518570eaea066a22567c7f7e2d9c9b3c966d470ca56e20799600be3ffc9",
+            "58a1a741a67a31fadd571fbf132278d2c097cb464c135392527f0fbb2c907143",
+        ),
+    ],
+    ids=["binary-hamming", "ternary-squared-escapes"],
+)
+def test_bitfeed_containers_and_decodes_are_pinned(
+    tmp_path, capsys, texts, argv, dist, container_digest, decoded_digest
+):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("".join(t + "\n" for t in texts))
+    if dist:
+        (tmp_path / "dist.json").write_text(json.dumps(dist))
+        argv = argv + ["--dist", str(tmp_path / "dist.json")]
+    container = tmp_path / "out.urc"
+    code, _ = invoke(
+        capsys, "encode", *argv, "--in", str(blocks), "--mode", "bitfeed", "--out", str(container)
+    )
+    assert code == 0
+    assert hashlib.sha256(container.read_bytes()).hexdigest() == container_digest
+    code, out = invoke(capsys, "decode", "--alphabet", "01", "--in", str(container))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == decoded_digest
 
 
 @pytest.mark.skipif(

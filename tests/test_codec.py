@@ -48,6 +48,7 @@ from unirdc import (
     write_container,
 )
 from unirdc import codec
+from unirdc.core import blocks_at
 from unirdc.universal import _ExactSampler, sphere_mass
 from unirdc.codec import message_from_bits
 from unirdc.lz78 import symbol_width
@@ -177,9 +178,17 @@ def test_seed_mismatch_detected_by_distortion():
         assert distortion(x, y, HAMMING) > 6 * level
 
 
+def next_codeword(sampler, s):
+    """The sampler's next codeword, drawn alone through draw(1), as a Block."""
+    drawn = sampler.draw(1)
+    if s.mode == "exact":
+        return blocks_at(drawn, s.n, s.alphabet_size)[0]
+    return Block(tuple(drawn[0].tolist()))
+
+
 def draws_of(s, count):
     sampler = s.sampler()
-    return [sampler.draw() for _ in range(count)]
+    return [next_codeword(sampler, s) for _ in range(count)]
 
 
 def test_same_seed_reproduces_codewords():
@@ -448,7 +457,7 @@ def _scan_one(x, level, spec, s):
         raise UncodableInputError("no reproduction block meets the budget")
     sampler = s.sampler()
     for i in range(1, s.max_draws + 1):
-        if distortion(x, sampler.draw(), spec) <= budget:
+        if distortion(x, next_codeword(sampler, s), spec) <= budget:
             return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
     witness = find_witness(x, level, spec)
     if witness is None:
@@ -464,7 +473,7 @@ def _replay_one(msg, s, witness):
         return witness
     sampler = s.sampler()
     for _ in range(msg.index):
-        xhat = sampler.draw()
+        xhat = next_codeword(sampler, s)
     return xhat
 
 
@@ -548,13 +557,9 @@ def draws(monkeypatch):
         def __init__(self, inner):
             self.inner = inner
 
-        def indices(self, count):
+        def draw(self, count):
             counted[0] += count
-            return self.inner.indices(count)
-
-        def draw(self):
-            counted[0] += 1
-            return self.inner.draw()
+            return self.inner.draw(count)
 
     monkeypatch.setattr(CodebookStream, "sampler", lambda self: Counting(make(self)))
     return counted
@@ -568,6 +573,23 @@ def test_batch_with_an_uncodable_block_draws_nothing(mode, draws):
     xs = [BINARY.to_block("0101"), BINARY.to_block("1100")]
     with pytest.raises(UncodableInputError):
         encode_blocks(xs, Fraction(1, 2), spec, s)
+    assert draws[0] == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_empty_batch_codes_to_no_messages(mode, draws):
+    s = CodebookStream(seed=2, n=6, alphabet_size=2, mode=mode)
+    assert encode_blocks([], Fraction(1, 6), HAMMING, s) == []
+    assert encode_streams([], Fraction(1, 6), HAMMING, [s, s]).first.shape == (2, 0)
+    assert draws[0] == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+@pytest.mark.parametrize("texts", [["000000", "01101"], ["01101", "11100"]])
+def test_blocks_of_another_length_are_refused_before_any_draw(mode, texts, draws):
+    s = CodebookStream(seed=2, n=6, alphabet_size=2, mode=mode)
+    with pytest.raises(PreconditionError, match="equal length"):
+        encode_blocks([BINARY.to_block(t) for t in texts], Fraction(1, 6), HAMMING, s)
     assert draws[0] == 0
 
 
@@ -811,9 +833,9 @@ def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
 @pytest.mark.parametrize("n, level", [(8, Fraction(1, 4)), (8, Fraction(1, 8)), (10, Fraction(1, 10))])
 def test_scan_draws_track_the_last_first_hit(monkeypatch, n, level):
     drawn = []
-    real = _ExactSampler.indices
+    real = _ExactSampler.draw
     monkeypatch.setattr(
-        _ExactSampler, "indices", lambda self, count: drawn.append(count) or real(self, count)
+        _ExactSampler, "draw", lambda self, count: drawn.append(count) or real(self, count)
     )
     xs = list(enumerate_blocks(n, 2))
     s = CodebookStream(seed=3, n=n, alphabet_size=2, mode="exact")

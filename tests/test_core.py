@@ -69,8 +69,9 @@ def test_block_indices_invert_blocks_at(n, k):
 
 
 def test_block_indices_refuse_a_symbol_outside_the_alphabet():
-    with pytest.raises(PreconditionError, match="out of range"):
-        block_indices(np.array([[0, 1], [2, 0]]), 2)
+    for bad, shown in (([[0, 1], [2, 0]], 2), ([[0, -1]], -1)):
+        with pytest.raises(PreconditionError, match=f"index {shown} out of range"):
+            block_indices(np.array(bad), 2)
 
 
 def test_enumeration_cap_env(monkeypatch):

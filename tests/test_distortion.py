@@ -338,8 +338,18 @@ def test_sphere_rows_refuse_no_centers_and_out_of_range():
         with pytest.raises(PreconditionError, match=f"index {shown} out of range"):
             sphere_rows(np.array([[0, 1], bad]), 0, HAMMING)
     # a block's symbol past int64 is out of range, not an overflow
-    with pytest.raises(PreconditionError, match=f"index {2**70} out of range"):
-        sphere_indicator(Block((0, 2**70)), 0, HAMMING)
+    for huge in (2**63, 2**70):
+        with pytest.raises(PreconditionError, match=f"index {huge} out of range"):
+            sphere_indicator(Block((0, huge)), 0, HAMMING)
+    # floats, a single row and a list are refused as such, not left to the fold
+    for bad, message in (
+        (np.array([[0.0, 1.0]]), "integers"),
+        (np.array([0, 1]), "center"),
+        ([[0, 1], [0, 2]], "index 2 out of range"),
+        ([[0, 1], [0]], "equal length"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            sphere_rows(bad, 0, HAMMING)
 
 
 def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):

@@ -324,6 +324,20 @@ def test_bitfeed_stream_is_pinned():
     assert est.hits == 12
 
 
+@pytest.mark.parametrize(
+    "n, k, digest",
+    [
+        (24, 2, "d19b271cf48568b69a0bf78cdc2612b378da9118b2ee8419265bdf0f6f7996c7"),
+        (10, 3, "597bddfdd816f2b66403d1a9ec57adc861b7ad1914e461c1b90af5a9844bf302"),
+    ],
+)
+def test_bitfeed_stream_is_pinned_past_the_first_draws(n, k, digest):
+    # 2000 draws at seed 3, one block per line, as the sampler gave them when
+    # it built one Block per draw
+    text = "".join("".join(map(str, b.symbols)) + "\n" for b in sample_bitfeed(n, k, 3, 2000))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_bitfeed_single_symbol_exactly_uniform():
     law = bitfeed_distribution(1, 2)
     assert law == {b: Fraction(1, 2) for b in enumerate_blocks(1, 2)}
