@@ -110,6 +110,8 @@ class CodebookStream:
     def __post_init__(self):
         if self.mode not in (EXACT, BITFEED):
             raise PreconditionError(f"unknown sampler mode {self.mode!r}")
+        if self.length_mode not in _LENGTH_CODES:
+            raise PreconditionError(f"unknown length mode {self.length_mode!r}")
         if self.n < 1:
             raise PreconditionError("stream needs n >= 1")
         if not 1 <= self.max_draws <= _INT64_MAX:

@@ -5,9 +5,9 @@ of the first-order joint type (scaled by n), and arbitrary callables. The first
 two depend on the pair only through its joint type, which is what the covering
 machinery requires; arbitrary callables are rejected there. Per-letter matrices
 with integer or rational entries give exact integer/Fraction distortions, so
-sphere membership tests never touch floats. Two kernels test membership in
-arrays: sphere_rows over all K^n blocks around given centers, and within()
-over given pairs of blocks, such as drawn codewords.
+sphere membership tests never touch floats. sphere_rows tests all K^n
+reproductions around source centers; within() tests given pairs of blocks,
+such as drawn codewords, callable rows and reverse spheres.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from .core import (
     Alphabet,
     Block,
     EmpiricalDistribution,
+    block_symbols,
     blocks_at,
     check_enumerable,
-    enumerate_blocks,
     joint_empirical_distribution,
     parse_rational,
     symbol_array,
@@ -186,18 +186,17 @@ def _fold(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _costs(n: int, level, spec: DistortionSpec, reverse: bool = False):
+def _costs(n: int, level, spec: DistortionSpec):
     """(table, limit): the integer cost table of a first-order measure for
     blocks of n letters, and the largest total inside the budget.
 
-    table[a, b] costs source letter a against reproduction letter b, or with
-    reverse=True reproduction letter a against source letter b. A per-letter
-    matrix costs spec.scaled, and limit is floor(n * level * scale), negative
-    when nothing is inside. A joint-type measure costs (n+1)^(a * |repro| +
-    b), so a pair's total is its joint type's counts read as a base-(n+1)
-    number, a key of that type; limit is then None. The table is int64 when n
-    times its largest entry fits, and exact Python ints (object dtype)
-    otherwise.
+    table[a, b] costs source letter a against reproduction letter b. A
+    per-letter matrix costs spec.scaled, and limit is floor(n * level *
+    scale), negative when nothing is inside. A joint-type measure costs
+    (n+1)^(a * |repro| + b), so a pair's total is its joint type's counts
+    read as a base-(n+1) number, a key of that type; limit is then None. The
+    table is int64 when n times its largest entry fits, and exact Python ints
+    (object dtype) otherwise.
     """
     if spec.kind == PER_LETTER:
         scale, costs = spec.scaled
@@ -206,7 +205,6 @@ def _costs(n: int, level, spec: DistortionSpec, reverse: bool = False):
         cells = np.arange(spec.source_size * spec.repro_size, dtype=object)
         costs = (n + 1) ** cells.reshape(spec.source_size, spec.repro_size)
         limit = None
-    costs = tuple(zip(*costs)) if reverse else costs
     top = max(map(max, costs)) * n
     table = np.array(costs, dtype=np.int64 if top <= _INT64_MAX else object)
     # the clamp keeps the limit within int64 for int64 totals: NumPy before
@@ -254,8 +252,8 @@ def _membership(n: int, level, spec: DistortionSpec):
     floor(n * level * scale). A joint-type measure gathers the keys of
     sphere_rows the same way, and distortion() runs once per distinct key,
     on the first pair that has it; the function keeps those verdicts, so
-    every call through it judges a key once. A callable measure takes one
-    distortion() per pair.
+    every call through it judges a key once. A callable measure makes one
+    Block per row of xs and of ys and takes one distortion() per pair.
     """
     budget = n * Fraction(level)
     if spec.kind != CALLABLE:
@@ -268,12 +266,12 @@ def _membership(n: int, level, spec: DistortionSpec):
         shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
         if not shape:
             return test(xs[None], ys[None])[0]
-        xb, yb = np.broadcast_to(xs, shape + (n,)), np.broadcast_to(ys, shape + (n,))
         if spec.kind == CALLABLE:
-            out = np.empty(shape, dtype=bool)
-            for at in np.ndindex(shape):
-                out[at] = distortion(Block(xb[at].tolist()), Block(yb[at].tolist()), spec) <= budget
-            return out
+            xblocks, yblocks = ([Block(r) for r in a.reshape(-1, n).tolist()] for a in (xs, ys))
+            at = (np.arange(a.size // n).reshape(a.shape[:-1]) for a in (xs, ys))
+            pairs = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*at)))
+            out = [distortion(xblocks[i], yblocks[j], spec) <= budget for i, j in pairs]
+            return np.array(out, dtype=bool).reshape(shape)
         if limit is not None and limit < 0:
             return np.zeros(shape, dtype=bool)
         totals = np.zeros(shape, dtype=table.dtype)
@@ -284,6 +282,7 @@ def _membership(n: int, level, spec: DistortionSpec):
 
         def pairs(first):
             at = np.unravel_index(first, shape)
+            xb, yb = np.broadcast_to(xs, shape + (n,)), np.broadcast_to(ys, shape + (n,))
             return zip(map(Block, xb[at].tolist()), map(Block, yb[at].tolist()))
 
         return _judge(totals, pairs, budget, spec, inside)
@@ -291,14 +290,13 @@ def _membership(n: int, level, spec: DistortionSpec):
     return test
 
 
-def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> np.ndarray:
+def sphere_rows(centers, level, spec: DistortionSpec) -> np.ndarray:
     """Sphere membership of every block around each center, one row per center.
 
     centers is a (count x n) integer symbol array, one center's symbols per row.
-    Entry (r, i) is True when the block with the base-K digits of i lies
-    within total distortion n * level of centers[r]. The enumerated blocks are
-    reproductions around source centers, or with reverse=True sources around
-    reproduction centers. A negative level gives empty spheres.
+    Entry (r, i) is True when the reproduction block with the base-K digits
+    of i lies within total distortion n * level of centers[r]. A negative
+    level gives empty spheres.
 
     A first-order measure folds the integer costs of _costs, the ones within()
     gathers: the first h = n // 2 letters of a center over the K^h heads and
@@ -308,22 +306,19 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     For a joint-type measure a block's total keys its joint type with the
     center, and distortion() runs once per distinct key of the call, on the
     first block that has it; only these keys total whole blocks, one center at
-    a time. Callable measures take one exact scalar pass per center.
+    a time. A callable measure's rows are within() against every block.
     """
-    centers = symbol_array(centers, spec.repro_size if reverse else spec.source_size)
+    centers = symbol_array(centers, spec.source_size)
     if centers.ndim != 2 or not len(centers):
         raise PreconditionError("need at least one sphere center, one per row")
     count, n = centers.shape
-    k = spec.source_size if reverse else spec.repro_size
+    k = spec.repro_size
     check_enumerable(k**n, "sphere scan")
+    if spec.kind == CALLABLE:
+        return _membership(n, level, spec)(centers[:, None], block_symbols(np.arange(k**n), n, k))
     budget = n * Fraction(level)
     rows = np.zeros((count, k**n), dtype=bool)
-    if spec.kind == CALLABLE:
-        for row, c in zip(rows, map(Block, centers.tolist())):
-            pairs = ((b, c) if reverse else (c, b) for b in enumerate_blocks(n, k))
-            row[:] = [distortion(x, xhat, spec) <= budget for x, xhat in pairs]
-        return rows
-    table, limit = _costs(n, level, spec, reverse)
+    table, limit = _costs(n, level, spec)
     if limit is not None and limit < 0:
         return rows
     h = n // 2
@@ -333,7 +328,7 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
         inside = {}  # key -> within the budget, for every row of the call
         for row, c, head, tail in zip(rows, map(Block, centers.tolist()), heads, tails):
             def pairs(first, c=c):
-                return ((b, c) if reverse else (c, b) for b in blocks_at(first, n, k))
+                return ((c, b) for b in blocks_at(first, n, k))
             row[:] = _judge(np.add.outer(head, tail).ravel(), pairs, budget, spec, inside)
         return rows
     np.less_equal(
@@ -342,12 +337,10 @@ def sphere_rows(centers, level, spec: DistortionSpec, reverse: bool = False) -> 
     return rows
 
 
-def sphere_indicator(
-    center: Block, level, spec: DistortionSpec, reverse: bool = False
-) -> np.ndarray:
+def sphere_indicator(center: Block, level, spec: DistortionSpec) -> np.ndarray:
     """Sphere membership of every block around one center, in lexicographic
     order: the one row of sphere_rows over its symbols."""
-    return sphere_rows([center.symbols], level, spec, reverse)[0]
+    return sphere_rows([center.symbols], level, spec)[0]
 
 
 def enumerate_sphere(x: Block, level, spec: DistortionSpec) -> list[Block]:
@@ -358,10 +351,12 @@ def enumerate_sphere(x: Block, level, spec: DistortionSpec) -> list[Block]:
 
 
 def enumerate_reverse_sphere(xhat: Block, level, spec: DistortionSpec) -> list[Block]:
-    """All source blocks within total distortion n * level of xhat."""
+    """All source blocks within total distortion n * level of xhat, by within()."""
     _budget(xhat.n, level)  # rejects a negative level
-    inside = np.flatnonzero(sphere_indicator(xhat, level, spec, reverse=True))
-    return blocks_at(inside, xhat.n, spec.source_size)
+    n, k = xhat.n, spec.source_size
+    check_enumerable(k**n, "sphere scan")
+    inside = within(block_symbols(np.arange(k**n), n, k), [xhat.symbols], level, spec)
+    return blocks_at(np.flatnonzero(inside), n, k)
 
 
 def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:

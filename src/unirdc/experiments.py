@@ -184,6 +184,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if self.n < 1:
+            raise PreconditionError(f"an experiment needs block length n >= 1, got {self.n}")
         self.level = parse_rational(self.level, f"cannot parse config level {self.level!r}")
         # every experiment would otherwise fail late, or pass vacuously
         if self.level < 0:

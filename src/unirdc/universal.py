@@ -326,14 +326,14 @@ class _BitfeedSampler:
         for row in out:
             strings: list[tuple[int, ...]] = [()]
             symbols: list[int] = []
-            while len(symbols) < n:
-                i = len(strings)
+            i, left = 1, n  # phrases so far (the empty one too), symbols still to fill
+            while left:
                 pointer = getrandbits(widths[i])  # 0 bits give 0 and use no state
                 while pointer >= i:
                     pointer = getrandbits(widths[i])
                 s = strings[pointer]
-                if len(s) >= n - len(symbols):
-                    symbols += s[: n - len(symbols)]
+                if len(s) >= left:
+                    symbols += s[:left]
                     break
                 symbol = getrandbits(sym_w)
                 while symbol >= k:
@@ -341,6 +341,7 @@ class _BitfeedSampler:
                 s += (symbol,)
                 strings.append(s)
                 symbols += s
+                i, left = i + 1, left - len(s)
             row[:] = symbols
         return out
 

@@ -471,7 +471,9 @@ def test_empty_seed_list_is_precondition_error(tmp_path, capsys, experiment, fie
 
 
 @pytest.mark.parametrize("experiment", ["achievability", "ensemble_failure", "converse"])
-@pytest.mark.parametrize("field", [{"level": "-1"}, {"source_blocks": []}], ids=json.dumps)
+@pytest.mark.parametrize(
+    "field", [{"level": "-1"}, {"source_blocks": []}, {"n": 0}, {"n": -2}], ids=json.dumps
+)
 def test_negative_level_or_no_sources_is_precondition_error(
     tmp_path, capsys, monkeypatch, experiment, field
 ):

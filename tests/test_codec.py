@@ -444,6 +444,11 @@ def test_stream_validation():
         CodebookStream(seed=1, n=4, alphabet_size=2, mode="nope")
     with pytest.raises(PreconditionError):
         CodebookStream(seed=1, n=0, alphabet_size=2, mode="exact")
+    # refused up front in both modes, not left to the table build or the
+    # container writer
+    for mode in ("exact", "bitfeed"):
+        with pytest.raises(PreconditionError, match="unknown length mode 'foo'"):
+            CodebookStream(seed=1, n=4, alphabet_size=2, mode=mode, length_mode="foo")
     t = build_universal_table(4, 2, "plain")
     with pytest.raises(PreconditionError):
         CodebookStream(seed=1, n=5, alphabet_size=2, mode="exact", table=t)

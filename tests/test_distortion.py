@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from unirdc import (
     BINARY,
     Alphabet,
     Block,
+    EnumerationCapError,
     PreconditionError,
     callable_spec,
     distortion,
@@ -291,6 +293,18 @@ def _centers_sharing_halves(rng, n, size):
     return centers + centers[:1]
 
 
+def _assert_reverse_spheres(centers, level, spec, want):
+    """enumerate_reverse_sphere around each reproduction center lists the
+    source blocks of that center's oracle row; a negative level is refused."""
+    blocks = list(enumerate_blocks(centers[0].n, spec.source_size))
+    for c, row in zip(centers, want):
+        if level < 0:
+            with pytest.raises(PreconditionError):
+                enumerate_reverse_sphere(c, level, spec)
+        else:
+            assert enumerate_reverse_sphere(c, level, spec) == list(compress(blocks, row))
+
+
 def _levels_on_the_boundary(rng, center, spec, reverse):
     """Levels at which some block lies exactly on center's sphere."""
     k = spec.source_size if reverse else spec.repro_size
@@ -312,20 +326,34 @@ def test_sphere_rows_match_stacked_scalar_rows(source, repro, n, reverse):
     top = max(max(row) for row in spec.matrix)
     levels = [0, Fraction(-1, 3), Fraction(rng.randint(1, 30), 7), top]
     levels += _levels_on_the_boundary(rng, centers[0], spec, reverse)
-    for level in levels:
-        rows = sphere_rows(_symbols(centers), level, spec, reverse=reverse)
-        want = _oracle_rows(centers, level, spec, reverse)
-        assert rows.dtype == bool and rows.shape == want.shape
-        assert (rows == want).all()
-        assert (sphere_indicator(centers[1], level, spec, reverse) == want[1]).all()
+    # a callable measure, rows through within(), against the same oracle
+    counted = callable_spec(
+        lambda x, y: Fraction(sum(a != b for a, b in zip(x, y)) ** 2, 3), src, rep
+    )
+    for measure in (spec, counted):
+        for level in levels + [10**400]:
+            want = _oracle_rows(centers, level, measure, reverse)
+            if reverse:
+                _assert_reverse_spheres(centers, level, measure, want)
+                continue
+            rows = sphere_rows(_symbols(centers), level, measure)
+            assert rows.dtype == bool and rows.shape == want.shape
+            assert (rows == want).all()
+            assert (sphere_indicator(centers[1], level, measure) == want[1]).all()
     # every block lies within the largest entry
-    assert sphere_rows(_symbols(centers), top, spec, reverse=reverse).all()
+    if reverse:
+        _assert_reverse_spheres(centers, top, spec, np.ones((len(centers), src.size**n), bool))
+    else:
+        assert sphere_rows(_symbols(centers), top, spec).all()
     # the joint-type key fold, against distortions worked out once per pair
     squared = squared_disagreement(src, rep)
     costs = _oracle_costs(centers, squared, reverse)
     levels = [0, Fraction(1, 10), Fraction(1, 4), Fraction(-1, 3), 10**400]
     for level in levels + _levels_on_the_boundary(rng, centers[0], squared, reverse):
-        rows = sphere_rows(_symbols(centers), level, squared, reverse=reverse)
+        if reverse:
+            _assert_reverse_spheres(centers, level, squared, costs <= n * level)
+            continue
+        rows = sphere_rows(_symbols(centers), level, squared)
         assert rows.dtype == bool and (rows == (costs <= n * level)).all()
 
 
@@ -367,20 +395,19 @@ def test_kernel_overflowing_denominator_takes_exact_path(monkeypatch):
     for level in (0, Fraction(1, 3**30), Fraction(1, 6), Fraction(5, 7), 10**400):
         m = sphere_mass(x, level, spec, table)
         assert (m.mass, m.sphere_size, m.min_bits) == _oracle_sphere(x, level, spec, table)
-    assert sphere_indicator(x, 10**400, spec, reverse=True).all()
+    assert len(enumerate_reverse_sphere(x, 10**400, spec)) == 2**6
     centers = _centers_sharing_halves(random.Random(7), 7, 2)
     rng = random.Random(7)
     levels = [0, Fraction(-1, 7), Fraction(1, 3**30), Fraction(2, 7), Fraction(5, 7)]
     levels += _levels_on_the_boundary(rng, centers[0], spec, False)
     levels += _levels_on_the_boundary(rng, centers[0], spec, True)
-    rows = {
-        (level, reverse): sphere_rows(_symbols(centers), level, spec, reverse)
-        for level in levels
-        for reverse in (False, True)
-    }
+    # the oracles call the package's distortion(), not the module attribute
+    # that the patch counts
+    for level in levels + [10**400]:
+        got = sphere_rows(_symbols(centers), level, spec)
+        assert (got == _oracle_rows(centers, level, spec)).all()
+        _assert_reverse_spheres(centers, level, spec, _oracle_rows(centers, level, spec, True))
     assert calls == []
-    for (level, reverse), got in rows.items():
-        assert (got == _oracle_rows(centers, level, spec, reverse)).all()
 
 
 def test_kernel_scalar_kinds_match_oracle():
@@ -423,18 +450,25 @@ def test_joint_type_row_evaluates_each_joint_type_once(monkeypatch, reverse):
     every = set()
     for c in centers:
         calls.clear()
-        row = sphere_indicator(c, Fraction(1, 3), spec, reverse)
         pairs = [(b, c) if reverse else (c, b) for b in enumerate_blocks(6, k)]
+        if reverse:
+            got = enumerate_reverse_sphere(c, Fraction(1, 3), spec)
+            want = [x for x, xhat in pairs if distortion(x, xhat, spec) <= 2]
+        else:
+            got = sphere_indicator(c, Fraction(1, 3), spec).tolist()
+            want = [distortion(x, xhat, spec) <= 2 for x, xhat in pairs]
         types = {joint_empirical_distribution(x, xhat, 1) for x, xhat in pairs}
-        # one call per joint type, not one per block
+        # one call per joint type, not one per block (the oracle's calls
+        # above go to the package's distortion(), which the patch does not count)
         assert len(calls) == len(types) < k**6
         assert {joint_empirical_distribution(x, xhat, 1) for x, xhat, _ in calls} == types
-        assert row.tolist() == [distortion(x, xhat, spec) <= 2 for x, xhat in pairs]
+        assert got == want
         every |= types
-    # the rows of one call share their joint types
-    calls.clear()
-    sphere_rows(_symbols(centers), Fraction(1, 3), spec, reverse)
-    assert len(calls) == len(every)
+    if not reverse:
+        # the rows of one call share their joint types
+        calls.clear()
+        sphere_rows(_symbols(centers), Fraction(1, 3), spec)
+        assert len(calls) == len(every)
 
 
 def test_reverse_sphere_matches_scalar_oracle():
@@ -445,6 +479,20 @@ def test_reverse_sphere_matches_scalar_oracle():
         got = enumerate_reverse_sphere(xhat, level, spec)
         want = [x for x in enumerate_blocks(4, 3) if distortion(x, xhat, spec) <= 4 * level]
         assert got == want
+
+
+def test_reverse_sphere_past_the_cap_builds_nothing(monkeypatch):
+    monkeypatch.setenv("UNIRDC_CAP", "8")
+    built = []
+    for name in ("block_symbols", "within"):
+        monkeypatch.setattr(distortion_module, name, lambda *a, name=name: built.append(name))
+    xhat = BINARY.to_block("0110")
+    with pytest.raises(EnumerationCapError, match="16 states but the cap is 8"):
+        enumerate_reverse_sphere(xhat, Fraction(1, 4), HAMMING)
+    # the level is refused first, whatever the cap
+    with pytest.raises(PreconditionError, match="non-negative"):
+        enumerate_reverse_sphere(xhat, Fraction(-1, 4), HAMMING)
+    assert built == []
 
 
 def test_min_lz_in_sphere_lexicographic_tie_break():
@@ -530,14 +578,20 @@ def test_within_over_every_block_equals_sphere_rows(name, n):
     rng = random.Random(f"{name}/{n}")
     sources = block_symbols(np.arange(spec.source_size**n), n, spec.source_size)
     repros = block_symbols(np.arange(spec.repro_size**n), n, spec.repro_size)
-    for level in (0, Fraction(1, n), Fraction(1, 4), Fraction(2, 3), Fraction(-1, n)):
+    for level in (0, Fraction(1, n), Fraction(1, 4), Fraction(2, 3), Fraction(-1, n), 10**400):
         for _ in range(3):
             x = sources[rng.randrange(len(sources))]
-            xhat = repros[rng.randrange(len(repros))]
             forward = sphere_rows(x[None], level, spec)
-            reverse = sphere_rows(xhat[None], level, spec, reverse=True)
+            assert (forward == _oracle_rows([Block(x.tolist())], level, spec)).all()
             assert (within(x[None], repros, level, spec) == forward[0]).all()
-            assert (within(sources, xhat[None], level, spec) == reverse[0]).all()
+    # a reverse sphere is within() over every source block: against the
+    # pairwise oracle, at the boundary levels too
+    for _ in range(3):
+        xhat = Block(repros[rng.randrange(len(repros))].tolist())
+        levels = [0, Fraction(1, 4), Fraction(-1, n), 10**400]
+        levels += _levels_on_the_boundary(rng, xhat, spec, True)
+        for level in levels:
+            _assert_reverse_spheres([xhat], level, spec, _oracle_rows([xhat], level, spec, True))
 
 
 def test_within_refuses_bad_blocks():
