@@ -305,6 +305,8 @@ def _cmd_converse_check(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 0:
+        raise PreconditionError(f"--jobs must be positive, or 0 for the config's, got {args.jobs}")
     with open(args.config, "r", encoding="utf-8") as f:
         raw = _parse_json(f.read(), "config")
     if not isinstance(raw, dict) or "experiment" not in raw:

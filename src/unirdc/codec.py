@@ -163,6 +163,16 @@ def index_code_length(i: int) -> int:
     return nbits + 2 * (nbits.bit_length() - 1)
 
 
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
+def _index_code_lengths(indices: np.ndarray) -> np.ndarray:
+    """index_code_length of each positive int64 index. The bit lengths are
+    counted against the powers of two, exactly: a float log2 rounds near 2^63."""
+    nbits = np.searchsorted(_POWERS_OF_TWO, indices, side="right")
+    return nbits + 2 * (np.searchsorted(_POWERS_OF_TWO, nbits, side="right") - 1)
+
+
 def index_code_decode(reader: BitReader) -> int:
     """Read one self-delimiting integer from the stream."""
     prefix = 0

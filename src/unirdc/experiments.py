@@ -30,8 +30,8 @@ import numpy as np
 from .codec import (
     CodebookStream,
     _decoded_symbols,
+    _index_code_lengths,
     encode_streams,
-    index_code_length,
 )
 from .converse import (
     _greedy,
@@ -194,6 +194,8 @@ class ExperimentConfig:
             raise PreconditionError(f"epsilon must be finite, got {self.epsilon}")
         if self.source_blocks is not None and not self.source_blocks:
             raise PreconditionError("an experiment needs at least one source block")
+        if self.jobs < 1:
+            raise PreconditionError(f"an experiment needs jobs >= 1, got {self.jobs}")
 
     def spec(self):
         data = dict(self.distortion)
@@ -323,7 +325,15 @@ def _check_json_type(name: str, value, types) -> None:
         )
 
 
+_SCALARS = (float, int, bool, str, type(None))
+
+
 def _jsonable(value):
+    # exact scalar types are almost every value of a report, so they go first;
+    # an infinite float falls through to the last test
+    kind = type(value)
+    if kind in _SCALARS and (kind is not float or not math.isinf(value)):
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Block):
@@ -448,77 +458,113 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
     index statistics against the geometric law implied by the exact sphere
     mass: a uniform CDF band for the tail, and the log-mean bound.
     """
-    tl_const, c_const = index_length_terms(cfg.n, cfg.nominal_base)
-    sources = cfg.sources()
+    terms = index_length_terms(cfg.n, cfg.nominal_base)
     first, failed, masses = _sweep(cfg, round_trip=True)
+    return _achievability_report(first, failed, masses, cfg, terms)
 
-    trials = len(first)
+
+def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityReport:
+    """The achievability report of a (seeds x sources) first-hit array, its
+    round-trip failures, each source's SphereMass and the index length terms.
+
+    Every row statistic is an array reduction over all sources at once. One
+    stable argsort of each source's indices gives its distinct indices, their
+    counts and first occurrences. A float sum adds a source's distinct nonzero
+    indices in order of first occurrence, and the sources with L such indices
+    are summed as one C-contiguous (sources x L) matrix along its rows, which
+    NumPy adds term for term as it adds each row alone; a zero-padded matrix
+    of one width would group the terms differently. The empirical CDF is
+    constant between distinct indices and the geometric CDF does not
+    decrease, so the DKW sup is read at each distinct index v and at v - 1.
+    """
+    tl_const, c_const = terms
+    trials, count = first.shape
     eps_band = dkw_band(trials)
-    rows = []
-    total_viol = 0
-    total_samples = 0
-    for x, m, column, bad in zip(sources, masses, first.T, failed.T):
-        # distinct indices in order of first occurrence: the float sums below
-        # depend on that order
-        keys, at, counts = np.unique(column, return_index=True, return_counts=True)
-        order = np.argsort(at)
-        keys, counts = keys[order], counts[order]
-        escapes = int(counts[keys == 0].sum())
-        values, counts = keys[keys != 0], counts[keys != 0]
-        neg_log2 = m.neg_log2_mass()
-        logs = np.log2(values.astype(float))
-        m_eff = int(counts.sum())
-        mean_log = float((logs * counts).sum() / m_eff) if m_eff else math.inf
-        var_log = (
-            float((counts * (logs - mean_log) ** 2).sum() / m_eff) if m_eff else 0.0
-        )
-        se = math.sqrt(var_log / m_eff) if m_eff else 0.0
-        index_ok = escapes == 0 and mean_log <= neg_log2 + 3 * se + 1e-12
+    by_source = np.ascontiguousarray(first.T)
+    order = np.argsort(by_source, axis=1, kind="stable")
+    ordered = by_source.ravel()[(order + np.arange(0, by_source.size, trials)[:, None]).ravel()]
+    # one run per distinct index of a source, its entries in seed order
+    fresh = np.ones(ordered.size, dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    fresh[::trials] = True
+    starts = np.flatnonzero(fresh)
+    counts = np.diff(starts, append=ordered.size)
+    row, value = starts // trials, ordered[starts]
+    escaped = value == 0
+    escapes = np.zeros(count, dtype=np.int64)
+    escapes[row[escaped]] = counts[escaped]
+    hit = ~escaped
+    row, value, counts, starts = row[hit], value[hit], counts[hit], starts[hit]
 
-        p = float(m.mass)
-        max_i = int(values.max()) if m_eff else 0
-        grid = np.arange(0, max_i + 1)
-        # integer-valued float sums, so the order of the terms does not matter
-        emp = np.cumsum(np.bincount(values, weights=counts, minlength=max_i + 1))
-        emp /= trials
-        theo = 1.0 - (1.0 - p) ** grid
-        dkw_sup = float(np.max(np.abs(emp - theo))) if max_i else abs(0.0)
-        dkw_ok = dkw_sup <= eps_band
+    # the empirical CDF below v and at v, against 1 - (1 - p)^g at g = v - 1 and v
+    below = starts - row * trials - escapes[row]
+    keep = (1.0 - np.array([float(m.mass) for m in masses]))[row]
+    dev = np.maximum(
+        np.abs(below / trials - (1.0 - keep ** (value - 1))),
+        np.abs((below + counts) / trials - (1.0 - keep**value)),
+    )
+    dkw_sup = np.zeros(count)
+    np.maximum.at(dkw_sup, row, dev)
 
-        actual = np.array([1 + index_code_length(v) for v in values.tolist()], dtype=float)
-        mean_actual = float((actual * counts).sum() / m_eff) if m_eff else math.inf
-        theo_bits = logs + tl_const
-        mean_theo = float((theo_bits * counts).sum() / m_eff) if m_eff else math.inf
-        bound = neg_log2 + (2 + cfg.epsilon) * math.log2(cfg.n) + c_const + cfg.slack_bits
-        viol = int(((theo_bits > bound) * counts).sum()) + escapes
-        total_viol += viol
-        total_samples += trials
-        rows.append(
-            AchievabilityRow(
-                block=x,
-                mass=m.mass,
-                neg_log2_mass=neg_log2,
-                trials=trials,
-                escapes=escapes,
-                mean_log2_index=mean_log,
-                se_log2_index=se,
-                index_mean_ok=index_ok,
-                dkw_sup=dkw_sup,
-                dkw_ok=dkw_ok,
-                semifaithful_failures=int(bad.sum()),
-                mean_actual_bits=mean_actual,
-                mean_theoretical_bits=mean_theo,
-                length_violation_fraction=viol / trials if trials else 0.0,
-            )
-        )
+    # the hits of each source in order of first occurrence, and its slots
+    # grouped by their number
+    seq = np.argsort(row * trials + order.ravel()[starts], kind="stable")
+    value, counts = value[seq], counts[seq]
+    distinct = np.bincount(row, minlength=count)
+    offset = np.cumsum(distinct) - distinct
+    groups = []
+    # not np.unique, whose hash path keeps a 1 MiB table for the process's life
+    for width in (np.flatnonzero(np.bincount(distinct)[1:]) + 1).tolist():
+        members = np.flatnonzero(distinct == width)
+        groups.append((members, offset[members][:, None] + np.arange(width)))
+
+    hits = trials - escapes
+    scored = hits > 0
+    per_hit = np.maximum(hits, 1)
+
+    def mean(weighted, empty):
+        total = np.zeros(count)
+        for members, slots in groups:
+            total[members] = weighted[slots].sum(axis=1)
+        return np.where(scored, total / per_hit, empty)
+
+    neg_log2 = np.array([m.neg_log2_mass() for m in masses])
+    logs = np.log2(value.astype(float))
+    mean_log = mean(logs * counts, math.inf)
+    var_log = mean(counts * (logs - mean_log[row]) ** 2, 0.0)
+    se = np.sqrt(var_log / per_hit)
+    index_ok = (escapes == 0) & (mean_log <= neg_log2 + 3 * se + 1e-12)
+    actual = (1 + _index_code_lengths(value)).astype(float)
+    theo_bits = logs + tl_const
+    bound = neg_log2 + (2 + cfg.epsilon) * math.log2(cfg.n) + c_const + cfg.slack_bits
+    over = theo_bits > bound[row]
+    viol = np.bincount(row[over], weights=counts[over], minlength=count).astype(np.int64)
+    viol += escapes
+    columns = zip(
+        cfg.sources(),
+        [m.mass for m in masses],
+        neg_log2.tolist(),
+        [trials] * count,
+        escapes.tolist(),
+        mean_log.tolist(),
+        se.tolist(),
+        index_ok.tolist(),
+        dkw_sup.tolist(),
+        (dkw_sup <= eps_band).tolist(),
+        failed.sum(axis=0).tolist(),
+        mean(actual * counts, math.inf).tolist(),
+        mean(theo_bits * counts, math.inf).tolist(),
+        (viol / trials).tolist(),
+    )
+    rows = tuple(AchievabilityRow(*column) for column in columns)
     return AchievabilityReport(
-        rows=tuple(rows),
+        rows=rows,
         dkw_eps=eps_band,
         alpha=ALPHA,
         all_dkw_ok=all(r.dkw_ok for r in rows),
         all_index_mean_ok=all(r.index_mean_ok for r in rows),
         all_semifaithful=all(r.semifaithful_failures == 0 for r in rows),
-        length_violation_fraction=total_viol / total_samples if total_samples else 0.0,
+        length_violation_fraction=int(viol.sum()) / (trials * count),
         config=json.loads(cfg.to_json()),
     )
 

@@ -470,6 +470,20 @@ def test_empty_seed_list_is_precondition_error(tmp_path, capsys, experiment, fie
     assert json.loads(out)["error"]["code"] == "precondition"
 
 
+@pytest.mark.parametrize(
+    "field, argv", [({"jobs": -3}, []), ({}, ["--jobs", "-2"])], ids=["config", "flag"]
+)
+def test_jobs_below_one_is_precondition_error(tmp_path, capsys, monkeypatch, field, argv):
+    swept = []
+    monkeypatch.setattr(unirdc.experiments, "_sweep", lambda *args: swept.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "achievability", "n": 4, "trials": 2} | field))
+    code, out = invoke(capsys, "experiment", "--config", str(cfg), *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+    assert swept == []
+
+
 @pytest.mark.parametrize("experiment", ["achievability", "ensemble_failure", "converse"])
 @pytest.mark.parametrize(
     "field", [{"level": "-1"}, {"source_blocks": []}, {"n": 0}, {"n": -2}], ids=json.dumps

@@ -5,6 +5,7 @@ import os
 import struct
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,13 @@ def test_index_code_length_closed_form_dense():
 @given(st.integers(1, 1 << 80))
 def test_index_code_length_closed_form(i):
     assert index_code_length(i) == index_code_encode(i).length
+
+
+def test_index_code_lengths_are_exact_up_to_int64():
+    edges = sorted({v for k in range(63) for v in (2**k - 1, 2**k, 2**k + 1)} - {0})
+    indices = [*edges, 2**63 - 1]
+    got = codec._index_code_lengths(np.array(indices, dtype=np.int64))
+    assert got.tolist() == [index_code_length(i) for i in indices]
 
 
 def test_index_code_rejects_garbage():

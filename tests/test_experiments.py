@@ -4,7 +4,9 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+from dataclasses import fields
 from fractions import Fraction
 
 from unirdc import (
@@ -22,6 +24,7 @@ from unirdc import (
     empirical_distribution,
     enumerate_type_class,
     EnumerationCapError,
+    SphereMass,
     hamming,
     counting_length,
     counting_phrases,
@@ -246,6 +249,183 @@ def test_achievability_csv_is_pinned(jobs):
     assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == (
         "21a1b3f9d11762b145182d9543bd90b78a8a405eb9be7ec8082af9c845d42ebb"
     )
+
+
+def _reference_achievability(first, failed, masses, cfg, dkw=True):
+    """The per-source loop that computed the achievability rows before they
+    became array reductions, kept as their oracle. It is mended in one place:
+    a source that escapes under every seed has DKW sup 0, where the loop's
+    empty bincount raised. dkw=False skips the DKW sup, whose dense grid over
+    0..max index cannot reach indices near 2^62."""
+    tl_const, c_const = experiments.index_length_terms(cfg.n, cfg.nominal_base)
+    trials = len(first)
+    eps_band = dkw_band(trials)
+    rows = []
+    total_viol = 0
+    total_samples = 0
+    for x, m, column, bad in zip(cfg.sources(), masses, first.T, failed.T):
+        keys, at, counts = np.unique(column, return_index=True, return_counts=True)
+        order = np.argsort(at)
+        keys, counts = keys[order], counts[order]
+        escapes = int(counts[keys == 0].sum())
+        values, counts = keys[keys != 0], counts[keys != 0]
+        neg_log2 = m.neg_log2_mass()
+        logs = np.log2(values.astype(float))
+        m_eff = int(counts.sum())
+        mean_log = float((logs * counts).sum() / m_eff) if m_eff else math.inf
+        var_log = (
+            float((counts * (logs - mean_log) ** 2).sum() / m_eff) if m_eff else 0.0
+        )
+        se = math.sqrt(var_log / m_eff) if m_eff else 0.0
+        index_ok = escapes == 0 and mean_log <= neg_log2 + 3 * se + 1e-12
+
+        dkw_sup = None
+        if dkw:
+            p = float(m.mass)
+            max_i = int(values.max()) if m_eff else 0
+            dkw_sup = abs(0.0)
+            if max_i:  # the loop raised here when every seed escaped
+                grid = np.arange(0, max_i + 1)
+                emp = np.cumsum(np.bincount(values, weights=counts, minlength=max_i + 1))
+                emp /= trials
+                theo = 1.0 - (1.0 - p) ** grid
+                dkw_sup = float(np.max(np.abs(emp - theo)))
+
+        actual = np.array(
+            [1 + codec.index_code_length(v) for v in values.tolist()], dtype=float
+        )
+        mean_actual = float((actual * counts).sum() / m_eff) if m_eff else math.inf
+        theo_bits = logs + tl_const
+        mean_theo = float((theo_bits * counts).sum() / m_eff) if m_eff else math.inf
+        bound = neg_log2 + (2 + cfg.epsilon) * math.log2(cfg.n) + c_const + cfg.slack_bits
+        viol = int(((theo_bits > bound) * counts).sum()) + escapes
+        total_viol += viol
+        total_samples += trials
+        rows.append(
+            experiments.AchievabilityRow(
+                block=x,
+                mass=m.mass,
+                neg_log2_mass=neg_log2,
+                trials=trials,
+                escapes=escapes,
+                mean_log2_index=mean_log,
+                se_log2_index=se,
+                index_mean_ok=index_ok,
+                dkw_sup=dkw_sup,
+                dkw_ok=dkw_sup <= eps_band if dkw else None,
+                semifaithful_failures=int(bad.sum()),
+                mean_actual_bits=mean_actual,
+                mean_theoretical_bits=mean_theo,
+                length_violation_fraction=viol / trials if trials else 0.0,
+            )
+        )
+    return rows, total_viol / total_samples
+
+
+def _assert_matches_reference(first, failed, masses, cfg, dkw=True):
+    terms = experiments.index_length_terms(cfg.n, cfg.nominal_base)
+    rep = experiments._achievability_report(first, failed, masses, cfg, terms)
+    want_rows, want_viol = _reference_achievability(first, failed, masses, cfg, dkw)
+    assert rep.length_violation_fraction.hex() == want_viol.hex()
+    assert len(rep.rows) == len(want_rows)
+    skip = () if dkw else ("dkw_sup", "dkw_ok")
+    for got, want in zip(rep.rows, want_rows):
+        for f in fields(experiments.AchievabilityRow):
+            if f.name in skip:
+                continue
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b), f.name
+            assert (a.hex() == b.hex()) if type(a) is float else (a == b), (f.name, a, b)
+    return rep
+
+
+def _synthetic(rng, trials, n, top, masses):
+    """A (trials x 2^n) first-hit array with per-source index ranges, random
+    round-trip failures and the given masses, one per source."""
+    sources = 2**n
+    first = rng.integers(0, np.asarray(top) + 1, size=(trials, sources))
+    failed = rng.random((trials, sources)) < 0.1
+    masses = [SphereMass(Fraction(m), 1, 1) for m in masses]
+    cfg = ExperimentConfig(n=n, trials=trials, epsilon=-1.5, slack_bits=0.25)
+    return first, failed, masses, cfg
+
+
+def _random_masses(rng, count):
+    return [Fraction(int(rng.integers(1, 50)), int(rng.integers(50, 4000))) for _ in range(count)]
+
+
+def test_achievability_rows_match_the_loop_with_escapes():
+    rng = np.random.default_rng(1)
+    first, failed, masses, cfg = _synthetic(
+        rng, 30, 3, [1, 2, 0, 5, 9, 0, 40, 3], _random_masses(rng, 8)
+    )
+    first[:, 4] = 0  # every seed escapes
+    rep = _assert_matches_reference(first, failed, masses, cfg)
+    escapes = [r.escapes for r in rep.rows]
+    assert escapes[2] == escapes[4] == escapes[5] == 30 and 0 < escapes[0] < 30
+    assert rep.rows[4].mean_log2_index == math.inf and rep.rows[4].dkw_sup == 0.0
+
+
+def test_achievability_runs_when_a_source_escapes_under_every_seed():
+    cfg = ExperimentConfig(n=6, level=Fraction(1, 6), trials=1, master_seed=4, max_draws=2)
+    rows = achievability_experiment(cfg).rows
+    lost = [r for r in rows if r.escapes == r.trials]
+    assert 0 < len(lost) < len(rows)
+    assert all(r.dkw_sup == 0.0 and r.mean_log2_index == math.inf for r in lost)
+
+
+def test_achievability_rows_match_the_loop_on_one_seed():
+    rng = np.random.default_rng(2)
+    _assert_matches_reference(*_synthetic(rng, 1, 4, 3, _random_masses(rng, 16)))
+
+
+def test_achievability_rows_match_the_loop_past_eight_distinct_indices():
+    # NumPy's pairwise sum regroups its terms from nine on
+    rng = np.random.default_rng(3)
+    top = [2, 9, 17, 60, 200, 500, 1500, 4000]
+    first, failed, masses, cfg = _synthetic(rng, 300, 3, top, _random_masses(rng, 8))
+    rep = _assert_matches_reference(first, failed, masses, cfg)
+    assert max(len(set(column.tolist()) - {0}) for column in first.T) > 100
+    assert any(r.length_violation_fraction > 0 for r in rep.rows)
+
+
+def test_achievability_rows_match_the_loop_at_the_extreme_masses():
+    # mass 1, the whole space, and masses below 2^-50
+    rng = np.random.default_rng(4)
+    tiny = [Fraction(1, 2**51 + 7), Fraction(3, 2**60 + 1)]
+    first, failed, masses, cfg = _synthetic(rng, 40, 2, [1, 1, 90000, 400000], [1, 1, *tiny])
+    first[:, 0] = 1
+    rep = _assert_matches_reference(first, failed, masses, cfg)
+    assert rep.rows[0].dkw_sup == 0.0 and rep.rows[0].neg_log2_mass == 0.0
+
+
+def test_achievability_rows_match_the_loop_near_two_to_the_62():
+    # exact integer bit lengths: 2^62 - 1 has 62 bits, while its float log2 is 62.0
+    rng = np.random.default_rng(5)
+    first, failed, masses, cfg = _synthetic(rng, 20, 2, 0, [Fraction(1, 2**62)] * 4)
+    near = [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**62 - 2**10, 0]
+    first[:] = rng.choice(np.array(near, dtype=np.int64), size=first.shape)
+    rep = _assert_matches_reference(first, failed, masses, cfg, dkw=False)
+    assert all(0.0 <= r.dkw_sup <= 1.0 for r in rep.rows)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "settings",
+    [_PINNED_SWEEP, {**_PINNED_SWEEP, "mode": "bitfeed"}, dict(n=4, level=1, trials=7)],
+    ids=["pinned", "bitfeed", "level-1"],
+)
+def test_achievability_rows_match_the_loop_on_a_sweep(settings, jobs):
+    cfg = ExperimentConfig(**settings, jobs=jobs)
+    first, failed, masses = experiments._sweep(cfg, round_trip=True)
+    rep = _assert_matches_reference(first, failed, masses, cfg)
+    assert rep.to_json() == achievability_experiment(cfg).to_json()
+
+
+def test_config_refuses_jobs_below_one():
+    for jobs in (0, -1):
+        with pytest.raises(PreconditionError, match="jobs"):
+            ExperimentConfig(n=4, jobs=jobs)
 
 
 @pytest.mark.parametrize("run", [achievability_experiment, ensemble_failure_experiment])
