@@ -15,15 +15,9 @@ import stat
 import sys
 from fractions import Fraction
 
-from . import codec, converse, experiments, lz78, reference, universal
+from . import codec, experiments, lz78, reference, universal
 from .core import Alphabet, check_enumerable, parse_rational, read_blocks
-from .distortion import (
-    hamming,
-    load_spec,
-    spec_from_json,
-    spec_to_json,
-    squared_disagreement,
-)
+from .distortion import JOINT_TYPE, spec_from_object
 from .errors import PreconditionError, UnirdcError
 
 
@@ -38,14 +32,30 @@ def _parse_json(text: str, what: str):
         raise PreconditionError(f"invalid {what} JSON: {e}")
 
 
-def _resolve_spec(name: str, source: Alphabet, repro: Alphabet):
-    if name == "hamming":
-        return hamming(source, repro)
-    if name == "squared_disagreement":
-        return squared_disagreement(source, repro)
-    if name.lstrip().startswith("{"):
-        return spec_from_json(name)
-    return load_spec(name)
+def _read_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as f:
+        return _parse_json(f.read(), what)
+
+
+_NAMED_MEASURES = {
+    "hamming": {"kind": "hamming"},
+    "squared_disagreement": {"kind": JOINT_TYPE, "functional": "squared_disagreement"},
+}
+
+
+def _measure(args):
+    """(source, repro, dist, spec): the command's alphabets, the JSON object
+    of its --dist (a built-in name, inline JSON or a file) and its measure.
+    An object without alphabets takes --alphabet and --repro-alphabet."""
+    source = Alphabet(args.alphabet)
+    repro = Alphabet(args.repro_alphabet or args.alphabet)
+    if args.dist in _NAMED_MEASURES:
+        dist = dict(_NAMED_MEASURES[args.dist])
+    elif args.dist.lstrip().startswith("{"):
+        dist = _parse_json(args.dist, "distortion")
+    else:
+        dist = _read_json(args.dist, "distortion")
+    return source, repro, dist, spec_from_object(dist, source.symbols, repro.symbols)
 
 
 def _read_lines(path: str):
@@ -140,9 +150,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sphere_mass(args) -> int:
-    source = Alphabet(args.alphabet)
-    repro = Alphabet(args.repro_alphabet or args.alphabet)
-    spec = _resolve_spec(args.dist, source, repro)
+    source, repro, _, spec = _measure(args)
     level = _parse_level(args.level)
     blocks = _read_block_file(args.infile, source)
     table = universal.build_universal_table(blocks[0].n, repro.size, args.length_mode)
@@ -163,9 +171,7 @@ def _cmd_sphere_mass(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    source = Alphabet(args.alphabet)
-    repro = Alphabet(args.repro_alphabet or args.alphabet)
-    spec = _resolve_spec(args.dist, source, repro)
+    source, repro, _, spec = _measure(args)
     level = _parse_level(args.level)
     blocks = _read_block_file(args.infile, source)
     stream = codec.CodebookStream(
@@ -235,9 +241,7 @@ def _parse_dist_vector(text: str, size: int) -> list[Fraction]:
 
 
 def _cmd_rd_curve(args) -> int:
-    source = Alphabet(args.alphabet)
-    repro = Alphabet(args.repro_alphabet or args.alphabet)
-    spec = _resolve_spec(args.dist, source, repro)
+    source, repro, _, spec = _measure(args)
     if spec.kind != "per_letter_matrix":
         raise PreconditionError("rate-distortion curves need a per-letter matrix")
     if args.source_dist:
@@ -254,9 +258,7 @@ def _cmd_rd_curve(args) -> int:
             mass_block.n, repro.size, args.length_mode
         )
     rows = []
-    for level in grid:
-        r = reference.blahut_arimoto(p, spec.matrix, float(level)).rate
-        e = reference.sphere_exponent(p, spec.matrix, float(level)).exponent
+    for level, point in zip(grid, reference.complexity_crossover(p, spec.matrix, grid)):
         if mass_block is not None:
             m = universal.sphere_mass(mass_block, level, spec, table)
             mass_col = m.neg_log2_mass() / mass_block.n if m.sphere_size else "inf"
@@ -265,8 +267,8 @@ def _cmd_rd_curve(args) -> int:
         rows.append(
             {
                 "D": str(level),
-                "R": f"{r:.9f}",
-                "E": f"{e:.9f}",
+                "R": f"{point.rate:.9f}",
+                "E": f"{point.exponent:.9f}",
                 "minus_log_U_mass_over_n": mass_col,
             }
         )
@@ -275,16 +277,14 @@ def _cmd_rd_curve(args) -> int:
 
 
 def _cmd_converse_check(args) -> int:
-    source = Alphabet(args.alphabet)
-    repro = Alphabet(args.repro_alphabet or args.alphabet)
-    spec = _resolve_spec(args.dist, source, repro)
+    source, repro, dist, _ = _measure(args)  # refused before the config is built
     cfg = experiments.ExperimentConfig(
         n=args.n,
         source_alphabet=source.symbols,
         repro_alphabet=repro.symbols,
         order=args.order,
         level=_parse_level(args.level),
-        distortion=json.loads(spec_to_json(spec)),
+        distortion=dist,
         epsilon=args.epsilon,
         type_counts=_parse_json(args.type_counts, "type counts") if args.type_counts else None,
         length_mode=args.length_mode,
@@ -307,8 +307,7 @@ def _cmd_converse_check(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.jobs < 0:
         raise PreconditionError(f"--jobs must be positive, or 0 for the config's, got {args.jobs}")
-    with open(args.config, "r", encoding="utf-8") as f:
-        raw = _parse_json(f.read(), "config")
+    raw = _read_json(args.config, "config")
     if not isinstance(raw, dict) or "experiment" not in raw:
         raise PreconditionError("config must be a JSON object with an 'experiment' name")
     name = raw["experiment"]
@@ -339,98 +338,70 @@ def _cmd_counting_seq(args) -> int:
     return 0
 
 
+# Every flag that several subcommands take, declared once.
+_FLAGS = {
+    "--alphabet": {"required": True},
+    "--in": {"dest": "infile", "required": True},
+    "--n": {"type": int, "required": True},
+    "--seed": {"type": int, "required": True},
+    "--mode": {"choices": codec.MODES, "default": codec.EXACT},
+    "--length-mode": {"choices": universal.LENGTH_MODES, "default": "plain"},
+    "--max-draws": {"type": int, "default": codec.DEFAULT_MAX_DRAWS},
+    "--repro-alphabet": {},
+    "--dist": {"default": "hamming"},
+    "--D": {"dest": "level", "required": True},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+    "--out": {},
+}
+
+# Each subcommand's help, handler and flags in order: a shared flag by name,
+# a flag of its own (or a shared one with settings changed) as (name, settings).
+_COMMANDS = [
+    ("lz-length", "parse blocks and report phrase counts and bits", _cmd_lz_length,
+     ["--alphabet", "--in", "--length-mode", "--format", "--out"]),
+    ("sample", "draw blocks from the universal distribution", _cmd_sample,
+     ["--alphabet", "--n", "--seed", ("--count", {"type": int, "default": 1}), "--mode",
+      "--length-mode", "--out"]),
+    ("sphere-mass", "exact sphere masses for input blocks", _cmd_sphere_mass,
+     ["--alphabet", "--in", "--length-mode", "--repro-alphabet", "--dist", "--D", "--format",
+      "--out"]),
+    ("encode", "random-codebook encode blocks to a container", _cmd_encode,
+     ["--alphabet", "--in", "--seed", "--mode", "--length-mode", "--max-draws",
+      "--repro-alphabet", "--dist", "--D", "--out"]),
+    ("decode", "decode a container back to blocks", _cmd_decode,
+     [("--alphabet", {"help": "reproduction alphabet for output"}), "--in",
+      ("--seed", {"required": False, "help": "override the header seed"}),
+      "--max-draws", "--out"]),
+    ("rd-curve", "rate and sphere-exponent curves over a grid", _cmd_rd_curve,
+     ["--alphabet", ("--grid", {"required": True, "help": "start:stop:step, rationals"}),
+      ("--source-dist", {"help": "comma-separated rationals"}),
+      ("--source", {"help": "block for the exact-mass column"}),
+      "--length-mode", "--repro-alphabet", "--dist", "--format", "--out"]),
+    ("converse-check", "covering bound and slack report", _cmd_converse_check,
+     ["--alphabet", "--n", ("--order", {"type": int, "default": 1}),
+      ("--epsilon", {"type": float, "default": 1.0}),
+      ("--type-counts", {"help": "JSON chunk-text to count map"}),
+      "--length-mode", "--repro-alphabet", "--dist", "--D", "--out"]),
+    ("experiment", "run a config-driven experiment", _cmd_experiment,
+     [("--config", {"required": True}), ("--jobs", {"type": int, "default": 0}), "--format",
+      "--out"]),
+    ("counting-seq", "worst-case parse sequence report", _cmd_counting_seq,
+     ["--alphabet", ("--depth", {"type": int, "required": True}), "--out"]),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unirdc",
         description="Universal rate-distortion coding toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, repro=False, dist=False, level=False, fmt=True, out=True):
-        if repro:
-            p.add_argument("--repro-alphabet", default=None)
-        if dist:
-            p.add_argument("--dist", default="hamming")
-        if level:
-            p.add_argument("--D", dest="level", required=True)
-        if fmt:
-            p.add_argument("--format", choices=["csv", "json"], default="csv")
-        if out:
-            p.add_argument("--out", default=None)
-
-    p = sub.add_parser("lz-length", help="parse blocks and report phrase counts and bits")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--length-mode", choices=["plain", "capped"], default="plain")
-    common(p)
-    p.set_defaults(func=_cmd_lz_length)
-
-    p = sub.add_parser("sample", help="draw blocks from the universal distribution")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--mode", choices=["exact", "bitfeed"], default="exact")
-    p.add_argument("--length-mode", choices=["plain", "capped"], default="plain")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("sphere-mass", help="exact sphere masses for input blocks")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--length-mode", choices=["plain", "capped"], default="plain")
-    common(p, repro=True, dist=True, level=True)
-    p.set_defaults(func=_cmd_sphere_mass)
-
-    p = sub.add_parser("encode", help="random-codebook encode blocks to a container")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "bitfeed"], default="exact")
-    p.add_argument("--length-mode", choices=["plain", "capped"], default="plain")
-    p.add_argument("--max-draws", type=int, default=codec.DEFAULT_MAX_DRAWS)
-    common(p, repro=True, dist=True, level=True, fmt=False)
-    p.set_defaults(func=_cmd_encode)
-
-    p = sub.add_parser("decode", help="decode a container back to blocks")
-    p.add_argument("--alphabet", required=True, help="reproduction alphabet for output")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the header seed")
-    p.add_argument("--max-draws", type=int, default=codec.DEFAULT_MAX_DRAWS)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("rd-curve", help="rate and sphere-exponent curves over a grid")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--grid", required=True, help="start:stop:step, rationals")
-    p.add_argument("--source-dist", default=None, help="comma-separated rationals")
-    p.add_argument("--source", default=None, help="block for the exact-mass column")
-    p.add_argument("--length-mode", choices=["plain", "capped"], default="plain")
-    common(p, repro=True, dist=True)
-    p.set_defaults(func=_cmd_rd_curve)
-
-    p = sub.add_parser("converse-check", help="covering bound and slack report")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--type-counts", default=None, help="JSON chunk-text to count map")
-    p.add_argument("--length-mode", choices=["plain", "capped"], default="plain")
-    common(p, repro=True, dist=True, level=True, fmt=False)
-    p.set_defaults(func=_cmd_converse_check)
-
-    p = sub.add_parser("experiment", help="run a config-driven experiment")
-    p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("counting-seq", help="worst-case parse sequence report")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_counting_seq)
-
+    for name, text, func, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            flag, own = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **(_FLAGS.get(flag, {}) | own))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -452,7 +423,7 @@ def run(argv: list[str]) -> int:
     except UnirdcError as e:
         print(json.dumps({"error": {"code": e.code, "message": str(e)}}, sort_keys=True))
         return 2 if isinstance(e, PreconditionError) else 1
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # an input that cannot be read as text
         print(
             json.dumps(
                 {"error": {"code": "precondition", "message": str(e)}}, sort_keys=True

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .lz78 import symbol_width
 from .universal import (
+    LENGTH_MODES,
     SphereMass,
     UniversalTable,
     _BitfeedSampler,
@@ -89,6 +90,7 @@ _MASK_BYTES = 1 << 24
 
 EXACT = "exact"
 BITFEED = "bitfeed"
+MODES = (EXACT, BITFEED)  # the sampler modes
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,9 @@ class CodebookStream:
     table: UniversalTable | None = None
 
     def __post_init__(self):
-        if self.mode not in (EXACT, BITFEED):
+        if self.mode not in MODES:
             raise PreconditionError(f"unknown sampler mode {self.mode!r}")
-        if self.length_mode not in _LENGTH_CODES:
+        if self.length_mode not in LENGTH_MODES:
             raise PreconditionError(f"unknown length mode {self.length_mode!r}")
         if self.n < 1:
             raise PreconditionError("stream needs n >= 1")

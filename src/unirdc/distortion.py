@@ -31,7 +31,7 @@ from .core import (
     parse_rational,
     symbol_array,
 )
-from .errors import PreconditionError
+from .errors import EnumerationCapError, PreconditionError
 
 __all__ = [
     "DistortionSpec",
@@ -47,6 +47,7 @@ __all__ = [
     "enumerate_sphere",
     "enumerate_reverse_sphere",
     "find_witness",
+    "spec_from_object",
     "spec_from_json",
     "spec_to_json",
     "load_spec",
@@ -173,6 +174,8 @@ def _budget(n: int, level) -> Fraction:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Largest (centers x K^n) bool array of sphere rows one sphere_rows call builds.
+_ROW_BYTES_CAP = 1 << 30
 
 
 def _fold(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
@@ -296,7 +299,8 @@ def sphere_rows(centers, level, spec: DistortionSpec) -> np.ndarray:
     centers is a (count x n) integer symbol array, one center's symbols per row.
     Entry (r, i) is True when the reproduction block with the base-K digits
     of i lies within total distortion n * level of centers[r]. A negative
-    level gives empty spheres.
+    level gives empty spheres. Rows of more than _ROW_BYTES_CAP bytes in all
+    raise EnumerationCapError before anything is allocated.
 
     A first-order measure folds the integer costs of _costs, the ones within()
     gathers: the first h = n // 2 letters of a center over the K^h heads and
@@ -314,6 +318,11 @@ def sphere_rows(centers, level, spec: DistortionSpec) -> np.ndarray:
     count, n = centers.shape
     k = spec.repro_size
     check_enumerable(k**n, "sphere scan")
+    if count * k**n > _ROW_BYTES_CAP:
+        raise EnumerationCapError(
+            f"sphere rows for {count} centers need {count} x {k}^{n} bytes, "
+            f"above the ceiling of {_ROW_BYTES_CAP}"
+        )
     if spec.kind == CALLABLE:
         return _membership(n, level, spec)(centers[:, None], block_symbols(np.arange(k**n), n, k))
     budget = n * Fraction(level)
@@ -380,15 +389,18 @@ def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:
     return blocks_at([first], x.n, spec.repro_size)[0] if inside[first] else None
 
 
-def spec_from_json(text: str) -> DistortionSpec:
-    """Parse the JSON wire form: kind, matrix, and source/repro alphabets."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PreconditionError(f"invalid distortion JSON: {e}")
+def spec_from_object(data, source: str = "01", repro: str | None = None) -> DistortionSpec:
+    """The measure of a parsed distortion JSON object: its kind, its matrix
+    and its alphabets.
+
+    An object with an "alphabets" key takes its alphabets from there, the
+    source defaulting to "01" and the reproduction to the source. Any other
+    object takes the caller's source and repro symbols, repro defaulting to
+    source.
+    """
     if not isinstance(data, dict) or "kind" not in data:
         raise PreconditionError("distortion JSON must be an object with a 'kind'")
-    alphabets = data.get("alphabets", {})
+    alphabets = data.get("alphabets", {"source": source, "repro": repro or source})
     if not isinstance(alphabets, dict):
         raise PreconditionError("distortion JSON 'alphabets' must be an object")
     source = alphabets.get("source", "01")
@@ -406,6 +418,16 @@ def spec_from_json(text: str) -> DistortionSpec:
     if kind == JOINT_TYPE and data.get("functional") == "squared_disagreement":
         return squared_disagreement(source, repro)
     raise PreconditionError(f"unsupported distortion kind {kind!r} in JSON")
+
+
+def spec_from_json(text: str) -> DistortionSpec:
+    """Parse the JSON wire form: kind, matrix, and source/repro alphabets,
+    binary where the text names none."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise PreconditionError(f"invalid distortion JSON: {e}")
+    return spec_from_object(data)
 
 
 def spec_to_json(spec: DistortionSpec) -> str:

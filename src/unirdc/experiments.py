@@ -44,7 +44,7 @@ from .converse import (
 from .core import (
     Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks, parse_rational
 )
-from .distortion import _membership, spec_from_json, sphere_rows
+from .distortion import _membership, spec_from_object, sphere_rows
 from .errors import PreconditionError
 from .lz78 import lz_parse
 from .universal import build_universal_table, require_seed
@@ -198,11 +198,7 @@ class ExperimentConfig:
             raise PreconditionError(f"an experiment needs jobs >= 1, got {self.jobs}")
 
     def spec(self):
-        data = dict(self.distortion)
-        data.setdefault(
-            "alphabets", {"source": self.source_alphabet, "repro": self.repro_alphabet}
-        )
-        return spec_from_json(json.dumps(data))
+        return spec_from_object(self.distortion, self.source_alphabet, self.repro_alphabet)
 
     def seed_list(self) -> list[int]:
         seeds = self.seeds
@@ -641,6 +637,8 @@ class ConverseExperimentReport:
 def _type_distribution(cfg: ExperimentConfig) -> EmpiricalDistribution:
     if cfg.order < 1 or cfg.n < 2:
         raise PreconditionError(f"need order >= 1 and n >= 2, got order {cfg.order}, n {cfg.n}")
+    if cfg.n % cfg.order:  # before any K^order listing of chunk kinds
+        raise PreconditionError(f"order {cfg.order} does not divide n {cfg.n}")
     alpha = Alphabet(cfg.source_alphabet)
     chunks = cfg.n // cfg.order
     if cfg.type_counts is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import BitReader, BitString, BitWriter, Block
 from .errors import CorruptStreamError, PreconditionError
@@ -27,7 +26,6 @@ __all__ = [
     "lz_capped_length",
     "lz_length_bound",
     "parse_overhead",
-    "kraft_sum",
 ]
 
 
@@ -224,10 +222,3 @@ def lz_length_bound(
     eps = parse_overhead(n, k, one_minus_eps)
     clogc = c * math.log2(c) if c > 1 else 0.0
     return LzLengthBound(bound_bits=bound, epsilon_n=eps, decomposed_bits=clogc + n * eps)
-
-
-def kraft_sum(n: int, alphabet_size: int, length_mode: str = "plain") -> Fraction:
-    """Exact sum of 2^-length over every block of length n."""
-    from .universal import build_universal_table  # universal imports this module
-
-    return build_universal_table(n, alphabet_size, length_mode).normalizer

@@ -28,7 +28,9 @@ __all__ = [
     "UniversalTable",
     "SphereMass",
     "MassEstimate",
+    "LENGTH_MODES",
     "build_universal_table",
+    "kraft_sum",
     "sphere_mass",
     "row_mass",
     "sample_exact",
@@ -198,6 +200,10 @@ def _parse_lengths(n: int, alphabet_size: int) -> np.ndarray:
     return np.where(edge, last, last + sym_w).reshape(-1)
 
 
+# Code lengths a table can record: the LZ78 parse code, or lz78.lz_capped_length.
+LENGTH_MODES = ("plain", "capped")
+
+
 def build_universal_table(
     n: int, alphabet_size: int, length_mode: str = "plain"
 ) -> UniversalTable:
@@ -206,7 +212,7 @@ def build_universal_table(
         raise PreconditionError("table needs n >= 1")
     if alphabet_size < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    if length_mode not in ("plain", "capped"):
+    if length_mode not in LENGTH_MODES:
         raise PreconditionError(f"unknown length mode {length_mode!r}")
     check_enumerable(alphabet_size**n, "universal table")
     bits = _parse_lengths(n, alphabet_size)
@@ -216,6 +222,11 @@ def build_universal_table(
     return UniversalTable(
         n=n, alphabet_size=alphabet_size, length_mode=length_mode, bits=bits
     )
+
+
+def kraft_sum(n: int, alphabet_size: int, length_mode: str = "plain") -> Fraction:
+    """Exact sum of 2^-length over every block of length n."""
+    return build_universal_table(n, alphabet_size, length_mode).normalizer
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import itertools
 import json
 import math
 import os
@@ -15,8 +17,10 @@ from fractions import Fraction
 
 import unirdc
 from unirdc import BINARY, binary_entropy, build_universal_table, sphere_mass, hamming
-from unirdc import codec
+from unirdc import codec, experiments, universal
 from unirdc.cli import _parser, run
+
+distortion_module = importlib.import_module("unirdc.distortion")
 
 
 def invoke(capsys, *argv):
@@ -851,3 +855,106 @@ def test_decimal_exponents_within_the_limit_still_parse(tmp_path, capsys):
     mass = ["sphere-mass", "--alphabet", "01", "--in", str(blocks), "--D"]
     assert invoke(capsys, *mass, "2.5e-1") == invoke(capsys, *mass, "1/4")
     assert invoke(capsys, *mass, "1e4299")[0] == 0
+
+
+@pytest.mark.parametrize("form", ["inline", "file"])
+@pytest.mark.parametrize("command", ["sphere-mass", "encode", "converse-check"])
+def test_json_dist_without_alphabets_takes_the_command_alphabets(tmp_path, capsys, command, form):
+    # a JSON --dist that names no alphabets measures over --alphabet and
+    # --repro-alphabet, as the named measure does, not over "01"
+    (tmp_path / "blocks.txt").write_text("012\n210\n111\n")
+    (tmp_path / "hamming.json").write_text('{"kind": "hamming"}')
+    dist = '{"kind": "hamming"}' if form == "inline" else str(tmp_path / "hamming.json")
+    args = {
+        "sphere-mass": ["--in", str(tmp_path / "blocks.txt"), "--D", "1/3"],
+        "encode": ["--in", str(tmp_path / "blocks.txt"), "--D", "1/3", "--seed", "5",
+                   "--repro-alphabet", "012"],
+        "converse-check": ["--n", "6", "--D", "1/6"],
+    }[command]
+
+    def outcome(dist, out):
+        code, text = invoke(capsys, command, "--alphabet", "012", *args, "--dist", dist,
+                            "--out", str(tmp_path / out))
+        return code, text, (tmp_path / out).read_bytes()
+
+    named = outcome("hamming", "named.out")
+    assert named[0] == 0
+    assert outcome(dist, "json.out") == named
+
+
+def test_config_distortion_without_alphabets_takes_the_config_alphabets():
+    cfg = unirdc.ExperimentConfig(n=3, source_alphabet="012", distortion={"kind": "hamming"})
+    assert cfg.spec() == hamming(unirdc.Alphabet("012"), BINARY)
+    # the config's object is resolved as it is, with no JSON round trip
+    half = Fraction(1, 2)
+    cfg = unirdc.ExperimentConfig(
+        n=3, distortion={"kind": "per_letter_matrix", "matrix": [[0, half], [half, 0]]}
+    )
+    assert cfg.spec().matrix == ((0, half), (half, 0))
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("order", ["11", "40"])
+def test_order_that_does_not_divide_n_is_refused_before_listing_chunks(
+    tmp_path, capsys, monkeypatch, via, order
+):
+    # order 40 used to list all 2^40 chunk kinds before the divisibility check
+    def product(*iterables, repeat=1):
+        assert repeat <= 10, f"listed chunk kinds of order {repeat} at n 10"
+        return itertools.product(*iterables, repeat=repeat)
+
+    monkeypatch.setattr(experiments, "product", product)
+    if via == "flags":
+        argv = ["converse-check", "--alphabet", "01", "--n", "10", "--order", order, "--D", "1/4"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"experiment": "converse", "n": 10, "order": int(order), "level": "1/4"}
+        ))
+        argv = ["experiment", "--config", str(cfg)]
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "precondition", "message": f"order {order} does not divide n 10"
+    }
+
+
+def test_cover_matrix_beyond_the_row_ceiling_is_an_error_object(capsys, monkeypatch):
+    # the balanced class at n = 10 has 252 members, so its rows take 252 x 2^10
+    # bytes; the ceiling is patched down to just below that
+    monkeypatch.setattr(distortion_module, "_ROW_BYTES_CAP", 252 * 1024 - 1, raising=False)
+    code, out = invoke(
+        capsys, "converse-check", "--alphabet", "01", "--n", "10", "--D", "1/4",
+        "--type-counts", '{"0": 5, "1": 5}',
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "enumeration_cap"
+
+
+def test_mode_choices_are_the_library_vocabularies():
+    choices = {}
+    for sub in _parser()._subparsers._group_actions[0].choices.values():
+        for action in sub._actions:
+            if action.dest in ("mode", "length_mode"):
+                choices.setdefault(action.dest, set()).add(action.choices)
+    assert choices == {"mode": {codec.MODES}, "length_mode": {universal.LENGTH_MODES}}
+    # the container's wire codes cover exactly these names
+    assert tuple(codec._MODE_CODES) == codec.MODES
+    assert tuple(codec._LENGTH_CODES) == universal.LENGTH_MODES
+    with pytest.raises(unirdc.PreconditionError, match="unknown length mode"):
+        build_universal_table(2, 2, "fast")
+
+
+@pytest.mark.parametrize("flag", ["--in", "--dist", "--config"])
+def test_input_that_is_not_utf8_is_precondition_error(tmp_path, capsys, flag):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff0101\n")
+    argv = {
+        "--in": ["lz-length", "--alphabet", "01", "--in", str(path)],
+        "--dist": ["sphere-mass", "--alphabet", "01", "--in", str(path), "--D", "0",
+                   "--dist", str(path)],
+        "--config": ["experiment", "--config", str(path)],
+    }[flag]
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"

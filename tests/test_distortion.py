@@ -26,6 +26,7 @@ from unirdc import (
     load_spec,
     per_letter,
     spec_from_json,
+    spec_from_object,
     spec_to_json,
     squared_disagreement,
     sphere_indicator,
@@ -204,6 +205,41 @@ def test_spec_from_json_named_kinds():
     assert spec.first_order_only
     with pytest.raises(PreconditionError):
         spec_from_json(json.dumps({"kind": "no_such_kind"}))
+
+
+def test_spec_from_object_takes_the_callers_alphabets_unless_it_names_its_own():
+    ternary, binary = Alphabet("012"), BINARY
+    assert spec_from_object({"kind": "hamming"}, "012") == hamming(ternary)
+    assert spec_from_object({"kind": "hamming"}, "012", "01") == hamming(ternary, binary)
+    squared = {"kind": "joint_type_functional", "functional": "squared_disagreement"}
+    assert spec_from_object(squared, "ab", "xyz") == squared_disagreement(AB, Alphabet("xyz"))
+    # an alphabets key keeps the wire form's rule: source "01", repro the source
+    named = {"kind": "hamming", "alphabets": {}}
+    assert spec_from_object(named, "012", "012") == HAMMING
+    named = {"kind": "hamming", "alphabets": {"source": "ab"}}
+    assert spec_from_object(named, "012", "01") == hamming(AB)
+    # the wire form keeps its binary default
+    assert spec_from_json('{"kind": "hamming"}') == HAMMING
+    for bad in [[1], {"matrix": [[0]]}, {"kind": "hamming", "alphabets": None}]:
+        with pytest.raises(PreconditionError):
+            spec_from_object(bad, "01")
+
+
+def test_sphere_rows_beyond_the_row_ceiling_are_refused_before_allocation(monkeypatch):
+    centers = [[0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]]  # 3 rows of 2^4 bytes
+    specs = (HAMMING, squared_disagreement(BINARY), callable_spec(lambda x, y: 0, BINARY, BINARY))
+    monkeypatch.setattr(distortion_module, "_ROW_BYTES_CAP", 3 * 16, raising=False)
+    for spec in specs:
+        assert sphere_rows(centers, Fraction(1, 4), spec).shape == (3, 16)
+    monkeypatch.setattr(distortion_module, "_ROW_BYTES_CAP", 3 * 16 - 1, raising=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated rows beyond the ceiling")
+
+    monkeypatch.setattr(distortion_module.np, "zeros", refuse)
+    for spec in specs:
+        with pytest.raises(EnumerationCapError, match="3 centers"):
+            sphere_rows(centers, Fraction(1, 4), spec)
 
 
 def test_load_spec_file(tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import io
 import math
 import tracemalloc
@@ -9,6 +11,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from unirdc import (
@@ -37,6 +40,8 @@ from unirdc import (
 )
 
 HAMMING = hamming(BINARY)
+lz78_module = importlib.import_module("unirdc.lz78")
+universal_module = importlib.import_module("unirdc.universal")
 
 
 def test_single_symbol_table_is_uniform():
@@ -136,6 +141,19 @@ def test_table_is_immutable():
     with pytest.raises(AttributeError):
         t.n = 5
     assert t.size == 16 and t.bits.dtype == "int64"
+
+
+def test_kraft_sum_lives_beside_the_table():
+    # lz78 no longer reaches up into universal, inside a function or out
+    assert kraft_sum is universal_module.kraft_sum and not hasattr(lz78_module, "kraft_sum")
+    tree = ast.parse(Path(lz78_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any("universal" in (name or "") for name in imported)
 
 
 def test_kraft_sum_is_table_normalizer():
