@@ -31,7 +31,7 @@ from .core import (
     empirical_distribution,
 )
 from .distortion import DistortionSpec, sphere_rows
-from .errors import PreconditionError, UncoverableError
+from .errors import PreconditionError, UncoverableError, UnirdcError
 from .lz78 import parse_overhead
 from .universal import UniversalTable, row_mass
 
@@ -283,13 +283,19 @@ def _greedy(cover: np.ndarray, source_class: TypeClass, spec: DistortionSpec) ->
     covered = cover.sum(axis=0)
     uncovered = np.ones(source_class.cardinality, dtype=bool)
     chosen, gains = [], []
-    while uncovered.any():
+    # every step covers at least one more member, so |class| steps suffice
+    while uncovered.any() and len(chosen) < source_class.cardinality:
         i = int(covered.argmax())
         chosen.append(i)
         gains.append(int(covered[i]))
         newly = uncovered & cover[:, i]
         covered -= cover[newly].sum(axis=0)
         uncovered &= ~newly
+    if uncovered.any():
+        raise UnirdcError(
+            f"greedy cover left {int(uncovered.sum())} members uncovered after "
+            f"{len(chosen)} steps: the candidate counts went stale"
+        )
     codebook = blocks_at(chosen, source_class.distribution.n, spec.repro_size)
     return GreedyCover(codebook=tuple(codebook), covered_per_step=tuple(gains))
 

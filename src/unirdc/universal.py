@@ -83,8 +83,10 @@ class UniversalTable:
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
-        """Running sums of the scaled weights, the int64 array every exact
-        sampler of this table inverts; CapacityError beyond int64."""
+        """Running sums of the scaled weights as a read-only int64 array:
+        cum[i] is the scaled weight of blocks 0..i, so block i owns the values
+        [cum[i-1], cum[i]) below the total. Every exact sampler of the table
+        inverts it through _invert; CapacityError beyond int64."""
         if self._total > _INT64_MAX:
             raise CapacityError(
                 f"the scaled table total needs {self._total.bit_length()} bits; "
@@ -93,6 +95,43 @@ class UniversalTable:
         cum = np.cumsum(np.left_shift(1, self.max_bits - self.bits))
         cum.flags.writeable = False
         return cum
+
+    @cached_property
+    def _guide(self) -> tuple[int, np.ndarray]:
+        """Guide table of the inversion (Chen and Asau's indexed search): a
+        shift s and a read-only array G, where G[j] is the first index whose
+        cumulative weight exceeds j * 2^s. s is the smallest shift that keeps
+        G to at most 4 * size entries, each in the narrowest unsigned type."""
+        cum, total = self._cumulative, self._total
+        # ceil(total / 2^s) <= 4 size holds exactly when (total - 1) // (4 size) < 2^s
+        shift = ((total - 1) // (4 * self.size)).bit_length()
+        # block i owns the buckets j with ceil(cum[i-1] / 2^s) <= j < ceil(cum[i] / 2^s);
+        # the ceilings are the negated floors of -cum / 2^s
+        floors = -np.concatenate(([0], cum))
+        floors >>= shift
+        index = np.arange(self.size, dtype=np.min_scalar_type(self.size - 1))
+        guide = np.repeat(index, -np.diff(floors))
+        guide.flags.writeable = False
+        return shift, guide
+
+    def _invert(self, r: np.ndarray) -> np.ndarray:
+        """Table index of each scaled value in r (integers in [0, total)): the
+        first index whose cumulative weight exceeds it, as
+        searchsorted(cum, r, side="right") gives it, in an int64 array.
+
+        The guide entry of r's bucket is a lower bound that is already the
+        answer unless the bucket holds the end of a block's interval below r;
+        only those values are searched. At shift 0 a bucket is one value, so
+        the guide entry is the answer.
+        """
+        shift, guide = self._guide
+        at = guide[r >> shift].astype(np.int64)
+        if not shift:
+            return at
+        cum = self._cumulative
+        low = cum[at] <= r
+        at[low] = np.searchsorted(cum, r[low], side="right")
+        return at
 
     @cached_property
     def normalizer(self) -> Fraction:
@@ -275,34 +314,69 @@ def require_seed(seed: int) -> None:
         raise PreconditionError("seed must be non-negative")
 
 
+# Attempts per bulk call of the exact sampler: a refill holds at most 2^16
+# attempts (two MT19937 words each at most), so a large draw never holds much
+# more than its output.
+_REFILL = 1 << 16
+
+
 class _ExactSampler:
     """Seeded stream of table indices drawn i.i.d. with their exact probabilities.
 
     Cumulative inversion runs on scaled integer weights: a uniform integer
     below the scaled total is drawn by rejection from the seeded bit stream,
-    and searchsorted(side="right") on the table's int64 cumulative weights
-    (one array that all samplers of the table share) maps it to its block's
-    index, so every block comes out with exactly its rational probability.
-    Totals beyond int64 raise CapacityError rather than round.
+    and the table's guided inversion (UniversalTable._invert, one guide and
+    one int64 cumulative array that all samplers of the table share) maps it
+    to its block's index, so every block comes out with exactly its rational
+    probability. Totals beyond int64 raise CapacityError rather than round.
+
+    The stream is that of one random.Random(seed).getrandbits(nbits) per
+    attempt, nbits the total's bit length, redrawn while it is at least the
+    total. The attempts are read in bulk: getrandbits(32 m) holds the next m
+    MT19937 words, the first in the lowest 32 bits, and getrandbits(nbits) is
+    one word shifted right by 32 - nbits up to 32 bits, and above 32 bits two
+    words, low word first: w0 | (w1 >> (64 - nbits)) << 32. Accepted draws not
+    yet asked for are kept for the next draw().
     """
 
     def __init__(self, table: UniversalTable, seed: int):
         require_seed(seed)
-        self._cum = table._cumulative
+        self._table = table
+        table._guide  # CapacityError here, before any draw
         self.rng = random.Random(seed)
         self._total = table._total
         self._nbits = self._total.bit_length()
+        self._left = np.empty(0, dtype=np.int64)
+
+    def _refill(self, need: int) -> np.ndarray:
+        """Table indices of the accepted attempts of one bulk call, sized from
+        the acceptance rate total / 2^nbits to give an eighth more than need
+        and 16 more on average, so that one call rarely falls short."""
+        nbits, total = self._nbits, self._total
+        attempts = min(((need + need // 8 + 16) << nbits) // total, _REFILL)
+        wide = nbits > 32
+        words = 2 * attempts if wide else attempts
+        w = np.frombuffer(
+            self.rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
+        )
+        if wide:
+            w = w.astype(np.int64)
+            r = w[0::2] | (w[1::2] >> (64 - nbits)) << 32
+        else:
+            r = w >> (32 - nbits)  # uint32, as the total is below 2^32
+        return self._table._invert(r[r < total])
 
     def draw(self, count: int) -> np.ndarray:
         """The next count table indices of the stream, as an int64 array."""
-        getrandbits, nbits, total = self.rng.getrandbits, self._nbits, self._total
-        out = []
-        for _ in range(count):
-            r = getrandbits(nbits)
-            while r >= total:
-                r = getrandbits(nbits)
-            out.append(r)
-        return np.searchsorted(self._cum, np.array(out, dtype=np.int64), side="right")
+        out = np.empty(count, dtype=np.int64)
+        have, left = 0, self._left
+        while len(left) < count - have:
+            out[have : have + len(left)] = left
+            have += len(left)
+            left = self._refill(count - have)
+        out[have:] = left[: count - have]
+        self._left = left[count - have :]
+        return out
 
 
 def sample_exact(table: UniversalTable, seed: int, count: int) -> list[Block]:

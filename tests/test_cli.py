@@ -217,6 +217,44 @@ def test_encode_decode_pipe(tmp_path, capsys):
     assert out == expected
 
 
+IMPORT_GUARD = """
+import sys
+from unirdc.cli import run
+
+codes = [run(argv) for argv in ARGVS]
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_commands_leave_numpy_random_unimported(tmp_path):
+    # importing numpy.random adds about 6 MB to a process's peak RSS; the
+    # exact sampler reads MT19937 words from random.Random instead
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("011010000011\n000000111111\n111100001010\n")
+    cfg = tmp_path / "ach.json"
+    cfg.write_text(json.dumps({"experiment": "achievability", "n": 6, "trials": 4, "mode": "exact"}))
+    argvs = []
+    for mode in codec.MODES:
+        container, decoded = tmp_path / f"{mode}.urc", tmp_path / f"{mode}.txt"
+        argvs += [
+            ["encode", "--alphabet", "01", "--in", str(blocks), "--D", "1/6", "--seed", "4",
+             "--mode", mode, "--out", str(container)],
+            ["decode", "--alphabet", "01", "--in", str(container), "--out", str(decoded)],
+            ["sample", "--alphabet", "01", "--n", "12", "--seed", "4", "--count", "300",
+             "--mode", mode, "--out", str(tmp_path / f"{mode}.sample")],
+        ]
+    argvs.append(["experiment", "--config", str(cfg), "--out", str(tmp_path / "ach.out")])
+    src = str(Path(unirdc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", f"ARGVS = {argvs!r}\n" + IMPORT_GUARD],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    ).stdout
+    assert out == f"{[0] * len(argvs)} False\n"
+    assert all((tmp_path / f"{mode}.sample").stat().st_size for mode in codec.MODES)
+
+
 def test_rd_curve(capsys):
     code, out = invoke(
         capsys, "rd-curve", "--alphabet", "01", "--grid", "1/10:3/10:1/10"

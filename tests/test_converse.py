@@ -31,7 +31,10 @@ from unirdc import (
     squared_disagreement,
     tree_node_count,
 )
+from unirdc.converse import _greedy
+from unirdc.distortion import sphere_rows
 from unirdc.core import EmpiricalDistribution, block_indices
+from unirdc.errors import UnirdcError
 
 AB = Alphabet("ab")
 HAMMING = hamming(BINARY)
@@ -196,6 +199,30 @@ def test_greedy_cover_uncoverable():
     tc = enumerate_type_class(empirical_distribution(src.to_block("abc"), 1))
     with pytest.raises(UncoverableError):
         greedy_cover(tc, Fraction(1, 3), spec)
+
+
+class _StaleCover(np.ndarray):
+    """A cover matrix whose row selections read as empty, so the candidate
+    counts of the greedy cover never go down; it refuses to be read more
+    than a few hundred times, so a loop that never stops fails instead."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _StaleCover.reads += 1
+        assert _StaleCover.reads < 500, "the greedy loop made no progress"
+        if isinstance(key, np.ndarray) and key.dtype == bool:
+            return np.zeros((int(key.sum()), self.shape[1]), dtype=bool)
+        return np.asarray(self)[key]
+
+
+def test_greedy_refuses_stale_counts_instead_of_spinning():
+    tc = enumerate_type_class(dist_of("aaabbb"))
+    cover = sphere_rows(tc.symbols, Fraction(1, 6), HAMMING_AB)
+    assert len(greedy_cover(tc, Fraction(1, 6), HAMMING_AB).codebook) < tc.cardinality
+    _StaleCover.reads = 0
+    with pytest.raises(UnirdcError, match="uncovered after 20 steps"):
+        _greedy(cover.view(_StaleCover), tc, HAMMING_AB)
 
 
 def test_exhaustive_minimal_covers_respect_bound():

@@ -5,6 +5,7 @@ import io
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 import random
 from bisect import bisect_right
@@ -300,6 +301,112 @@ def test_exact_sampler_refuses_totals_beyond_int64():
     # a total of 2^62 + 3 still fits: block 00 carries all but 3 / (2^62 + 3)
     edge = UniversalTable(n=2, alphabet_size=2, length_mode="plain", bits=[1, 63, 63, 63])
     assert sample_exact(edge, 0, 5) == [BINARY.to_block("00")] * 5
+
+
+def _scalar_draws(table, seed, count):
+    """The exact stream one attempt at a time: getrandbits(nbits) redrawn
+    while at least the scaled total, then searchsorted(side="right") on the
+    cumulative weights."""
+    total = table._total
+    nbits = total.bit_length()
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r = rng.getrandbits(nbits)
+        while r >= total:
+            r = rng.getrandbits(nbits)
+        out.append(r)
+    return np.searchsorted(table._cumulative, np.array(out, dtype=np.int64), side="right")
+
+
+# every (n, K) the tests of this file build, both length modes, the 33-bit
+# attempts of 7/7 and the 63-bit attempts of a total of 2^62 + 3
+SAMPLER_TABLES = [
+    *((n, 2, "plain") for n in (1, 2, 3, 4, 5, 6, 8, 12, 16, 20)),
+    *((n, 3, "plain") for n in (2, 4, 5, 6, 10)),
+    (1, 4, "plain"), (9, 4, "plain"), (7, 7, "plain"), (3, 9, "plain"),
+    (8, 2, "capped"), (5, 3, "capped"),
+]
+CHUNKS = (1, 7, 64, 200, 3, 1000, 0, 5, 4000)
+
+
+def _sampler_table(shape):
+    if shape == "edge":
+        return UniversalTable(n=2, alphabet_size=2, length_mode="plain", bits=[1, 63, 63, 63])
+    return build_universal_table(*shape)
+
+
+@pytest.mark.parametrize("shape", [*SAMPLER_TABLES, "edge"], ids=str)
+def test_exact_sampler_replays_the_scalar_stream(shape):
+    # attempts are read in bulk, one MT19937 word each up to 32 bits and two
+    # above, and split across refills by the chunk sizes
+    t = _sampler_table(shape)
+    for seed in (0, 1, 5, 2**70 + 3):
+        sampler = universal_module._ExactSampler(t, seed)
+        chunks = [sampler.draw(c) for c in CHUNKS]
+        assert all(c.dtype == np.int64 and c.shape == (size,) for c, size in zip(chunks, CHUNKS))
+        assert np.array_equal(np.concatenate(chunks), _scalar_draws(t, seed, sum(CHUNKS)))
+
+
+def _random_length_table(spread, seed):
+    # 4^6 blocks whose code lengths are 12 less uniform draws in [0, spread]:
+    # the guide shift grows with the spread
+    rng = random.Random(seed)
+    bits = [12 - rng.randint(0, spread) for _ in range(4**6)]
+    return UniversalTable(n=6, alphabet_size=4, length_mode="plain", bits=bits)
+
+
+def test_guide_is_the_first_index_beyond_each_bucket():
+    tables = [_random_length_table(spread, spread) for spread in range(11)]
+    tables += [build_universal_table(n, k) for n, k in ((8, 2), (12, 2), (6, 3), (10, 3), (7, 7))]
+    shifts = set()
+    for t in tables:
+        shift, guide = t._guide
+        shifts.add(shift)
+        cum, total = t._cumulative, t._total
+        buckets = -(-total >> shift)
+        assert buckets <= 4 * t.size and (shift == 0 or -(-total >> shift - 1) > 4 * t.size)
+        assert guide.dtype == np.min_scalar_type(t.size - 1) and not guide.flags.writeable
+        starts = np.arange(buckets, dtype=np.int64) << shift
+        assert np.array_equal(guide, np.searchsorted(cum, starts, side="right"))
+    assert set(range(6)) <= shifts
+
+
+@pytest.mark.parametrize("n, k", [*((n, 2) for n in range(1, 13)), *((n, 3) for n in range(1, 7))])
+def test_guided_inversion_matches_searchsorted_everywhere(n, k):
+    t = build_universal_table(n, k)
+    r = np.arange(t._total, dtype=np.int64)
+    assert np.array_equal(t._invert(r), np.searchsorted(t._cumulative, r, side="right"))
+
+
+@pytest.mark.parametrize("n, k", [(16, 2), (7, 7)])
+def test_guided_inversion_matches_searchsorted_at_every_edge(n, k):
+    t = build_universal_table(n, k)
+    cum = t._cumulative
+    r = np.concatenate([cum - 1, cum[:-1]])
+    got = t._invert(r)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(cum, r, side="right"))
+
+
+def test_guide_refuses_totals_beyond_int64_before_allocating(monkeypatch):
+    def wide():
+        return UniversalTable(n=2, alphabet_size=2, length_mode="plain", bits=[1, 70, 70, 70])
+
+    with pytest.raises(CapacityError) as cumulative:
+        wide()._cumulative
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the capacity check")
+
+    for name in ("cumsum", "left_shift", "concatenate", "arange", "repeat", "empty"):
+        monkeypatch.setattr(np, name, refuse)
+    table = wide()
+    with pytest.raises(CapacityError) as guide:
+        table._guide
+    with pytest.raises(CapacityError) as sampler:
+        universal_module._ExactSampler(table, 0)
+    assert str(guide.value) == str(sampler.value) == str(cumulative.value)
 
 
 def test_sample_exact_single_symbol_frequencies():
