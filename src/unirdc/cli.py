@@ -16,7 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import codec, experiments, lz78, reference, universal
-from .core import Alphabet, check_enumerable, parse_rational, read_blocks
+from .core import (
+    Alphabet, block_symbols, check_enumerable, parse_rational, read_symbols, write_symbols,
+)
 from .distortion import JOINT_TYPE, spec_from_object
 from .errors import PreconditionError, UnirdcError
 
@@ -58,21 +60,11 @@ def _measure(args):
     return source, repro, dist, spec_from_object(dist, source.symbols, repro.symbols)
 
 
-def _read_lines(path: str):
+def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read().splitlines()
+        return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as f:
-        return f.read().splitlines()
-
-
-def _read_block_file(path: str, alpha: Alphabet):
-    """The blocks of a non-empty file whose blocks all share one length."""
-    blocks = read_blocks(_read_lines(path), alpha)
-    if not blocks:
-        raise PreconditionError("no input blocks")
-    if any(b.n != blocks[0].n for b in blocks):
-        raise PreconditionError("all blocks must share one length")
-    return blocks
+        return f.read()
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -102,36 +94,27 @@ def _write_text(path: str | None, text: str) -> None:
         _write_bytes(path, text.encode("utf-8"))
 
 
-def _emit(args, rows: list[dict], columns: list[str]) -> None:
+def _emit(args, columns: list[str], rows: list[tuple]) -> None:
+    """Write the rows, tuples in the order of columns, as CSV or JSON objects."""
     if args.format == "json":
-        _write_text(args.out, json.dumps(rows, sort_keys=True) + "\n")
+        objects = [dict(zip(columns, row)) for row in rows]
+        _write_text(args.out, json.dumps(objects, sort_keys=True) + "\n")
         return
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in columns))
+    lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
 
 
 def _cmd_lz_length(args) -> int:
     alpha = Alphabet(args.alphabet)
-    blocks = read_blocks(_read_lines(args.infile), alpha)
+    # lines may differ in length here, so each is a Block of its own
+    blocks = [alpha.to_block(line) for line in _read_text(args.infile).splitlines() if line]
     rows = []
     for i, b in enumerate(blocks):
         parse = lz78.lz_parse(b, alpha.size)
-        bits = (
-            parse.bit_length
-            if args.length_mode == "plain"
-            else lz78.lz_capped_length(b, alpha.size)
-        )
-        rows.append(
-            {
-                "index": i,
-                "c": parse.phrase_count,
-                "bits": bits,
-                "final_duplicate": parse.final_is_duplicate,
-            }
-        )
-    _emit(args, rows, ["index", "c", "bits", "final_duplicate"])
+        plain = args.length_mode == "plain"
+        bits = parse.bit_length if plain else lz78.lz_capped_length(b, alpha.size)
+        rows.append((i, parse.phrase_count, bits, parse.final_is_duplicate))
+    _emit(args, ["index", "c", "bits", "final_duplicate"], rows)
     return 0
 
 
@@ -142,56 +125,49 @@ def _cmd_sample(args) -> int:
     alpha = Alphabet(args.alphabet)
     if args.mode == "exact":
         table = universal.build_universal_table(args.n, alpha.size, args.length_mode)
-        blocks = universal.sample_exact(table, args.seed, args.count)
+        drawn = universal._ExactSampler(table, args.seed).draw(args.count)
+        drawn = block_symbols(drawn, args.n, alpha.size)
     else:
-        blocks = universal.sample_bitfeed(args.n, alpha.size, args.seed, args.count)
-    _write_text(args.out, "".join(alpha.to_text(b) + "\n" for b in blocks))
+        drawn = universal._BitfeedSampler(args.n, alpha.size, args.seed).draw(args.count)
+    _write_text(args.out, write_symbols(drawn, alpha))
     return 0
 
 
 def _cmd_sphere_mass(args) -> int:
     source, repro, _, spec = _measure(args)
     level = _parse_level(args.level)
-    blocks = _read_block_file(args.infile, source)
-    table = universal.build_universal_table(blocks[0].n, repro.size, args.length_mode)
+    symbols = read_symbols(_read_text(args.infile), source)
+    table = universal.build_universal_table(symbols.shape[1], repro.size, args.length_mode)
     rows = []
-    for i, b in enumerate(blocks):
-        m = universal.sphere_mass(b, level, spec, table)
-        rows.append(
-            {
-                "index": i,
-                "mass": str(m.mass),
-                "sphere_size": m.sphere_size,
-                "min_bits": m.min_bits if m.min_bits is not None else "",
-                "neg_log2_mass": m.neg_log2_mass(),
-            }
-        )
-    _emit(args, rows, ["index", "mass", "sphere_size", "min_bits", "neg_log2_mass"])
+    for i, x in enumerate(symbols):
+        m = universal.sphere_mass(x, level, spec, table)
+        min_bits = m.min_bits if m.min_bits is not None else ""
+        rows.append((i, str(m.mass), m.sphere_size, min_bits, m.neg_log2_mass()))
+    _emit(args, ["index", "mass", "sphere_size", "min_bits", "neg_log2_mass"], rows)
     return 0
 
 
 def _cmd_encode(args) -> int:
     source, repro, _, spec = _measure(args)
     level = _parse_level(args.level)
-    blocks = _read_block_file(args.infile, source)
+    symbols = read_symbols(_read_text(args.infile), source)
     stream = codec.CodebookStream(
         seed=args.seed,
-        n=blocks[0].n,
+        n=symbols.shape[1],
         alphabet_size=repro.size,
         mode=args.mode,
         max_draws=args.max_draws,
         length_mode=args.length_mode,
     )
     codec.check_container_header(stream, level)  # refused before any draw
-    messages = codec.encode_blocks(blocks, level, spec, stream)
-    out = args.out or "-"
-    if out == "-":
-        codec.write_container(sys.stdout.buffer, stream, level, messages)
+    messages = codec.encode_blocks(symbols, level, spec, stream)
+    buf = io.BytesIO()
+    codec.write_container(buf, stream, level, messages)
+    if (args.out or "-") == "-":
+        sys.stdout.buffer.write(buf.getvalue())
         sys.stdout.buffer.flush()
     else:
-        buf = io.BytesIO()
-        codec.write_container(buf, stream, level, messages)
-        _write_bytes(out, buf.getvalue())
+        _write_bytes(args.out, buf.getvalue())
     return 0
 
 
@@ -215,8 +191,7 @@ def _cmd_decode(args) -> int:
         max_draws=args.max_draws,
         length_mode=header.length_mode,
     )
-    blocks = codec.decode_messages(messages, stream)
-    _write_text(args.out, "".join(repro.to_text(b) + "\n" for b in blocks))
+    _write_text(args.out, write_symbols(codec.decode_messages(messages, stream), repro))
     return 0
 
 
@@ -250,13 +225,9 @@ def _cmd_rd_curve(args) -> int:
         p = [1.0 / source.size] * source.size
     grid = _parse_grid(args.grid)
 
-    mass_block = None
-    table = None
-    if args.source:
-        mass_block = source.to_block(args.source)
-        table = universal.build_universal_table(
-            mass_block.n, repro.size, args.length_mode
-        )
+    mass_block = source.to_block(args.source) if args.source else None
+    if mass_block is not None:
+        table = universal.build_universal_table(mass_block.n, repro.size, args.length_mode)
     rows = []
     for level, point in zip(grid, reference.complexity_crossover(p, spec.matrix, grid)):
         if mass_block is not None:
@@ -264,15 +235,8 @@ def _cmd_rd_curve(args) -> int:
             mass_col = m.neg_log2_mass() / mass_block.n if m.sphere_size else "inf"
         else:
             mass_col = ""
-        rows.append(
-            {
-                "D": str(level),
-                "R": f"{point.rate:.9f}",
-                "E": f"{point.exponent:.9f}",
-                "minus_log_U_mass_over_n": mass_col,
-            }
-        )
-    _emit(args, rows, ["D", "R", "E", "minus_log_U_mass_over_n"])
+        rows.append((str(level), f"{point.rate:.9f}", f"{point.exponent:.9f}", mass_col))
+    _emit(args, ["D", "R", "E", "minus_log_U_mass_over_n"], rows)
     return 0
 
 
@@ -421,15 +385,11 @@ def run(argv: list[str]) -> int:
     try:
         return args.func(args)
     except UnirdcError as e:
-        print(json.dumps({"error": {"code": e.code, "message": str(e)}}, sort_keys=True))
-        return 2 if isinstance(e, PreconditionError) else 1
+        code, message, status = e.code, str(e), 2 if isinstance(e, PreconditionError) else 1
     except (OSError, UnicodeDecodeError) as e:  # an input that cannot be read as text
-        print(
-            json.dumps(
-                {"error": {"code": "precondition", "message": str(e)}}, sort_keys=True
-            )
-        )
-        return 2
+        code, message, status = "precondition", str(e), 2
+    print(json.dumps({"error": {"code": code, "message": message}}, sort_keys=True))
+    return status
 
 
 def main() -> None:

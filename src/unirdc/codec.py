@@ -9,16 +9,17 @@ escape path ships an explicit witness block in raw fixed-width symbols.
 
 One stream serves a whole batch: encode_blocks resolves every block of a
 batch against one scan, and decode_messages replays one stream up to the
-largest index of a batch. Each block's index is the one a scan of its own
-would find. encode_streams codes one batch under many seeds: it exposes the
-first-hit indices as an array and builds one message per distinct index. One
-scan loop serves both modes. It draws in chunks that double its draws, so it
-draws at most about twice the batch's last first hit, and it tests a chunk
-against every pending block at once: in exact mode by a gather from the
-blocks' sphere rows, built once for all the seeds, and in bitfeed mode, which
-has no table, by the distortion.within() kernel. The replay yields the
-decoded blocks as one symbol array, which the experiments test against the
-sources with the same kernel.
+largest index of a batch, each batch a (blocks x n) symbol array. Each
+block's index is the one a scan of its own would find. encode_streams codes
+one batch under many seeds: it exposes the first-hit indices as an array and
+builds one message per distinct index. One scan loop serves both modes. It
+draws in chunks that double its draws, so it draws at most about twice the
+batch's last first hit, and it tests a chunk against every pending block at
+once: in exact mode by a gather from the blocks' sphere rows, built once for
+all the seeds, and in bitfeed mode, which has no table, by the
+distortion.within() kernel. The replay yields the decoded blocks as one
+symbol array, which the experiments test against the sources with the same
+kernel.
 """
 from __future__ import annotations
 
@@ -219,11 +220,13 @@ class EncodedMessage:
 def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> list[EncodedMessage]:
     """Code every block of a batch by its first codeword within the budget.
 
-    One scan of the stream serves the whole batch, and each distinct block is
-    resolved once. In exact mode a draw hits a block when its table index
-    lies in the block's sphere row; bitfeed mode tests each chunk of draws
-    against every pending block with one distortion.within() call. A block
-    with no hit within max_draws escapes to a witness.
+    xs is anything core.symbol_array reads as (blocks x n) symbols: an
+    array, or a list of Blocks or tuples. One scan of the stream serves the
+    whole batch, and each distinct block is resolved once. In exact mode a
+    draw hits a block when its table index lies in the block's sphere row;
+    bitfeed mode tests each chunk of draws against every pending block with
+    one distortion.within() call. A block with no hit within max_draws
+    escapes to a witness.
     """
     return next(iter(encode_streams(xs, level, spec, [stream])))
 
@@ -232,15 +235,16 @@ def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> li
 class BatchCodes:
     """One batch coded under several streams, as encode_streams returns it.
 
-    first is an int64 (streams x blocks) array: the first-hit index of each
-    block of the batch under each stream, 0 for an escape. masses holds each
-    block's SphereMass when encode_streams was asked to weigh the blocks, else
-    None. Iterating yields each stream's messages in stream order; the
-    messages are built only then, one per distinct index and one witness
-    message per escaping block, for the whole batch.
+    blocks is the batch's (blocks x n) symbol array. first is an int64
+    (streams x blocks) array: the first-hit index of each block under each
+    stream, 0 for an escape. masses holds each block's SphereMass when
+    encode_streams was asked to weigh the blocks, else None. Iterating
+    yields each stream's messages in stream order; the messages are built
+    only then, one per distinct index and one witness message per escaping
+    block, for the whole batch.
     """
 
-    blocks: tuple[Block, ...]
+    blocks: np.ndarray
     first: np.ndarray
     masses: tuple[SphereMass, ...] | None
     level: Fraction
@@ -265,7 +269,6 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     UncodableInputError if its sphere is empty; a block whose sphere is
     beyond the enumeration cap is left to the scan.
     """
-    xs = list(xs)
     streams = list(streams)
     if len({(s.n, s.alphabet_size, s.mode, s.length_mode) for s in streams}) != 1:
         raise PreconditionError("the streams of one batch must differ only in seed and budget")
@@ -273,29 +276,27 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     if spec.repro_size != stream.alphabet_size:
         raise PreconditionError("reproduction alphabet does not match the stream")
     _budget(stream.n, level)  # a negative level is refused before any draw
-    at: dict[Block, int] = {}
-    where = [at.setdefault(x, len(at)) for x in xs]
-    distinct = list(at)
-    centers = symbol_array(
-        [x.symbols for x in distinct] or np.zeros((0, stream.n), dtype=np.int64),
-        spec.source_size,
-        stream.n,
-    )
-    _refuse_uncodable(distinct, level, spec)
+    xs = xs if len(xs) else np.zeros((0, stream.n), dtype=np.int64)
+    xs = np.ascontiguousarray(symbol_array(xs, spec.source_size, stream.n))
+    # the distinct blocks by one sort of the rows, each read as one void item
+    rows = xs.view(np.dtype((np.void, xs.dtype.itemsize * stream.n)))[:, 0]
+    rows, where = np.unique(rows, return_inverse=True)
+    centers = rows.view(xs.dtype).reshape(-1, stream.n)
+    _refuse_uncodable(centers, level, spec)
     weighed = [] if masses else None
     if stream.mode == EXACT:
         first = _first_hits_in_rows(centers, level, spec, streams, weighed)
     else:
         if masses:
-            weighed.extend(sphere_mass(x, level, spec, stream.resolved_table) for x in distinct)
-        first = np.zeros((len(streams), len(distinct)), dtype=np.int64)
+            weighed.extend(sphere_mass(x, level, spec, stream.resolved_table) for x in centers)
+        first = np.zeros((len(streams), len(centers)), dtype=np.int64)
         inside = _membership(stream.n, level, spec)  # one verdict per joint type for the batch
         for s, hits in zip(streams, first):
             _scan(s, hits, lambda pending, ys: inside(centers[pending, None], ys[None]))
     return BatchCodes(
-        blocks=tuple(xs),
+        blocks=xs,
         first=first[:, where],
-        masses=None if weighed is None else tuple(weighed[j] for j in where),
+        masses=None if weighed is None else tuple(weighed[j] for j in where.tolist()),
         level=level,
         spec=spec,
     )
@@ -304,14 +305,15 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
 def _messages(xs, hits, level, spec, coded) -> list[EncodedMessage]:
     """Each block's message from its first hit under one stream.
 
-    coded maps an index, or a block that escapes, to its message and is
-    shared by every stream of a batch, so a block that escapes under several
-    streams gets its witness message once.
+    coded maps an index, or the bytes of a distinct block that escapes, to
+    its message and is shared by every stream of a batch, so a block that
+    escapes under several streams gets its witness message once.
     """
-    for x, i in zip(xs, hits):
-        if (i or x) not in coded:
-            coded[i or x] = _index_message(i) if i else _escape_message(x, level, spec)
-    return [coded[i or x] for x, i in zip(xs, hits)]
+    keys = [i or xs[j].tobytes() for j, i in enumerate(hits)]
+    for j, key in enumerate(keys):
+        if key not in coded:
+            coded[key] = _index_message(key) if hits[j] else _escape_message(xs[j], level, spec)
+    return [coded[key] for key in keys]
 
 
 def _first_hits_in_rows(centers, level, spec, streams, weighed=None) -> np.ndarray:
@@ -336,15 +338,15 @@ def _first_hits_in_rows(centers, level, spec, streams, weighed=None) -> np.ndarr
     return first
 
 
-def _refuse_uncodable(blocks, level, spec) -> None:
-    """UncodableInputError if some block's sphere is empty; one beyond the cap is skipped.
+def _refuse_uncodable(centers, level, spec) -> None:
+    """UncodableInputError if some center's sphere is empty; one beyond the cap is skipped.
 
     A first-order measure's sphere is empty for every member of a source
-    type or for none, so one block per type is checked.
-    """
+    type or for none, so one member per type is checked: the distinct rows
+    of the row-sorted array."""
     if spec.first_order_only:
-        blocks = {tuple(sorted(x.symbols)): x for x in blocks}.values()
-    for x in blocks:
+        centers = {tuple(row) for row in np.sort(centers, axis=1).tolist()}
+    for x in centers:
         try:
             witness = find_witness(x, level, spec)
         except EnumerationCapError:
@@ -385,7 +387,7 @@ def _index_message(i: int) -> EncodedMessage:
     return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
 
 
-def _escape_message(x: Block, level, spec: DistortionSpec) -> EncodedMessage:
+def _escape_message(x, level, spec: DistortionSpec) -> EncodedMessage:
     try:
         witness = find_witness(x, level, spec)
     except EnumerationCapError as e:
@@ -416,42 +418,30 @@ def _read_index(payload: BitString) -> int:
     return index
 
 
-def _read_witness(msg: EncodedMessage, stream: CodebookStream) -> Block:
+def _read_witness(msg: EncodedMessage, stream: CodebookStream) -> list[int]:
     sym_w = symbol_width(stream.alphabet_size)
     if msg.payload.length != stream.n * sym_w:
         raise CorruptStreamError("witness payload has the wrong bit count")
     reader = BitReader(msg.payload)
-    symbols = []
-    for _ in range(stream.n):
-        v = reader.read(sym_w)
+    symbols = [reader.read(sym_w) for _ in range(stream.n)]
+    for v in symbols:
         if v >= stream.alphabet_size:
             raise CorruptStreamError(f"witness symbol {v} outside alphabet")
-        symbols.append(v)
-    return Block(tuple(symbols))
+    return symbols
 
 
-def decode_messages(msgs, stream: CodebookStream) -> list[Block]:
-    """Replay the stream once, up to the largest index, or read the witnesses.
-
-    The replay keeps only the draws at transmitted indices, so its work grows
-    with the largest index, never with the number of messages. Each message's
-    index is read as it was parsed off the wire. An index above max_draws is
-    corrupt and is refused before any draw.
-    """
-    return [Block(tuple(row)) for row in _decoded_symbols(msgs, stream).tolist()]
-
-
-def _decoded_symbols(msgs, stream: CodebookStream) -> np.ndarray:
-    """decode_messages as a (messages x n) symbol array, one decoded block per
-    row in the narrowest unsigned type: the witness of an escape, else the
-    draw at the message's index (in exact mode the digits of its table
-    index)."""
+def decode_messages(msgs, stream: CodebookStream) -> np.ndarray:
+    """The decoded blocks as a (messages x n) symbol array in the narrowest unsigned
+    type: the witness of an escape, else the draw at the message's index, from one
+    replay of the stream up to the largest index. Its work grows with that index, never
+    with the number of messages; each index is read as parsed off the wire, and one
+    above max_draws is refused as corrupt before any draw."""
     msgs = list(msgs)
     out = np.empty((len(msgs), stream.n), dtype=np.min_scalar_type(stream.alphabet_size - 1))
     at, indices = [], []
     for p, msg in enumerate(msgs):
         if msg.escape:
-            out[p] = _read_witness(msg, stream).symbols
+            out[p] = _read_witness(msg, stream)
             continue
         if msg.index > stream.max_draws:
             raise CorruptStreamError(
@@ -475,7 +465,7 @@ def _decoded_symbols(msgs, stream: CodebookStream) -> np.ndarray:
 
 def decode(msg: EncodedMessage, stream: CodebookStream) -> Block:
     """Replay the stream up to the transmitted index, or read the witness."""
-    return decode_messages([msg], stream)[0]
+    return Block(tuple(decode_messages([msg], stream)[0].tolist()))
 
 
 def message_from_bits(bits: BitString) -> EncodedMessage:

@@ -27,6 +27,7 @@ from .core import (
     EmpiricalDistribution,
     block_indices,
     blocks_at,
+    check_blocks_enumerable,
     check_enumerable,
     empirical_distribution,
 )
@@ -119,7 +120,7 @@ def all_type_classes(n: int, order: int, alphabet_size: int) -> list[TypeClass]:
         raise PreconditionError(f"need n >= 1 and an order dividing it, got n {n}, order {order}")
     if alphabet_size < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    check_enumerable(alphabet_size**n, f"enumerating {alphabet_size}^{n} blocks")
+    check_blocks_enumerable(alphabet_size, n, f"enumerating {alphabet_size}^{n} blocks")
     chunks = product(range(alphabet_size), repeat=order)
     return [
         enumerate_type_class(EmpiricalDistribution(order, n, dict(Counter(multiset))))

@@ -43,6 +43,35 @@ def check_enumerable(count: int, what: str = "enumeration") -> None:
         )
 
 
+def check_blocks_enumerable(k: int, n: int, what: str = "enumeration") -> None:
+    """check_enumerable(k**n, what) for the k^n blocks of length n, forming k^n
+    only when it might fit the cap or print in decimal: a huge n is refused at once."""
+    cap = enumeration_cap()
+    room = max(cap.bit_length(), 60)  # 2^60 > 10^18 prints by bit length
+    if n * k.bit_length() > room and (bits := _power_bit_length(k, n)) > room:
+        text = f"{what} needs at least 2^{bits - 1} states but the cap is {_count_text(cap)}"
+        raise EnumerationCapError(text)
+    check_enumerable(k**n, what)
+
+
+def _power_bit_length(k: int, n: int, p: int = 64) -> int:
+    """The bit length of k**n in exact integers, without forming it: powers by squaring
+    cut to p bits, rounded down and up, bracket k^n; p doubles until both agree."""
+    def cut(m: int, e: int) -> tuple[int, int]:  # m * 2^e to p bits: m >> d, or -(-m >> d)
+        d = max(m.bit_length() - p, 0)
+        return s * (s * m >> d), e + d
+
+    ends = set()
+    for s in (1, -1):
+        (acc, a), (base, b) = (1, 0), (k, 0)  # acc * 2^a and base * 2^b
+        for bit in bin(n)[:1:-1]:  # the bits of n, lowest first
+            if bit == "1":
+                acc, a = cut(acc * base, a + b)
+            base, b = cut(base * base, 2 * b)
+        ends.add(acc.bit_length() + a)
+    return ends.pop() if len(ends) == 1 else _power_bit_length(k, n, 2 * p)
+
+
 def _count_text(count: int) -> str:
     """A count in decimal, or by its bit length once it has more than 18 digits:
     Python refuses to print an int of more than 4300 digits."""
@@ -99,8 +128,20 @@ class Alphabet:
             raise PreconditionError(f"symbol {ch!r} is not in alphabet {self.symbols!r}")
         return pos
 
+    def to_symbols(self, text: str) -> np.ndarray:
+        """The indices of the characters of text in the narrowest unsigned type, by one
+        lookup keyed by code points; the first character outside is refused as by index()."""
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        codes = [ord(ch) for ch in self.symbols]
+        lookup = np.full(max(codes) + 2, self.size, dtype=np.min_scalar_type(self.size))
+        lookup[codes] = np.arange(self.size)
+        symbols = lookup[np.minimum(points, len(lookup) - 1)]
+        if (outside := symbols == self.size).any():
+            self.index(text[int(outside.argmax())])
+        return symbols.astype(np.min_scalar_type(self.size - 1), copy=False)
+
     def to_block(self, text: str) -> "Block":
-        return Block(tuple(self.index(ch) for ch in text))
+        return Block(self.to_symbols(text).tolist())
 
     def to_text(self, block: "Block") -> str:
         block.validate(self.size)
@@ -150,7 +191,7 @@ def enumerate_blocks(n: int, alphabet_size: int) -> Iterator[Block]:
         raise PreconditionError("block length must be non-negative")
     if alphabet_size < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    check_enumerable(alphabet_size**n, f"enumerating {alphabet_size}^{n} blocks")
+    check_blocks_enumerable(alphabet_size, n, f"enumerating {alphabet_size}^{n} blocks")
     for tup in product(range(alphabet_size), repeat=n):
         yield Block(tup)
 
@@ -424,16 +465,23 @@ def marginalize(joint: EmpiricalDistribution, which: int) -> EmpiricalDistributi
     return EmpiricalDistribution(joint.order, joint.n, counts)
 
 
-def read_blocks(lines: Iterable[str], alphabet: Alphabet) -> list[Block]:
-    """One block per line; any character outside the alphabet is rejected."""
-    blocks = []
-    for line in lines:
-        text = line.rstrip("\n")
-        if not text:
-            continue
-        blocks.append(alphabet.to_block(text))
-    return blocks
+def read_symbols(text: str, alphabet: Alphabet) -> np.ndarray:
+    """A block file's text as a (count x n) symbol array in the narrowest unsigned type, one
+    block per line as str.splitlines() splits them, blank lines skipped. Refused in turn:
+    the first character outside the alphabet, no block, unequal lengths."""
+    lines = [line for line in text.splitlines() if line]
+    symbols = alphabet.to_symbols("".join(lines))
+    if not lines:
+        raise PreconditionError("no input blocks")
+    if len(set(map(len, lines))) > 1:
+        raise PreconditionError("all blocks must share one length")
+    return symbols.reshape(len(lines), -1)
 
 
-def write_blocks(blocks: Iterable[Block], alphabet: Alphabet) -> str:
-    return "".join(alphabet.to_text(b) + "\n" for b in blocks)
+def write_symbols(symbols, alphabet: Alphabet) -> str:
+    """The rows of a (count x n) symbol array as lines of the alphabet's characters."""
+    symbols = symbol_array(symbols, alphabet.size)
+    points = np.array([ord(ch) for ch in alphabet.symbols], dtype="<u4")
+    lines = np.full((len(symbols), symbols.shape[1] + 1), ord("\n"), dtype="<u4")
+    lines[:, :-1] = points[symbols]
+    return lines.tobytes().decode("utf-32-le")

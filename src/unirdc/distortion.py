@@ -26,7 +26,7 @@ from .core import (
     EmpiricalDistribution,
     block_symbols,
     blocks_at,
-    check_enumerable,
+    check_blocks_enumerable,
     joint_empirical_distribution,
     parse_rational,
     symbol_array,
@@ -317,7 +317,7 @@ def sphere_rows(centers, level, spec: DistortionSpec) -> np.ndarray:
         raise PreconditionError("need at least one sphere center, one per row")
     count, n = centers.shape
     k = spec.repro_size
-    check_enumerable(k**n, "sphere scan")
+    check_blocks_enumerable(k, n, "sphere scan")
     if count * k**n > _ROW_BYTES_CAP:
         raise EnumerationCapError(
             f"sphere rows for {count} centers need {count} x {k}^{n} bytes, "
@@ -346,10 +346,10 @@ def sphere_rows(centers, level, spec: DistortionSpec) -> np.ndarray:
     return rows
 
 
-def sphere_indicator(center: Block, level, spec: DistortionSpec) -> np.ndarray:
-    """Sphere membership of every block around one center, in lexicographic
-    order: the one row of sphere_rows over its symbols."""
-    return sphere_rows([center.symbols], level, spec)[0]
+def sphere_indicator(center, level, spec: DistortionSpec) -> np.ndarray:
+    """Sphere membership of every block around one center (a Block or one row
+    of a symbol array), in lexicographic order: the one row of sphere_rows."""
+    return sphere_rows([center], level, spec)[0]
 
 
 def enumerate_sphere(x: Block, level, spec: DistortionSpec) -> list[Block]:
@@ -363,13 +363,14 @@ def enumerate_reverse_sphere(xhat: Block, level, spec: DistortionSpec) -> list[B
     """All source blocks within total distortion n * level of xhat, by within()."""
     _budget(xhat.n, level)  # rejects a negative level
     n, k = xhat.n, spec.source_size
-    check_enumerable(k**n, "sphere scan")
+    check_blocks_enumerable(k, n, "sphere scan")
     inside = within(block_symbols(np.arange(k**n), n, k), [xhat.symbols], level, spec)
     return blocks_at(np.flatnonzero(inside), n, k)
 
 
-def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:
-    """Some reproduction block within the budget, or None if the sphere is empty.
+def find_witness(x, level, spec: DistortionSpec) -> Block | None:
+    """Some reproduction block within the budget of x (a Block or one row of a
+    symbol array), or None if the sphere is empty.
 
     For per-letter measures the per-position argmin minimizes the additive
     total, so the greedy choice decides emptiness without enumeration; it
@@ -377,16 +378,16 @@ def find_witness(x: Block, level, spec: DistortionSpec) -> Block | None:
     the matrix. Other kinds return the lexicographically first block of the
     sphere, under the cap.
     """
-    budget = _budget(x.n, level)
+    budget = _budget(len(x), level)
     if spec.kind == PER_LETTER:
         scale, costs = spec.scaled
         best = [min(range(spec.repro_size), key=row.__getitem__) for row in costs]
-        if sum(costs[a][best[a]] for a in x.symbols) > budget * scale:
+        if sum(costs[a][best[a]] for a in x) > budget * scale:
             return None
-        return Block(tuple(best[a] for a in x.symbols))
+        return Block(tuple(best[a] for a in x))
     inside = sphere_indicator(x, level, spec)
     first = int(inside.argmax())
-    return blocks_at([first], x.n, spec.repro_size)[0] if inside[first] else None
+    return blocks_at([first], len(x), spec.repro_size)[0] if inside[first] else None
 
 
 def spec_from_object(data, source: str = "01", repro: str | None = None) -> DistortionSpec:

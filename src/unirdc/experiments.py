@@ -29,8 +29,8 @@ import numpy as np
 
 from .codec import (
     CodebookStream,
-    _decoded_symbols,
     _index_code_lengths,
+    decode_messages,
     encode_streams,
 )
 from .converse import (
@@ -42,7 +42,8 @@ from .converse import (
     shortest_first_lengths,
 )
 from .core import (
-    Alphabet, Block, EmpiricalDistribution, check_enumerable, enumerate_blocks, parse_rational
+    Alphabet, Block, EmpiricalDistribution, block_symbols, check_blocks_enumerable,
+    check_enumerable, parse_rational, symbol_array,
 )
 from .distortion import _membership, spec_from_object, sphere_rows
 from .errors import PreconditionError
@@ -242,11 +243,14 @@ class ExperimentConfig:
             )
         return base
 
-    def sources(self) -> list[Block]:
+    def sources(self) -> np.ndarray:
+        """source_blocks, else every block of length n, as a (sources x n) symbol array."""
         alpha = Alphabet(self.source_alphabet)
         if self.source_blocks is not None:
-            return [alpha.to_block(t) for t in self.source_blocks]
-        return list(enumerate_blocks(self.n, alpha.size))
+            blocks = [alpha.to_symbols(t) for t in self.source_blocks]
+            return symbol_array(blocks, alpha.size, self.n)
+        check_blocks_enumerable(alpha.size, self.n, f"enumerating {alpha.size}^{self.n} blocks")
+        return block_symbols(np.arange(alpha.size**self.n), self.n, alpha.size)
 
     def to_json(self) -> str:
         data = {
@@ -416,10 +420,9 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     coded = encode_streams(sources, cfg.level, spec, streams, masses=True)
     failed = np.zeros(coded.first.shape, dtype=bool)
     if round_trip:
-        xs = np.array([x.symbols for x in sources], dtype=np.int64)
         inside = _membership(cfg.n, cfg.level, spec)
         for t, (stream, msgs) in enumerate(zip(streams, coded)):
-            failed[t] = ~inside(xs, _decoded_symbols(msgs, stream))
+            failed[t] = ~inside(sources, decode_messages(msgs, stream))
     return coded.first, failed, coded.masses
 
 
@@ -537,7 +540,7 @@ def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityRep
     viol = np.bincount(row[over], weights=counts[over], minlength=count).astype(np.int64)
     viol += escapes
     columns = zip(
-        cfg.sources(),
+        map(Block, cfg.sources().tolist()),
         [m.mass for m in masses],
         neg_log2.tolist(),
         [trials] * count,

@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Block, block_indices, blocks_at, check_enumerable, enumerate_blocks
+from .core import Block, block_indices, blocks_at, check_blocks_enumerable, enumerate_blocks
 from .distortion import _INT64_MAX, DistortionSpec, sphere_indicator, within
 from .errors import CapacityError, PreconditionError
 from . import lz78
@@ -105,12 +105,11 @@ class UniversalTable:
         cum, total = self._cumulative, self._total
         # ceil(total / 2^s) <= 4 size holds exactly when (total - 1) // (4 size) < 2^s
         shift = ((total - 1) // (4 * self.size)).bit_length()
-        # block i owns the buckets j with ceil(cum[i-1] / 2^s) <= j < ceil(cum[i] / 2^s);
-        # the ceilings are the negated floors of -cum / 2^s
-        floors = -np.concatenate(([0], cum))
-        floors >>= shift
+        # block i owns the buckets j with ceil(cum[i-1] / 2^s) <= j < ceil(cum[i] / 2^s):
+        # its count is one difference of the ceilings, freed before the repeat
+        counts = np.diff(-(-cum >> shift), prepend=0)
         index = np.arange(self.size, dtype=np.min_scalar_type(self.size - 1))
-        guide = np.repeat(index, -np.diff(floors))
+        guide = np.repeat(index, counts)
         guide.flags.writeable = False
         return shift, guide
 
@@ -253,7 +252,7 @@ def build_universal_table(
         raise PreconditionError("alphabet size must be at least 2")
     if length_mode not in LENGTH_MODES:
         raise PreconditionError(f"unknown length mode {length_mode!r}")
-    check_enumerable(alphabet_size**n, "universal table")
+    check_blocks_enumerable(alphabet_size, n, "universal table")
     bits = _parse_lengths(n, alphabet_size)
     if length_mode == "capped":
         # lz78.lz_capped_length: min(parse code, raw symbols) plus a flag bit
@@ -288,9 +287,10 @@ class SphereMass:
         )
 
 
-def sphere_mass(x: Block, level, spec: DistortionSpec, table: UniversalTable) -> SphereMass:
-    """Exact mass, size, and minimum code length of the sphere around x."""
-    table.require_fit(x.n, spec.repro_size)
+def sphere_mass(x, level, spec: DistortionSpec, table: UniversalTable) -> SphereMass:
+    """Exact mass, size, and minimum code length of the sphere around x, a
+    Block or one row of a symbol array."""
+    table.require_fit(len(x), spec.repro_size)
     return row_mass(sphere_indicator(x, level, spec), table)
 
 
@@ -396,6 +396,8 @@ class _BitfeedSampler:
     """Fair bits from random.Random(seed) fed into the phrase decoder loop."""
 
     def __init__(self, n: int, alphabet_size: int, seed: int):
+        if n < 1:
+            raise PreconditionError("sampler needs n >= 1")
         require_seed(seed)
         self.n = n
         self.alphabet_size = alphabet_size
@@ -440,12 +442,10 @@ def sample_bitfeed(n: int, alphabet_size: int, seed: int, count: int) -> list[Bl
     The resulting law is close to, but not exactly, the table distribution;
     see bitfeed_distribution for the exact law at small n.
     """
-    if n < 1:
-        raise PreconditionError("sampler needs n >= 1")
+    sampler = _BitfeedSampler(n, alphabet_size, seed)
     if count < 0:
         raise PreconditionError("count must be non-negative")
-    drawn = _BitfeedSampler(n, alphabet_size, seed).draw(count)
-    return [Block(tuple(row)) for row in drawn.tolist()]
+    return [Block(tuple(row)) for row in sampler.draw(count).tolist()]
 
 
 def bitfeed_distribution(n: int, alphabet_size: int) -> dict[Block, Fraction]:
@@ -458,7 +458,7 @@ def bitfeed_distribution(n: int, alphabet_size: int) -> dict[Block, Fraction]:
     """
     if n < 1:
         raise PreconditionError("distribution needs n >= 1")
-    check_enumerable(alphabet_size**n, "bitfeed law")
+    check_blocks_enumerable(alphabet_size, n, "bitfeed law")
     out: dict[Block, Fraction] = {}
 
     def visit(strings, emitted, i, prob):

@@ -969,6 +969,47 @@ def test_cover_matrix_beyond_the_row_ceiling_is_an_error_object(capsys, monkeypa
     assert json.loads(out)["error"]["code"] == "enumeration_cap"
 
 
+def test_a_huge_block_length_is_refused_at_once():
+    # 3^(10^9) has about 1.6e9 bits; the refusal reads its bit length instead
+    src = str(Path(unirdc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("UNIRDC_CAP", None)
+    argv = ["sample", "--alphabet", "012", "--n", "1000000000", "--seed", "0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "unirdc", *argv], capture_output=True, text=True, env=env,
+        timeout=10,
+    )
+    assert done.returncode == 1
+    error = json.loads(done.stdout)["error"]
+    assert error["code"] == "enumeration_cap"
+    assert error["message"] == (
+        "universal table needs at least 2^1584962500 states but the cap is 1048576"
+    )
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_block_files_end_lines_as_splitlines_does(tmp_path, capsys, mode):
+    # CRLF, form feed and U+2028 each end a block of a non-ASCII alphabet
+    blocks = ["αββααβαβ", "ββαααβαβ", "αααββββα", "βαβαβαβα"]
+    decoded = []
+    for name, text in [
+        ("lf", "\n".join(blocks) + "\n"),
+        ("mixed", blocks[0] + "\r\n" + blocks[1] + "\x0c\n" + blocks[2] + "\u2028" + blocks[3]),
+    ]:
+        path, container = tmp_path / f"{name}.txt", tmp_path / f"{name}.ur"
+        path.write_text(text, encoding="utf-8")
+        code, _ = invoke(
+            capsys, "encode", "--alphabet", "αβ", "--in", str(path), "--D", "1/4", "--seed", "3",
+            "--mode", mode, "--out", str(container),
+        )
+        assert code == 0
+        decoded.append(invoke(capsys, "decode", "--alphabet", "αβ", "--in", str(container)))
+    assert decoded[0] == decoded[1]
+    code, out = decoded[0]
+    assert code == 0 and len(out.splitlines()) == 4 and set(out) == set("αβ\n")
+
+
 def test_mode_choices_are_the_library_vocabularies():
     choices = {}
     for sub in _parser()._subparsers._group_actions[0].choices.values():

@@ -542,7 +542,8 @@ def test_batch_equals_per_block_scan(case):
         assert got.payload == want.payload
         assert got.index == want.index
     witnesses = [find_witness(x, level, spec) for x in xs]
-    assert decoded == [_replay_one(m, s, w) for m, w in zip(msgs, witnesses)]
+    want = [_replay_one(m, s, w) for m, w in zip(msgs, witnesses)]
+    assert [tuple(row) for row in decoded.tolist()] == [w.symbols for w in want]
 
 
 def test_exact_encode_folds_an_overflowing_matrix(monkeypatch):
@@ -699,7 +700,9 @@ def test_emptiness_is_decided_once_per_source_type(monkeypatch, mode, spec, alph
     monkeypatch.setattr(codec, "_MASK_BYTES", 2 * k**n)  # two sphere rows per group
     witnesses = []
     real = codec.find_witness
-    monkeypatch.setattr(codec, "find_witness", lambda x, *a: witnesses.append(x) or real(x, *a))
+    monkeypatch.setattr(
+        codec, "find_witness", lambda x, *a: witnesses.append(tuple(x)) or real(x, *a)
+    )
     # at most two 2s: within 5 * 1/2 of a binary block by squared disagreement
     xs = [x for x in enumerate_blocks(n, alpha.size) if x.symbols.count(2) <= 2]
     s = CodebookStream(seed=3, n=n, alphabet_size=k, mode=mode, max_draws=ALL)
@@ -707,17 +710,19 @@ def test_emptiness_is_decided_once_per_source_type(monkeypatch, mode, spec, alph
     assert coded.first.min() >= 1  # no escape, so every witness search is the check
     types = {tuple(sorted(x.symbols)) for x in xs}
     assert len(types) < len(xs) // 4
-    assert len(witnesses) == len({tuple(sorted(x.symbols)) for x in witnesses}) == len(types)
+    assert len(witnesses) == len({tuple(sorted(x)) for x in witnesses}) == len(types)
 
 
 def test_a_batch_builds_one_witness_message_per_escaping_block(monkeypatch):
     built = []
     real = codec._escape_message
-    monkeypatch.setattr(codec, "_escape_message", lambda x, *a: built.append(x) or real(x, *a))
+    monkeypatch.setattr(
+        codec, "_escape_message", lambda x, *a: built.append(tuple(x)) or real(x, *a)
+    )
     xs = [BINARY.to_block(t) for t in SIX]
     streams = [CodebookStream(seed=seed, n=6, alphabet_size=2, max_draws=3) for seed in SWEEP_SEEDS]
     swept = list(encode_streams(xs, Fraction(1, 6), HAMMING, streams))
-    escaping = {x for msgs in swept for x, m in zip(xs, msgs) if m.escape}
+    escaping = {tuple(x) for msgs in swept for x, m in zip(xs, msgs) if m.escape}
     assert escaping and len(built) == len(set(built)) and set(built) == escaping
     for got_msgs, s in zip(swept, streams, strict=True):
         want_msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
@@ -829,7 +834,7 @@ def test_decode_work_grows_with_the_largest_index(draws):
     blocks = decode_messages(msgs, s)
     assert draws[0] <= 1 << 16  # one replay, not one per record
     target = sample_exact(s.resolved_table, 5, 1 << 16)[-1]
-    assert blocks == [target] * 100
+    assert [tuple(row) for row in blocks.tolist()] == [target.symbols] * 100
 
 
 def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
@@ -890,4 +895,56 @@ def test_decode_reads_each_index_without_parsing(monkeypatch):
     monkeypatch.setattr(codec, "_read_index", lambda payload: parsed.append(payload) or real(payload))
     blocks = decode_messages(msgs, s)
     assert parsed == []
-    assert blocks == [decode(m, s) for m in msgs]
+    assert [tuple(row) for row in blocks.tolist()] == [decode(m, s).symbols for m in msgs]
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_a_batch_codes_alike_from_blocks_tuples_and_arrays(mode):
+    blocks = [BINARY.to_block(t) for t in SIX]
+    s = CodebookStream(seed=5, n=6, alphabet_size=2, mode=mode, max_draws=3)
+    forms = [
+        blocks,
+        [b.symbols for b in blocks],
+        np.array([b.symbols for b in blocks], dtype=np.uint8),
+        np.array([b.symbols for b in blocks], dtype=np.int64),
+    ]
+    coded = [encode_blocks(xs, Fraction(1, 6), HAMMING, s) for xs in forms]
+    assert any(m.escape for m in coded[0]) and not all(m.escape for m in coded[0])
+    for msgs in coded[1:]:
+        assert [(m.escape, m.payload, m.index) for m in msgs] == [
+            (m.escape, m.payload, m.index) for m in coded[0]
+        ]
+    batch = encode_streams(forms[2], Fraction(1, 6), HAMMING, [s])
+    assert batch.blocks.dtype == np.uint8 and (batch.blocks == forms[2]).all()
+
+
+@pytest.mark.parametrize(
+    "k, dtype", [(2, np.uint8), (3, np.uint8), (256, np.uint8), (257, np.uint16)]
+)
+def test_decoded_blocks_are_one_narrow_symbol_array(k, dtype):
+    s = CodebookStream(seed=2, n=3, alphabet_size=k, mode="bitfeed", max_draws=4)
+    witness = BitWriter()
+    for symbol in (k - 1, 0, k - 1):
+        witness.write(symbol, symbol_width(k))
+    msgs = [
+        EncodedMessage(escape=False, payload=index_code_encode(3), index=3),
+        EncodedMessage(escape=True, payload=witness.getvalue(), index=None),
+    ]
+    decoded = decode_messages(msgs, s)
+    assert decoded.dtype == dtype and decoded.shape == (2, 3)
+    assert decoded[1].tolist() == [k - 1, 0, k - 1]
+    assert decoded[0].tolist() == list(decode(msgs[0], s).symbols)
+    assert decode_messages([], s).shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "spec", [HAMMING, squared_disagreement(BINARY), per_letter([[0, 2], [1, 0]], BINARY, BINARY)]
+)
+def test_one_block_helpers_take_a_block_or_its_row(spec):
+    table = build_universal_table(6, 2, "plain")
+    rows = np.array([b.symbols for b in (BINARY.to_block(t) for t in SIX)], dtype=np.uint8)
+    for row in rows:
+        block = Block(tuple(row.tolist()))
+        for level in (0, Fraction(1, 6), Fraction(1, 2)):
+            assert sphere_mass(row, level, spec, table) == sphere_mass(block, level, spec, table)
+            assert find_witness(row, level, spec) == find_witness(block, level, spec)

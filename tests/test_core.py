@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from unirdc import (
     BINARY,
@@ -18,10 +18,16 @@ from unirdc import (
     enumeration_cap,
     joint_empirical_distribution,
     marginalize,
-    read_blocks,
-    write_blocks,
 )
-from unirdc.core import block_indices, blocks_at, parse_rational
+from unirdc.core import (
+    _power_bit_length,
+    block_indices,
+    blocks_at,
+    check_blocks_enumerable,
+    parse_rational,
+    read_symbols,
+    write_symbols,
+)
 
 
 def test_alphabet_basics():
@@ -82,6 +88,26 @@ def test_enumeration_cap_env(monkeypatch):
     monkeypatch.setenv("UNIRDC_CAP", "not a number")
     with pytest.raises(PreconditionError):
         enumeration_cap()
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    [(30, "205891132094649"), (40, "at least 2^63"), (1000, "at least 2^1584")],
+)
+def test_block_count_refusal_keeps_its_text(n, count):
+    # a K^n past 2^60 is refused by its bit length, without forming K^n
+    with pytest.raises(EnumerationCapError) as e:
+        check_blocks_enumerable(3, n, "universal table")
+    assert str(e.value) == f"universal table needs {count} states but the cap is 1048576"
+
+
+def test_block_count_bit_length_is_exact():
+    # 3^665 is within 0.005% of 2^1054; a start at 2 bits makes the bracket
+    # double its precision several times before both ends agree
+    for p in (2, 64):
+        for k in (2, 3, 5, 7, 10, 255):
+            for n in [*range(0, 70), 127, 128, 665, 1000, 4096, 10**4 + 7]:
+                assert _power_bit_length(k, n, p) == (k**n).bit_length(), (k, n, p)
 
 
 def test_bitstring_text_round_trip():
@@ -183,11 +209,68 @@ def test_marginalize_property(k, n, data):
 
 def test_read_write_blocks_round_trip():
     a = Alphabet("ab")
-    blocks = [a.to_block("ab"), a.to_block("ba")]
-    text = write_blocks(blocks, a)
-    assert read_blocks(text.splitlines(), a) == blocks
+    symbols = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    text = write_symbols(symbols, a)
+    assert text == "ab\nba\n"
+    read = read_symbols(text, a)
+    assert read.dtype == np.uint8 and (read == symbols).all()
     # blank lines are skipped
-    assert read_blocks(["", "ab", "", "ba", ""], a) == blocks
+    assert (read_symbols("\nab\n\nba\n\n", a) == symbols).all()
+
+
+def _read_blocks_oracle(text: str, alphabet: Alphabet) -> list[Block]:
+    """The block-file reader that read_symbols replaced, kept as its oracle:
+    one Block per line of str.splitlines(), blank lines skipped, then the
+    command line's checks for no block and for blocks of different lengths."""
+    lines = [line for line in text.splitlines() if line]
+    blocks = [Block(tuple(alphabet.index(ch) for ch in line)) for line in lines]
+    if not blocks:
+        raise PreconditionError("no input blocks")
+    if any(b.n != blocks[0].n for b in blocks):
+        raise PreconditionError("all blocks must share one length")
+    return blocks
+
+
+# every line boundary of str.splitlines()
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+             "\u2029"]
+
+
+@st.composite
+def block_texts(draw):
+    symbols = draw(st.sampled_from(["01", "012", "αβ"]))
+    n = draw(st.integers(1, 5))
+    stray = st.sampled_from(["2", "a", "x", " ", "\t", "é", "β", "\U0001f600"])
+    line = st.one_of(
+        st.text(st.sampled_from(symbols), min_size=n, max_size=n),
+        st.text(st.sampled_from(symbols) | stray, max_size=6),
+        st.just(""),
+    )
+    lines = draw(st.lists(line, max_size=6))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text[: len(text) - len(ends[-1])]  # no end after the last line
+    return Alphabet(symbols), text
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(block_texts())
+def test_reader_and_writer_agree_with_the_block_reader(case):
+    alpha, text = case
+    try:
+        want = [b.symbols for b in _read_blocks_oracle(text, alpha)]
+    except PreconditionError as e:
+        with pytest.raises(PreconditionError) as got:
+            read_symbols(text, alpha)
+        assert str(got.value) == str(e)
+        return
+    symbols = read_symbols(text, alpha)
+    assert symbols.dtype == np.min_scalar_type(alpha.size - 1)
+    assert [tuple(row) for row in symbols.tolist()] == want
+    assert write_symbols(symbols, alpha) == "".join(
+        line + "\n" for line in text.splitlines() if line
+    )
 
 
 def test_binary_alias():

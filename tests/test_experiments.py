@@ -12,6 +12,7 @@ from fractions import Fraction
 from unirdc import (
     BINARY,
     Alphabet,
+    Block,
     ExperimentConfig,
     PreconditionError,
     UncodableInputError,
@@ -160,14 +161,14 @@ def test_round_trip_check_sees_a_corrupted_decode(monkeypatch, mode, dist):
     clean = achievability_experiment(cfg)
     assert clean.all_semifaithful
     assert [row.semifaithful_failures for row in clean.rows] == [0] * 16
-    decoded = experiments._decoded_symbols
+    decoded = experiments.decode_messages
 
     def shifted(msgs, stream):
         out = decoded(msgs, stream)
         out[3, 1] ^= 1
         return out
 
-    monkeypatch.setattr(experiments, "_decoded_symbols", shifted)
+    monkeypatch.setattr(experiments, "decode_messages", shifted)
     rep = achievability_experiment(cfg)
     assert not rep.all_semifaithful
     assert [row.semifaithful_failures for row in rep.rows] == [0, 0, 0, 6] + [0] * 12
@@ -263,7 +264,8 @@ def _reference_achievability(first, failed, masses, cfg, dkw=True):
     rows = []
     total_viol = 0
     total_samples = 0
-    for x, m, column, bad in zip(cfg.sources(), masses, first.T, failed.T):
+    blocks = map(Block, cfg.sources().tolist())
+    for x, m, column, bad in zip(blocks, masses, first.T, failed.T):
         keys, at, counts = np.unique(column, return_index=True, return_counts=True)
         order = np.argsort(at)
         keys, counts = keys[order], counts[order]
