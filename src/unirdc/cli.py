@@ -128,6 +128,7 @@ def _cmd_sample(args) -> int:
         drawn = universal._ExactSampler(table, args.seed).draw(args.count)
         drawn = block_symbols(drawn, args.n, alpha.size)
     else:
+        check_enumerable(args.count * args.n, "bitfeed sample")  # the symbols it would hold
         drawn = universal._BitfeedSampler(args.n, alpha.size, args.seed).draw(args.count)
     _write_text(args.out, write_symbols(drawn, alpha))
     return 0

@@ -99,7 +99,9 @@ class CodebookStream:
     """Deterministic codeword stream configuration shared by both ends.
 
     mode selects the exact table sampler or the approximate bitfeed sampler,
-    and max_draws caps the scan before the escape path.
+    and max_draws caps the scan before the escape path. The exact sampler
+    draws from the universal table of (n, alphabet_size, length_mode), the
+    only table a container header can name.
     """
 
     seed: int
@@ -108,7 +110,6 @@ class CodebookStream:
     mode: str = EXACT
     max_draws: int = DEFAULT_MAX_DRAWS
     length_mode: str = "plain"
-    table: UniversalTable | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -120,17 +121,10 @@ class CodebookStream:
         if not 1 <= self.max_draws <= _INT64_MAX:
             # first hits and replayed indices are int64
             raise PreconditionError("max_draws must be in [1, 2^63 - 1]")
-        if self.table is not None and (
-            self.table.n != self.n
-            or self.table.alphabet_size != self.alphabet_size
-            or self.table.length_mode != self.length_mode
-        ):
-            raise PreconditionError("supplied table does not match the stream")
 
     @cached_property
     def resolved_table(self) -> UniversalTable:
-        if self.table is not None:
-            return self.table
+        """The universal table of the stream's key, the one the process shares."""
         return build_universal_table(self.n, self.alphabet_size, self.length_mode)
 
     def sampler(self):

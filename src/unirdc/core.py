@@ -242,13 +242,21 @@ def block_indices(symbols, alphabet_size: int) -> np.ndarray:
     return symbols @ alphabet_size ** np.arange(symbols.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
+# Rows per step of block_symbols: its int64 digit intermediates hold at most
+# this many rows, so a large call holds little more than its output.
+_SYMBOL_ROWS = 1 << 14
+
+
 def block_symbols(indices, n: int, alphabet_size: int) -> np.ndarray:
     """The (count x n) symbols of the blocks at the given lexicographic
     positions, in the narrowest unsigned type (inverse of block_indices)."""
     idx = np.asarray(indices, dtype=np.int64)
     powers = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = (idx[:, None] // powers) % alphabet_size
-    return digits.astype(np.min_scalar_type(alphabet_size - 1))
+    out = np.empty((len(idx), n), dtype=np.min_scalar_type(alphabet_size - 1))
+    for lo in range(0, len(idx), _SYMBOL_ROWS):
+        rows = idx[lo : lo + _SYMBOL_ROWS, None]
+        out[lo : lo + len(rows)] = (rows // powers) % alphabet_size
+    return out
 
 
 def blocks_at(indices, n: int, alphabet_size: int) -> list[Block]:

@@ -211,7 +211,7 @@ class ExperimentConfig:
             require_seed(seed)
         return list(seeds)
 
-    def stream(self, seed: int, table=None) -> CodebookStream:
+    def stream(self, seed: int) -> CodebookStream:
         return CodebookStream(
             seed=seed,
             n=self.n,
@@ -219,7 +219,6 @@ class ExperimentConfig:
             mode=self.mode,
             max_draws=self.max_draws,
             length_mode=self.length_mode,
-            table=table,
         )
 
     @property
@@ -338,12 +337,6 @@ def _jsonable(value):
         return str(value)
     if isinstance(value, Block):
         return "".join(str(s) for s in value.symbols)
-    if isinstance(value, EmpiricalDistribution):
-        return {
-            "order": value.order,
-            "n": value.n,
-            "counts": {"".join(map(str, k)): v for k, v in value.counts.items()},
-        }
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -414,9 +407,8 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     before any draw.
     """
     spec = cfg.spec()
-    table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     sources = cfg.sources()
-    streams = [cfg.stream(seed, table) for seed in seeds]
+    streams = [cfg.stream(seed) for seed in seeds]
     coded = encode_streams(sources, cfg.level, spec, streams, masses=True)
     failed = np.zeros(coded.first.shape, dtype=bool)
     if round_trip:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -242,10 +242,10 @@ def _parse_lengths(n: int, alphabet_size: int) -> np.ndarray:
 LENGTH_MODES = ("plain", "capped")
 
 
-def build_universal_table(
-    n: int, alphabet_size: int, length_mode: str = "plain"
-) -> UniversalTable:
-    """Record the code length of every block of length n."""
+def build_universal_table(n: int, alphabet_size: int, length_mode: str = "plain") -> UniversalTable:
+    """The code length of every block of length n, in the process's one table
+    of the key (n, alphabet_size, length_mode). Each call checks the key and
+    the cap as it stands, so a lowered cap refuses a table already built."""
     if n < 1:
         raise PreconditionError("table needs n >= 1")
     if alphabet_size < 2:
@@ -253,13 +253,16 @@ def build_universal_table(
     if length_mode not in LENGTH_MODES:
         raise PreconditionError(f"unknown length mode {length_mode!r}")
     check_blocks_enumerable(alphabet_size, n, "universal table")
+    return _table(n, alphabet_size, length_mode)  # positional: one cache entry per key
+
+
+@lru_cache(maxsize=1)
+def _table(n: int, alphabet_size: int, length_mode: str) -> UniversalTable:
     bits = _parse_lengths(n, alphabet_size)
     if length_mode == "capped":
         # lz78.lz_capped_length: min(parse code, raw symbols) plus a flag bit
         bits = np.minimum(bits, n * lz78.symbol_width(alphabet_size)) + 1
-    return UniversalTable(
-        n=n, alphabet_size=alphabet_size, length_mode=length_mode, bits=bits
-    )
+    return UniversalTable(n=n, alphabet_size=alphabet_size, length_mode=length_mode, bits=bits)
 
 
 def kraft_sum(n: int, alphabet_size: int, length_mode: str = "plain") -> Fraction:

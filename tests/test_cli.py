@@ -988,6 +988,22 @@ def test_a_huge_block_length_is_refused_at_once():
     )
 
 
+def test_a_huge_bitfeed_sample_is_refused_before_any_draw():
+    src = str(Path(unirdc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("UNIRDC_CAP", None)
+    argv = ["sample", "--alphabet", "01", "--n", "1000000000", "--seed", "0", "--mode", "bitfeed"]
+    done = subprocess.run(
+        [sys.executable, "-m", "unirdc", *argv], capture_output=True, text=True, env=env,
+        timeout=10,
+    )
+    assert done.returncode == 1
+    error = json.loads(done.stdout)["error"]
+    assert error["code"] == "enumeration_cap"
+    assert error["message"] == "bitfeed sample needs 1000000000 states but the cap is 1048576"
+
+
 @pytest.mark.parametrize("mode", ["exact", "bitfeed"])
 def test_block_files_end_lines_as_splitlines_does(tmp_path, capsys, mode):
     # CRLF, form feed and U+2028 each end a block of a non-ASCII alphabet

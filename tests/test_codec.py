@@ -457,9 +457,6 @@ def test_stream_validation():
     for mode in ("exact", "bitfeed"):
         with pytest.raises(PreconditionError, match="unknown length mode 'foo'"):
             CodebookStream(seed=1, n=4, alphabet_size=2, mode=mode, length_mode="foo")
-    t = build_universal_table(4, 2, "plain")
-    with pytest.raises(PreconditionError):
-        CodebookStream(seed=1, n=5, alphabet_size=2, mode="exact", table=t)
 
 
 # The per-block scan that batch encoding replaced, kept as its oracle: one
@@ -633,9 +630,8 @@ def test_streams_equal_per_seed_encodes(
     n, k = xs[0].n, spec.repro_size
     if rows_per_group:
         monkeypatch.setattr(codec, "_MASK_BYTES", rows_per_group * k**n)
-    table = build_universal_table(n, k, "plain")
     streams = [
-        CodebookStream(seed=seed, n=n, alphabet_size=k, mode=mode, max_draws=max_draws, table=table)
+        CodebookStream(seed=seed, n=n, alphabet_size=k, mode=mode, max_draws=max_draws)
         for seed in SWEEP_SEEDS
     ]
     rows = []
@@ -871,7 +867,7 @@ def test_first_hit_array_and_masses_match_the_messages(mode, spec):
     xs = [BINARY.to_block(t) for t in SIX]
     table = build_universal_table(6, 2, "plain")
     streams = [
-        CodebookStream(seed=seed, n=6, alphabet_size=2, mode=mode, max_draws=5, table=table)
+        CodebookStream(seed=seed, n=6, alphabet_size=2, mode=mode, max_draws=5)
         for seed in SWEEP_SEEDS
     ]
     coded = encode_streams(xs, Fraction(1, 6), spec, streams, masses=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -21,7 +23,9 @@ from unirdc import (
 )
 from unirdc.core import (
     _power_bit_length,
+    _SYMBOL_ROWS,
     block_indices,
+    block_symbols,
     blocks_at,
     check_blocks_enumerable,
     parse_rational,
@@ -72,6 +76,27 @@ def test_block_indices_invert_blocks_at(n, k):
     assert got.dtype == np.int64
     assert got.tolist() == everything.tolist()
     assert block_indices(np.zeros((0, n), dtype=np.uint8), k).tolist() == []
+
+
+@pytest.mark.parametrize("n, k", [(12, 2), (10, 3), (5, 7), (1, 2)])
+def test_block_symbols_are_the_digits_of_each_index_across_row_blocks(n, k):
+    idx = np.random.default_rng(n).integers(0, k**n, 2 * _SYMBOL_ROWS + 5)
+    powers = k ** np.arange(n - 1, -1, -1)
+    got = block_symbols(idx, n, k)
+    assert got.dtype == np.min_scalar_type(k - 1) and got.shape == (len(idx), n)
+    assert np.array_equal(got, idx[:, None] // powers % k)
+    assert block_symbols([], n, k).shape == (0, n)
+
+
+def test_block_symbols_hold_little_more_than_their_output():
+    idx = np.random.default_rng(0).integers(0, 2**12, 10**6)
+    tracemalloc.start()
+    try:
+        out = block_symbols(idx, 12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes
 
 
 def test_block_indices_refuse_a_symbol_outside_the_alphabet():

@@ -370,10 +370,16 @@ def test_achievability_rows_match_the_loop_with_escapes():
 
 def test_achievability_runs_when_a_source_escapes_under_every_seed():
     cfg = ExperimentConfig(n=6, level=Fraction(1, 6), trials=1, master_seed=4, max_draws=2)
-    rows = achievability_experiment(cfg).rows
+    report = achievability_experiment(cfg)
+    rows = report.rows
     lost = [r for r in rows if r.escapes == r.trials]
     assert 0 < len(lost) < len(rows)
     assert all(r.dkw_sup == 0.0 and r.mean_log2_index == math.inf for r in lost)
+    # JSON has no infinity, so the report writes the string "inf"
+    text = report.to_json()
+    assert "Infinity" not in text
+    written = [w["mean_log2_index"] for r, w in zip(rows, json.loads(text)["rows"]) if r in lost]
+    assert written == ["inf"] * len(lost)
 
 
 def test_achievability_rows_match_the_loop_on_one_seed():
@@ -553,6 +559,21 @@ def test_sweep_hands_each_chunk_the_config_itself(monkeypatch, run):
     run(cfg)
     assert parsed == []
     assert [args[0] for args in chunks] == [cfg]
+
+
+def test_every_stream_of_a_sweep_chunk_shares_the_table_of_its_key(monkeypatch):
+    seen = []
+    real = experiments.encode_streams
+
+    def recording(xs, level, spec, streams, **kw):
+        seen.extend(streams)
+        return real(xs, level, spec, streams, **kw)
+
+    monkeypatch.setattr(experiments, "encode_streams", recording)
+    cfg = ExperimentConfig(n=8, level=Fraction(1, 4), max_draws=5)
+    experiments._sweep_chunk(cfg, [3, 5, 7], round_trip=True)
+    table = build_universal_table(8, 2, "plain")
+    assert len(seen) == 3 and all(s.resolved_table is table for s in seen)
 
 
 def test_ensemble_failure_decays_when_draws_scale():

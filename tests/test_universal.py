@@ -20,6 +20,7 @@ from unirdc import (
     Alphabet,
     Block,
     CapacityError,
+    EnumerationCapError,
     PreconditionError,
     UniversalTable,
     bitfeed_distribution,
@@ -95,7 +96,9 @@ def test_table_bits_pinned_digest(n, k, digest):
 
 def test_table_build_memory_at_the_cap():
     # 2^20 blocks is the default cap; the recursive per-prefix walk peaked at
-    # 24.06 MiB of traced memory here (Python 3.11, numpy 2.4)
+    # 24.06 MiB of traced memory here (Python 3.11, numpy 2.4). The cache is
+    # cleared so that the table is built, not looked up.
+    universal_module._table.cache_clear()
     tracemalloc.start()
     try:
         build_universal_table(20, 2, "plain")
@@ -103,6 +106,21 @@ def test_table_build_memory_at_the_cap():
     finally:
         tracemalloc.stop()
     assert peak <= 24.06 * 2**20
+
+
+def test_one_table_per_key():
+    t = build_universal_table(8, 2, "plain")
+    assert build_universal_table(8, 2, "plain") is t
+    assert build_universal_table(8, 2) is t
+
+
+def test_a_lowered_cap_refuses_a_table_already_built(monkeypatch):
+    monkeypatch.delenv("UNIRDC_CAP", raising=False)
+    build_universal_table(8, 2, "plain")
+    monkeypatch.setenv("UNIRDC_CAP", "8")
+    with pytest.raises(EnumerationCapError) as refused:
+        build_universal_table(8, 2, "plain")
+    assert str(refused.value) == "universal table needs 256 states but the cap is 8"
 
 
 def test_bit_length_of_matches_dict_lookup():
