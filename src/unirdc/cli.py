@@ -125,6 +125,7 @@ def _cmd_sample(args) -> int:
     alpha = Alphabet(args.alphabet)
     if args.mode == "exact":
         table = universal.build_universal_table(args.n, alpha.size, args.length_mode)
+        check_enumerable(args.count * args.n, "exact sample")  # the symbols it would hold
         drawn = universal._ExactSampler(table, args.seed).draw(args.count)
         drawn = block_symbols(drawn, args.n, alpha.size)
     else:

@@ -6,7 +6,9 @@ joint type, sphere sizes are constant over a type class, which yields an
 exact double-counting identity and an exact rational covering lower bound.
 Every covering count is a sum over one cover matrix, the sphere rows of the
 class members: row j is member j's sphere over all reproduction blocks in
-lexicographic order, so column i lists the members block i covers.
+lexicographic order, so column i lists the members block i covers. The class
+keeps its matrix (TypeClass.cover), so every converse function asked about
+one class at one level and measure reads the same rows.
 The length-converse report, taken for a type class its caller holds, folds
 the parse-length overhead terms into a single per-symbol slack, all reported
 rather than asserted tight.
@@ -66,7 +68,8 @@ def multinomial(total: int, counts) -> int:
 class TypeClass:
     """All blocks sharing one aligned-chunk empirical distribution, one per
     row of symbols in lexicographic order. Classes compare and hash by their
-    distributions; members builds the Blocks on first use."""
+    distributions; members builds the Blocks on first use, and cover the
+    sphere rows."""
 
     distribution: EmpiricalDistribution
     symbols: np.ndarray = field(compare=False, repr=False)
@@ -78,6 +81,22 @@ class TypeClass:
     @cached_property
     def members(self) -> tuple[Block, ...]:
         return tuple(map(Block, self.symbols.tolist()))
+
+    def cover(self, level, spec: DistortionSpec) -> np.ndarray:
+        """The cover matrix, sphere_rows of the members, read-only.
+
+        The class keeps the matrix of the last (level, measure) asked for, so
+        it lives as long as the class does; equal measures built separately
+        share it. The size cap is checked on every call, so a lowered cap
+        refuses a kept matrix as it would a new one.
+        """
+        check_blocks_enumerable(spec.repro_size, self.distribution.n, "sphere scan")
+        kept = self.__dict__.get("_cover")
+        if kept is None or kept[0] != (level, spec):
+            rows = sphere_rows(self.symbols, level, spec)
+            rows.flags.writeable = False
+            kept = self.__dict__["_cover"] = (level, spec), rows
+        return kept[1]
 
 
 def enumerate_type_class(dist: EmpiricalDistribution) -> TypeClass:
@@ -150,15 +169,7 @@ def double_counting_check(
     _require_joint_type(spec)
     if repro_class.distribution.n != source_class.distribution.n:
         raise PreconditionError("classes must share the block length")
-    cover = sphere_rows(source_class.symbols, level, spec)
-    return _double_count(cover, source_class, repro_class, spec.repro_size)
-
-
-def _double_count(
-    cover: np.ndarray, source_class: TypeClass, repro_class: TypeClass, repro_size: int
-) -> DoubleCountingResult:
-    """The identity on a cover matrix, read at the repro-class columns."""
-    cover = cover[:, block_indices(repro_class.symbols, repro_size)]
+    cover = source_class.cover(level, spec)[:, block_indices(repro_class.symbols, spec.repro_size)]
     forward = cover.sum(axis=1).tolist()
     reverse = cover.sum(axis=0).tolist()
     constant_forward = len(set(forward)) == 1
@@ -225,14 +236,7 @@ def covering_lower_bound(
     matrix at that type's class, before returning; that class is reported.
     """
     _require_joint_type(spec)
-    return _covering(sphere_rows(source_class.symbols, level, spec), source_class, spec)
-
-
-def _covering(
-    cover: np.ndarray, source_class: TypeClass, spec: DistortionSpec
-) -> ConverseBoundReport:
-    """The covering bound read off a cover matrix of the class."""
-    covered = cover.sum(axis=0)
+    covered = source_class.cover(level, spec).sum(axis=0)
     best_i = int(covered.argmax())
     best = int(covered[best_i])
     if best == 0:
@@ -245,7 +249,7 @@ def _covering(
     )
     # cross-check through the identity on the same matrix: the bound must equal
     # the repro class size over the forward sphere size, for every member
-    check = _double_count(cover, source_class, repro_class, spec.repro_size)
+    check = double_counting_check(source_class, repro_class, level, spec)
     if not check.ok or Fraction(repro_class.cardinality, check.forward_size) != bound:
         raise AssertionError(f"covering bound failed its identity cross-check: {check}")
     return ConverseBoundReport(
@@ -269,11 +273,7 @@ def greedy_cover(source_class: TypeClass, level, spec: DistortionSpec) -> Greedy
     Candidates are all reproduction blocks in lexicographic order; ties go to
     the earlier candidate, so the result is deterministic.
     """
-    return _greedy(sphere_rows(source_class.symbols, level, spec), source_class, spec)
-
-
-def _greedy(cover: np.ndarray, source_class: TypeClass, spec: DistortionSpec) -> GreedyCover:
-    """The greedy cover read off a cover matrix of the class."""
+    cover = source_class.cover(level, spec)
     uncoverable = np.flatnonzero(~cover.any(axis=1))
     if uncoverable.size:
         member = source_class.members[int(uncoverable[-1])]
@@ -389,29 +389,15 @@ def converse_length_bound(
     bound_bits = -log2 mass - n * slack - epsilon * log2 n. Also measures the
     worst gap between log2 |best cover class| and the parse lengths of its
     members after the slack, a quantity reported with its sign intact. All of
-    it is read off one cover matrix of the class.
+    it is read off the class's cover matrix, the mass at x from row 0.
     """
     _require_joint_type(spec)
     table.require_fit(source_class.distribution.n, spec.repro_size)
-    return _length_bound(
-        sphere_rows(source_class.symbols, level, spec), source_class, spec, epsilon, table
-    )
-
-
-def _length_bound(
-    cover: np.ndarray,
-    source_class: TypeClass,
-    spec: DistortionSpec,
-    epsilon: float,
-    table: UniversalTable,
-) -> ConverseBoundReport:
-    """The length-converse report read off a cover matrix of the class: the
-    covering report, and the sphere mass at the first member from row 0."""
-    report = _covering(cover, source_class, spec)
+    report = covering_lower_bound(source_class, level, spec)
     n, order = source_class.distribution.n, source_class.distribution.order
     terms = length_slack_terms(n, spec.source_size, spec.repro_size, order)
     delta = terms["delta_per_symbol"]
-    mass_bits = row_mass(cover[0], table).neg_log2_mass()
+    mass_bits = row_mass(source_class.cover(level, spec)[0], table).neg_log2_mass()
     bound = mass_bits - n * delta - epsilon * math.log2(n)
 
     slack = math.inf

@@ -34,10 +34,9 @@ from .codec import (
     encode_streams,
 )
 from .converse import (
-    _greedy,
-    _length_bound,
-    _require_joint_type,
+    converse_length_bound,
     enumerate_type_class,
+    greedy_cover,
     short_codeword_count,
     shortest_first_lengths,
 )
@@ -45,7 +44,7 @@ from .core import (
     Alphabet, Block, EmpiricalDistribution, block_symbols, check_blocks_enumerable,
     check_enumerable, parse_rational, symbol_array,
 )
-from .distortion import _membership, spec_from_object, sphere_rows
+from .distortion import _membership, spec_from_object
 from .errors import PreconditionError
 from .lz78 import lz_parse
 from .universal import build_universal_table, require_seed
@@ -666,17 +665,17 @@ def converse_experiment(cfg: ExperimentConfig) -> ConverseExperimentReport:
     identity_ok is true in every returned report: the covering bound raises
     unless double counting holds at the best cover type. The covering bound,
     the sphere mass at the class's first member and the greedy cover all read
-    one cover matrix, one sphere row per class member. The type, the measure and
-    the table size are checked before the class is listed.
+    the class's one cover matrix, one sphere row per class member. Epsilon,
+    the type and the table size are checked before the class is listed.
     """
+    if not cfg.epsilon > 0:  # short_codeword_count's refusal, before any work
+        raise PreconditionError("need n >= 1 and epsilon > 0")
     spec = cfg.spec()
     source_type = _type_distribution(cfg)
-    _require_joint_type(spec)
     table = build_universal_table(cfg.n, spec.repro_size, cfg.length_mode)
     source_class = enumerate_type_class(source_type)
-    cover = sphere_rows(source_class.symbols, cfg.level, spec)
-    rep = _length_bound(cover, source_class, spec, cfg.epsilon, table)
-    greedy = _greedy(cover, source_class, spec)
+    rep = converse_length_bound(source_class, cfg.level, spec, cfg.epsilon, table)
+    greedy = greedy_cover(source_class, cfg.level, spec)
     lengths = shortest_first_lengths(greedy.size)
     scb = short_codeword_count(greedy.size, cfg.n, cfg.epsilon)
     # greedy covered every member, so some sphere meets the class and M0 exists

@@ -1004,6 +1004,54 @@ def test_a_huge_bitfeed_sample_is_refused_before_any_draw():
     assert error["message"] == "bitfeed sample needs 1000000000 states but the cap is 1048576"
 
 
+def test_a_huge_exact_sample_is_refused_before_any_draw(capsys, monkeypatch):
+    # 10^12 draws of 4 symbols would not fit in memory; the table is built first
+    monkeypatch.delenv("UNIRDC_CAP", raising=False)
+
+    def no_sampler(*args):
+        raise AssertionError("a sampler was made")
+
+    monkeypatch.setattr(universal, "_ExactSampler", no_sampler)
+    code, out = invoke(
+        capsys, "sample", "--alphabet", "01", "--n", "4", "--seed", "1", "--count", "1000000000000"
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "enumeration_cap"
+    assert error["message"] == "exact sample needs 4000000000000 states but the cap is 1048576"
+
+
+def test_a_non_positive_converse_epsilon_is_refused_before_any_work(capsys, monkeypatch):
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    spy(experiments, "build_universal_table")
+    spy(experiments, "enumerate_type_class")
+    for module in ("unirdc.converse", "unirdc.distortion"):
+        spy(importlib.import_module(module), "sphere_rows")
+    for epsilon in ("0", "-1.5"):
+        code, out = invoke(
+            capsys, "converse-check", "--alphabet", "01", "--n", "14", "--D", "1/7",
+            "--epsilon", epsilon,
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "precondition", "message": "need n >= 1 and epsilon > 0"
+        }
+    assert calls == []
+    # the spies pass a check with a positive epsilon through
+    assert invoke(capsys, "converse-check", "--alphabet", "01", "--n", "6", "--D", "1/6")[0] == 0
+    assert calls == ["build_universal_table", "enumerate_type_class", "sphere_rows"]
+
+
 @pytest.mark.parametrize("mode", ["exact", "bitfeed"])
 def test_block_files_end_lines_as_splitlines_does(tmp_path, capsys, mode):
     # CRLF, form feed and U+2028 each end a block of a non-ASCII alphabet

@@ -31,7 +31,6 @@ from unirdc import (
     squared_disagreement,
     tree_node_count,
 )
-from unirdc.converse import _greedy
 from unirdc.distortion import sphere_rows
 from unirdc.core import EmpiricalDistribution, block_indices
 from unirdc.errors import UnirdcError
@@ -221,8 +220,56 @@ def test_greedy_refuses_stale_counts_instead_of_spinning():
     cover = sphere_rows(tc.symbols, Fraction(1, 6), HAMMING_AB)
     assert len(greedy_cover(tc, Fraction(1, 6), HAMMING_AB).codebook) < tc.cardinality
     _StaleCover.reads = 0
+    # the class keeps the stale view as its cover at this level and measure
+    tc.__dict__["_cover"] = (Fraction(1, 6), HAMMING_AB), cover.view(_StaleCover)
     with pytest.raises(UnirdcError, match="uncovered after 20 steps"):
-        _greedy(cover.view(_StaleCover), tc, HAMMING_AB)
+        greedy_cover(tc, Fraction(1, 6), HAMMING_AB)
+
+
+def test_a_lowered_cap_refuses_a_cover_already_kept(monkeypatch):
+    monkeypatch.delenv("UNIRDC_CAP", raising=False)
+    tc = enumerate_type_class(dist_of("aaaabbbb"))
+    tc.cover(Fraction(1, 8), HAMMING_AB)
+    monkeypatch.setenv("UNIRDC_CAP", "8")
+    with pytest.raises(EnumerationCapError) as refused:
+        tc.cover(Fraction(1, 8), HAMMING_AB)
+    assert str(refused.value) == "sphere scan needs 256 states but the cap is 8"
+
+
+def test_the_kept_cover_is_read_only():
+    tc = enumerate_type_class(dist_of("aabb"))
+    cover = tc.cover(Fraction(1, 4), HAMMING_AB)
+    assert np.array_equal(cover, sphere_rows(tc.symbols, Fraction(1, 4), HAMMING_AB))
+    assert not cover.flags.writeable
+    with pytest.raises(ValueError):
+        cover[0, 0] = not cover[0, 0]
+
+
+def test_a_second_level_builds_a_new_cover_and_reports_as_a_fresh_class():
+    d = dist_of("aaabbb")
+    tc = enumerate_type_class(d)
+    first = tc.cover(Fraction(1, 6), HAMMING_AB)
+    covering_lower_bound(tc, Fraction(1, 6), HAMMING_AB)
+    greedy_cover(tc, Fraction(1, 6), HAMMING_AB)
+    second = tc.cover(Fraction(1, 3), HAMMING_AB)
+    assert second is not first and not np.array_equal(second, first)
+    pair = enumerate_type_class(dist_of("ababab"))
+    for level in (Fraction(1, 3), Fraction(1, 6)):
+        fresh = enumerate_type_class(d)
+        assert covering_lower_bound(tc, level, HAMMING_AB) == covering_lower_bound(
+            fresh, level, HAMMING_AB
+        )
+        assert greedy_cover(tc, level, HAMMING_AB) == greedy_cover(fresh, level, HAMMING_AB)
+        assert double_counting_check(tc, pair, level, HAMMING_AB) == double_counting_check(
+            fresh, pair, level, HAMMING_AB
+        )
+
+
+def test_equal_measures_built_separately_share_one_cover():
+    tc = enumerate_type_class(dist_of("aabbab"))
+    cover = tc.cover(Fraction(1, 6), hamming(AB))
+    assert hamming(AB) is not hamming(AB)
+    assert tc.cover(Fraction(1, 6), hamming(AB)) is cover
 
 
 def test_exhaustive_minimal_covers_respect_bound():

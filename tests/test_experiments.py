@@ -683,7 +683,7 @@ def test_converse_experiment_pinned_reports(kwargs, expected):
             assert getattr(rep, name) == value, name
 
 
-def _count_sphere_rows(monkeypatch, callers=("unirdc.converse", "unirdc.experiments")):
+def _count_sphere_rows(monkeypatch, callers=("unirdc.converse",)):
     """The symbols of the center of every sphere row built through the
     callers' sphere_rows or through distortion.sphere_rows, which
     sphere_indicator (and so sphere_mass) calls."""
