@@ -4,235 +4,27 @@ Everything here is exact where the underlying object is exact: parse
 lengths are integers, the universal distribution and sphere masses are
 rationals, and the codec regenerates its codebook from a seed, so the
 decoder never ships the codewords.
+
+Each module's ``__all__`` is the one declaration of what it exports; the
+package re-exports them all. ``unirdc.distortion`` is the function, which
+shadows its module's name here.
 """
-from .codec import (
-    DEFAULT_MAX_DRAWS,
-    CodebookStream,
-    EncodedMessage,
-    decode,
-    decode_messages,
-    encode,
-    encode_blocks,
-    encode_streams,
-    index_code_decode,
-    index_code_encode,
-    index_code_length,
-    read_container,
-    write_container,
-)
-from .converse import (
-    ConverseBoundReport,
-    GreedyCover,
-    TypeClass,
-    all_type_classes,
-    converse_length_bound,
-    covering_lower_bound,
-    double_counting_check,
-    enumerate_type_class,
-    greedy_cover,
-    length_slack_terms,
-    multinomial,
-    short_codeword_count,
-    shortest_first_lengths,
-    tree_node_count,
-)
-from .core import (
-    BINARY,
-    Alphabet,
-    BitReader,
-    BitString,
-    BitWriter,
-    Block,
-    EmpiricalDistribution,
-    empirical_distribution,
-    enumerate_blocks,
-    enumeration_cap,
-    joint_empirical_distribution,
-    marginalize,
-)
-from .distortion import (
-    DistortionSpec,
-    callable_spec,
-    distortion,
-    enumerate_reverse_sphere,
-    enumerate_sphere,
-    find_witness,
-    hamming,
-    joint_type_spec,
-    load_spec,
-    per_letter,
-    spec_from_json,
-    spec_from_object,
-    spec_to_json,
-    sphere_indicator,
-    squared_disagreement,
-)
-from .errors import (
-    CapacityError,
-    CorruptStreamError,
-    EnumerationCapError,
-    InfeasibleError,
-    PreconditionError,
-    TruncationError,
-    UncodableInputError,
-    UncoverableError,
-    UnirdcError,
-)
-from .experiments import (
-    AchievabilityReport,
-    ConverseExperimentReport,
-    EnsembleFailureReport,
-    ExperimentConfig,
-    achievability_experiment,
-    build_counting_sequence,
-    converse_experiment,
-    counting_length,
-    counting_phrases,
-    derive_seed,
-    dkw_band,
-    ensemble_failure_experiment,
-    index_length_terms,
-    run_experiment,
-)
-from .lz78 import (
-    LzParse,
-    lz_bit_length,
-    lz_capped_length,
-    lz_decode,
-    lz_encode,
-    lz_length_bound,
-    lz_parse,
-    parse_overhead,
-)
-from .reference import (
-    RdPoint,
-    SphereExponent,
-    binary_entropy,
-    blahut_arimoto,
-    complexity_crossover,
-    crossover_point,
-    min_lz_in_sphere,
-    sphere_exponent,
-)
-from .universal import (
-    MassEstimate,
-    SphereMass,
-    UniversalTable,
-    bitfeed_distribution,
-    build_universal_table,
-    estimate_sphere_mass,
-    kraft_sum,
-    sample_bitfeed,
-    sample_exact,
-    sphere_mass,
-    total_variation,
-)
+import sys as _sys
+
+from .codec import *
+from .converse import *
+from .core import *
+from .distortion import *
+from .errors import *
+from .experiments import *
+from .lz78 import *
+from .reference import *
+from .universal import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "AchievabilityReport",
-    "BINARY",
-    "BitReader",
-    "BitString",
-    "BitWriter",
-    "Block",
-    "CapacityError",
-    "CodebookStream",
-    "ConverseBoundReport",
-    "ConverseExperimentReport",
-    "CorruptStreamError",
-    "DEFAULT_MAX_DRAWS",
-    "DistortionSpec",
-    "EmpiricalDistribution",
-    "EncodedMessage",
-    "EnsembleFailureReport",
-    "EnumerationCapError",
-    "ExperimentConfig",
-    "GreedyCover",
-    "InfeasibleError",
-    "LzParse",
-    "MassEstimate",
-    "PreconditionError",
-    "RdPoint",
-    "SphereExponent",
-    "SphereMass",
-    "TruncationError",
-    "TypeClass",
-    "UncodableInputError",
-    "UncoverableError",
-    "UnirdcError",
-    "UniversalTable",
-    "achievability_experiment",
-    "all_type_classes",
-    "binary_entropy",
-    "bitfeed_distribution",
-    "blahut_arimoto",
-    "build_counting_sequence",
-    "build_universal_table",
-    "callable_spec",
-    "complexity_crossover",
-    "converse_experiment",
-    "converse_length_bound",
-    "counting_length",
-    "counting_phrases",
-    "covering_lower_bound",
-    "crossover_point",
-    "decode",
-    "decode_messages",
-    "derive_seed",
-    "distortion",
-    "dkw_band",
-    "double_counting_check",
-    "empirical_distribution",
-    "encode",
-    "encode_blocks",
-    "encode_streams",
-    "ensemble_failure_experiment",
-    "enumerate_blocks",
-    "enumerate_reverse_sphere",
-    "enumerate_sphere",
-    "enumerate_type_class",
-    "enumeration_cap",
-    "estimate_sphere_mass",
-    "find_witness",
-    "greedy_cover",
-    "hamming",
-    "index_code_decode",
-    "index_code_encode",
-    "index_code_length",
-    "index_length_terms",
-    "joint_empirical_distribution",
-    "joint_type_spec",
-    "kraft_sum",
-    "length_slack_terms",
-    "load_spec",
-    "lz_bit_length",
-    "lz_capped_length",
-    "lz_decode",
-    "lz_encode",
-    "lz_length_bound",
-    "lz_parse",
-    "marginalize",
-    "min_lz_in_sphere",
-    "multinomial",
-    "parse_overhead",
-    "per_letter",
-    "read_container",
-    "run_experiment",
-    "sample_bitfeed",
-    "sample_exact",
-    "shortest_first_lengths",
-    "short_codeword_count",
-    "spec_from_json",
-    "spec_from_object",
-    "spec_to_json",
-    "sphere_indicator",
-    "sphere_exponent",
-    "sphere_mass",
-    "squared_disagreement",
-    "total_variation",
-    "tree_node_count",
-    "write_container",
-]
+_MODULES = (
+    "codec", "converse", "core", "distortion", "errors",
+    "experiments", "lz78", "reference", "universal",
+)
+__all__ = [name for module in _MODULES for name in _sys.modules[f"{__name__}.{module}"].__all__]

@@ -111,8 +111,9 @@ def _cmd_lz_length(args) -> int:
     rows = []
     for i, b in enumerate(blocks):
         parse = lz78.lz_parse(b, alpha.size)
-        plain = args.length_mode == "plain"
-        bits = parse.bit_length if plain else lz78.lz_capped_length(b, alpha.size)
+        bits = parse.bit_length
+        if args.length_mode == "capped":
+            bits = int(lz78.capped_bits(bits, b.n, alpha.size))
         rows.append((i, parse.phrase_count, bits, parse.final_is_duplicate))
     _emit(args, ["index", "c", "bits", "final_duplicate"], rows)
     return 0

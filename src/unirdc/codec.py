@@ -60,6 +60,7 @@ from .universal import (
 )
 
 __all__ = [
+    "DEFAULT_MAX_DRAWS",
     "CodebookStream",
     "EncodedMessage",
     "BatchCodes",

@@ -44,6 +44,7 @@ __all__ = [
     "GreedyCover",
     "ShortCodewordBound",
     "DoubleCountingResult",
+    "multinomial",
     "enumerate_type_class",
     "all_type_classes",
     "double_counting_check",

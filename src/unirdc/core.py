@@ -18,6 +18,21 @@ import numpy as np
 
 from .errors import EnumerationCapError, PreconditionError, TruncationError
 
+__all__ = [
+    "Alphabet",
+    "BINARY",
+    "Block",
+    "enumerate_blocks",
+    "BitString",
+    "BitWriter",
+    "BitReader",
+    "EmpiricalDistribution",
+    "empirical_distribution",
+    "joint_empirical_distribution",
+    "marginalize",
+    "enumeration_cap",
+]
+
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
 

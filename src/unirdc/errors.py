@@ -5,6 +5,18 @@ from runtime failures (infeasible enumerations, corrupt streams) so callers
 and the CLI can map them to different exit codes.
 """
 
+__all__ = [
+    "UnirdcError",
+    "PreconditionError",
+    "EnumerationCapError",
+    "TruncationError",
+    "CorruptStreamError",
+    "UncodableInputError",
+    "CapacityError",
+    "InfeasibleError",
+    "UncoverableError",
+]
+
 
 class UnirdcError(Exception):
     """Base class for all package errors."""

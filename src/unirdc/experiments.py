@@ -56,6 +56,8 @@ __all__ = [
     "derive_seed",
     "CountingSequence",
     "build_counting_sequence",
+    "counting_length",
+    "counting_phrases",
     "ExperimentConfig",
     "AchievabilityRow",
     "AchievabilityReport",

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import BitReader, BitString, BitWriter, Block
 from .errors import CorruptStreamError, PreconditionError
 
@@ -37,6 +39,16 @@ def pointer_width(i: int) -> int:
 def symbol_width(alphabet_size: int) -> int:
     """Bits for one innovation symbol, i.e. ceil(log2 K)."""
     return (alphabet_size - 1).bit_length()
+
+
+def capped_bits(plain_bits, n: int, alphabet_size: int):
+    """The flagged variant's length from the parse code's: min(plain, raw) + 1.
+
+    One extra bit selects between the parse-based code and the raw block at
+    n * ceil(log2 K) bits, so pathological blocks never cost more than raw
+    plus the flag. plain_bits is one length or an array of them.
+    """
+    return np.minimum(plain_bits, n * symbol_width(alphabet_size)) + 1
 
 
 @dataclass(frozen=True)
@@ -168,14 +180,8 @@ def lz_decode(bits: BitString, n: int, alphabet_size: int) -> Block:
 
 
 def lz_capped_length(block: Block, alphabet_size: int) -> int:
-    """Length of the flagged variant: min(parse code, raw symbol code) + 1.
-
-    One extra bit selects between the parse-based code and the raw block at
-    n * ceil(log2 K) bits, so pathological blocks never cost more than raw
-    plus the flag.
-    """
-    raw = block.n * symbol_width(alphabet_size)
-    return min(lz_bit_length(block, alphabet_size), raw) + 1
+    """Length of the flagged variant (capped_bits) of the block's parse code."""
+    return int(capped_bits(lz_bit_length(block, alphabet_size), block.n, alphabet_size))
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,10 @@ def binary_entropy(p: float) -> float:
 
 def _as_arrays(source_dist, matrix):
     p = np.asarray(source_dist, dtype=float)
-    d = np.asarray(
-        [[float(v) for v in row] for row in matrix], dtype=float
-    )
+    try:
+        d = np.asarray([[float(v) for v in row] for row in matrix], dtype=float)
+    except OverflowError:
+        raise PreconditionError("matrix entries must fit in a float")
     if p.ndim != 1 or d.ndim != 2 or d.shape[0] != p.size:
         raise PreconditionError("distribution and matrix shapes do not match")
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:

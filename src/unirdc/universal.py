@@ -260,8 +260,7 @@ def build_universal_table(n: int, alphabet_size: int, length_mode: str = "plain"
 def _table(n: int, alphabet_size: int, length_mode: str) -> UniversalTable:
     bits = _parse_lengths(n, alphabet_size)
     if length_mode == "capped":
-        # lz78.lz_capped_length: min(parse code, raw symbols) plus a flag bit
-        bits = np.minimum(bits, n * lz78.symbol_width(alphabet_size)) + 1
+        bits = lz78.capped_bits(bits, n, alphabet_size)
     return UniversalTable(n=n, alphabet_size=alphabet_size, length_mode=length_mode, bits=bits)
 
 

@@ -97,6 +97,20 @@ def test_lz_length_json(tmp_path, capsys):
     ]
 
 
+def test_lz_length_capped_parses_each_line_once(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "blocks.txt"
+    p.write_text("abbabaabbaaabaa\naaaa\nab\n")
+    parses = []
+    real = unirdc.lz78.lz_parse
+    monkeypatch.setattr(unirdc.lz78, "lz_parse", lambda *a: parses.append(a) or real(*a))
+    argv = ["lz-length", "--alphabet", "ab", "--in", str(p), "--length-mode", "capped"]
+    code, out = invoke(capsys, *argv)
+    assert code == 0 and len(parses) == 3
+    assert out.splitlines()[1:] == ["0,8,16,True", "1,3,5,True", "2,2,3,False"]  # min(24, 15) + 1
+    code, out = invoke(capsys, *argv, "--format", "json")
+    assert json.loads(out)[0] == {"index": 0, "c": 8, "bits": 16, "final_duplicate": True}
+
+
 def test_sample_deterministic(capsys):
     args = ["sample", "--alphabet", "01", "--n", "6", "--seed", "5", "--count", "8"]
     code1, out1 = invoke(capsys, *args)
@@ -313,6 +327,33 @@ def test_rd_curve_bad_source_dist_is_precondition_error(capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "matrix, code, digest",
+    [
+        ('[[0, 1], [1, "1e400"]]', 2, None),
+        ('[[0, "1e400"], [1, 0]]', 2, None),
+        # the largest entries a float holds keep their curve, or their refusal
+        ('[[0, "1e308"], [1, 0]]', 0,
+         "638d2db806408603becac607a6cd0b19cf800b5a396644ae8583e7cc20fb9015"),
+        ('[[0, 1], [1, "1e308"]]', 1,
+         "a68b1b3e052426a4146affa2086a24e288ea7bfef639102e8a61ba378c882105"),
+    ],
+    ids=["corner-1e400", "off-diagonal-1e400", "off-diagonal-1e308", "corner-1e308"],
+)
+def test_rd_curve_matrix_entry_beyond_a_float(capsys, matrix, code, digest):
+    dist = f'{{"kind": "per_letter_matrix", "matrix": {matrix}}}'
+    got, out = invoke(
+        capsys, "rd-curve", "--alphabet", "01", "--grid", "0:1/2:1/4", "--dist", dist
+    )
+    assert got == code
+    if digest is None:
+        assert json.loads(out)["error"] == {
+            "code": "precondition", "message": "matrix entries must fit in a float"
+        }
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_converse_check_wire_keys(capsys):

@@ -243,6 +243,18 @@ def test_ensemble_report_is_pinned(jobs):
     assert rep.length_overshoot_mean == 2.479077700455814
 
 
+@pytest.mark.parametrize(
+    "jobs, digest",
+    [
+        (1, "f84fc886daab847fc90301ba34459eed7c8581766ba2abec25f6c20c8bdb7652"),
+        (2, "76a178b052fd4a1bf7cb2a86991cc8cb06c730cc2d171a5cfebc6e0b958bca1a"),
+    ],
+)
+def test_ensemble_report_json_is_pinned(jobs, digest):
+    rep = ensemble_failure_experiment(ExperimentConfig(**_PINNED_SWEEP, jobs=jobs))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_achievability_csv_is_pinned(jobs):
     rep = achievability_experiment(ExperimentConfig(**_PINNED_SWEEP, jobs=jobs))

@@ -147,6 +147,7 @@ def test_parse_overhead_shrinks():
 def test_capped_length_oracles():
     assert lz_capped_length(AB.to_block("aaaa"), 2) == 5  # min(5, 4) + 1
     assert lz_capped_length(AB.to_block("a"), 2) == 2  # min(1, 1) + 1
+    assert type(lz_capped_length(AB.to_block("ab"), 2)) is int  # JSON reports print it
     for block in enumerate_blocks(8, 2):
         assert lz_capped_length(block, 2) <= 8 + 1
 

@@ -131,6 +131,14 @@ def test_crossover_requires_bracket():
         crossover_point(UNIFORM, H_MATRIX, 0.2, 0.3)  # same sign at both ends
 
 
+@pytest.mark.parametrize("solver", [blahut_arimoto, sphere_exponent])
+def test_matrix_entry_beyond_a_float_is_refused(solver):
+    from unirdc import PreconditionError
+
+    with pytest.raises(PreconditionError, match="fit in a float"):
+        solver(UNIFORM, [[0, 1], [1, 10**400]], 0.25)
+
+
 def test_complexity_crossover_signs():
     rows = complexity_crossover(UNIFORM, H_MATRIX, [0.02, 0.11, 0.3])
     assert not rows[0].random_code_cheaper  # R > E near zero distortion
