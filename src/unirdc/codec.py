@@ -318,7 +318,8 @@ def _first_hits_in_rows(centers, level, spec, streams, weighed=None) -> np.ndarr
     The rows are built by one sphere_rows call per group of at most
     _MASK_BYTES, and every stream scans a group before the next one is built.
     encode_streams has refused an empty sphere before this runs. When weighed
-    is a list, each row's mass is appended to it as its group is built.
+    is a list, the masses of a group's rows are appended to it by one row_mass
+    call as the group is built.
     """
     table = streams[0].resolved_table
     group = max(1, _MASK_BYTES // table.size)
@@ -326,7 +327,7 @@ def _first_hits_in_rows(centers, level, spec, streams, weighed=None) -> np.ndarr
     for lo in range(0, len(centers), group):
         rows = sphere_rows(centers[lo : lo + group], level, spec)
         if weighed is not None:
-            weighed.extend(row_mass(row, table) for row in rows)
+            weighed.extend(row_mass(rows, table))
         for stream, hits in zip(streams, first[:, lo : lo + len(rows)]):
             _scan(stream, hits, lambda pending, idx: rows[pending[:, None], idx])
         del rows  # one group's rows live at a time

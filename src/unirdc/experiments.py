@@ -22,7 +22,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
@@ -325,25 +325,21 @@ def _check_json_type(name: str, value, types) -> None:
         )
 
 
-_SCALARS = (float, int, bool, str, type(None))
+# how the reports print an infinite float, which JSON has no number for
+_INFINITIES = {math.inf: "inf", -math.inf: "-inf"}
 
 
 def _jsonable(value):
-    # exact scalar types are almost every value of a report, so they go first;
-    # an infinite float falls through to the last test
-    kind = type(value)
-    if kind in _SCALARS and (kind is not float or not math.isinf(value)):
-        return value
+    """value as the reports print it, through dicts, lists and tuples: a
+    Fraction as its text and an infinite float as "inf" or "-inf"."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, Block):
-        return "".join(str(s) for s in value.symbols)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+        return _INFINITIES[value]
     return value
 
 
@@ -369,7 +365,12 @@ class AchievabilityRow:
 
 @dataclass(frozen=True)
 class AchievabilityReport:
-    rows: tuple[AchievabilityRow, ...]
+    """Achievability statistics of every source, held as columns: one list
+    per AchievabilityRow field, in field order. The block column holds each
+    source's symbols, as the digits printed are not one-to-one past ten
+    symbols. rows are built on first use; the writers never build them."""
+
+    columns: dict
     dkw_eps: float
     alpha: float
     all_dkw_ok: bool
@@ -379,17 +380,36 @@ class AchievabilityReport:
     config: dict
     schema_version: str = SCHEMA_VERSION
 
+    @cached_property
+    def rows(self) -> tuple[AchievabilityRow, ...]:
+        columns = self.columns | {"block": map(Block, self.columns["block"])}
+        return tuple(map(AchievabilityRow, *columns.values()))
+
+    def _written_columns(self) -> dict:
+        """The columns as both writers print them: a block as its symbols'
+        digits, a mass as its fraction's text and an infinite float as "inf"
+        or "-inf"."""
+        written = self.columns | {
+            "block": ["".join(map(str, symbols)) for symbols in self.columns["block"]],
+            "mass": list(map(str, self.columns["mass"])),
+        }
+        for name, column in written.items():
+            if math.inf in column or -math.inf in column:
+                written[name] = [_INFINITIES.get(v, v) for v in column]
+        return written
+
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.__dict__ | {"rows": [r.__dict__ for r in self.rows]}),
-                          sort_keys=True)
+        head = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
+        written = self._written_columns()
+        rows = [dict(zip(written, row)) for row in zip(*written.values())]
+        return json.dumps(_jsonable(head) | {"rows": rows}, sort_keys=True)
 
     def to_csv(self) -> str:
         out = io.StringIO()
         w = csv.writer(out)
-        names = [f.name for f in fields(AchievabilityRow)]
-        w.writerow(names)
-        for r in self.rows:
-            w.writerow([_jsonable(getattr(r, name)) for name in names])
+        written = self._written_columns()
+        w.writerow(written)
+        w.writerows(zip(*written.values()))
         return out.getvalue()
 
 
@@ -532,8 +552,9 @@ def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityRep
     over = theo_bits > bound[row]
     viol = np.bincount(row[over], weights=counts[over], minlength=count).astype(np.int64)
     viol += escapes
-    columns = zip(
-        map(Block, cfg.sources().tolist()),
+    dkw_ok = dkw_sup <= eps_band
+    columns = (
+        cfg.sources().tolist(),
         [m.mass for m in masses],
         neg_log2.tolist(),
         [trials] * count,
@@ -542,20 +563,19 @@ def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityRep
         se.tolist(),
         index_ok.tolist(),
         dkw_sup.tolist(),
-        (dkw_sup <= eps_band).tolist(),
+        dkw_ok.tolist(),
         failed.sum(axis=0).tolist(),
         mean(actual * counts, math.inf).tolist(),
         mean(theo_bits * counts, math.inf).tolist(),
         (viol / trials).tolist(),
     )
-    rows = tuple(AchievabilityRow(*column) for column in columns)
     return AchievabilityReport(
-        rows=rows,
+        columns=dict(zip([f.name for f in fields(AchievabilityRow)], columns)),
         dkw_eps=eps_band,
         alpha=ALPHA,
-        all_dkw_ok=all(r.dkw_ok for r in rows),
-        all_index_mean_ok=all(r.index_mean_ok for r in rows),
-        all_semifaithful=all(r.semifaithful_failures == 0 for r in rows),
+        all_dkw_ok=bool(dkw_ok.all()),
+        all_index_mean_ok=bool(index_ok.all()),
+        all_semifaithful=not failed.any(),
         length_violation_fraction=int(viol.sum()) / (trials * count),
         config=json.loads(cfg.to_json()),
     )

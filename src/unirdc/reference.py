@@ -70,7 +70,8 @@ def _ba_at_slope(p, d, slope, inner_tol=1e-13, inner_max=20000):
     """Alternating minimization at fixed slope; returns (distortion, rate, iters)."""
     k = d.shape[1]
     q = np.full(k, 1.0 / k)
-    weights = np.exp2(-slope * d)  # rows scaled by the slope
+    with np.errstate(over="ignore"):  # a product past -inf weighs 0, as it should
+        weights = np.exp2(-slope * d)  # rows scaled by the slope
     iters = 0
     for iters in range(1, inner_max + 1):
         a = weights * q
@@ -157,7 +158,8 @@ class SphereExponent:
 
 
 def _gibbs_channel(d, lam):
-    w = np.exp2(-lam * d)
+    with np.errstate(over="ignore"):  # a product past -inf weighs 0, as it should
+        w = np.exp2(-lam * d)
     return w / w.sum(axis=1, keepdims=True)
 
 

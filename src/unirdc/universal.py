@@ -82,6 +82,21 @@ class UniversalTable:
         return _scaled_sum(self.bits, self.max_bits)
 
     @cached_property
+    def _weights(self) -> np.ndarray:
+        """Read-only (max_bits + 1) x 2 matrix: row b holds 2^(max_bits - b)
+        and 1, so counts by code length times it are scaled masses and sizes.
+        In int64 while the total fits, clipped at 2^62 (no length 63 below the
+        longest occurs, as its weight alone would pass the total), and in
+        Python ints beyond."""
+        fits = self._total <= _INT64_MAX
+        weights = np.array(
+            [[1 << (min(s, 62) if fits else s), 1] for s in range(self.max_bits, -1, -1)],
+            dtype=np.int64 if fits else object,
+        )
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def _cumulative(self) -> np.ndarray:
         """Running sums of the scaled weights as a read-only int64 array:
         cum[i] is the scaled weight of blocks 0..i, so block i owns the values
@@ -296,17 +311,46 @@ def sphere_mass(x, level, spec: DistortionSpec, table: UniversalTable) -> Sphere
     return row_mass(sphere_indicator(x, level, spec), table)
 
 
-def row_mass(row: np.ndarray, table: UniversalTable) -> SphereMass:
-    """Exact mass, size, and minimum code length of the blocks a bool sphere
-    row marks, in the table's lexicographic order."""
-    inside = table.bits[row]
-    if not inside.size:
-        return SphereMass(mass=Fraction(0), sphere_size=0, min_bits=None)
-    return SphereMass(
-        mass=Fraction(_scaled_sum(inside, table.max_bits), table._total),
-        sphere_size=int(inside.size),
-        min_bits=int(inside.min()),
-    )
+# Table entries a row_mass slice covers: rows are weighed a slice at a time,
+# one row at least, so the keys of a large codec group are never held at once.
+_MASS_KEYS = 1 << 18
+
+
+def row_mass(rows: np.ndarray, table: UniversalTable):
+    """Exact mass, size, and minimum code length of the blocks each bool
+    sphere row marks, in the table's lexicographic order: a list of
+    SphereMass for a (rows x K^n) stack, one SphereMass for one row.
+
+    A slice of rows is one gather of the code lengths they mark, offset by
+    (max_bits + 1) per row, and one bincount into a (rows x lengths) count
+    matrix. Minimum lengths are read off it, and sizes and scaled masses are
+    its product with the table's _weights.
+    """
+    width = table.max_bits + 1
+    one = np.ndim(rows) == 1
+    if one:
+        counts = np.bincount(table.bits[rows], minlength=width)[None]
+    else:
+        counts = np.empty((len(rows), width), dtype=np.int64)
+        step = max(1, _MASS_KEYS // table.size)
+        for lo in range(0, len(rows), step):
+            part = rows[lo : lo + step]
+            keys = np.broadcast_to(table.bits, part.shape)[part]
+            keys += np.repeat(np.arange(0, len(part) * width, width), part.sum(axis=1))
+            counts[lo : lo + len(part)] = np.bincount(
+                keys, minlength=len(part) * width
+            ).reshape(-1, width)
+    weights = table._weights
+    if weights.dtype == object:
+        counts = counts.astype(object)
+    masses = [
+        SphereMass(mass=Fraction(scaled, table._total), sphere_size=size,
+                   min_bits=low if size else None)
+        for (scaled, size), low in zip(
+            (counts @ weights).tolist(), (counts != 0).argmax(axis=1).tolist()
+        )
+    ]
+    return masses[0] if one else masses
 
 
 def require_seed(seed: int) -> None:

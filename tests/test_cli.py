@@ -356,6 +356,25 @@ def test_rd_curve_matrix_entry_beyond_a_float(capsys, matrix, code, digest):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_rd_curve_near_the_float_limit_writes_nothing_to_stderr(capsys):
+    # the slope times 1e308 overflows to -inf, whose weight 2^-inf is the
+    # intended 0, so no NumPy overflow warning reaches the user
+    dist = '{"kind": "per_letter_matrix", "matrix": [[0, "1e308"], [1, 0]]}'
+    argv = ["rd-curve", "--alphabet", "01", "--grid", "0:1/2:1/4", "--dist", dist]
+    src = str(Path(unirdc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "unirdc", *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == invoke(capsys, *argv)[1]
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "638d2db806408603becac607a6cd0b19cf800b5a396644ae8583e7cc20fb9015"
+    )
+
+
 def test_converse_check_wire_keys(capsys):
     code, out = invoke(
         capsys, "converse-check", "--alphabet", "01", "--n", "6", "--D", "1/6",

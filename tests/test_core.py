@@ -186,6 +186,35 @@ def test_bitstring_bits_round_trip(bits):
     assert BitString.from_bytes(s.to_bytes(), s.length) == s
 
 
+@given(st.lists(st.integers(0, 1), max_size=40), st.lists(st.integers(0, 1), max_size=40))
+def test_bitstring_concatenation_joins_the_texts(a, b):
+    left, right = BitString.from_bits(a), BitString.from_bits(b)
+    joined = left + right
+    assert joined.to_text() == left.to_text() + right.to_text()
+    assert joined == BitString.from_bits(a + b)
+
+
+def test_bit_writer_length_counts_the_bits_written():
+    w = BitWriter()
+    written = 0
+    assert len(w) == 0
+    for value, width in [(0, 0), (5, 3), (0, 4), (1, 1), (2**40 - 1, 40)]:
+        w.write(value, width)
+        written += width
+        assert len(w) == written == w.getvalue().length
+    w.write_bits(BitString.from_text("0110"))
+    assert len(w) == written + 4 == w.getvalue().length
+
+
+def test_block_indexing_reads_its_symbols():
+    block = Block((2, 0, 1, 1, 0))
+    assert [block[i] for i in range(len(block))] == list(block.symbols)
+    assert block[-1] == block.symbols[-1]
+    assert block[1:4] == block.symbols[1:4]
+    with pytest.raises(IndexError):
+        block[5]
+
+
 def test_empirical_distribution_order1():
     a = Alphabet("ab")
     d = empirical_distribution(a.to_block("abbabaabbaaabaa"), 1)

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib
+import io
 import json
 import math
 import warnings
@@ -440,6 +442,88 @@ def test_achievability_rows_match_the_loop_on_a_sweep(settings, jobs):
     first, failed, masses = experiments._sweep(cfg, round_trip=True)
     rep = _assert_matches_reference(first, failed, masses, cfg)
     assert rep.to_json() == achievability_experiment(cfg).to_json()
+
+
+def _row_jsonable(value):
+    """The report's value conversion as it was while the writers went row by
+    row, Blocks included."""
+    kind = type(value)
+    if kind in (float, int, bool, str, type(None)) and (kind is not float or not math.isinf(value)):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Block):
+        return "".join(str(s) for s in value.symbols)
+    if isinstance(value, dict):
+        return {str(k): _row_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_row_jsonable(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _row_by_row_writers(report, rows):
+    """The JSON and CSV text the row-by-row writers made of a report's fields
+    and a tuple of AchievabilityRows, kept as the column writers' oracle."""
+    head = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "columns"}
+    text = json.dumps(_row_jsonable(head | {"rows": [r.__dict__ for r in rows]}), sort_keys=True)
+    out = io.StringIO()
+    w = csv.writer(out)
+    names = [f.name for f in fields(experiments.AchievabilityRow)]
+    w.writerow(names)
+    for r in rows:
+        w.writerow([_row_jsonable(getattr(r, name)) for name in names])
+    return text, out.getvalue()
+
+
+_TERNARY_RATIONAL = {"kind": "per_letter_matrix",
+                     "matrix": [[0, "1/2", 1], ["1/2", 0, "1/3"], [1, "1/3", 0]]}
+
+
+@pytest.mark.parametrize(
+    "settings, infinite",
+    [
+        pytest.param(dict(n=6, level=Fraction(1, 6), trials=1, master_seed=4, max_draws=2),
+                     True, id="every-seed-escapes"),
+        pytest.param({**_PINNED_SWEEP, "mode": "bitfeed"}, False, id="bitfeed"),
+        pytest.param(dict(n=5, source_alphabet="012", repro_alphabet="012",
+                          level=Fraction(1, 4), trials=9, distortion=_TERNARY_RATIONAL,
+                          length_mode="capped", max_draws=50),
+                     False, id="ternary-rational-capped"),
+        pytest.param(dict(n=6, level=Fraction(1, 6), trials=12, master_seed=7,
+                          distortion={"kind": "joint_type_functional",
+                                      "functional": "squared_disagreement"}),
+                     False, id="squared-disagreement"),
+        pytest.param({**_PINNED_SWEEP, "jobs": 2}, False, id="jobs-2"),
+    ],
+)
+def test_column_writers_match_the_row_by_row_writers(settings, infinite):
+    cfg = ExperimentConfig(**settings)
+    first, failed, masses = experiments._sweep(cfg, round_trip=True)
+    rep = _assert_matches_reference(first, failed, masses, cfg)
+    want_rows = _reference_achievability(first, failed, masses, cfg)[0]
+    assert rep.rows == tuple(want_rows)
+    want = _row_by_row_writers(rep, want_rows)
+    assert (rep.to_json(), rep.to_csv()) == want
+    # a source that escapes under every seed has infinite means, written "inf"
+    assert ('"mean_log2_index": "inf"' in want[0] and ",inf," in want[1]) == infinite
+    assert achievability_experiment(cfg) == rep
+
+
+def test_column_writers_print_symbols_past_nine_as_the_row_writers_did():
+    # a twelve-letter source alphabet: the block text is not one-to-one, so
+    # the block column keeps each source's symbols and rows still get them
+    rng = np.random.default_rng(6)
+    cfg = ExperimentConfig(n=2, source_alphabet="0123456789ab", trials=5)
+    first = rng.integers(0, 6, size=(5, 144))
+    failed = rng.random((5, 144)) < 0.1
+    masses = [SphereMass(m, 1, 1) for m in _random_masses(rng, 144)]
+    masses[7] = SphereMass(Fraction(0), 0, None)  # an infinite -log2 mass
+    rep = _assert_matches_reference(first, failed, masses, cfg)
+    assert rep.rows[11 * 12 + 10].block == Block((11, 10))
+    assert rep.columns["neg_log2_mass"][7] == math.inf
+    assert (rep.to_json(), rep.to_csv()) == _row_by_row_writers(rep, rep.rows)
 
 
 def test_config_refuses_jobs_below_one():

@@ -21,6 +21,7 @@ from unirdc import (
     Block,
     CapacityError,
     EnumerationCapError,
+    SphereMass,
     PreconditionError,
     UniversalTable,
     bitfeed_distribution,
@@ -34,6 +35,7 @@ from unirdc import (
     lz_capped_length,
     min_lz_in_sphere,
     per_letter,
+    row_mass,
     sample_bitfeed,
     sample_exact,
     sphere_mass,
@@ -245,6 +247,53 @@ def test_sphere_mass_monotone_in_level():
         ]
         assert masses == sorted(masses)
         assert masses[-1] == 1
+
+
+def _row_mass_oracle(row, table):
+    """One row weighed alone: the exact sum of 2^(max_bits - b) over the code
+    lengths b the row marks, over the scaled total."""
+    inside = table.bits[row]
+    if not inside.size:
+        return SphereMass(mass=Fraction(0), sphere_size=0, min_bits=None)
+    scaled = universal_module._scaled_sum(inside, table.max_bits)
+    return SphereMass(Fraction(scaled, table._total), int(inside.size), int(inside.min()))
+
+
+# a hand-made table whose spread of code lengths puts the scaled total past
+# 2^63: block 000 alone weighs 2^89 of 2^90
+WIDE_BITS = [1, 2, 70, 70, 90, 64, 3, 90]
+STACK_TABLES = [(8, 2, "plain"), (6, 3, "capped"), (5, 4, "plain"), "edge", "wide"]
+
+
+@pytest.mark.parametrize("shape", STACK_TABLES, ids=str)
+@pytest.mark.parametrize("slice_rows", [1, 5, None], ids=["1-row", "5-row", "default"])
+def test_stacked_row_mass_matches_the_per_row_oracle(monkeypatch, shape, slice_rows):
+    if shape == "wide":
+        table = UniversalTable(n=3, alphabet_size=2, length_mode="plain", bits=WIDE_BITS)
+        assert table._total > 2**63 and table._weights.dtype == object
+    else:
+        table = _sampler_table(shape)
+        assert table._total < 2**63 and table._weights.dtype == np.int64
+    if slice_rows:  # 23 rows in slices of one row, or of five with a short last slice
+        monkeypatch.setattr(universal_module, "_MASS_KEYS", slice_rows * table.size)
+    rng = np.random.default_rng(11)
+    for density in (0.02, 0.3, 0.9, 1.0):
+        rows = rng.random((23, table.size)) < density
+        rows[[0, 7]] = False  # empty rows among the others
+        want = [_row_mass_oracle(row, table) for row in rows]
+        got = row_mass(rows, table)
+        assert got == want
+        for m in got:
+            assert type(m.sphere_size) is int
+            assert type(m.min_bits) is (int if m.sphere_size else type(None))
+        assert row_mass(rows[3], table) == want[3]  # one 1-D row
+        assert row_mass(rows[0], table) == want[0] == SphereMass(Fraction(0), 0, None)
+    assert row_mass(np.zeros((5, table.size), dtype=bool), table) == [
+        SphereMass(Fraction(0), 0, None)
+    ] * 5
+    assert row_mass(np.ones((2, table.size), dtype=bool), table) == [
+        SphereMass(Fraction(1), table.size, int(table.bits.min()))
+    ] * 2
 
 
 def test_min_lz_dominance_small():
