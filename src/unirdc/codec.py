@@ -7,19 +7,16 @@ regenerates the same stream from the shared seed and replays it up to the
 index, so codewords are never stored. When the draw budget runs out, the
 escape path ships an explicit witness block in raw fixed-width symbols.
 
-One stream serves a whole batch: encode_blocks resolves every block of a
-batch against one scan, and decode_messages replays one stream up to the
-largest index of a batch, each batch a (blocks x n) symbol array. Each
-block's index is the one a scan of its own would find. encode_streams codes
-one batch under many seeds: it exposes the first-hit indices as an array and
-builds one message per distinct index. One scan loop serves both modes. It
-draws in chunks that double its draws, so it draws at most about twice the
-batch's last first hit, and it tests a chunk against every pending block at
-once: in exact mode by a gather from the blocks' sphere rows, built once for
-all the seeds, and in bitfeed mode, which has no table, by the
-distortion.within() kernel. The replay yields the decoded blocks as one
-symbol array, which the experiments test against the sources with the same
-kernel.
+A batch is a (blocks x n) symbol array, and each block's index is the one a
+scan of its own would find. encode_streams codes one batch under many seeds
+into a (seeds x blocks) array of first hits, and encode_blocks, its
+one-stream case, builds the messages. One scan loop serves both modes: it
+draws in doubling chunks, so at most about twice the last first hit, and
+tests a chunk against every pending block at once, by a gather from the
+blocks' sphere rows (built once for all the seeds) in exact mode and by the
+distortion.within() kernel in bitfeed mode. One replay serves every decode:
+_replay draws a fresh stream up to the largest of an array of indices, for
+decode_messages and for each seed's first hits in the experiments' round trip.
 """
 from __future__ import annotations
 
@@ -56,7 +53,6 @@ from .universal import (
     _ExactSampler,
     build_universal_table,
     row_mass,
-    sphere_mass,
 )
 
 __all__ = [
@@ -258,7 +254,7 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     distinct block's sphere row is built once, whatever the measure, and
     every stream is scanned against it, so a seed sweep pays for the rows
     once. With masses set, each block is also weighed against the streams'
-    table: from the row the scan holds, or by sphere_mass in bitfeed mode.
+    table, off the same row groups, which bitfeed mode builds only for this.
     Before any stream is opened, _refuse_uncodable checks one block per
     source type (one per distinct block for a callable measure) and raises
     UncodableInputError if its sphere is empty; a block whose sphere is
@@ -280,10 +276,10 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
     _refuse_uncodable(centers, level, spec)
     weighed = [] if masses else None
     if stream.mode == EXACT:
-        first = _first_hits_in_rows(centers, level, spec, streams, weighed)
+        first = _first_hits_in_rows(centers, level, spec, stream.resolved_table, streams, weighed)
     else:
-        if masses:
-            weighed.extend(sphere_mass(x, level, spec, stream.resolved_table) for x in centers)
+        if masses:  # the rows only weigh the blocks: no stream reads them
+            _first_hits_in_rows(centers, level, spec, stream.resolved_table, [], weighed)
         first = np.zeros((len(streams), len(centers)), dtype=np.int64)
         inside = _membership(stream.n, level, spec)  # one verdict per joint type for the batch
         for s, hits in zip(streams, first):
@@ -311,9 +307,9 @@ def _messages(xs, hits, level, spec, coded) -> list[EncodedMessage]:
     return [coded[key] for key in keys]
 
 
-def _first_hits_in_rows(centers, level, spec, streams, weighed=None) -> np.ndarray:
+def _first_hits_in_rows(centers, level, spec, table, streams, weighed=None) -> np.ndarray:
     """(streams x blocks) first-hit indices, 0 for none, read off the sphere
-    rows of the (blocks x n) symbol array centers.
+    rows of the (blocks x n) symbol array centers, over the streams' table.
 
     The rows are built by one sphere_rows call per group of at most
     _MASK_BYTES, and every stream scans a group before the next one is built.
@@ -321,7 +317,6 @@ def _first_hits_in_rows(centers, level, spec, streams, weighed=None) -> np.ndarr
     is a list, the masses of a group's rows are appended to it by one row_mass
     call as the group is built.
     """
-    table = streams[0].resolved_table
     group = max(1, _MASK_BYTES // table.size)
     first = np.zeros((len(streams), len(centers)), dtype=np.int64)
     for lo in range(0, len(centers), group):
@@ -428,26 +423,33 @@ def _read_witness(msg: EncodedMessage, stream: CodebookStream) -> list[int]:
 
 def decode_messages(msgs, stream: CodebookStream) -> np.ndarray:
     """The decoded blocks as a (messages x n) symbol array in the narrowest unsigned
-    type: the witness of an escape, else the draw at the message's index, from one
-    replay of the stream up to the largest index. Its work grows with that index, never
-    with the number of messages; each index is read as parsed off the wire, and one
-    above max_draws is refused as corrupt before any draw."""
+    type: the witness of an escape, else the draw at the message's index as parsed off
+    the wire, from one _replay of the stream. The first index above max_draws is
+    refused as corrupt before any draw."""
     msgs = list(msgs)
-    out = np.empty((len(msgs), stream.n), dtype=np.min_scalar_type(stream.alphabet_size - 1))
-    at, indices = [], []
+    out = np.zeros((len(msgs), stream.n), dtype=np.min_scalar_type(stream.alphabet_size - 1))
+    indices = np.zeros(len(msgs), dtype=np.int64)
     for p, msg in enumerate(msgs):
         if msg.escape:
             out[p] = _read_witness(msg, stream)
-            continue
-        if msg.index > stream.max_draws:
+        elif msg.index > stream.max_draws:
             raise CorruptStreamError(
                 f"index {msg.index} exceeds the stream's draw budget {stream.max_draws}"
             )
-        at.append(p)
-        indices.append(msg.index)
-    if not indices:
-        return out
-    need, where = np.unique(np.array(indices, dtype=np.int64), return_inverse=True)
+        else:
+            indices[p] = msg.index
+    _replay(indices, stream, out)
+    return out
+
+
+def _replay(indices: np.ndarray, stream: CodebookStream, out: np.ndarray) -> None:
+    """Write into each row of out the draw at its 1-based int64 index, at most max_draws,
+    from one fresh sampler drawn up to the largest index, so the work grows with that
+    index, never with the rows. A row whose index is 0 keeps its escape witness."""
+    hit = indices > 0
+    if not hit.any():
+        return
+    need, where = np.unique(indices[hit], return_inverse=True)
     picked = []
     for drawn, chunk in _chunks(stream, int(need[-1])):
         lo, hi = np.searchsorted(need, [drawn, drawn + len(chunk)], side="right")
@@ -455,8 +457,7 @@ def decode_messages(msgs, stream: CodebookStream) -> np.ndarray:
     picked = np.concatenate(picked)
     if stream.mode == EXACT:
         picked = block_symbols(picked, stream.n, stream.alphabet_size)
-    out[at] = picked[where]
-    return out
+    out[hit] = picked[where]
 
 
 def decode(msg: EncodedMessage, stream: CodebookStream) -> Block:

@@ -28,8 +28,11 @@ from itertools import product
 import numpy as np
 
 from .codec import (
+    _MASK_BYTES,
     CodebookStream,
     _index_code_lengths,
+    _messages,
+    _replay,
     decode_messages,
     encode_streams,
 )
@@ -418,14 +421,14 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
 
     Returns an int64 (seeds x sources) array of indices, 0 for an escape, a
     bool array of the same shape that marks decoded blocks outside the
-    budget, and each source's SphereMass. The round trip runs only when
-    round_trip is set; otherwise no message is built, no block is decoded and
-    the failure array stays all False. It decodes each seed's messages to a
-    symbol array and tests it against the sources with one within() call,
-    which never reads the sphere rows that chose the hits. Each source's
-    sphere row is built once for the whole chunk, and its mass is read off
-    that row. A source with an empty sphere raises UncodableInputError
-    before any draw.
+    budget, and each source's SphereMass, read off its sphere row, built once
+    for the chunk. An empty sphere raises UncodableInputError before any draw.
+    Only with round_trip set are blocks decoded, with no index message: one
+    codec._replay of a fresh sampler per seed, and for an escape the wire form
+    of its source's witness, built once per distinct source and read back by
+    decode_messages. One within() call per group of seeds that fits
+    codec._MASK_BYTES tests them against the sources, never reading the sphere
+    rows that chose the hits.
     """
     spec = cfg.spec()
     sources = cfg.sources()
@@ -433,9 +436,18 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     coded = encode_streams(sources, cfg.level, spec, streams, masses=True)
     failed = np.zeros(coded.first.shape, dtype=bool)
     if round_trip:
+        escaping = np.flatnonzero((coded.first == 0).any(axis=0))
+        wire = _messages(sources[escaping], [0] * len(escaping), cfg.level, spec, {})
+        witness = np.zeros(sources.shape, dtype=np.int64)
+        witness[escaping] = decode_messages(wire, streams[0])
         inside = _membership(cfg.n, cfg.level, spec)
-        for t, (stream, msgs) in enumerate(zip(streams, coded)):
-            failed[t] = ~inside(sources, decode_messages(msgs, stream))
+        group = max(1, _MASK_BYTES // witness.nbytes)
+        for lo in range(0, len(streams), group):
+            part = slice(lo, lo + group)
+            decoded = np.repeat(witness[None], len(streams[part]), axis=0)
+            for out, hits, stream in zip(decoded, coded.first[part], streams[part]):
+                _replay(hits, stream, out)
+            failed[part] = ~inside(sources, decoded)
     return coded.first, failed, coded.masses
 
 

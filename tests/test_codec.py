@@ -774,17 +774,21 @@ def test_only_bitfeed_streams_test_draws_with_distortion(monkeypatch, draws, spe
         return real(*a)
 
     monkeypatch.setattr(distortion_module, "distortion", counted)
-    for name in ("find_witness", "sphere_mass"):
 
-        def aside(*a, inner=getattr(codec, name)):
+    def aside(inner):
+        def wrapped(*a):
             where.append("aside")
             try:
                 return inner(*a)
             finally:
                 where.pop()
 
-        monkeypatch.setattr(codec, name, aside)
+        return wrapped
+
+    monkeypatch.setattr(codec, "find_witness", aside(codec.find_witness))
     for mode in ("exact", "bitfeed"):
+        if mode == "bitfeed":  # its sphere rows are built only to weigh the masses
+            monkeypatch.setattr(codec, "sphere_rows", aside(codec.sphere_rows))
         for seeds in ((1, 2), range(1, 17)):
             streams = [CodebookStream(seed=s, n=5, alphabet_size=2, mode=mode) for s in seeds]
             for masses in (False, True):
@@ -833,13 +837,29 @@ def test_decode_work_grows_with_the_largest_index(draws):
     assert [tuple(row) for row in blocks.tolist()] == [target.symbols] * 100
 
 
-def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
+def _at(i):
+    return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
+
+
+# five 1-bit symbols where n=6 needs six
+_SHORT_WITNESS = EncodedMessage(escape=True, payload=BitString(0, 5), index=None)
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ([_at(11)], "index 11 exceeds the stream's draw budget 10$"),
+        ([_at(12), _at(2**64)], "index 12 exceeds"),  # the first one over budget
+        ([_at(2**64), _at(11)], f"index {2**64} exceeds the stream's draw budget 10$"),
+        ([_at(11), _SHORT_WITNESS], "index 11 exceeds"),
+        ([_SHORT_WITNESS, _at(11)], "bit count"),
+    ],
+)
+def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws, tail, message):
     s = stream(seed=7, max_draws=10)
-    msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s)] + [
-        EncodedMessage(escape=False, payload=index_code_encode(11), index=11)
-    ]
+    msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s), _at(3)] + tail
     draws[0] = 0
-    with pytest.raises(CorruptStreamError):
+    with pytest.raises(CorruptStreamError, match=message):
         decode_messages(msgs, s)
     assert draws[0] == 0
 
@@ -863,14 +883,18 @@ def test_scan_draws_track_the_last_first_hit(monkeypatch, n, level):
 
 @pytest.mark.parametrize("mode, spec", [("exact", HAMMING), ("bitfeed", HAMMING),
                                         ("exact", squared_disagreement(BINARY))])
-def test_first_hit_array_and_masses_match_the_messages(mode, spec):
+def test_first_hit_array_and_masses_match_the_messages(monkeypatch, mode, spec):
     xs = [BINARY.to_block(t) for t in SIX]
     table = build_universal_table(6, 2, "plain")
     streams = [
         CodebookStream(seed=seed, n=6, alphabet_size=2, mode=mode, max_draws=5)
         for seed in SWEEP_SEEDS
     ]
+    weighed = []
+    row_mass = codec.row_mass
+    monkeypatch.setattr(codec, "row_mass", lambda *a: weighed.append(a) or row_mass(*a))
     coded = encode_streams(xs, Fraction(1, 6), spec, streams, masses=True)
+    assert len(weighed) == 1  # both modes weigh the batch's one group of rows at once
     assert coded.first.shape == (len(streams), len(xs))
     assert coded.masses == tuple(sphere_mass(x, Fraction(1, 6), spec, table) for x in xs)
     msgs = list(coded)
@@ -880,6 +904,27 @@ def test_first_hit_array_and_masses_match_the_messages(mode, spec):
     for m in (m for row in msgs for m in row if not m.escape):
         assert by_index.setdefault(m.index, m) is m
     assert encode_streams(xs, Fraction(1, 6), spec, streams).masses is None
+
+
+@pytest.mark.parametrize("mode, spec", [("exact", HAMMING), ("bitfeed", HAMMING),
+                                        ("exact", squared_disagreement(BINARY))])
+def test_replay_of_a_first_hit_row_equals_its_decoded_messages(mode, spec):
+    xs = [BINARY.to_block(t) for t in SIX]
+    streams = [
+        CodebookStream(seed=seed, n=6, alphabet_size=2, mode=mode, max_draws=5)
+        for seed in SWEEP_SEEDS
+    ]
+    coded = encode_streams(xs, Fraction(1, 6), spec, streams)
+    assert (coded.first == 0).any() and (coded.first > 0).any()
+    for hits, s, msgs in zip(coded.first, streams, coded, strict=True):
+        want = decode_messages(msgs, s)
+        for row, m in zip(want.tolist(), msgs):
+            if not m.escape:
+                assert tuple(row) == _replay_one(m, s, None).symbols
+        got = want.copy()
+        got[hits > 0] ^= 1  # _replay must overwrite every hit row and keep the witnesses
+        codec._replay(hits, s, got)
+        assert (got == want).all()
 
 
 def test_decode_reads_each_index_without_parsing(monkeypatch):

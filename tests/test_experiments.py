@@ -163,14 +163,13 @@ def test_round_trip_check_sees_a_corrupted_decode(monkeypatch, mode, dist):
     clean = achievability_experiment(cfg)
     assert clean.all_semifaithful
     assert [row.semifaithful_failures for row in clean.rows] == [0] * 16
-    decoded = experiments.decode_messages
+    replay = experiments._replay
 
-    def shifted(msgs, stream):
-        out = decoded(msgs, stream)
+    def shifted(indices, stream, out):
+        replay(indices, stream, out)
         out[3, 1] ^= 1
-        return out
 
-    monkeypatch.setattr(experiments, "decode_messages", shifted)
+    monkeypatch.setattr(experiments, "_replay", shifted)
     rep = achievability_experiment(cfg)
     assert not rep.all_semifaithful
     assert [row.semifaithful_failures for row in rep.rows] == [0, 0, 0, 6] + [0] * 12
@@ -569,6 +568,50 @@ def test_ensemble_builds_no_messages(monkeypatch):
     rep = ensemble_failure_experiment(ExperimentConfig(**_PINNED_SWEEP))
     assert rep.per_seed_failures == 28  # escapes taken, yet no witness built
     assert built == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_the_round_trip_builds_no_index_message(monkeypatch, mode):
+    # each seed's row of first hits is replayed as an array, an escaping
+    # source's witness message is built once, and every seed opens a second
+    # fresh sampler for its replay, so the decode never reuses the scan's draws
+    built = {"_index_message": 0, "_escape_message": 0}
+    for name in built:
+        real = getattr(codec, name)
+
+        def spy(*a, name=name, real=real):
+            built[name] += 1
+            return real(*a)
+
+        monkeypatch.setattr(codec, name, spy)
+    opened = []
+    sampler = codec.CodebookStream.sampler
+    monkeypatch.setattr(
+        codec.CodebookStream, "sampler", lambda self: opened.append(self.seed) or sampler(self)
+    )
+    cfg = ExperimentConfig(**_PINNED_SWEEP, mode=mode)
+    rep = achievability_experiment(cfg)
+    assert built["_index_message"] == 0
+    assert built["_escape_message"] == sum(row.escapes > 0 for row in rep.rows) > 0
+    assert sorted(opened) == sorted(cfg.seed_list() * 2)
+
+
+def test_the_round_trip_judges_one_group_of_seeds_per_mask(monkeypatch):
+    cfg = ExperimentConfig(**_PINNED_SWEEP)
+    judged = []
+    membership = experiments._membership
+
+    def spied(*a):
+        inside = membership(*a)
+        return lambda xs, ys: judged.append(ys.shape) or inside(xs, ys)
+
+    monkeypatch.setattr(experiments, "_membership", spied)
+    whole = achievability_experiment(cfg)
+    assert judged == [(30, 64, 6)]  # one within() call for the chunk's 30 seeds
+    judged.clear()
+    monkeypatch.setattr(experiments, "_MASK_BYTES", 1)  # below one seed's blocks
+    assert achievability_experiment(cfg).to_json() == whole.to_json()
+    assert judged == [(1, 64, 6)] * 30
 
 
 @pytest.mark.parametrize("base", [0.1, 0, 1, math.inf, math.nan])
