@@ -438,7 +438,7 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     if round_trip:
         escaping = np.flatnonzero((coded.first == 0).any(axis=0))
         wire = _messages(sources[escaping], [0] * len(escaping), cfg.level, spec, {})
-        witness = np.zeros(sources.shape, dtype=np.int64)
+        witness = np.zeros(sources.shape, dtype=np.min_scalar_type(len(cfg.repro_alphabet) - 1))
         witness[escaping] = decode_messages(wire, streams[0])
         inside = _membership(cfg.n, cfg.level, spec)
         group = max(1, _MASK_BYTES // witness.nbytes)

@@ -845,17 +845,28 @@ def _at(i):
 _SHORT_WITNESS = EncodedMessage(escape=True, payload=BitString(0, 5), index=None)
 
 
+def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
+    s = stream(seed=7, max_draws=10)
+    msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s)] + [
+        EncodedMessage(escape=False, payload=index_code_encode(11), index=11)
+    ]
+    draws[0] = 0
+    with pytest.raises(CorruptStreamError, match="index 11 exceeds the stream's draw budget 10$"):
+        decode_messages(msgs, s)
+    assert draws[0] == 0
+
+
 @pytest.mark.parametrize(
     "tail, message",
     [
-        ([_at(11)], "index 11 exceeds the stream's draw budget 10$"),
-        ([_at(12), _at(2**64)], "index 12 exceeds"),  # the first one over budget
+        ([_at(12), _at(2**64)], "index 12 exceeds"),
         ([_at(2**64), _at(11)], f"index {2**64} exceeds the stream's draw budget 10$"),
         ([_at(11), _SHORT_WITNESS], "index 11 exceeds"),
         ([_SHORT_WITNESS, _at(11)], "bit count"),
     ],
 )
-def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws, tail, message):
+def test_decode_names_the_first_bad_message_before_any_draw(draws, tail, message):
+    # an index past int64 is refused like any other index over the budget
     s = stream(seed=7, max_draws=10)
     msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s), _at(3)] + tail
     draws[0] = 0
