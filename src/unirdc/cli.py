@@ -163,9 +163,9 @@ def _cmd_encode(args) -> int:
         length_mode=args.length_mode,
     )
     codec.check_container_header(stream, level)  # refused before any draw
-    messages = codec.encode_blocks(symbols, level, spec, stream)
+    records = codec.encode_streams(symbols, level, spec, [stream]).records()
     buf = io.BytesIO()
-    codec.write_container(buf, stream, level, messages)
+    codec.write_container(buf, stream, level, records)
     if (args.out or "-") == "-":
         sys.stdout.buffer.write(buf.getvalue())
         sys.stdout.buffer.flush()
@@ -176,10 +176,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     if args.infile == "-":
-        header, messages = codec.read_container(sys.stdin.buffer)
+        header, records = codec.read_container(sys.stdin.buffer)
     else:
         with open(args.infile, "rb") as f:
-            header, messages = codec.read_container(f)
+            header, records = codec.read_container(f)
     repro = Alphabet(args.alphabet)
     if repro.size != header.alphabet_size:
         raise PreconditionError(
@@ -194,7 +194,7 @@ def _cmd_decode(args) -> int:
         max_draws=args.max_draws,
         length_mode=header.length_mode,
     )
-    _write_text(args.out, write_symbols(codec.decode_messages(messages, stream), repro))
+    _write_text(args.out, write_symbols(codec.decode_messages(records, stream), repro))
     return 0
 
 

@@ -17,17 +17,28 @@ blocks' sphere rows (built once for all the seeds) in exact mode and by the
 distortion.within() kernel in bitfeed mode. One replay serves every decode:
 _replay draws a fresh stream up to the largest of an array of indices, for
 decode_messages and for each seed's first hits in the experiments' round trip.
+
+On the wire a block is one record: a 32-bit bit count, then the escape flag
+and the index code (or the witness), left-aligned in whole bytes. Records
+holds a container's records as Python ints, the index of each record and
+the payload of each escape, so write_container packs them in closed form,
+once per distinct index, read_container parses them off the bytes in closed
+form, and decode_messages refuses and replays them; none of the three
+builds an EncodedMessage, a BitString or a BitReader per record. The
+message API (encode_blocks, decode, iterating a Records) builds messages
+from the same fields.
 """
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .core import BitReader, BitString, BitWriter, Block, block_symbols, symbol_array
+from .core import BitReader, BitString, Block, block_symbols, symbol_array
 from .distortion import (
     _INT64_MAX,
     DistortionSpec,
@@ -138,15 +149,16 @@ def index_code_encode(i: int) -> BitString:
     the bits of i below its leading one follow. Length is floor(log2 i) +
     2 * floor(log2(floor(log2 i) + 1)) + 1 bits.
     """
-    if i < 1:
-        raise PreconditionError("index must be positive")
-    nbits = i.bit_length()
-    prefix = nbits.bit_length() - 1
-    w = BitWriter()
-    w.write(0, prefix)
-    w.write(nbits, prefix + 1)  # leading bit of nbits is the terminator
-    w.write(i & ((1 << (nbits - 1)) - 1), nbits - 1)
-    return w.getvalue()
+    return BitString(*_index_code(i))
+
+
+def _index_code(i: int) -> tuple[int, int]:
+    """(value, bits) of index_code_encode(i), in closed form: with b the bit
+    count of i, the code read as an integer is b << (b - 1) plus the bits of
+    i below its leading one, that is i + ((b - 1) << (b - 1))."""
+    bits = index_code_length(i)
+    b = i.bit_length()
+    return i + ((b - 1) << (b - 1)), bits
 
 
 def index_code_length(i: int) -> int:
@@ -198,10 +210,7 @@ class EncodedMessage:
             raise PreconditionError("an index message needs a positive index, an escape none")
 
     def to_bits(self) -> BitString:
-        w = BitWriter()
-        w.write(1 if self.escape else 0, 1)
-        w.write_bits(self.payload)
-        return w.getvalue()
+        return BitString((self.escape << self.payload.length) | self.payload.value, self.total_bits)
 
     @property
     def total_bits(self) -> int:
@@ -229,10 +238,10 @@ class BatchCodes:
     blocks is the batch's (blocks x n) symbol array. first is an int64
     (streams x blocks) array: the first-hit index of each block under each
     stream, 0 for an escape. masses holds each block's SphereMass when
-    encode_streams was asked to weigh the blocks, else None. Iterating
-    yields each stream's messages in stream order; the messages are built
-    only then, one per distinct index and one witness message per escaping
-    block, for the whole batch.
+    encode_streams was asked to weigh the blocks, else None. records(row)
+    is one stream's Records, for write_container. Iterating yields each
+    stream's messages in stream order, built only then from the records,
+    one per distinct index or witness for the whole batch.
     """
 
     blocks: np.ndarray
@@ -241,10 +250,25 @@ class BatchCodes:
     level: Fraction
     spec: DistortionSpec
 
+    def records(self, row: int = 0, found: dict | None = None) -> Records:
+        """The records of stream row: its first hits, and the witness payload
+        of each escaping block (see _witnesses; found may be shared by rows)."""
+        escaping = np.flatnonzero(self.first[row] == 0).tolist()
+        witnesses = _witnesses(self.blocks, escaping, self.level, self.spec, found)
+        return Records(self.first[row].tolist(), witnesses)
+
     def __iter__(self):
-        coded: dict[int, EncodedMessage] = {}
-        for hits in self.first.tolist():
-            yield _messages(self.blocks, hits, self.level, self.spec, coded)
+        found: dict[bytes, tuple[int, int]] = {}
+        built: dict = {}
+        for row in range(len(self.first)):
+            records = self.records(row, found)
+            msgs = []
+            for p, i in enumerate(records.indices):
+                key = i or records.witnesses[p]
+                if key not in built:
+                    built[key] = records[p]
+                msgs.append(built[key])
+            yield msgs
 
 
 def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = False) -> BatchCodes:
@@ -291,20 +315,6 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
         level=level,
         spec=spec,
     )
-
-
-def _messages(xs, hits, level, spec, coded) -> list[EncodedMessage]:
-    """Each block's message from its first hit under one stream.
-
-    coded maps an index, or the bytes of a distinct block that escapes, to
-    its message and is shared by every stream of a batch, so a block that
-    escapes under several streams gets its witness message once.
-    """
-    keys = [i or xs[j].tobytes() for j, i in enumerate(hits)]
-    for j, key in enumerate(keys):
-        if key not in coded:
-            coded[key] = _index_message(key) if hits[j] else _escape_message(xs[j], level, spec)
-    return [coded[key] for key in keys]
 
 
 def _first_hits_in_rows(centers, level, spec, table, streams, weighed=None) -> np.ndarray:
@@ -378,7 +388,9 @@ def _index_message(i: int) -> EncodedMessage:
     return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
 
 
-def _escape_message(x, level, spec: DistortionSpec) -> EncodedMessage:
+def _witness_payload(x, level, spec: DistortionSpec) -> tuple[int, int]:
+    """(value, bits) of the escape payload of block x: its witness in raw
+    fixed-width symbols."""
     try:
         witness = find_witness(x, level, spec)
     except EnumerationCapError as e:
@@ -386,10 +398,24 @@ def _escape_message(x, level, spec: DistortionSpec) -> EncodedMessage:
     if witness is None:
         raise UncodableInputError("no reproduction block meets the budget")
     sym_w = symbol_width(spec.repro_size)
-    w = BitWriter()
+    value = 0
     for s in witness.symbols:
-        w.write(s, sym_w)
-    return EncodedMessage(escape=True, payload=w.getvalue(), index=None)
+        value = (value << sym_w) | s
+    return value, sym_w * len(witness.symbols)
+
+
+def _witnesses(xs, where, level, spec, found=None) -> dict[int, tuple[int, int]]:
+    """The witness payload of block xs[p] for each p of where, keyed by p and
+    searched once per distinct block: found maps a block's bytes to its
+    payload and may be shared by several calls."""
+    found = {} if found is None else found
+    witnesses = {}
+    for p in where:
+        key = xs[p].tobytes()
+        if key not in found:
+            found[key] = _witness_payload(xs[p], level, spec)
+        witnesses[p] = found[key]
+    return witnesses
 
 
 def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> EncodedMessage:
@@ -397,24 +423,64 @@ def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> Enc
     return encode_blocks([x], level, spec, stream)[0]
 
 
-def _read_index(payload: BitString) -> int:
-    """The index coded by the whole payload; CorruptStreamError otherwise."""
-    reader = BitReader(payload)
-    try:
-        index = index_code_decode(reader)
-    except TruncationError:
+@dataclass(frozen=True, eq=False)
+class Records(Sequence):
+    """A container's records as the wire holds them, read-only.
+
+    indices holds each record's index as a Python int, 0 for an escape, and
+    witnesses maps the position of each escape, in order, to its payload as
+    (value, bits). write_container and decode_messages read these fields;
+    indexing or iterating builds each record's EncodedMessage.
+    """
+
+    indices: list[int]
+    witnesses: dict[int, tuple[int, int]]
+
+    @classmethod
+    def of(cls, msgs) -> Records:
+        """The records of EncodedMessages, or msgs itself when it is a Records.
+        An index message's record is the code of its index."""
+        if isinstance(msgs, Records):
+            return msgs
+        indices, witnesses = [], {}
+        for p, m in enumerate(msgs):
+            indices.append(0 if m.escape else m.index)
+            if m.escape:
+                witnesses[p] = (m.payload.value, m.payload.length)
+        return cls(indices, witnesses)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, p: int) -> EncodedMessage:
+        p = range(len(self.indices))[p]  # IndexError past either end, as a list
+        if self.indices[p]:
+            return _index_message(self.indices[p])
+        return EncodedMessage(escape=True, payload=BitString(*self.witnesses[p]), index=None)
+
+
+def _parse_index(value: int, bits: int) -> int:
+    """The index whose code is the whole payload (value, bits), in closed
+    form; CorruptStreamError otherwise. z leading zeros announce a bit count
+    b of z + 1 bits, which b - 1 bits of the index follow."""
+    zeros = bits - value.bit_length()
+    if zeros > 64:
+        raise CorruptStreamError("index code prefix too long")
+    rest = bits - 2 * zeros - 1
+    if not value or rest < 0 or (b := value >> rest) - 1 > rest:
         raise CorruptStreamError("malformed index code")
-    if reader.remaining:
+    if b - 1 < rest:
         raise CorruptStreamError("trailing bits after the index code")
-    return index
+    return value - ((b - 1) << (b - 1))
 
 
-def _read_witness(msg: EncodedMessage, stream: CodebookStream) -> list[int]:
+def _read_witness(payload: tuple[int, int], stream: CodebookStream) -> list[int]:
+    value, bits = payload
     sym_w = symbol_width(stream.alphabet_size)
-    if msg.payload.length != stream.n * sym_w:
+    if bits != stream.n * sym_w:
         raise CorruptStreamError("witness payload has the wrong bit count")
-    reader = BitReader(msg.payload)
-    symbols = [reader.read(sym_w) for _ in range(stream.n)]
+    mask = (1 << sym_w) - 1
+    symbols = [(value >> shift) & mask for shift in range(bits - sym_w, -1, -sym_w)]
     for v in symbols:
         if v >= stream.alphabet_size:
             raise CorruptStreamError(f"witness symbol {v} outside alphabet")
@@ -423,22 +489,25 @@ def _read_witness(msg: EncodedMessage, stream: CodebookStream) -> list[int]:
 
 def decode_messages(msgs, stream: CodebookStream) -> np.ndarray:
     """The decoded blocks as a (messages x n) symbol array in the narrowest unsigned
-    type: the witness of an escape, else the draw at the message's index as parsed off
-    the wire, from one _replay of the stream. The first index above max_draws is
-    refused as corrupt before any draw."""
-    msgs = list(msgs)
-    out = np.zeros((len(msgs), stream.n), dtype=np.min_scalar_type(stream.alphabet_size - 1))
-    indices = np.zeros(len(msgs), dtype=np.int64)
-    for p, msg in enumerate(msgs):
-        if msg.escape:
-            out[p] = _read_witness(msg, stream)
-        elif msg.index > stream.max_draws:
-            raise CorruptStreamError(
-                f"index {msg.index} exceeds the stream's draw budget {stream.max_draws}"
-            )
-        else:
-            indices[p] = msg.index
-    _replay(indices, stream, out)
+    type: the witness of an escape, else the draw at the message's index, from one
+    _replay of the stream. msgs is a Records, as read_container returns, or any
+    EncodedMessages. In record order, the first witness that does not fit the stream
+    and the first index above max_draws are refused as corrupt before any draw."""
+    records = Records.of(msgs)
+    indices = records.indices
+    out = np.zeros((len(indices), stream.n), dtype=np.min_scalar_type(stream.alphabet_size - 1))
+    over = len(indices)
+    if max(indices, default=0) > stream.max_draws:
+        over = next(p for p, i in enumerate(indices) if i > stream.max_draws)
+    for p, payload in records.witnesses.items():
+        if p > over:
+            break
+        out[p] = _read_witness(payload, stream)
+    if over < len(indices):
+        raise CorruptStreamError(
+            f"index {indices[over]} exceeds the stream's draw budget {stream.max_draws}"
+        )
+    _replay(np.array(indices, dtype=np.int64), stream, out)
     return out
 
 
@@ -463,24 +532,6 @@ def _replay(indices: np.ndarray, stream: CodebookStream, out: np.ndarray) -> Non
 def decode(msg: EncodedMessage, stream: CodebookStream) -> Block:
     """Replay the stream up to the transmitted index, or read the witness."""
     return Block(tuple(decode_messages([msg], stream)[0].tolist()))
-
-
-def message_from_bits(bits: BitString) -> EncodedMessage:
-    """Split a wire bit string into escape flag and payload.
-
-    Index messages carry a self-delimiting integer, so the index is restored
-    here. An index code that runs past the message, or leaves bits after it,
-    is corrupt.
-    """
-    if bits.length < 1:
-        raise TruncationError("empty message")
-    reader = BitReader(bits)
-    escape = bool(reader.read(1))
-    payload = BitString(bits.value & ((1 << (bits.length - 1)) - 1), bits.length - 1)
-    index = None
-    if not escape:
-        index = _read_index(payload)
-    return EncodedMessage(escape=escape, payload=payload, index=index)
 
 
 MAGIC = b"UR"
@@ -516,10 +567,23 @@ def check_container_header(stream: CodebookStream, level) -> Fraction:
     return level
 
 
+_U32 = struct.Struct(">I")
+
+
+def _record(value: int, bits: int) -> bytes:
+    """One record: its bit count as a big-endian uint32, then its bits
+    left-aligned in whole bytes, the last one padded with zeros."""
+    pad = -bits % 8
+    return _U32.pack(bits) + (value << pad).to_bytes((bits + pad) >> 3, "big")
+
+
 def write_container(f, stream: CodebookStream, level, messages) -> None:
-    """16-byte header (magic, flags, K, n, level as a rational, seed), then
-    one bit-counted record per message."""
+    """16-byte header (magic, flags, K, n, level as a rational, seed), the
+    record count, then one bit-counted record per message: escape flag 0 and
+    the index code, or flag 1 and the witness. messages is a Records or any
+    EncodedMessages; each distinct record is packed once."""
     level = check_container_header(stream, level)
+    records = Records.of(messages)
     flags = (
         (_VERSION << 4)
         | _MODE_CODES[stream.mode]
@@ -537,13 +601,25 @@ def write_container(f, stream: CodebookStream, level, messages) -> None:
             stream.seed,
         )
     )
-    msgs = list(messages)
-    f.write(struct.pack(">I", len(msgs)))
-    for m in msgs:
-        m.to_bits().write(f)
+    packed: dict = {}
+    wire = [_U32.pack(len(records))]
+    for p, i in enumerate(records.indices):
+        key = i or records.witnesses[p]
+        if key not in packed:
+            if i:
+                code, bits = _index_code(i)
+                packed[key] = _record(code, bits + 1)
+            else:
+                packed[key] = _record((1 << key[1]) | key[0], key[1] + 1)
+        wire.append(packed[key])
+    f.write(b"".join(wire))
 
 
-def read_container(f) -> tuple[ContainerHeader, list[EncodedMessage]]:
+def read_container(f) -> tuple[ContainerHeader, Records]:
+    """The header and the records of a container. The rest of f is read at
+    once and each record parsed off the bytes, in order: a record cut short,
+    an empty one or an index code that does not fill its record raises
+    before the next record is read. Bytes after the last record are ignored."""
     header = f.read(16)
     if len(header) < 16 or header[:2] != MAGIC:
         raise CorruptStreamError("not a codec container")
@@ -563,11 +639,26 @@ def read_container(f) -> tuple[ContainerHeader, list[EncodedMessage]]:
     count_raw = f.read(4)
     if len(count_raw) < 4:
         raise TruncationError("missing message count")
-    (count,) = struct.unpack(">I", count_raw)
-    messages = []
-    for _ in range(count):
-        bits = BitString.read(f)
-        messages.append(message_from_bits(bits))
+    (count,) = _U32.unpack(count_raw)
+    data = f.read()
+    indices, witnesses = [], {}
+    pos, size = 0, len(data)
+    for p in range(count):
+        if size - pos < 4:
+            raise TruncationError("missing bit-count header")
+        bits = int.from_bytes(data[pos : pos + 4], "big")
+        start, pos = pos + 4, pos + 4 + ((bits + 7) >> 3)
+        if pos > size:
+            raise TruncationError("byte payload shorter than the declared bit count")
+        value = int.from_bytes(data[start:pos], "big") >> (-bits % 8)
+        if not bits:
+            raise TruncationError("empty message")
+        bits -= 1
+        if value >> bits:
+            witnesses[p] = (value ^ (1 << bits), bits)
+            indices.append(0)
+        else:
+            indices.append(_parse_index(value, bits))
     info = ContainerHeader(
         n=n,
         alphabet_size=k,
@@ -576,4 +667,4 @@ def read_container(f) -> tuple[ContainerHeader, list[EncodedMessage]]:
         length_mode=length_mode,
         level=Fraction(num, den),
     )
-    return info, messages
+    return info, Records(indices, witnesses)

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, partial
@@ -30,9 +29,10 @@ import numpy as np
 from .codec import (
     _MASK_BYTES,
     CodebookStream,
+    Records,
     _index_code_lengths,
-    _messages,
     _replay,
+    _witnesses,
     decode_messages,
     encode_streams,
 )
@@ -424,9 +424,9 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     budget, and each source's SphereMass, read off its sphere row, built once
     for the chunk. An empty sphere raises UncodableInputError before any draw.
     Only with round_trip set are blocks decoded, with no index message: one
-    codec._replay of a fresh sampler per seed, and for an escape the wire form
-    of its source's witness, built once per distinct source and read back by
-    decode_messages. One within() call per group of seeds that fits
+    codec._replay of a fresh sampler per seed, and for an escape the wire
+    record of its source's witness, built once per distinct source and read
+    back by decode_messages. One within() call per group of seeds that fits
     codec._MASK_BYTES tests them against the sources, never reading the sphere
     rows that chose the hits.
     """
@@ -437,7 +437,8 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     failed = np.zeros(coded.first.shape, dtype=bool)
     if round_trip:
         escaping = np.flatnonzero((coded.first == 0).any(axis=0))
-        wire = _messages(sources[escaping], [0] * len(escaping), cfg.level, spec, {})
+        found = _witnesses(sources[escaping], range(len(escaping)), cfg.level, spec)
+        wire = Records([0] * len(escaping), found)
         witness = np.zeros(sources.shape, dtype=np.min_scalar_type(len(cfg.repro_alphabet) - 1))
         witness[escaping] = decode_messages(wire, streams[0])
         inside = _membership(cfg.n, cfg.level, spec)
@@ -449,6 +450,14 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
                 _replay(hits, stream, out)
             failed[part] = ~inside(sources, decoded)
     return coded.first, failed, coded.masses
+
+
+def _process_pool(max_workers: int):
+    """A ProcessPoolExecutor, imported only here: a serial run, and every CLI
+    process that runs none, never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _sweep(cfg: ExperimentConfig, round_trip: bool):
@@ -468,7 +477,7 @@ def _sweep(cfg: ExperimentConfig, round_trip: bool):
     else:
         cuts = [len(seeds) * w // workers for w in range(workers + 1)]
         chunks = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(max_workers=workers) as pool:
             results = list(pool.map(worker, [cfg] * workers, chunks))
     firsts, fails, masses = zip(*results)
     return np.concatenate(firsts), np.concatenate(fails), masses[0]

@@ -269,6 +269,33 @@ def test_commands_leave_numpy_random_unimported(tmp_path):
     assert all((tmp_path / f"{mode}.sample").stat().st_size for mode in codec.MODES)
 
 
+POOL_GUARD = """
+import sys
+import unirdc.cli
+
+loaded = "concurrent.futures.process" in sys.modules
+print(loaded, unirdc.cli.run(ARGV), "concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_a_serial_run_leaves_the_process_pool_unimported(tmp_path):
+    # the process pool loads multiprocessing, about 14 ms of import time and
+    # 2 MB of RSS; only a sweep on more than one worker imports it
+    cfg = tmp_path / "ach.json"
+    cfg.write_text(json.dumps({"experiment": "achievability", "n": 6, "trials": 4, "mode": "exact"}))
+    argv = ["experiment", "--config", str(cfg), "--jobs", "1", "--format", "json",
+            "--out", str(tmp_path / "ach.out")]
+    src = str(Path(unirdc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", f"ARGV = {argv!r}\n" + POOL_GUARD],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    ).stdout
+    assert out == "False 0 False\n"
+    assert json.loads((tmp_path / "ach.out").read_text())["rows"]
+
+
 def test_rd_curve(capsys):
     code, out = invoke(
         capsys, "rd-curve", "--alphabet", "01", "--grid", "1/10:3/10:1/10"
@@ -794,6 +821,86 @@ def test_bitfeed_containers_and_decodes_are_pinned(
     code, out = invoke(capsys, "decode", "--alphabet", "01", "--in", str(container))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == decoded_digest
+
+
+# Exact-mode containers and decodes as the record layer wrote and read them
+# when each record was an EncodedMessage with its own bit string.
+@pytest.mark.parametrize(
+    "texts, argv, dist, container_digest, decoded_digest",
+    [
+        (
+            [format(i * 2654435761 % 4096, "012b") for i in range(16)],
+            ["--alphabet", "01", "--D", "1/12", "--seed", "5"],
+            None,
+            "03c730f596091ff5ceaad5f81cf9ed1620420d56e348d64aefea1089412a6d15",
+            "d49718e4fa41760ae903f7443a0cd2b5a1263628aa3e79b40a06c6453274af7e",
+        ),
+        # 12 of the 16 blocks escape
+        (
+            [format(i * 2654435761 % 4096, "012b") for i in range(16)],
+            ["--alphabet", "01", "--D", "1/12", "--seed", "5", "--max-draws", "40"],
+            None,
+            "c6099d5b9873743354eebec58077e5970e45511ea06a11d762e1129af6b0991f",
+            "c89f7c794b8f692219db4a0a3fbd01af9a5cf1c079e90a8ef9778283289d17bb",
+        ),
+        # 3 of the 12 blocks escape
+        (
+            ["000000", "121010", "210120", "012101", "101211", "021012",
+             "110122", "202100", "001210", "211011", "010121", "102102"],
+            ["--alphabet", "012", "--repro-alphabet", "01", "--D", "1/6", "--seed", "4",
+             "--max-draws", "5"],
+            SQUARED_ONTO_BINARY,
+            "984c15feabddd6647ba98b0378da35c7b58856f5f6678428458a1098342c8546",
+            "b0e78e13fdc6b63f5ee704e58d0f3b126355f26315227b346048337e621b1dd2",
+        ),
+    ],
+    ids=["binary-hamming", "binary-hamming-escapes", "ternary-squared-escapes"],
+)
+def test_exact_containers_and_decodes_are_pinned(
+    tmp_path, capsys, texts, argv, dist, container_digest, decoded_digest
+):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("".join(t + "\n" for t in texts))
+    if dist:
+        (tmp_path / "dist.json").write_text(json.dumps(dist))
+        argv = argv + ["--dist", str(tmp_path / "dist.json")]
+    container = tmp_path / "out.urc"
+    code, _ = invoke(
+        capsys, "encode", *argv, "--in", str(blocks), "--mode", "exact", "--out", str(container)
+    )
+    assert code == 0
+    assert hashlib.sha256(container.read_bytes()).hexdigest() == container_digest
+    code, out = invoke(capsys, "decode", "--alphabet", "01", "--in", str(container))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == decoded_digest
+
+
+@pytest.mark.parametrize("mode", codec.MODES)
+@pytest.mark.parametrize("budget", [[], ["--max-draws", "40"]], ids=["hits", "escapes"])
+def test_cli_encode_and_decode_build_nothing_per_record(tmp_path, capsys, monkeypatch, mode, budget):
+    # the container layer packs and parses records as ints and bytes: with
+    # the message and bit objects made to fail, the bytes are the same
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("".join(format(i * 2654435761 % 4096, "012b") + "\n" for i in range(128)))
+    encode = ["encode", "--alphabet", "01", "--in", str(blocks), "--D", "1/12", "--seed", "9",
+              "--mode", mode, *budget]
+    decode = ["decode", "--alphabet", "01", "--in", str(tmp_path / "c.urc")]
+    assert invoke(capsys, *encode, "--out", str(tmp_path / "c.urc")) == (0, "")
+    want = tmp_path.joinpath("c.urc").read_bytes(), invoke(capsys, *decode)
+    with open(tmp_path / "c.urc", "rb") as f:
+        assert bool(codec.read_container(f)[1].witnesses) == bool(budget)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built per record")
+
+    monkeypatch.setattr(codec, "EncodedMessage", fail)
+    monkeypatch.setattr(codec, "BitString", fail)
+    monkeypatch.setattr(codec, "BitReader", fail)
+    monkeypatch.setattr(unirdc.core, "BitReader", fail)
+    monkeypatch.setattr(unirdc.core.BitString, "read", fail)
+    assert invoke(capsys, *encode, "--out", str(tmp_path / "c.urc")) == (0, "")
+    got = tmp_path.joinpath("c.urc").read_bytes(), invoke(capsys, *decode)
+    assert got == want and want[1][0] == 0
 
 
 @pytest.mark.skipif(

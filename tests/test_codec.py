@@ -51,7 +51,6 @@ from unirdc import (
 from unirdc import codec
 from unirdc.core import blocks_at
 from unirdc.universal import _ExactSampler, sphere_mass
-from unirdc.codec import message_from_bits
 from unirdc.lz78 import symbol_width
 
 HAMMING = hamming(BINARY)
@@ -144,6 +143,26 @@ def test_full_sphere_always_first_codeword():
         assert msg.index == 1 and not msg.escape
         assert msg.payload.to_text() == "1"  # the 1-bit code for index 1
         assert msg.to_bits().to_text() == "01"  # escape flag 0 in front
+
+
+# The bit-string parse of one wire record that the closed-form record layer
+# replaced, kept as its oracle: a BitReader over the bits, then
+# index_code_decode one bit at a time.
+def message_from_bits(bits: BitString) -> EncodedMessage:
+    if bits.length < 1:
+        raise TruncationError("empty message")
+    escape = bool(BitReader(bits).read(1))
+    payload = BitString(bits.value & ((1 << (bits.length - 1)) - 1), bits.length - 1)
+    index = None
+    if not escape:
+        reader = BitReader(payload)
+        try:
+            index = index_code_decode(reader)
+        except TruncationError:
+            raise CorruptStreamError("malformed index code")
+        if reader.remaining:
+            raise CorruptStreamError("trailing bits after the index code")
+    return EncodedMessage(escape=escape, payload=payload, index=index)
 
 
 def test_message_bits_round_trip():
@@ -293,6 +312,85 @@ def test_container_rejects_trailing_bits_after_index_code():
     assert read_container(io.BytesIO(_one_record_container("01")))[1][0].index == 1
     with pytest.raises(CorruptStreamError):
         read_container(io.BytesIO(_one_record_container("010")))
+
+
+def _bit_writer_index_code(i: int) -> BitString:
+    """The index code built a field at a time, as the closed form replaced it."""
+    nbits = i.bit_length()
+    prefix = nbits.bit_length() - 1
+    w = BitWriter()
+    w.write(0, prefix)
+    w.write(nbits, prefix + 1)
+    w.write(i & ((1 << (nbits - 1)) - 1), nbits - 1)
+    return w.getvalue()
+
+
+def test_closed_form_index_records_equal_the_bit_writer_codes():
+    edges = {v for k in range(71) for v in (2**k - 1, 2**k, 2**k + 1)} - {0}
+    indices = sorted(edges | set(range(1, (1 << 16) + 1)))
+    want = io.BytesIO()
+    for i in indices:
+        code = _bit_writer_index_code(i)
+        assert index_code_encode(i) == code
+        (BitString(0, 1) + code).write(want)  # escape flag 0, then the code
+    buf = io.BytesIO()
+    write_container(buf, stream(), Fraction(1, 6), codec.Records(indices, {}))
+    assert buf.getvalue()[20:] == want.getvalue()
+
+
+def _outcome(read):
+    """What read() returns as comparable fields, or its error's class and text."""
+    try:
+        return [(m.escape, m.payload, m.index) for m in read()]
+    except UnirdcError as e:
+        return type(e), str(e)
+
+
+def _oracle_read_records(raw: bytes):
+    """The records after a container's header and count, read as they were
+    before the record layer: BitString.read, then message_from_bits."""
+    f = io.BytesIO(raw[20:])
+    return [message_from_bits(BitString.read(f)) for _ in range(struct.unpack(">I", raw[16:20])[0])]
+
+
+_PAYLOADS = st.one_of(
+    st.text("01", min_size=1, max_size=140),
+    st.integers(1, 140).map(lambda m: "0" * m),  # all zeros, past a 64-bit prefix too
+    # index codes, whole, with stray bits after them, or cut short
+    st.tuples(st.integers(1, 2**70), st.text("01", max_size=3)).map(
+        lambda p: "0" + index_code_encode(p[0]).to_text() + p[1]
+    ),
+    st.tuples(st.integers(1, 2**70), st.integers(1, 8)).map(
+        lambda p: "0" + index_code_encode(p[0]).to_text()[: -p[1]]
+    ),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+def test_record_parse_agrees_with_the_bit_string_oracle(text):
+    raw = _one_record_container(text)
+    assert _outcome(lambda: read_container(io.BytesIO(raw))[1]) == _outcome(
+        lambda: _oracle_read_records(raw)
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 6),
+    st.lists(_PAYLOADS | st.just(""), max_size=5),
+    st.binary(max_size=12),
+    st.integers(0, 20),
+)
+def test_container_records_agree_with_the_bit_string_oracle(count, texts, tail, cut):
+    # record counts above and below the records present, empty records, a
+    # tail of stray bytes and a container cut short: the same messages, or
+    # the same error for the same record
+    raw = _one_record_container("1") + b"".join(_record(t) for t in texts) + tail
+    raw = raw[:16] + struct.pack(">I", count) + raw[20 : len(raw) - cut]
+    assert _outcome(lambda: read_container(io.BytesIO(raw))[1]) == _outcome(
+        lambda: _oracle_read_records(raw)
+    )
 
 
 def test_container_level_must_fit():
@@ -711,9 +809,9 @@ def test_emptiness_is_decided_once_per_source_type(monkeypatch, mode, spec, alph
 
 def test_a_batch_builds_one_witness_message_per_escaping_block(monkeypatch):
     built = []
-    real = codec._escape_message
+    real = codec._witness_payload
     monkeypatch.setattr(
-        codec, "_escape_message", lambda x, *a: built.append(tuple(x)) or real(x, *a)
+        codec, "_witness_payload", lambda x, *a: built.append(tuple(x)) or real(x, *a)
     )
     xs = [BINARY.to_block(t) for t in SIX]
     streams = [CodebookStream(seed=seed, n=6, alphabet_size=2, max_draws=3) for seed in SWEEP_SEEDS]
@@ -943,8 +1041,8 @@ def test_decode_reads_each_index_without_parsing(monkeypatch):
     xs = [BINARY.to_block(t) for t in SIX] * 20
     msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
     parsed = []
-    real = codec._read_index
-    monkeypatch.setattr(codec, "_read_index", lambda payload: parsed.append(payload) or real(payload))
+    real = codec._parse_index
+    monkeypatch.setattr(codec, "_parse_index", lambda *payload: parsed.append(payload) or real(*payload))
     blocks = decode_messages(msgs, s)
     assert parsed == []
     assert [tuple(row) for row in blocks.tolist()] == [decode(m, s).symbols for m in msgs]

@@ -562,7 +562,7 @@ def test_sweep_masses_are_the_sphere_masses():
 
 def test_ensemble_builds_no_messages(monkeypatch):
     built = []
-    for name in ("_index_message", "_escape_message"):
+    for name in ("_index_message", "_witness_payload"):
         real = getattr(codec, name)
         monkeypatch.setattr(codec, name, lambda *a, real=real: built.append(a) or real(*a))
     rep = ensemble_failure_experiment(ExperimentConfig(**_PINNED_SWEEP))
@@ -575,7 +575,7 @@ def test_the_round_trip_builds_no_index_message(monkeypatch, mode):
     # each seed's row of first hits is replayed as an array, an escaping
     # source's witness message is built once, and every seed opens a second
     # fresh sampler for its replay, so the decode never reuses the scan's draws
-    built = {"_index_message": 0, "_escape_message": 0}
+    built = {"_index_message": 0, "_witness_payload": 0}
     for name in built:
         real = getattr(codec, name)
 
@@ -592,7 +592,7 @@ def test_the_round_trip_builds_no_index_message(monkeypatch, mode):
     cfg = ExperimentConfig(**_PINNED_SWEEP, mode=mode)
     rep = achievability_experiment(cfg)
     assert built["_index_message"] == 0
-    assert built["_escape_message"] == sum(row.escapes > 0 for row in rep.rows) > 0
+    assert built["_witness_payload"] == sum(row.escapes > 0 for row in rep.rows) > 0
     assert sorted(opened) == sorted(cfg.seed_list() * 2)
 
 
@@ -667,7 +667,7 @@ class _InlinePool:
 )
 def test_pool_is_sized_by_the_work(monkeypatch, jobs, cpus, workers):
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(experiments, "_process_pool", _InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     chunks = []
     sweep_chunk = experiments._sweep_chunk
