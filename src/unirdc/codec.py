@@ -452,7 +452,9 @@ class Records(Sequence):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, p: int) -> EncodedMessage:
+    def __getitem__(self, p):
+        if isinstance(p, slice):  # a list of messages, as a list's slice
+            return [self[q] for q in range(len(self.indices))[p]]
         p = range(len(self.indices))[p]  # IndexError past either end, as a list
         if self.indices[p]:
             return _index_message(self.indices[p])

@@ -263,6 +263,10 @@ def test_container_round_trip():
     assert [(m.escape, m.payload, m.index) for m in decoded] == [
         (m.escape, m.payload, m.index) for m in msgs
     ]
+    # the records index and slice as the list of messages they stand for
+    assert decoded[-1] == msgs[-1] and decoded[::-2] == msgs[::-2] and decoded[5:] == []
+    with pytest.raises(IndexError):
+        decoded[3]
     replay = CodebookStream(
         seed=header.seed, n=header.n, alphabet_size=header.alphabet_size,
         mode=header.mode, length_mode=header.length_mode,
