@@ -95,12 +95,16 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit(args, columns: list[str], rows: list[tuple]) -> None:
-    """Write the rows, tuples in the order of columns, as CSV or JSON objects."""
+    """Write the rows, tuples in the order of columns, as CSV or JSON objects.
+
+    None is an empty CSV field and JSON null; JSON writes an infinite float
+    as "inf" or "-inf", as the experiment reports do, and refuses NaN."""
     if args.format == "json":
-        objects = [dict(zip(columns, row)) for row in rows]
-        _write_text(args.out, json.dumps(objects, sort_keys=True) + "\n")
+        objects = experiments._jsonable([dict(zip(columns, row)) for row in rows])
+        _write_text(args.out, json.dumps(objects, sort_keys=True, allow_nan=False) + "\n")
         return
-    lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
+    lines = [",".join(columns)]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
 
 
@@ -144,8 +148,7 @@ def _cmd_sphere_mass(args) -> int:
     rows = []
     for i, x in enumerate(symbols):
         m = universal.sphere_mass(x, level, spec, table)
-        min_bits = m.min_bits if m.min_bits is not None else ""
-        rows.append((i, str(m.mass), m.sphere_size, min_bits, m.neg_log2_mass()))
+        rows.append((i, str(m.mass), m.sphere_size, m.min_bits, m.neg_log2_mass()))
     _emit(args, ["index", "mass", "sphere_size", "min_bits", "neg_log2_mass"], rows)
     return 0
 

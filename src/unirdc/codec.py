@@ -58,7 +58,7 @@ from .errors import (
 from .lz78 import symbol_width
 from .universal import (
     LENGTH_MODES,
-    SphereMass,
+    SphereMasses,
     UniversalTable,
     _BitfeedSampler,
     _ExactSampler,
@@ -237,16 +237,16 @@ class BatchCodes:
 
     blocks is the batch's (blocks x n) symbol array. first is an int64
     (streams x blocks) array: the first-hit index of each block under each
-    stream, 0 for an escape. masses holds each block's SphereMass when
-    encode_streams was asked to weigh the blocks, else None. records(row)
-    is one stream's Records, for write_container. Iterating yields each
-    stream's messages in stream order, built only then from the records,
-    one per distinct index or witness for the whole batch.
+    stream, 0 for an escape. masses holds the blocks' masses as a
+    SphereMasses when encode_streams was asked to weigh the blocks, else
+    None. records(row) is one stream's Records, for write_container.
+    Iterating yields each stream's messages in stream order, built only then
+    from the records, one per distinct index or witness for the whole batch.
     """
 
     blocks: np.ndarray
     first: np.ndarray
-    masses: tuple[SphereMass, ...] | None
+    masses: SphereMasses | None
     level: Fraction
     spec: DistortionSpec
 
@@ -308,10 +308,12 @@ def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = Fals
         inside = _membership(stream.n, level, spec)  # one verdict per joint type for the batch
         for s, hits in zip(streams, first):
             _scan(s, hits, lambda pending, ys: inside(centers[pending, None], ys[None]))
+    if weighed is not None:  # each group's masses, in the order of the blocks
+        weighed = SphereMasses.joined(weighed, stream.resolved_table, where)
     return BatchCodes(
         blocks=xs,
         first=first[:, where],
-        masses=None if weighed is None else tuple(weighed[j] for j in where.tolist()),
+        masses=weighed,
         level=level,
         spec=spec,
     )
@@ -324,18 +326,29 @@ def _first_hits_in_rows(centers, level, spec, table, streams, weighed=None) -> n
     The rows are built by one sphere_rows call per group of at most
     _MASK_BYTES, and every stream scans a group before the next one is built.
     encode_streams has refused an empty sphere before this runs. When weighed
-    is a list, the masses of a group's rows are appended to it by one row_mass
-    call as the group is built.
+    is a list, the SphereMasses of a group's rows is appended to it by one
+    row_mass call as the group is built.
+
+    A chunk's membership is one 1-D take from the group's rows: of whole
+    columns while every block is pending, else of the flat offsets
+    pending * K^n + index, with no 2-D index, row copy or transposed copy.
     """
     group = max(1, _MASK_BYTES // table.size)
     first = np.zeros((len(streams), len(centers)), dtype=np.int64)
     for lo in range(0, len(centers), group):
         rows = sphere_rows(centers[lo : lo + group], level, spec)
         if weighed is not None:
-            weighed.extend(row_mass(rows, table))
+            weighed.append(row_mass(rows, table))
+        flat = rows.reshape(-1)
+
+        def inside(pending, idx):
+            if len(pending) == len(rows):  # no hit yet: every block is pending
+                return rows.take(idx, axis=1)
+            return flat.take((pending * table.size)[:, None] + idx)
+
         for stream, hits in zip(streams, first[:, lo : lo + len(rows)]):
-            _scan(stream, hits, lambda pending, idx: rows[pending[:, None], idx])
-        del rows  # one group's rows live at a time
+            _scan(stream, hits, inside)
+        del rows, flat  # one group's rows live at a time
     return first
 
 

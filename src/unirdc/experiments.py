@@ -50,7 +50,7 @@ from .core import (
 from .distortion import _membership, spec_from_object
 from .errors import PreconditionError
 from .lz78 import lz_parse
-from .universal import build_universal_table, require_seed
+from .universal import SphereMasses, build_universal_table, require_seed
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -371,7 +371,9 @@ class AchievabilityReport:
     """Achievability statistics of every source, held as columns: one list
     per AchievabilityRow field, in field order. The block column holds each
     source's symbols, as the digits printed are not one-to-one past ten
-    symbols. rows are built on first use; the writers never build them."""
+    symbols, and the mass column each mass's text, as the writers print it.
+    rows, with each mass as its Fraction, are built on first use; the
+    writers never build them."""
 
     columns: dict
     dkw_eps: float
@@ -385,16 +387,17 @@ class AchievabilityReport:
 
     @cached_property
     def rows(self) -> tuple[AchievabilityRow, ...]:
-        columns = self.columns | {"block": map(Block, self.columns["block"])}
+        columns = self.columns | {
+            "block": map(Block, self.columns["block"]),
+            "mass": map(Fraction, self.columns["mass"]),
+        }
         return tuple(map(AchievabilityRow, *columns.values()))
 
     def _written_columns(self) -> dict:
         """The columns as both writers print them: a block as its symbols'
-        digits, a mass as its fraction's text and an infinite float as "inf"
-        or "-inf"."""
+        digits and an infinite float as "inf" or "-inf"."""
         written = self.columns | {
             "block": ["".join(map(str, symbols)) for symbols in self.columns["block"]],
-            "mass": list(map(str, self.columns["mass"])),
         }
         for name, column in written.items():
             if math.inf in column or -math.inf in column:
@@ -421,8 +424,9 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
 
     Returns an int64 (seeds x sources) array of indices, 0 for an escape, a
     bool array of the same shape that marks decoded blocks outside the
-    budget, and each source's SphereMass, read off its sphere row, built once
-    for the chunk. An empty sphere raises UncodableInputError before any draw.
+    budget, and the sources' masses as a SphereMasses, read off their sphere
+    rows, built once for the chunk. An empty sphere raises
+    UncodableInputError before any draw.
     Only with round_trip set are blocks decoded, with no index message: one
     codec._replay of a fresh sampler per seed, and for an escape the wire
     record of its source's witness, built once per distinct source and read
@@ -462,7 +466,7 @@ def _process_pool(max_workers: int):
 
 def _sweep(cfg: ExperimentConfig, round_trip: bool):
     """First-hit indices and round-trip failures, (seeds x sources), seed order,
-    and each source's SphereMass.
+    and the sources' masses as a SphereMasses.
 
     The sweep runs on min(jobs, seeds, CPUs) workers: one runs in-process,
     and more are worker processes that each take one contiguous chunk of the
@@ -498,7 +502,9 @@ def achievability_experiment(cfg: ExperimentConfig) -> AchievabilityReport:
 
 def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityReport:
     """The achievability report of a (seeds x sources) first-hit array, its
-    round-trip failures, each source's SphereMass and the index length terms.
+    round-trip failures, each source's mass and the index length terms. The
+    masses are a SphereMasses or any sequence of SphereMass, and are read as
+    arrays: no SphereMass is built.
 
     Every row statistic is an array reduction over all sources at once. One
     stable argsort of each source's indices gives its distinct indices, their
@@ -511,6 +517,7 @@ def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityRep
     decrease, so the DKW sup is read at each distinct index v and at v - 1.
     """
     tl_const, c_const = terms
+    masses = SphereMasses.of(masses)
     trials, count = first.shape
     eps_band = dkw_band(trials)
     by_source = np.ascontiguousarray(first.T)
@@ -531,7 +538,7 @@ def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityRep
 
     # the empirical CDF below v and at v, against 1 - (1 - p)^g at g = v - 1 and v
     below = starts - row * trials - escapes[row]
-    keep = (1.0 - np.array([float(m.mass) for m in masses]))[row]
+    keep = (1.0 - masses.floats())[row]
     dev = np.maximum(
         np.abs(below / trials - (1.0 - keep ** (value - 1))),
         np.abs((below + counts) / trials - (1.0 - keep**value)),
@@ -561,7 +568,7 @@ def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityRep
             total[members] = weighted[slots].sum(axis=1)
         return np.where(scored, total / per_hit, empty)
 
-    neg_log2 = np.array([m.neg_log2_mass() for m in masses])
+    neg_log2 = masses.neg_log2()
     logs = np.log2(value.astype(float))
     mean_log = mean(logs * counts, math.inf)
     var_log = mean(counts * (logs - mean_log[row]) ** 2, 0.0)
@@ -576,7 +583,7 @@ def _achievability_report(first, failed, masses, cfg, terms) -> AchievabilityRep
     dkw_ok = dkw_sup <= eps_band
     columns = (
         cfg.sources().tolist(),
-        [m.mass for m in masses],
+        masses.texts(),
         neg_log2.tolist(),
         [trials] * count,
         escapes.tolist(),
@@ -628,15 +635,12 @@ def ensemble_failure_experiment(cfg: ExperimentConfig) -> EnsembleFailureReport:
     tl_const, c_const = index_length_terms(cfg.n, cfg.nominal_base)
     pad = (1 + cfg.epsilon) * math.log2(cfg.n)
     first, _, masses = _sweep(cfg, round_trip=False)
-    plus = [m.neg_log2_mass() + math.log2(cfg.n) + c_const for m in masses]
-    overshoots = []
-    for row in first.tolist():
-        # an escape is charged the length of the last index the budget allows
-        excess = [
-            math.log2(i or cfg.max_draws) + tl_const - lplus - pad
-            for i, lplus in zip(row, plus)
-        ]
-        overshoots.append(max([0.0, *excess]))
+    plus = SphereMasses.of(masses).neg_log2() + math.log2(cfg.n) + c_const
+    # log2 of each distinct index, an escape charged the last one the budget allows
+    drawn, at = np.unique(first, return_inverse=True)
+    logs = np.array([math.log2(i or cfg.max_draws) for i in drawn.tolist()])
+    excess = logs[at].reshape(first.shape) + tl_const - plus - pad
+    overshoots = excess.max(axis=1, initial=0.0).tolist()
     fails = int((first == 0).any(axis=1).sum())
     return EnsembleFailureReport(
         coverage_failure_rate=fails / len(first),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -27,6 +28,7 @@ from . import lz78
 __all__ = [
     "UniversalTable",
     "SphereMass",
+    "SphereMasses",
     "MassEstimate",
     "LENGTH_MODES",
     "build_universal_table",
@@ -284,6 +286,13 @@ def kraft_sum(n: int, alphabet_size: int, length_mode: str = "plain") -> Fractio
     return build_universal_table(n, alphabet_size, length_mode).normalizer
 
 
+def _neg_log2(numerator: int, denominator: int) -> float:
+    """-log2 of the reduced fraction numerator / denominator, inf for 0."""
+    if not numerator:
+        return math.inf
+    return -math.log2(float(numerator)) + math.log2(float(denominator))
+
+
 @dataclass(frozen=True)
 class SphereMass:
     """Exact universal mass of a distortion sphere around one source block."""
@@ -297,11 +306,92 @@ class SphereMass:
         return self.sphere_size == 0
 
     def neg_log2_mass(self) -> float:
-        if self.mass == 0:
-            return math.inf
-        return -math.log2(float(self.mass.numerator)) + math.log2(
-            float(self.mass.denominator)
+        return _neg_log2(self.mass.numerator, self.mass.denominator)
+
+
+@dataclass(frozen=True, eq=False)
+class SphereMasses(Sequence):
+    """The SphereMass of each row of a stack, held as arrays, read-only.
+
+    scaled holds each sphere's mass times total, the table's scaled total,
+    in int64, or as Python ints in an object array when the table's
+    _weights are; sizes and min_bits are int64 arrays (min_bits is 0 for an
+    empty sphere). Indexing or iterating builds each SphereMass, and the
+    sequence equals any sequence of the same SphereMass values; floats(),
+    neg_log2() and texts() give the columns of float(m.mass),
+    m.neg_log2_mass() and str(m.mass) without building one.
+    """
+
+    scaled: np.ndarray
+    sizes: np.ndarray
+    min_bits: np.ndarray
+    total: int
+
+    @classmethod
+    def of(cls, masses) -> SphereMasses:
+        """masses itself when it is a SphereMasses, else the SphereMasses of a
+        sequence of SphereMass, over the least common denominator."""
+        if isinstance(masses, SphereMasses):
+            return masses
+        masses = list(masses)
+        total = math.lcm(*(m.mass.denominator for m in masses))
+        scaled = [m.mass.numerator * (total // m.mass.denominator) for m in masses]
+        return cls(
+            np.array(scaled, dtype=object),
+            np.array([m.sphere_size for m in masses], dtype=np.int64),
+            np.array([m.min_bits or 0 for m in masses], dtype=np.int64),
+            total,
         )
+
+    @classmethod
+    def joined(cls, parts, table: UniversalTable, order) -> SphereMasses:
+        """The masses of parts, weighed against table, end to end and then
+        taken at the int array order."""
+        def column(name):
+            joined = np.concatenate([np.empty(0, np.int64), *(getattr(p, name) for p in parts)])
+            return joined[order]
+
+        return cls(column("scaled"), column("sizes"), column("min_bits"), table._total)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, p):
+        if isinstance(p, slice):  # a list of SphereMass, as a list's slice
+            return [self[q] for q in range(len(self))[p]]
+        p = range(len(self))[p]  # IndexError past either end, as a list
+        size = int(self.sizes[p])
+        return SphereMass(
+            mass=Fraction(int(self.scaled[p]), self.total),
+            sphere_size=size,
+            min_bits=int(self.min_bits[p]) if size else None,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    @cached_property
+    def _reduced(self) -> tuple[list[int], list[int]]:
+        """Each mass as its Fraction holds it: numerators and denominators
+        divided by their gcd, a mass of 0 as 0/1."""
+        common = np.gcd(self.scaled, self.total)
+        return (self.scaled // common).tolist(), (self.total // common).tolist()
+
+    def floats(self) -> np.ndarray:
+        """float(m.mass) of each mass: the correctly rounded quotient of the
+        Python ints scaled / total."""
+        total = self.total
+        return np.array([s / total for s in self.scaled.tolist()], dtype=float)
+
+    def neg_log2(self) -> np.ndarray:
+        """m.neg_log2_mass() of each mass, inf for 0."""
+        return np.array(list(map(_neg_log2, *self._reduced)), dtype=float)
+
+    def texts(self) -> list[str]:
+        """str(m.mass) of each mass."""
+        return [str(a) if b == 1 else f"{a}/{b}" for a, b in zip(*self._reduced)]
 
 
 def sphere_mass(x, level, spec: DistortionSpec, table: UniversalTable) -> SphereMass:
@@ -318,8 +408,8 @@ _MASS_KEYS = 1 << 18
 
 def row_mass(rows: np.ndarray, table: UniversalTable):
     """Exact mass, size, and minimum code length of the blocks each bool
-    sphere row marks, in the table's lexicographic order: a list of
-    SphereMass for a (rows x K^n) stack, one SphereMass for one row.
+    sphere row marks, in the table's lexicographic order: a SphereMasses
+    for a (rows x K^n) stack, one SphereMass for one row.
 
     A slice of rows is one gather of the code lengths they mark, offset by
     (max_bits + 1) per row, and one bincount into a (rows x lengths) count
@@ -340,16 +430,12 @@ def row_mass(rows: np.ndarray, table: UniversalTable):
             counts[lo : lo + len(part)] = np.bincount(
                 keys, minlength=len(part) * width
             ).reshape(-1, width)
+    low = (counts != 0).argmax(axis=1)
     weights = table._weights
     if weights.dtype == object:
         counts = counts.astype(object)
-    masses = [
-        SphereMass(mass=Fraction(scaled, table._total), sphere_size=size,
-                   min_bits=low if size else None)
-        for (scaled, size), low in zip(
-            (counts @ weights).tolist(), (counts != 0).argmax(axis=1).tolist()
-        )
-    ]
+    scaled, sizes = (counts @ weights).T
+    masses = SphereMasses(scaled.copy(), sizes.astype(np.int64), low, table._total)
     return masses[0] if one else masses
 
 

@@ -179,6 +179,34 @@ def test_sphere_mass_output(tmp_path, capsys):
     assert row["sphere_size"] == 5
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_sphere_mass_json_of_an_empty_sphere_is_json(tmp_path, capsys):
+    # an empty sphere has no minimum length and an infinite -log2 mass:
+    # null and "inf" in JSON, while the CSV keeps its empty field and inf
+    p = tmp_path / "blocks.txt"
+    p.write_text("0022\n0101\n")
+    argv = ["sphere-mass", "--alphabet", "012", "--repro-alphabet", "01", "--dist",
+            '{"kind":"per_letter_matrix","matrix":[[0,1],[1,0],[1,1]]}', "--in", str(p),
+            "--D", "0"]
+    code, out = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_refuse_constant)
+    assert rows[0] == {"index": 0, "mass": "0", "min_bits": None, "neg_log2_mass": "inf",
+                       "sphere_size": 0}
+    assert rows[1] == {"index": 1, "mass": "1/20", "min_bits": 6,
+                       "neg_log2_mass": 4.321928094887363, "sphere_size": 1}
+    code, out = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == (
+        "index,mass,sphere_size,min_bits,neg_log2_mass\n"
+        "0,0,0,,inf\n"
+        "1,1/20,1,6,4.321928094887363\n"
+    )
+
+
 def test_encode_decode_round_trip(tmp_path, capsys):
     blocks = tmp_path / "blocks.txt"
     blocks.write_text("011010\n000000\n111100\n")

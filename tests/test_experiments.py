@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from unirdc import (
@@ -39,6 +39,8 @@ from unirdc import (
 )
 from unirdc import build_universal_table, codec, experiments, sphere_mass
 from unirdc import converse as converse_module
+
+universal_module = importlib.import_module("unirdc.universal")
 
 
 def test_derive_seed_stable_and_distinct():
@@ -558,6 +560,72 @@ def test_sweep_masses_are_the_sphere_masses():
     assert masses == tuple(want)
     rep = achievability_experiment(cfg)
     assert [r.mass for r in rep.rows] == [m.mass for m in want]
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [_PINNED_SWEEP, {**_PINNED_SWEEP, "mode": "bitfeed"},
+     dict(n=5, source_alphabet="012", repro_alphabet="012", level=Fraction(1, 4), trials=9,
+          distortion=_TERNARY_RATIONAL, length_mode="capped", max_draws=50)],
+    ids=["pinned", "bitfeed", "ternary-rational-capped"],
+)
+def test_a_parallel_report_is_the_serial_report(settings):
+    # the masses come back from a worker pickled, and print the same bytes
+    reps = [achievability_experiment(ExperimentConfig(**settings, jobs=jobs)) for jobs in (1, 2)]
+    assert reps[1].config == reps[0].config | {"jobs": 2}
+    assert reps[1].to_csv() == reps[0].to_csv()
+    assert replace(reps[1], config=reps[0].config).to_json() == reps[0].to_json()
+
+
+def test_the_sweep_builds_no_sphere_mass(monkeypatch):
+    # masses stay arrays from row_mass to the written report
+    cfg = ExperimentConfig(**_PINNED_SWEEP)
+    want = achievability_experiment(cfg).to_json(), ensemble_failure_experiment(cfg).to_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SphereMass was built")
+
+    monkeypatch.setattr(universal_module, "SphereMass", refuse)
+    got = achievability_experiment(cfg).to_json(), ensemble_failure_experiment(cfg).to_json()
+    assert got == want
+
+
+def _loop_overshoot_mean(first, masses, cfg):
+    """The per-(seed, source) loop that computed the ensemble's length
+    overshoot before it became array arithmetic, kept as its oracle."""
+    tl_const, c_const = experiments.index_length_terms(cfg.n, cfg.nominal_base)
+    pad = (1 + cfg.epsilon) * math.log2(cfg.n)
+    plus = [m.neg_log2_mass() + math.log2(cfg.n) + c_const for m in masses]
+    overshoots = []
+    for row in first.tolist():
+        excess = [
+            math.log2(i or cfg.max_draws) + tl_const - lplus - pad
+            for i, lplus in zip(row, plus)
+        ]
+        overshoots.append(max([0.0, *excess]))
+    return sum(overshoots) / len(first)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_ensemble_overshoot_matches_the_loop(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    first, failed, masses, cfg = _synthetic(rng, 50, 4, [1, 3, 70, 0, 900] * 3 + [5000],
+                                            _random_masses(rng, 16))
+    masses[2] = SphereMass(Fraction(1), 16, 1)  # -log2 mass 0
+    cfg.max_draws = 6000
+    cfg.epsilon = -2.0 if seed == 7 else 0.5
+    monkeypatch.setattr(experiments, "_sweep", lambda cfg, round_trip: (first, failed, masses))
+    rep = ensemble_failure_experiment(cfg)
+    want = _loop_overshoot_mean(first, masses, cfg)
+    assert rep.length_overshoot_mean.hex() == want.hex()
+    assert rep.length_overshoot_mean > 0 and rep.per_seed_failures == int((first == 0).any(1).sum())
+
+
+def test_ensemble_overshoot_of_a_sweep_matches_the_loop():
+    cfg = ExperimentConfig(**_PINNED_SWEEP)
+    first, _, masses = experiments._sweep(cfg, round_trip=False)
+    want = _loop_overshoot_mean(first, masses, cfg)
+    assert ensemble_failure_experiment(cfg).length_overshoot_mean.hex() == want.hex()
 
 
 def test_ensemble_builds_no_messages(monkeypatch):

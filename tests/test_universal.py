@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from unirdc import (
     CapacityError,
     EnumerationCapError,
     SphereMass,
+    SphereMasses,
     PreconditionError,
     UniversalTable,
     bitfeed_distribution,
@@ -294,6 +296,55 @@ def test_stacked_row_mass_matches_the_per_row_oracle(monkeypatch, shape, slice_r
     assert row_mass(np.ones((2, table.size), dtype=bool), table) == [
         SphereMass(Fraction(1), table.size, int(table.bits.min()))
     ] * 2
+
+
+def _bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@pytest.mark.parametrize("shape", STACK_TABLES, ids=str)
+def test_sphere_masses_columns_equal_each_sphere_mass(shape):
+    # the array columns against float(m.mass), m.neg_log2_mass() and
+    # str(m.mass) of each SphereMass, bit for bit, empty rows included
+    if shape == "wide":
+        table = UniversalTable(n=3, alphabet_size=2, length_mode="plain", bits=WIDE_BITS)
+    else:
+        table = _sampler_table(shape)
+    rng = np.random.default_rng(12)
+    rows = rng.random((40, table.size)) < rng.random((40, 1))
+    rows[[0, 9]] = False
+    rows[3] = True
+    got = row_mass(rows, table)
+    assert isinstance(got, SphereMasses) and len(got) == 40
+    assert got.scaled.dtype == (object if shape == "wide" else np.int64)
+    want = [_row_mass_oracle(row, table) for row in rows]
+    assert _bits(got.floats().tolist()) == _bits([float(m.mass) for m in want])
+    assert _bits(got.neg_log2().tolist()) == _bits([m.neg_log2_mass() for m in want])
+    assert got.texts() == [str(m.mass) for m in want]
+    assert got.neg_log2()[0] == math.inf and got.texts()[0] == "0"
+    # the same columns from the SphereMasses of the plain list
+    plain = SphereMasses.of(want)
+    assert plain == got and got == plain and plain.scaled.dtype == object
+    assert _bits(plain.floats().tolist()) == _bits(got.floats().tolist())
+    assert _bits(plain.neg_log2().tolist()) == _bits(got.neg_log2().tolist())
+    assert plain.texts() == got.texts()
+
+
+def test_sphere_masses_is_a_read_only_sequence_of_sphere_mass():
+    table = _sampler_table((6, 3, "capped"))
+    rows = np.random.default_rng(13).random((7, table.size)) < 0.2
+    rows[2] = False
+    got = row_mass(rows, table)
+    want = [_row_mass_oracle(row, table) for row in rows]
+    assert got == want and got == tuple(want) and want == got and tuple(want) == got
+    assert got != want[:-1] and got != want[::-1] and got != "abc" and got != 5
+    assert list(got) == want and got[-1] == want[-1] and got[1:5:2] == want[1:5:2]
+    with pytest.raises(IndexError):
+        got[7]
+    assert SphereMasses.of(got) is got
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert isinstance(row_mass(rows[4], table), SphereMass)  # one row, one SphereMass
+    assert not hasattr(got, "__setitem__")
 
 
 def test_min_lz_dominance_small():
