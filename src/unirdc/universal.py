@@ -309,6 +309,14 @@ class SphereMass:
         return _neg_log2(self.mass.numerator, self.mass.denominator)
 
 
+def _sphere_mass(scaled: int, size: int, min_bits: int, total: int) -> SphereMass:
+    """The SphereMass of mass scaled / total, size blocks and minimum code
+    length min_bits, which an empty sphere does not have."""
+    return SphereMass(
+        mass=Fraction(scaled, total), sphere_size=size, min_bits=min_bits if size else None
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SphereMasses(Sequence):
     """The SphereMass of each row of a stack, held as arrays, read-only.
@@ -360,11 +368,8 @@ class SphereMasses(Sequence):
         if isinstance(p, slice):  # a list of SphereMass, as a list's slice
             return [self[q] for q in range(len(self))[p]]
         p = range(len(self))[p]  # IndexError past either end, as a list
-        size = int(self.sizes[p])
-        return SphereMass(
-            mass=Fraction(int(self.scaled[p]), self.total),
-            sphere_size=size,
-            min_bits=int(self.min_bits[p]) if size else None,
+        return _sphere_mass(
+            int(self.scaled[p]), int(self.sizes[p]), int(self.min_bits[p]), self.total
         )
 
     def __eq__(self, other):
@@ -434,9 +439,11 @@ def row_mass(rows: np.ndarray, table: UniversalTable):
     weights = table._weights
     if weights.dtype == object:
         counts = counts.astype(object)
+    if one:
+        scaled, size = (counts @ weights)[0].tolist()
+        return _sphere_mass(scaled, size, int(low[0]), table._total)
     scaled, sizes = (counts @ weights).T
-    masses = SphereMasses(scaled.copy(), sizes.astype(np.int64), low, table._total)
-    return masses[0] if one else masses
+    return SphereMasses(scaled.copy(), sizes.astype(np.int64), low, table._total)
 
 
 def require_seed(seed: int) -> None:
