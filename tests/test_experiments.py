@@ -621,13 +621,6 @@ def test_ensemble_overshoot_matches_the_loop(monkeypatch, seed):
     assert rep.length_overshoot_mean > 0 and rep.per_seed_failures == int((first == 0).any(1).sum())
 
 
-def test_ensemble_overshoot_of_a_sweep_matches_the_loop():
-    cfg = ExperimentConfig(**_PINNED_SWEEP)
-    first, _, masses = experiments._sweep(cfg, round_trip=False)
-    want = _loop_overshoot_mean(first, masses, cfg)
-    assert ensemble_failure_experiment(cfg).length_overshoot_mean.hex() == want.hex()
-
-
 def test_ensemble_builds_no_messages(monkeypatch):
     built = []
     for name in ("_index_message", "_witness_payload"):
