@@ -16,7 +16,8 @@ tests a chunk against every pending block at once, by a gather from the
 blocks' sphere rows (built once for all the seeds) in exact mode and by the
 distortion.within() kernel in bitfeed mode. One replay serves every decode:
 _replay draws a fresh stream up to the largest of an array of indices, for
-decode_messages and for each seed's first hits in the experiments' round trip.
+decode_messages and for each stream's first hits in BatchCodes.decoded, the
+round trip of a coded batch.
 
 On the wire a block is one record: a 32-bit bit count, then the escape flag
 and the index code (or the witness), left-aligned in whole bytes. Records
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -242,6 +243,8 @@ class BatchCodes:
     None. records(row) is one stream's Records, for write_container.
     Iterating yields each stream's messages in stream order, built only then
     from the records, one per distinct index or witness for the whole batch.
+    decoded(streams) is the decoder's side of the batch. The batch searches
+    each distinct escaping block's witness at most once, for all three.
     """
 
     blocks: np.ndarray
@@ -249,19 +252,25 @@ class BatchCodes:
     masses: SphereMasses | None
     level: Fraction
     spec: DistortionSpec
+    _found: dict = field(default_factory=dict, init=False, repr=False)
 
-    def records(self, row: int = 0, found: dict | None = None) -> Records:
+    def _witness(self, p: int) -> tuple[int, int]:
+        """The witness payload of block p, searched once per distinct block."""
+        key = self.blocks[p].tobytes()
+        if key not in self._found:
+            self._found[key] = _witness_payload(self.blocks[p], self.level, self.spec)
+        return self._found[key]
+
+    def records(self, row: int = 0) -> Records:
         """The records of stream row: its first hits, and the witness payload
-        of each escaping block (see _witnesses; found may be shared by rows)."""
+        of each block that escapes under it."""
         escaping = np.flatnonzero(self.first[row] == 0).tolist()
-        witnesses = _witnesses(self.blocks, escaping, self.level, self.spec, found)
-        return Records(self.first[row].tolist(), witnesses)
+        return Records(self.first[row].tolist(), {p: self._witness(p) for p in escaping})
 
     def __iter__(self):
-        found: dict[bytes, tuple[int, int]] = {}
         built: dict = {}
         for row in range(len(self.first)):
-            records = self.records(row, found)
+            records = self.records(row)
             msgs = []
             for p, i in enumerate(records.indices):
                 key = i or records.witnesses[p]
@@ -269,6 +278,23 @@ class BatchCodes:
                     built[key] = records[p]
                 msgs.append(built[key])
             yield msgs
+
+    def decoded(self, streams):
+        """The blocks a decoder rebuilds from each stream's first hits, with no
+        message: each escaping block's witness read back off its payload once,
+        then one _replay of a fresh sampler per stream. streams are the
+        batch's, in order. Yields (lo, decoded) per group of streams whose
+        (streams x blocks x n) array fits _MASK_BYTES, lo the group's first."""
+        witness = np.zeros(self.blocks.shape, dtype=np.min_scalar_type(self.spec.repro_size - 1))
+        for p in np.flatnonzero((self.first == 0).any(axis=0)).tolist():
+            witness[p] = _read_witness(self._witness(p), streams[0])
+        group = max(1, _MASK_BYTES // witness.nbytes)
+        for lo in range(0, len(self.first), group):
+            hits = self.first[lo : lo + group]
+            decoded = np.repeat(witness[None], len(hits), axis=0)
+            for out, row, stream in zip(decoded, hits, streams[lo : lo + group], strict=True):
+                _replay(row, stream, out)
+            yield lo, decoded
 
 
 def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = False) -> BatchCodes:
@@ -415,20 +441,6 @@ def _witness_payload(x, level, spec: DistortionSpec) -> tuple[int, int]:
     for s in witness.symbols:
         value = (value << sym_w) | s
     return value, sym_w * len(witness.symbols)
-
-
-def _witnesses(xs, where, level, spec, found=None) -> dict[int, tuple[int, int]]:
-    """The witness payload of block xs[p] for each p of where, keyed by p and
-    searched once per distinct block: found maps a block's bytes to its
-    payload and may be shared by several calls."""
-    found = {} if found is None else found
-    witnesses = {}
-    for p in where:
-        key = xs[p].tobytes()
-        if key not in found:
-            found[key] = _witness_payload(xs[p], level, spec)
-        witnesses[p] = found[key]
-    return witnesses
 
 
 def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> EncodedMessage:

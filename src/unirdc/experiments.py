@@ -26,16 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .codec import (
-    _MASK_BYTES,
-    CodebookStream,
-    Records,
-    _index_code_lengths,
-    _replay,
-    _witnesses,
-    decode_messages,
-    encode_streams,
-)
+from .codec import CodebookStream, _index_code_lengths, encode_streams
 from .converse import (
     converse_length_bound,
     enumerate_type_class,
@@ -262,10 +253,6 @@ class ExperimentConfig:
             if v is not None
         }
         data["level"] = str(self.level)
-        if self.seeds is not None:
-            data["seeds"] = list(self.seeds)
-        if self.source_blocks is not None:
-            data["source_blocks"] = list(self.source_blocks)
         return json.dumps(data, sort_keys=True)
 
     @classmethod
@@ -427,12 +414,9 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     budget, and the sources' masses as a SphereMasses, read off their sphere
     rows, built once for the chunk. An empty sphere raises
     UncodableInputError before any draw.
-    Only with round_trip set are blocks decoded, with no index message: one
-    codec._replay of a fresh sampler per seed, and for an escape the wire
-    record of its source's witness, built once per distinct source and read
-    back by decode_messages. One within() call per group of seeds that fits
-    codec._MASK_BYTES tests them against the sources, never reading the sphere
-    rows that chose the hits.
+    Only with round_trip set are blocks decoded, by the coded batch's own
+    decoded(): one within() call per group of seeds it yields tests them
+    against the sources, never reading the sphere rows that chose the hits.
     """
     spec = cfg.spec()
     sources = cfg.sources()
@@ -440,19 +424,9 @@ def _sweep_chunk(cfg: ExperimentConfig, seeds: list[int], round_trip: bool):
     coded = encode_streams(sources, cfg.level, spec, streams, masses=True)
     failed = np.zeros(coded.first.shape, dtype=bool)
     if round_trip:
-        escaping = np.flatnonzero((coded.first == 0).any(axis=0))
-        found = _witnesses(sources[escaping], range(len(escaping)), cfg.level, spec)
-        wire = Records([0] * len(escaping), found)
-        witness = np.zeros(sources.shape, dtype=np.min_scalar_type(len(cfg.repro_alphabet) - 1))
-        witness[escaping] = decode_messages(wire, streams[0])
         inside = _membership(cfg.n, cfg.level, spec)
-        group = max(1, _MASK_BYTES // witness.nbytes)
-        for lo in range(0, len(streams), group):
-            part = slice(lo, lo + group)
-            decoded = np.repeat(witness[None], len(streams[part]), axis=0)
-            for out, hits, stream in zip(decoded, coded.first[part], streams[part]):
-                _replay(hits, stream, out)
-            failed[part] = ~inside(sources, decoded)
+        for lo, decoded in coded.decoded(streams):
+            failed[lo : lo + len(decoded)] = ~inside(sources, decoded)
     return coded.first, failed, coded.masses
 
 
@@ -635,7 +609,7 @@ def ensemble_failure_experiment(cfg: ExperimentConfig) -> EnsembleFailureReport:
     tl_const, c_const = index_length_terms(cfg.n, cfg.nominal_base)
     pad = (1 + cfg.epsilon) * math.log2(cfg.n)
     first, _, masses = _sweep(cfg, round_trip=False)
-    plus = SphereMasses.of(masses).neg_log2() + math.log2(cfg.n) + c_const
+    plus = masses.neg_log2() + math.log2(cfg.n) + c_const
     # log2 of each distinct index, an escape charged the last one the budget allows
     drawn, at = np.unique(first, return_inverse=True)
     logs = np.array([math.log2(i or cfg.max_draws) for i in drawn.tolist()])

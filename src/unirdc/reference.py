@@ -71,7 +71,9 @@ def _ba_at_slope(p, d, slope, inner_tol=1e-13, inner_max=20000):
     k = d.shape[1]
     q = np.full(k, 1.0 / k)
     with np.errstate(over="ignore"):  # a product past -inf weighs 0, as it should
-        weights = np.exp2(-slope * d)  # rows scaled by the slope
+        # rows scaled by the slope, each against its minimum, which weighs 1:
+        # no row underflows to all zeros, whatever its costs
+        weights = np.exp2(-slope * (d - d.min(axis=1, keepdims=True)))
     iters = 0
     for iters in range(1, inner_max + 1):
         a = weights * q
@@ -159,7 +161,7 @@ class SphereExponent:
 
 def _gibbs_channel(d, lam):
     with np.errstate(over="ignore"):  # a product past -inf weighs 0, as it should
-        w = np.exp2(-lam * d)
+        w = np.exp2(-lam * (d - d.min(axis=1, keepdims=True)))  # as in _ba_at_slope
     return w / w.sum(axis=1, keepdims=True)
 
 

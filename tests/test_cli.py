@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import math
@@ -259,6 +260,47 @@ def test_encode_decode_pipe(tmp_path, capsys):
     assert out == expected
 
 
+def _piped(monkeypatch, argv, stdin: bytes) -> tuple[int, bytes]:
+    """run(argv) in-process with stdin read from the bytes stdin, and the
+    bytes it wrote to stdout, through both the text and the binary layer."""
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8", write_through=True))
+    code = run(list(argv))
+    sys.stdout.flush()
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lz-length", "--alphabet", "01"],
+    ["sphere-mass", "--alphabet", "01", "--D", "1/4", "--format", "json"],
+    ["encode", "--alphabet", "01", "--D", "1/4", "--seed", "3", "--out", "-"],
+])
+def test_text_stdin_is_read_as_the_file(tmp_path, monkeypatch, argv):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("0110\n0011\n1111\n")
+    code, from_file = _piped(monkeypatch, [*argv, "--in", str(blocks)], b"")
+    assert code == 0 and from_file
+    assert _piped(monkeypatch, [*argv, "--in", "-"], blocks.read_bytes()) == (0, from_file)
+
+
+@pytest.mark.parametrize("mode", ["exact", "bitfeed"])
+def test_encode_to_stdout_decodes_from_stdin_as_through_files(tmp_path, monkeypatch, mode):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("011010\n000000\n111100\n011010\n")
+    coding = ["--alphabet", "01", "--D", "1/6", "--seed", "9", "--mode", mode, "--max-draws", "4"]
+    container = tmp_path / "out.bin"
+    assert run(["encode", *coding, "--in", str(blocks), "--out", str(container)]) == 0
+    code, wire = _piped(monkeypatch, ["encode", *coding, "--in", "-", "--out", "-"],
+                        blocks.read_bytes())
+    assert code == 0 and wire == container.read_bytes()
+    decoded = tmp_path / "decoded.txt"
+    assert run(["decode", "--alphabet", "01", "--in", str(container), "--out", str(decoded)]) == 0
+    code, out = _piped(monkeypatch, ["decode", "--alphabet", "01", "--in", "-"], wire)
+    assert code == 0 and out == decoded.read_bytes()
+    assert len(out.splitlines()) == 4
+
+
 IMPORT_GUARD = """
 import sys
 from unirdc.cli import run
@@ -428,6 +470,19 @@ def test_rd_curve_near_the_float_limit_writes_nothing_to_stderr(capsys):
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
         "638d2db806408603becac607a6cd0b19cf800b5a396644ae8583e7cc20fb9015"
     )
+
+
+def test_rd_curve_with_costs_whose_weights_underflow(capsys):
+    # 2^(-slope * 2000) is 0 in a float: each row is weighed against its minimum
+    dist = '{"kind": "per_letter_matrix", "matrix": [[2000, 3000], [3000, 2000]]}'
+    code, out = invoke(
+        capsys, "rd-curve", "--alphabet", "01", "--grid", "2100:2200:100", "--dist", dist
+    )
+    assert (code, out) == (0, (
+        "D,R,E,minus_log_U_mass_over_n\n"
+        "2100,0.531004406,0.468995594,\n"
+        "2200,0.278071905,0.721928095,\n"
+    ))
 
 
 def test_converse_check_wire_keys(capsys):

@@ -828,6 +828,39 @@ def test_a_batch_builds_one_witness_message_per_escaping_block(monkeypatch):
             assert (got.escape, got.payload, got.index) == (want.escape, want.payload, want.index)
 
 
+@pytest.mark.parametrize("decode_first", [False, True])
+def test_a_batch_searches_a_witness_once_and_only_where_the_block_escapes(
+    monkeypatch, decode_first
+):
+    searched = []
+    real = codec._witness_payload
+    monkeypatch.setattr(
+        codec, "_witness_payload", lambda x, *a: searched.append(tuple(x)) or real(x, *a)
+    )
+    xs = [BINARY.to_block(t) for t in SIX]
+    streams = [CodebookStream(seed=seed, n=6, alphabet_size=2, max_draws=3) for seed in SWEEP_SEEDS]
+    coded = encode_streams(xs, Fraction(1, 6), HAMMING, streams)
+    escaping = [{tuple(xs[p]) for p in np.flatnonzero(row == 0)} for row in coded.first]
+    everywhere = set().union(*escaping)
+    assert any(escaping[0] != e for e in escaping)  # some block escapes under one stream only
+    if decode_first:
+        decoded = [d for _, part in coded.decoded(streams) for d in part]
+        assert sorted(searched) == sorted(everywhere)
+    seen = set(searched)
+    for row, escapes in enumerate(escaping):
+        records = coded.records(row)  # only this row's escapes are searched, if new
+        assert sorted(searched) == sorted(seen | escapes)
+        assert {tuple(xs[p]) for p in records.witnesses} == escapes
+        seen |= escapes
+    list(coded)
+    if not decode_first:
+        decoded = [d for _, part in coded.decoded(streams) for d in part]
+    assert sorted(searched) == sorted(everywhere)  # one search per distinct escaping block
+    for got, s in zip(decoded, streams, strict=True):
+        msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
+        assert np.array_equal(got, decode_messages(msgs, s))
+
+
 def test_streams_of_one_batch_differ_only_in_seed_and_budget():
     xs = [BINARY.to_block("0110")]
     exact = CodebookStream(seed=1, n=4, alphabet_size=2, mode="exact")

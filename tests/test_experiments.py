@@ -38,6 +38,7 @@ from unirdc import (
     run_experiment,
 )
 from unirdc import build_universal_table, codec, experiments, sphere_mass
+from unirdc.universal import SphereMasses
 from unirdc import converse as converse_module
 
 universal_module = importlib.import_module("unirdc.universal")
@@ -165,13 +166,13 @@ def test_round_trip_check_sees_a_corrupted_decode(monkeypatch, mode, dist):
     clean = achievability_experiment(cfg)
     assert clean.all_semifaithful
     assert [row.semifaithful_failures for row in clean.rows] == [0] * 16
-    replay = experiments._replay
+    replay = codec._replay
 
     def shifted(indices, stream, out):
         replay(indices, stream, out)
         out[3, 1] ^= 1
 
-    monkeypatch.setattr(experiments, "_replay", shifted)
+    monkeypatch.setattr(codec, "_replay", shifted)
     rep = achievability_experiment(cfg)
     assert not rep.all_semifaithful
     assert [row.semifaithful_failures for row in rep.rows] == [0, 0, 0, 6] + [0] * 12
@@ -614,7 +615,8 @@ def test_ensemble_overshoot_matches_the_loop(monkeypatch, seed):
     masses[2] = SphereMass(Fraction(1), 16, 1)  # -log2 mass 0
     cfg.max_draws = 6000
     cfg.epsilon = -2.0 if seed == 7 else 0.5
-    monkeypatch.setattr(experiments, "_sweep", lambda cfg, round_trip: (first, failed, masses))
+    swept = first, failed, SphereMasses.of(masses)  # _sweep returns a SphereMasses
+    monkeypatch.setattr(experiments, "_sweep", lambda cfg, round_trip: swept)
     rep = ensemble_failure_experiment(cfg)
     want = _loop_overshoot_mean(first, masses, cfg)
     assert rep.length_overshoot_mean.hex() == want.hex()
@@ -670,7 +672,7 @@ def test_the_round_trip_judges_one_group_of_seeds_per_mask(monkeypatch):
     whole = achievability_experiment(cfg)
     assert judged == [(30, 64, 6)]  # one within() call for the chunk's 30 seeds
     judged.clear()
-    monkeypatch.setattr(experiments, "_MASK_BYTES", 1)  # below one seed's blocks
+    monkeypatch.setattr(codec, "_MASK_BYTES", 1)  # below one seed's blocks
     assert achievability_experiment(cfg).to_json() == whole.to_json()
     assert judged == [(1, 64, 6)] * 30
 

@@ -74,6 +74,25 @@ def test_sphere_exponent_boundaries():
     assert sphere_exponent(UNIFORM, H_MATRIX, 0.0).exponent == pytest.approx(0.0, abs=1e-9)
 
 
+def test_sphere_exponent_reaches_the_minimum_distortion_limit_past_underflow():
+    # from multiplier 1075 on, 2^(-lam * d) is 0 for both costs of the row
+    # [1, 2]; weighed against the row's minimum the row keeps a weight of 1,
+    # so the bisection never divides 0 by 0 and ends in the limit branch
+    e = sphere_exponent(UNIFORM, [[0, 1], [1, 2]], 0.5 - 5e-13)
+    assert e.multiplier == math.inf
+    assert e.channel == ((1.0, 0.0), (1.0, 0.0)) and e.exponent == 0.0
+
+
+def test_ba_with_costs_whose_weights_underflow():
+    # every weight 2^(-slope * d) of these rows is 0 from slope 1 on; the
+    # curve is the Hamming curve shifted by 2000 and scaled by 1000
+    matrix = [[2000, 3000], [3000, 2000]]
+    for d in (0.1, 0.2):
+        r = blahut_arimoto(UNIFORM, matrix, 2000 + 1000 * d)
+        assert r.converged
+        assert r.rate == pytest.approx(1 - binary_entropy(d), abs=1e-6)
+
+
 def test_sphere_exponent_binomial_cross_check():
     # finite-n sphere sizes: exponent tracks (1/n) log2 of the exact binomial
     # sum at n=16; the finite-n gap shrinks as D grows toward 1/2
