@@ -4,7 +4,8 @@ The two ends share only (seed, n, alphabet, mode): codewords are never stored.
 The encoder scans draws until one lands inside the distortion sphere, sends
 that index with a self-delimiting integer code, and falls back to an escaped
 verbatim copy when the scan budget runs out. The decoder replays the same
-stream. A container file carries the shared parameters plus the messages.
+stream. A container file carries the shared parameters plus one record per
+block: its index, or its escaped witness.
 """
 import io
 import math
@@ -17,8 +18,8 @@ from unirdc import (
     decode,
     distortion,
     encode,
+    encode_streams,
     hamming,
-    index_code_encode,
     index_length_terms,
     read_container,
     sphere_mass,
@@ -42,9 +43,9 @@ def main() -> None:
     print(f"reproduced {ab.to_text(xhat)}  (distortion {dist} <= budget {n * level})")
     print(
         f"message: index {msg.index}, escape={msg.escape}, "
-        f"{msg.to_bits().length} bits on the wire"
+        f"{msg.total_bits} bits on the wire"
     )
-    print(f"index codeword: {msg.payload.to_text()}")
+    print(f"index codeword: {format(msg.payload.value, f'0{msg.payload.length}b')}")
 
     table = build_universal_table(n, 2)
     mass = sphere_mass(x, level, HAMMING, table)
@@ -79,13 +80,13 @@ def main() -> None:
 
     buf = io.BytesIO()
     blocks = [ab.to_block(t) for t in ("00000000", "01100111", "11111111", "10100101")]
-    messages = [encode(b, level, HAMMING, stream) for b in blocks]
-    write_container(buf, stream, level, messages)
+    records = encode_streams(blocks, level, HAMMING, [stream]).records()
+    write_container(buf, stream, level, records)
     raw = buf.getvalue()
     buf.seek(0)
     header, decoded_msgs = read_container(buf)
     print(
-        f"\ncontainer: {len(raw)} bytes for {len(messages)} messages "
+        f"\ncontainer: {len(raw)} bytes for {len(records)} messages "
         f"(header n={header.n}, K={header.alphabet_size}, seed={header.seed})"
     )
     replay = CodebookStream(seed=header.seed, n=header.n, alphabet_size=header.alphabet_size,

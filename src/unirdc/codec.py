@@ -9,8 +9,8 @@ escape path ships an explicit witness block in raw fixed-width symbols.
 
 A batch is a (blocks x n) symbol array, and each block's index is the one a
 scan of its own would find. encode_streams codes one batch under many seeds
-into a (seeds x blocks) array of first hits, and encode_blocks, its
-one-stream case, builds the messages. One scan loop serves both modes: it
+into a (seeds x blocks) array of first hits, and encode, one block under one
+stream, is its one-row case. One scan loop serves both modes: it
 draws in doubling chunks, so at most about twice the last first hit, and
 tests a chunk against every pending block at once, by a gather from the
 blocks' sphere rows (built once for all the seeds) in exact mode and by the
@@ -20,14 +20,14 @@ decode_messages and for each stream's first hits in BatchCodes.decoded, the
 round trip of a coded batch.
 
 On the wire a block is one record: a 32-bit bit count, then the escape flag
-and the index code (or the witness), left-aligned in whole bytes. Records
-holds a container's records as Python ints, the index of each record and
-the payload of each escape, so write_container packs them in closed form,
-once per distinct index, read_container parses them off the bytes in closed
-form, and decode_messages refuses and replays them; none of the three
-builds an EncodedMessage, a BitString or a BitReader per record. The
-message API (encode_blocks, decode, iterating a Records) builds messages
-from the same fields.
+and the index code (or the witness), left-aligned in whole bytes. Records is
+the one carrier of records: it holds the index of each record and the
+payload of each escape as Python ints, so write_container packs them in
+closed form, once per distinct index, read_container parses them off the
+bytes in closed form, and decode_messages refuses and replays them; none of
+the three builds an EncodedMessage or a BitString per record. Indexing a
+Records builds a record's EncodedMessage, a read-only view, and decode is
+decode_messages on a one-record Records.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BitReader, BitString, Block, block_symbols, symbol_array
+from .core import BitString, Block, block_symbols, symbol_array
 from .distortion import (
     _INT64_MAX,
     DistortionSpec,
@@ -76,7 +76,6 @@ __all__ = [
     "index_code_decode",
     "index_code_length",
     "encode",
-    "encode_blocks",
     "encode_streams",
     "decode",
     "decode_messages",
@@ -143,20 +142,16 @@ class CodebookStream:
         return _BitfeedSampler(self.n, self.alphabet_size, self.seed)
 
 
-def index_code_encode(i: int) -> BitString:
-    """Self-delimiting code for a positive integer (zero-count prefix form).
+def index_code_encode(i: int) -> tuple[int, int]:
+    """Self-delimiting code for a positive integer (zero-count prefix form),
+    as (value, bits): the code read as a big-endian integer, and its length.
 
-    The bit count of i is itself sent with a unary-prefixed binary code, then
-    the bits of i below its leading one follow. Length is floor(log2 i) +
-    2 * floor(log2(floor(log2 i) + 1)) + 1 bits.
+    The bit count b of i is itself sent with a unary-prefixed binary code,
+    then the b - 1 bits of i below its leading one follow. Length is
+    floor(log2 i) + 2 * floor(log2(floor(log2 i) + 1)) + 1 bits. In closed
+    form the code's value is b << (b - 1) plus the bits of i below its
+    leading one, that is i + ((b - 1) << (b - 1)).
     """
-    return BitString(*_index_code(i))
-
-
-def _index_code(i: int) -> tuple[int, int]:
-    """(value, bits) of index_code_encode(i), in closed form: with b the bit
-    count of i, the code read as an integer is b << (b - 1) plus the bits of
-    i below its leading one, that is i + ((b - 1) << (b - 1))."""
     bits = index_code_length(i)
     b = i.bit_length()
     return i + ((b - 1) << (b - 1)), bits
@@ -180,24 +175,25 @@ def _index_code_lengths(indices: np.ndarray) -> np.ndarray:
     return nbits + 2 * (np.searchsorted(_POWERS_OF_TWO, nbits, side="right") - 1)
 
 
-def index_code_decode(reader: BitReader) -> int:
-    """Read one self-delimiting integer from the stream."""
-    prefix = 0
-    while True:
-        bit = reader.read(1)
-        if bit:
-            break
-        prefix += 1
-        if prefix > 64:
-            raise CorruptStreamError("index code prefix too long")
-    nbits = (1 << prefix) | reader.read(prefix)
-    rest = reader.read(nbits - 1)
-    return (1 << (nbits - 1)) | rest
+def index_code_decode(value: int, bits: int) -> int:
+    """The index whose code is the whole payload (value, bits), in closed
+    form; CorruptStreamError otherwise. z leading zeros announce a bit count
+    b of z + 1 bits, which b - 1 bits of the index follow."""
+    zeros = bits - value.bit_length()
+    if zeros > 64:
+        raise CorruptStreamError("index code prefix too long")
+    rest = bits - 2 * zeros - 1
+    if not value or rest < 0 or (b := value >> rest) - 1 > rest:
+        raise CorruptStreamError("malformed index code")
+    if b - 1 < rest:
+        raise CorruptStreamError("trailing bits after the index code")
+    return value - ((b - 1) << (b - 1))
 
 
 @dataclass(frozen=True)
 class EncodedMessage:
-    """One encoded block: escape flag, payload bits, and the index it codes.
+    """One record of a Records, as indexing it builds: escape flag, payload
+    bits, and the index it codes.
 
     An index message carries its positive index and an escape carries none.
     """
@@ -210,26 +206,9 @@ class EncodedMessage:
         if self.escape != (self.index is None) or (self.index is not None and self.index < 1):
             raise PreconditionError("an index message needs a positive index, an escape none")
 
-    def to_bits(self) -> BitString:
-        return BitString((self.escape << self.payload.length) | self.payload.value, self.total_bits)
-
     @property
     def total_bits(self) -> int:
         return 1 + self.payload.length
-
-
-def encode_blocks(xs, level, spec: DistortionSpec, stream: CodebookStream) -> list[EncodedMessage]:
-    """Code every block of a batch by its first codeword within the budget.
-
-    xs is anything core.symbol_array reads as (blocks x n) symbols: an
-    array, or a list of Blocks or tuples. One scan of the stream serves the
-    whole batch, and each distinct block is resolved once. In exact mode a
-    draw hits a block when its table index lies in the block's sphere row;
-    bitfeed mode tests each chunk of draws against every pending block with
-    one distortion.within() call. A block with no hit within max_draws
-    escapes to a witness.
-    """
-    return next(iter(encode_streams(xs, level, spec, [stream])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,10 +220,8 @@ class BatchCodes:
     stream, 0 for an escape. masses holds the blocks' masses as a
     SphereMasses when encode_streams was asked to weigh the blocks, else
     None. records(row) is one stream's Records, for write_container.
-    Iterating yields each stream's messages in stream order, built only then
-    from the records, one per distinct index or witness for the whole batch.
     decoded(streams) is the decoder's side of the batch. The batch searches
-    each distinct escaping block's witness at most once, for all three.
+    each distinct escaping block's witness at most once, for both.
     """
 
     blocks: np.ndarray
@@ -267,18 +244,6 @@ class BatchCodes:
         escaping = np.flatnonzero(self.first[row] == 0).tolist()
         return Records(self.first[row].tolist(), {p: self._witness(p) for p in escaping})
 
-    def __iter__(self):
-        built: dict = {}
-        for row in range(len(self.first)):
-            records = self.records(row)
-            msgs = []
-            for p, i in enumerate(records.indices):
-                key = i or records.witnesses[p]
-                if key not in built:
-                    built[key] = records[p]
-                msgs.append(built[key])
-            yield msgs
-
     def decoded(self, streams):
         """The blocks a decoder rebuilds from each stream's first hits, with no
         message: each escaping block's witness read back off its payload once,
@@ -298,7 +263,16 @@ class BatchCodes:
 
 
 def encode_streams(xs, level, spec: DistortionSpec, streams, masses: bool = False) -> BatchCodes:
-    """encode_blocks for one batch under each of several streams, in order.
+    """Code every block of a batch by its first codeword within the budget,
+    under each of several streams, in order.
+
+    xs is anything core.symbol_array reads as (blocks x n) symbols: an
+    array, or a list of Blocks or tuples. One scan of each stream serves the
+    whole batch, and each distinct block is resolved once. In exact mode a
+    draw hits a block when its table index lies in the block's sphere row;
+    bitfeed mode tests each chunk of draws against every pending block with
+    one distortion.within() call. A block with no hit within max_draws
+    escapes to a witness.
 
     The streams differ at most in seed and max_draws. In exact mode every
     distinct block's sphere row is built once, whatever the measure, and
@@ -423,10 +397,6 @@ def _chunks(stream: CodebookStream, limit: int):
         drawn += take
 
 
-def _index_message(i: int) -> EncodedMessage:
-    return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
-
-
 def _witness_payload(x, level, spec: DistortionSpec) -> tuple[int, int]:
     """(value, bits) of the escape payload of block x: its witness in raw
     fixed-width symbols."""
@@ -444,8 +414,9 @@ def _witness_payload(x, level, spec: DistortionSpec) -> tuple[int, int]:
 
 
 def encode(x: Block, level, spec: DistortionSpec, stream: CodebookStream) -> EncodedMessage:
-    """Scan the stream for the first codeword within the budget and code it."""
-    return encode_blocks([x], level, spec, stream)[0]
+    """Scan the stream for the first codeword within the budget and code it:
+    the one-block, one-stream case of encode_streams."""
+    return encode_streams([x], level, spec, [stream]).records()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,24 +426,12 @@ class Records(Sequence):
     indices holds each record's index as a Python int, 0 for an escape, and
     witnesses maps the position of each escape, in order, to its payload as
     (value, bits). write_container and decode_messages read these fields;
-    indexing or iterating builds each record's EncodedMessage.
+    indexing or iterating builds each record's EncodedMessage, whose payload
+    is the index code of an index record.
     """
 
     indices: list[int]
     witnesses: dict[int, tuple[int, int]]
-
-    @classmethod
-    def of(cls, msgs) -> Records:
-        """The records of EncodedMessages, or msgs itself when it is a Records.
-        An index message's record is the code of its index."""
-        if isinstance(msgs, Records):
-            return msgs
-        indices, witnesses = [], {}
-        for p, m in enumerate(msgs):
-            indices.append(0 if m.escape else m.index)
-            if m.escape:
-                witnesses[p] = (m.payload.value, m.payload.length)
-        return cls(indices, witnesses)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -481,24 +440,9 @@ class Records(Sequence):
         if isinstance(p, slice):  # a list of messages, as a list's slice
             return [self[q] for q in range(len(self.indices))[p]]
         p = range(len(self.indices))[p]  # IndexError past either end, as a list
-        if self.indices[p]:
-            return _index_message(self.indices[p])
+        if i := self.indices[p]:
+            return EncodedMessage(escape=False, payload=BitString(*index_code_encode(i)), index=i)
         return EncodedMessage(escape=True, payload=BitString(*self.witnesses[p]), index=None)
-
-
-def _parse_index(value: int, bits: int) -> int:
-    """The index whose code is the whole payload (value, bits), in closed
-    form; CorruptStreamError otherwise. z leading zeros announce a bit count
-    b of z + 1 bits, which b - 1 bits of the index follow."""
-    zeros = bits - value.bit_length()
-    if zeros > 64:
-        raise CorruptStreamError("index code prefix too long")
-    rest = bits - 2 * zeros - 1
-    if not value or rest < 0 or (b := value >> rest) - 1 > rest:
-        raise CorruptStreamError("malformed index code")
-    if b - 1 < rest:
-        raise CorruptStreamError("trailing bits after the index code")
-    return value - ((b - 1) << (b - 1))
 
 
 def _read_witness(payload: tuple[int, int], stream: CodebookStream) -> list[int]:
@@ -514,13 +458,11 @@ def _read_witness(payload: tuple[int, int], stream: CodebookStream) -> list[int]
     return symbols
 
 
-def decode_messages(msgs, stream: CodebookStream) -> np.ndarray:
-    """The decoded blocks as a (messages x n) symbol array in the narrowest unsigned
-    type: the witness of an escape, else the draw at the message's index, from one
-    _replay of the stream. msgs is a Records, as read_container returns, or any
-    EncodedMessages. In record order, the first witness that does not fit the stream
-    and the first index above max_draws are refused as corrupt before any draw."""
-    records = Records.of(msgs)
+def decode_messages(records: Records, stream: CodebookStream) -> np.ndarray:
+    """The decoded blocks as a (records x n) symbol array in the narrowest unsigned
+    type: the witness of an escape, else the draw at the record's index, from one
+    _replay of the stream. In record order, the first witness that does not fit the
+    stream and the first index above max_draws are refused as corrupt before any draw."""
     indices = records.indices
     out = np.zeros((len(indices), stream.n), dtype=np.min_scalar_type(stream.alphabet_size - 1))
     over = len(indices)
@@ -557,8 +499,13 @@ def _replay(indices: np.ndarray, stream: CodebookStream, out: np.ndarray) -> Non
 
 
 def decode(msg: EncodedMessage, stream: CodebookStream) -> Block:
-    """Replay the stream up to the transmitted index, or read the witness."""
-    return Block(tuple(decode_messages([msg], stream)[0].tolist()))
+    """Replay the stream up to the transmitted index, or read the witness:
+    decode_messages on the one-record Records of msg."""
+    if msg.escape:
+        records = Records([0], {0: (msg.payload.value, msg.payload.length)})
+    else:
+        records = Records([msg.index], {})
+    return Block(tuple(decode_messages(records, stream)[0].tolist()))
 
 
 MAGIC = b"UR"
@@ -604,13 +551,12 @@ def _record(value: int, bits: int) -> bytes:
     return _U32.pack(bits) + (value << pad).to_bytes((bits + pad) >> 3, "big")
 
 
-def write_container(f, stream: CodebookStream, level, messages) -> None:
+def write_container(f, stream: CodebookStream, level, records: Records) -> None:
     """16-byte header (magic, flags, K, n, level as a rational, seed), the
-    record count, then one bit-counted record per message: escape flag 0 and
-    the index code, or flag 1 and the witness. messages is a Records or any
-    EncodedMessages; each distinct record is packed once."""
+    record count, then one bit-counted record per record of records: escape
+    flag 0 and the index code, or flag 1 and the witness. Each distinct
+    record is packed once."""
     level = check_container_header(stream, level)
-    records = Records.of(messages)
     flags = (
         (_VERSION << 4)
         | _MODE_CODES[stream.mode]
@@ -634,7 +580,7 @@ def write_container(f, stream: CodebookStream, level, messages) -> None:
         key = i or records.witnesses[p]
         if key not in packed:
             if i:
-                code, bits = _index_code(i)
+                code, bits = index_code_encode(i)
                 packed[key] = _record(code, bits + 1)
             else:
                 packed[key] = _record((1 << key[1]) | key[0], key[1] + 1)
@@ -685,7 +631,7 @@ def read_container(f) -> tuple[ContainerHeader, Records]:
             witnesses[p] = (value ^ (1 << bits), bits)
             indices.append(0)
         else:
-            indices.append(_parse_index(value, bits))
+            indices.append(index_code_decode(value, bits))
     info = ContainerHeader(
         n=n,
         alphabet_size=k,

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import os
 import re
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import EnumerationCapError, PreconditionError, TruncationError
+from .errors import EnumerationCapError, PreconditionError
 
 __all__ = [
     "Alphabet",
@@ -24,8 +23,6 @@ __all__ = [
     "Block",
     "enumerate_blocks",
     "BitString",
-    "BitWriter",
-    "BitReader",
     "EmpiricalDistribution",
     "empirical_distribution",
     "joint_empirical_distribution",
@@ -295,113 +292,6 @@ class BitString:
             raise PreconditionError("bit length must be non-negative")
         if self.value < 0 or self.value >> self.length:
             raise PreconditionError("bit value does not fit in the declared length")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        value = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise PreconditionError("bits must be 0 or 1")
-            value = (value << 1) | b
-            length += 1
-        return cls(value, length)
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        return cls.from_bits(int(ch) for ch in text)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.value >> (self.length - 1 - i)) & 1
-
-    def __iter__(self):
-        for i in range(self.length):
-            yield self[i]
-
-    def __add__(self, other: "BitString") -> "BitString":
-        return BitString((self.value << other.length) | other.value, self.length + other.length)
-
-    def to_text(self) -> str:
-        return "".join(str(b) for b in self)
-
-    def to_bytes(self) -> bytes:
-        """Pack MSB-first, padding the final byte with zero bits on the right."""
-        nbytes = (self.length + 7) // 8
-        padded = self.value << (8 * nbytes - self.length)
-        return padded.to_bytes(nbytes, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes, length: int) -> "BitString":
-        nbytes = (length + 7) // 8
-        if len(data) < nbytes:
-            raise TruncationError("byte payload shorter than the declared bit count")
-        value = int.from_bytes(data[:nbytes], "big") >> (8 * nbytes - length)
-        return cls(value, length)
-
-    def write(self, f) -> None:
-        """Serialize with an explicit 32-bit bit-count header."""
-        f.write(struct.pack(">I", self.length))
-        f.write(self.to_bytes())
-
-    @classmethod
-    def read(cls, f) -> "BitString":
-        header = f.read(4)
-        if len(header) < 4:
-            raise TruncationError("missing bit-count header")
-        (length,) = struct.unpack(">I", header)
-        nbytes = (length + 7) // 8
-        data = f.read(nbytes)
-        return cls.from_bytes(data, length)
-
-
-class BitWriter:
-    """Mutable accumulator producing a BitString."""
-
-    def __init__(self):
-        self._value = 0
-        self._length = 0
-
-    def write(self, value: int, width: int) -> None:
-        if width < 0 or value < 0 or (width >= 0 and value >> width):
-            raise PreconditionError(f"value {value} does not fit in {width} bits")
-        self._value = (self._value << width) | value
-        self._length += width
-
-    def write_bits(self, bits: BitString) -> None:
-        self._value = (self._value << bits.length) | bits.value
-        self._length += bits.length
-
-    def getvalue(self) -> BitString:
-        return BitString(self._value, self._length)
-
-    def __len__(self) -> int:
-        return self._length
-
-
-class BitReader:
-    """Cursor over a BitString; raises TruncationError past the end."""
-
-    def __init__(self, bits: BitString):
-        self._bits = bits
-        self.pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return self._bits.length - self.pos
-
-    def read(self, width: int) -> int:
-        if width < 0:
-            raise PreconditionError("read width must be non-negative")
-        if width > self.remaining:
-            raise TruncationError("bit stream exhausted mid-read")
-        shift = self._bits.length - self.pos - width
-        self.pos += width
-        return (self._bits.value >> shift) & ((1 << width) - 1)
 
 
 @dataclass(frozen=True, eq=False)

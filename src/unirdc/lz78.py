@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitReader, BitString, BitWriter, Block
-from .errors import CorruptStreamError, PreconditionError
+from .core import BitString, Block
+from .errors import CorruptStreamError, PreconditionError, TruncationError
 
 __all__ = [
     "LzParse",
@@ -131,14 +131,12 @@ def lz_encode(block: Block, alphabet_size: int) -> BitString:
     """Emit the parse as bits; the total equals the parse's bit_length."""
     parse = lz_parse(block, alphabet_size)
     sym_w = symbol_width(alphabet_size)
-    w = BitWriter()
+    value = 0
     for i, (pointer, innovation) in enumerate(parse.phrases, start=1):
-        w.write(pointer, pointer_width(i))
+        value = (value << pointer_width(i)) | pointer
         if innovation is not None:
-            w.write(innovation, sym_w)
-    out = w.getvalue()
-    assert out.length == parse.bit_length
-    return out
+            value = (value << sym_w) | innovation
+    return BitString(value, parse.bit_length)
 
 
 def lz_decode(bits: BitString, n: int, alphabet_size: int) -> Block:
@@ -147,17 +145,22 @@ def lz_decode(bits: BitString, n: int, alphabet_size: int) -> Block:
     The phrase loop reads a pointer, and reads an innovation symbol only when
     the pointed-to string is shorter than the remaining output budget; a
     pointed-to string that exactly fills the budget is the final duplicate
-    phrase. All bits must be consumed.
+    phrase. All bits must be consumed: each field is read off the top of the
+    bits not yet read, the low `left` bits of the code's value.
     """
     if n < 0:
         raise PreconditionError("block length must be non-negative")
-    reader = BitReader(bits)
+    value, left = bits.value, bits.length
     sym_w = symbol_width(alphabet_size)
     strings: list[tuple[int, ...]] = [()]
     out: list[int] = []
     i = 1
     while len(out) < n:
-        pointer = reader.read(pointer_width(i))
+        width = pointer_width(i)
+        if width > left:
+            raise TruncationError("bit stream exhausted mid-read")
+        left -= width
+        pointer = (value >> left) & ((1 << width) - 1)
         if pointer >= i:
             raise CorruptStreamError(f"phrase {i} points at unseen phrase {pointer}")
         s = strings[pointer]
@@ -167,15 +170,18 @@ def lz_decode(bits: BitString, n: int, alphabet_size: int) -> Block:
             break
         if len(s) > remaining:
             raise CorruptStreamError("phrase overruns the block length")
-        symbol = reader.read(sym_w)
+        if sym_w > left:
+            raise TruncationError("bit stream exhausted mid-read")
+        left -= sym_w
+        symbol = (value >> left) & ((1 << sym_w) - 1)
         if symbol >= alphabet_size:
             raise CorruptStreamError(f"symbol value {symbol} outside alphabet")
         s = s + (symbol,)
         strings.append(s)
         out.extend(s)
         i += 1
-    if reader.remaining:
-        raise CorruptStreamError(f"{reader.remaining} unread bits after final phrase")
+    if left:
+        raise CorruptStreamError(f"{left} unread bits after final phrase")
     return Block(tuple(out))
 
 

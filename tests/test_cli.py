@@ -842,10 +842,9 @@ def test_draw_budget_past_int64_is_refused_before_any_draw(tmp_path, capsys, mon
     # one record holding index 2^64, within a --max-draws of 2^70 but past
     # any int64 replay
     stream = codec.CodebookStream(seed=0, n=6, alphabet_size=2, mode=mode)
-    huge = codec.EncodedMessage(escape=False, payload=codec.index_code_encode(2**64), index=2**64)
     crafted = tmp_path / "huge.urc"
     with open(crafted, "wb") as f:
-        codec.write_container(f, stream, Fraction(1, 6), [huge])
+        codec.write_container(f, stream, Fraction(1, 6), codec.Records([2**64], {}))
     monkeypatch.setattr(codec.CodebookStream, "sampler", lambda self: pytest.fail("drew"))
     code, out = invoke(
         capsys, "decode", "--alphabet", "01", "--in", str(crafted), "--max-draws", str(2**70)
@@ -978,12 +977,70 @@ def test_cli_encode_and_decode_build_nothing_per_record(tmp_path, capsys, monkey
 
     monkeypatch.setattr(codec, "EncodedMessage", fail)
     monkeypatch.setattr(codec, "BitString", fail)
-    monkeypatch.setattr(codec, "BitReader", fail)
-    monkeypatch.setattr(unirdc.core, "BitReader", fail)
-    monkeypatch.setattr(unirdc.core.BitString, "read", fail)
     assert invoke(capsys, *encode, "--out", str(tmp_path / "c.urc")) == (0, "")
     got = tmp_path.joinpath("c.urc").read_bytes(), invoke(capsys, *decode)
     assert got == want and want[1][0] == 0
+
+
+# Four encoded containers: (encode flags, decode flags, source blocks).
+CRAFTED_SOURCES = [
+    # exact, every block hits
+    (["--alphabet", "01", "--D", "1/4", "--seed", "7"], ["--alphabet", "01"],
+     ["01100111", "00000000", "11111111", "10100101", "01100111"]),
+    # exact, a budget of 3 draws at both ends: escapes among the hits
+    (["--alphabet", "01", "--D", "1/8", "--seed", "7", "--max-draws", "3"],
+     ["--alphabet", "01", "--max-draws", "3"],
+     ["01100111", "00000000", "11111111", "10100101"]),
+    # bitfeed, a budget of 5 draws: escapes among the hits
+    (["--alphabet", "01", "--D", "1/8", "--seed", "3", "--mode", "bitfeed", "--max-draws", "5"],
+     ["--alphabet", "01"], ["10010110", "00000000", "11110000", "01010101"]),
+    # ternary n=6, capped table
+    (["--alphabet", "012", "--D", "1/3", "--seed", "2", "--length-mode", "capped"],
+     ["--alphabet", "012"], ["012012", "000000", "221100", "120201"]),
+]
+# sha256 over the (exit code, stdout) of the in-process decode of every
+# variant _crafted_variants makes of the containers of CRAFTED_SOURCES
+CRAFTED_DIGEST = "98490ba885c2de100c0276ad5338cfee83da328fb09c220fbdcf86a6b6ac0cae"
+
+
+def _crafted_variants(raw: bytes):
+    """Every single-bit flip of the header, the record count and the first
+    two records; the container cut at every byte; the record count set to
+    count - 1, count + 1, 0 and 2^32 - 1; and stray bytes after the last record."""
+    end = 20
+    for _ in range(2):
+        end += 4 + (int.from_bytes(raw[end : end + 4], "big") + 7) // 8
+    for bit in range(8 * end):
+        flipped = bytearray(raw)
+        flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+        yield bytes(flipped)
+    for cut in range(len(raw)):
+        yield raw[:cut]
+    count = int.from_bytes(raw[16:20], "big")
+    for wrong in (count - 1, count + 1, 0, 2**32 - 1):
+        yield raw[:16] + wrong.to_bytes(4, "big") + raw[20:]
+    for tail in (b"\x00", b"\xff", struct.pack(">I", 1) + b"\x80"):
+        yield raw + tail
+
+
+def test_crafted_containers_decode_to_pinned_verdicts(tmp_path, capsys):
+    # the exit codes, decoded blocks and error objects of 1,212 damaged
+    # containers, as the decoder gave them when it read records through
+    # messages and bit strings
+    digest = hashlib.sha256()
+    variants = 0
+    for flags, decode_flags, texts in CRAFTED_SOURCES:
+        blocks = tmp_path / "blocks.txt"
+        blocks.write_text("".join(t + "\n" for t in texts))
+        container = tmp_path / "c.urc"
+        assert invoke(capsys, "encode", *flags, "--in", str(blocks), "--out", str(container)) == (0, "")
+        for raw in _crafted_variants(container.read_bytes()):
+            container.write_bytes(raw)
+            code, out = invoke(capsys, "decode", *decode_flags, "--in", str(container))
+            digest.update(f"{code}\n{out}\0".encode())
+            variants += 1
+    assert variants == 1212
+    assert digest.hexdigest() == CRAFTED_DIGEST
 
 
 @pytest.mark.skipif(
@@ -1009,9 +1066,9 @@ def test_unwritable_container_is_refused_before_any_draw(
     tmp_path, capsys, monkeypatch, flag, value
 ):
     def no_draws(*args):
-        raise AssertionError("encode_blocks was called")
+        raise AssertionError("encode_streams was called")
 
-    monkeypatch.setattr(unirdc.codec, "encode_blocks", no_draws)
+    monkeypatch.setattr(unirdc.codec, "encode_streams", no_draws)
     blocks = tmp_path / "blocks.txt"
     blocks.write_text("011010\n000000\n")
     args = {"--alphabet": "01", "--in": str(blocks), "--D": "1/6", "--seed": "42"}

@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 from unirdc import (
     BINARY,
     Alphabet,
-    BitReader,
     BitString,
-    BitWriter,
     Block,
     CapacityError,
     CodebookStream,
@@ -31,7 +29,6 @@ from unirdc import (
     decode_messages,
     distortion,
     encode,
-    encode_blocks,
     encode_streams,
     enumerate_blocks,
     find_witness,
@@ -49,6 +46,7 @@ from unirdc import (
     write_container,
 )
 from unirdc import codec
+from unirdc.codec import Records
 from unirdc.core import blocks_at
 from unirdc.universal import _ExactSampler, sphere_mass
 from unirdc.lz78 import symbol_width
@@ -62,34 +60,43 @@ def stream(seed=7, n=6, k=2, **kw):
     return CodebookStream(seed=seed, n=n, alphabet_size=k, mode="exact", **kw)
 
 
+def text(value, bits):
+    """The bits of (value, bits) as '0'/'1' text."""
+    return format(value, f"0{bits}b") if bits else ""
+
+
+def encoded(xs, level, spec, s):
+    """The records of a batch coded under one stream."""
+    return encode_streams(xs, level, spec, [s]).records()
+
+
 def test_index_code_base_cases():
-    assert index_code_encode(1).to_text() == "1"
-    assert index_code_encode(17).length == 9
-    assert index_code_encode(2).to_text() == "0100"
+    assert text(*index_code_encode(1)) == "1"
+    assert index_code_encode(17)[1] == 9
+    assert text(*index_code_encode(2)) == "0100"
 
 
 def test_index_code_round_trip():
+    # the code is decoded as a whole payload, so a stray bit would be refused
     for i in range(1, 1 << 20):
         if i < 4096 or i % 997 == 0 or (i & (i - 1)) == 0 or (i + 1) & i == 0:
-            r = BitReader(index_code_encode(i))
-            assert index_code_decode(r) == i
-            assert r.remaining == 0
+            assert index_code_decode(*index_code_encode(i)) == i
 
 
 def test_index_code_dense_range_exact():
     for i in range(1, 5000):
-        assert index_code_decode(BitReader(index_code_encode(i))) == i
+        assert index_code_decode(*index_code_encode(i)) == i
 
 
 def test_index_code_length_closed_form_dense():
     for i in range(1, (1 << 16) + 1):
-        assert index_code_length(i) == index_code_encode(i).length
+        assert index_code_length(i) == index_code_encode(i)[1]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 1 << 80))
 def test_index_code_length_closed_form(i):
-    assert index_code_length(i) == index_code_encode(i).length
+    assert index_code_length(i) == index_code_encode(i)[1]
 
 
 def test_index_code_lengths_are_exact_up_to_int64():
@@ -101,7 +108,7 @@ def test_index_code_lengths_are_exact_up_to_int64():
 
 def test_index_code_rejects_garbage():
     with pytest.raises(CorruptStreamError):
-        index_code_decode(BitReader(BitString.from_text("0" * 70)))
+        index_code_decode(0, 70)
 
 
 def test_theoretical_length_values():
@@ -141,27 +148,29 @@ def test_full_sphere_always_first_codeword():
     for x in list(enumerate_blocks(6, 2))[:16]:
         msg = encode(x, 1, HAMMING, s)
         assert msg.index == 1 and not msg.escape
-        assert msg.payload.to_text() == "1"  # the 1-bit code for index 1
-        assert msg.to_bits().to_text() == "01"  # escape flag 0 in front
+        assert text(msg.payload.value, msg.payload.length) == "1"  # the 1-bit code for index 1
+        assert msg.total_bits == 2  # escape flag 0 in front
 
 
-# The bit-string parse of one wire record that the closed-form record layer
-# replaced, kept as its oracle: a BitReader over the bits, then
-# index_code_decode one bit at a time.
-def message_from_bits(bits: BitString) -> EncodedMessage:
-    if bits.length < 1:
+# The parse of one wire record, kept as the oracle of the closed-form record
+# layer: the escape flag, then a field at a time off '0'/'1' text, the zeros
+# of the prefix, the bit count they announce and the bits below its leading one.
+def message_from_bits(bits: str) -> EncodedMessage:
+    if not bits:
         raise TruncationError("empty message")
-    escape = bool(BitReader(bits).read(1))
-    payload = BitString(bits.value & ((1 << (bits.length - 1)) - 1), bits.length - 1)
-    index = None
+    escape, payload, index = bits[0] == "1", bits[1:], None
     if not escape:
-        reader = BitReader(payload)
-        try:
-            index = index_code_decode(reader)
-        except TruncationError:
+        zeros = len(payload) - len(payload.lstrip("0"))
+        if zeros > 64:
+            raise CorruptStreamError("index code prefix too long")
+        count = payload[zeros : 2 * zeros + 1]
+        below = payload[2 * zeros + 1 : 2 * zeros + int(count or "0", 2)]
+        if zeros == len(payload) or len(count) + len(below) < zeros + int(count, 2):
             raise CorruptStreamError("malformed index code")
-        if reader.remaining:
+        if len(payload) > 2 * zeros + int(count, 2):
             raise CorruptStreamError("trailing bits after the index code")
+        index = int("1" + below, 2)
+    payload = BitString(int(payload or "0", 2), len(payload))
     return EncodedMessage(escape=escape, payload=payload, index=index)
 
 
@@ -169,7 +178,7 @@ def test_message_bits_round_trip():
     s = stream(seed=5)
     x = BINARY.to_block("011001")
     msg = encode(x, Fraction(1, 6), HAMMING, s)
-    again = message_from_bits(msg.to_bits())
+    again = message_from_bits(str(int(msg.escape)) + text(msg.payload.value, msg.payload.length))
     assert (again.escape, again.payload, again.index) == (
         msg.escape,
         msg.payload,
@@ -252,9 +261,10 @@ def test_container_round_trip():
     s = stream(seed=11)
     level = Fraction(1, 6)
     xs = [BINARY.to_block(t) for t in ("011010", "000000", "111111")]
-    msgs = [encode(x, level, HAMMING, s) for x in xs]
+    records = encoded(xs, level, HAMMING, s)
+    msgs = list(records)
     buf = io.BytesIO()
-    write_container(buf, s, level, msgs)
+    write_container(buf, s, level, records)
     buf.seek(0)
     header, decoded = read_container(buf)
     assert header.n == 6 and header.alphabet_size == 2 and header.seed == 11
@@ -278,7 +288,7 @@ def test_container_round_trip():
 def test_container_rejects_bad_magic():
     s = stream(seed=11)
     buf = io.BytesIO()
-    write_container(buf, s, Fraction(1, 6), [])
+    write_container(buf, s, Fraction(1, 6), Records([], {}))
     raw = bytearray(buf.getvalue())
     raw[0] ^= 0xFF
     with pytest.raises(CorruptStreamError):
@@ -287,22 +297,27 @@ def test_container_rejects_bad_magic():
 
 def test_container_rejects_truncation():
     s = stream(seed=11)
-    msg = encode(BINARY.to_block("011010"), Fraction(1, 6), HAMMING, s)
+    records = encoded([BINARY.to_block("011010")], Fraction(1, 6), HAMMING, s)
     buf = io.BytesIO()
-    write_container(buf, s, Fraction(1, 6), [msg])
+    write_container(buf, s, Fraction(1, 6), records)
     raw = buf.getvalue()
     with pytest.raises(Exception):
         read_container(io.BytesIO(raw[:-1]))
 
 
+def _record(bits: str) -> bytes:
+    """One wire record of '0'/'1' text: its bit count as a big-endian uint32,
+    then its bits left-aligned in whole bytes."""
+    padded = bits + "0" * (-len(bits) % 8)
+    return struct.pack(">I", len(bits)) + int(padded or "0", 2).to_bytes(len(padded) // 8, "big")
+
+
 def _one_record_container(record: str, s=None) -> bytes:
     buf = io.BytesIO()
-    write_container(buf, s or stream(seed=11), Fraction(1, 6), [])
+    write_container(buf, s or stream(seed=11), Fraction(1, 6), Records([], {}))
     raw = bytearray(buf.getvalue())
     raw[16:20] = (1).to_bytes(4, "big")  # one record follows
-    rec = io.BytesIO()
-    BitString.from_text(record).write(rec)
-    return bytes(raw) + rec.getvalue()
+    return bytes(raw) + _record(record)
 
 
 def test_container_index_code_past_its_record_is_corrupt():
@@ -318,28 +333,25 @@ def test_container_rejects_trailing_bits_after_index_code():
         read_container(io.BytesIO(_one_record_container("010")))
 
 
-def _bit_writer_index_code(i: int) -> BitString:
-    """The index code built a field at a time, as the closed form replaced it."""
-    nbits = i.bit_length()
-    prefix = nbits.bit_length() - 1
-    w = BitWriter()
-    w.write(0, prefix)
-    w.write(nbits, prefix + 1)
-    w.write(i & ((1 << (nbits - 1)) - 1), nbits - 1)
-    return w.getvalue()
+def _field_index_code(i: int) -> str:
+    """The index code built a field at a time as '0'/'1' text: a zero per bit
+    of the bit count below its leading one, the bit count, then the bits of i
+    below its leading one."""
+    count = format(i.bit_length(), "b")
+    return "0" * (len(count) - 1) + count + format(i, "b")[1:]
 
 
 def test_closed_form_index_records_equal_the_bit_writer_codes():
     edges = {v for k in range(71) for v in (2**k - 1, 2**k, 2**k + 1)} - {0}
     indices = sorted(edges | set(range(1, (1 << 16) + 1)))
-    want = io.BytesIO()
+    want = []
     for i in indices:
-        code = _bit_writer_index_code(i)
-        assert index_code_encode(i) == code
-        (BitString(0, 1) + code).write(want)  # escape flag 0, then the code
+        code = _field_index_code(i)
+        assert text(*index_code_encode(i)) == code
+        want.append(_record("0" + code))  # escape flag 0, then the code
     buf = io.BytesIO()
-    write_container(buf, stream(), Fraction(1, 6), codec.Records(indices, {}))
-    assert buf.getvalue()[20:] == want.getvalue()
+    write_container(buf, stream(), Fraction(1, 6), Records(indices, {}))
+    assert buf.getvalue()[20:] == b"".join(want)
 
 
 def _outcome(read):
@@ -351,10 +363,19 @@ def _outcome(read):
 
 
 def _oracle_read_records(raw: bytes):
-    """The records after a container's header and count, read as they were
-    before the record layer: BitString.read, then message_from_bits."""
-    f = io.BytesIO(raw[20:])
-    return [message_from_bits(BitString.read(f)) for _ in range(struct.unpack(">I", raw[16:20])[0])]
+    """The records after a container's header and count, each read as its bit
+    count, then its bytes as '0'/'1' text cut to that count, then parsed by
+    message_from_bits."""
+    msgs, data = [], raw[20:]
+    for _ in range(struct.unpack(">I", raw[16:20])[0]):
+        if len(data) < 4:
+            raise TruncationError("missing bit-count header")
+        bits, data = struct.unpack(">I", data[:4])[0], data[4:]
+        if len(data) < (bits + 7) // 8:
+            raise TruncationError("byte payload shorter than the declared bit count")
+        msgs.append(message_from_bits("".join(f"{b:08b}" for b in data[: (bits + 7) // 8])[:bits]))
+        data = data[(bits + 7) // 8 :]
+    return msgs
 
 
 _PAYLOADS = st.one_of(
@@ -362,10 +383,10 @@ _PAYLOADS = st.one_of(
     st.integers(1, 140).map(lambda m: "0" * m),  # all zeros, past a 64-bit prefix too
     # index codes, whole, with stray bits after them, or cut short
     st.tuples(st.integers(1, 2**70), st.text("01", max_size=3)).map(
-        lambda p: "0" + index_code_encode(p[0]).to_text() + p[1]
+        lambda p: "0" + text(*index_code_encode(p[0])) + p[1]
     ),
     st.tuples(st.integers(1, 2**70), st.integers(1, 8)).map(
-        lambda p: "0" + index_code_encode(p[0]).to_text()[: -p[1]]
+        lambda p: "0" + text(*index_code_encode(p[0]))[: -p[1]]
     ),
 )
 
@@ -400,7 +421,7 @@ def test_container_records_agree_with_the_bit_string_oracle(count, texts, tail, 
 def test_container_level_must_fit():
     s = stream(seed=11)
     with pytest.raises(PreconditionError):
-        write_container(io.BytesIO(), s, Fraction(1, 1000), [])
+        write_container(io.BytesIO(), s, Fraction(1, 1000), Records([], {}))
 
 
 # Containers written before the table became an array, with the decoded blocks
@@ -433,18 +454,18 @@ def test_old_containers_still_decode(symbols, hexdata, expected):
 def test_container_rejects_block_length_beyond_uint16():
     s = CodebookStream(seed=1, n=1 << 16, alphabet_size=2)
     with pytest.raises(PreconditionError):
-        write_container(io.BytesIO(), s, Fraction(1, 4), [])
+        write_container(io.BytesIO(), s, Fraction(1, 4), Records([], {}))
 
 
 def test_container_rejects_alphabet_beyond_uint8():
     s = CodebookStream(seed=1, n=4, alphabet_size=256)
     with pytest.raises(PreconditionError):
-        write_container(io.BytesIO(), s, Fraction(1, 4), [])
+        write_container(io.BytesIO(), s, Fraction(1, 4), Records([], {}))
 
 
 def _patched_header(offset, value):
     buf = io.BytesIO()
-    write_container(buf, stream(seed=11), Fraction(1, 6), [])
+    write_container(buf, stream(seed=11), Fraction(1, 6), Records([], {}))
     raw = bytearray(buf.getvalue())
     raw[offset] = value
     return io.BytesIO(bytes(raw))
@@ -478,7 +499,7 @@ def test_container_rejects_a_bad_version_or_level(offset, value, message):
 
 def test_container_without_a_message_count_is_truncated():
     buf = io.BytesIO()
-    write_container(buf, stream(seed=11), Fraction(1, 6), [])
+    write_container(buf, stream(seed=11), Fraction(1, 6), Records([], {}))
     with pytest.raises(TruncationError, match="message count"):
         read_container(io.BytesIO(buf.getvalue()[:18]))
 
@@ -501,7 +522,7 @@ def test_container_witness_symbol_outside_the_alphabet_is_corrupt():
 @pytest.mark.parametrize("escape, index", [(False, None), (False, 0), (True, 3)])
 def test_message_index_is_present_exactly_when_not_an_escape(escape, index):
     with pytest.raises(PreconditionError):
-        EncodedMessage(escape=escape, payload=index_code_encode(3), index=index)
+        EncodedMessage(escape=escape, payload=BitString(*index_code_encode(3)), index=index)
 
 
 def _decode_untrusted(raw: bytes) -> None:
@@ -512,12 +533,6 @@ def _decode_untrusted(raw: bytes) -> None:
         mode=header.mode, length_mode=header.length_mode, max_draws=64,
     )
     assert len(decode_messages(msgs, replay)) == len(msgs)
-
-
-def _record(text: str) -> bytes:
-    rec = io.BytesIO()
-    BitString.from_text(text).write(rec)
-    return rec.getvalue()
 
 
 _HEADERS = st.builds(
@@ -570,14 +585,13 @@ def _scan_one(x, level, spec, s):
     sampler = s.sampler()
     for i in range(1, s.max_draws + 1):
         if distortion(x, next_codeword(sampler, s), spec) <= budget:
-            return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
+            return EncodedMessage(escape=False, payload=BitString(*index_code_encode(i)), index=i)
     witness = find_witness(x, level, spec)
     if witness is None:
         raise UncodableInputError("no reproduction block meets the budget")
-    w = BitWriter()
-    for sym in witness.symbols:
-        w.write(sym, symbol_width(spec.repro_size))
-    return EncodedMessage(escape=True, payload=w.getvalue(), index=None)
+    width = symbol_width(spec.repro_size)
+    bits = "".join(text(sym, width) for sym in witness.symbols)
+    return EncodedMessage(escape=True, payload=BitString(int(bits, 2), len(bits)), index=None)
 
 
 def _replay_one(msg, s, witness):
@@ -633,7 +647,7 @@ def batch_cases(draw):
 def test_batch_equals_per_block_scan(case):
     xs, level, spec, s, chunk, mask_bytes = case
     with patch.object(codec, "_CHUNK", chunk), patch.object(codec, "_MASK_BYTES", mask_bytes):
-        msgs = encode_blocks(xs, level, spec, s)
+        msgs = encoded(xs, level, spec, s)
         decoded = decode_messages(msgs, s)
     expected = [_scan_one(x, level, spec, s) for x in xs]
     for got, want in zip(msgs, expected, strict=True):
@@ -652,7 +666,7 @@ def test_exact_encode_folds_an_overflowing_matrix(monkeypatch):
     s = CodebookStream(seed=11, n=6, alphabet_size=2, mode="exact", max_draws=10)
     xs = list(enumerate_blocks(6, 2))
     for level in (Fraction(1, 6), Fraction(1, 3)):
-        msgs = encode_blocks(xs, level, OVERFLOWING, s)
+        msgs = encoded(xs, level, OVERFLOWING, s)
         assert calls == []
         assert any(m.escape for m in msgs) and not all(m.escape for m in msgs)
         expected = [_scan_one(x, level, OVERFLOWING, s) for x in xs]
@@ -685,14 +699,14 @@ def test_batch_with_an_uncodable_block_draws_nothing(mode, draws):
     s = CodebookStream(seed=2, n=4, alphabet_size=2, mode=mode)
     xs = [BINARY.to_block("0101"), BINARY.to_block("1100")]
     with pytest.raises(UncodableInputError):
-        encode_blocks(xs, Fraction(1, 2), spec, s)
+        encoded(xs, Fraction(1, 2), spec, s)
     assert draws[0] == 0
 
 
 @pytest.mark.parametrize("mode", ["exact", "bitfeed"])
 def test_empty_batch_codes_to_no_messages(mode, draws):
     s = CodebookStream(seed=2, n=6, alphabet_size=2, mode=mode)
-    assert encode_blocks([], Fraction(1, 6), HAMMING, s) == []
+    assert list(encoded([], Fraction(1, 6), HAMMING, s)) == []
     assert encode_streams([], Fraction(1, 6), HAMMING, [s, s]).first.shape == (2, 0)
     assert draws[0] == 0
 
@@ -702,7 +716,7 @@ def test_empty_batch_codes_to_no_messages(mode, draws):
 def test_blocks_of_another_length_are_refused_before_any_draw(mode, texts, draws):
     s = CodebookStream(seed=2, n=6, alphabet_size=2, mode=mode)
     with pytest.raises(PreconditionError, match="equal length"):
-        encode_blocks([BINARY.to_block(t) for t in texts], Fraction(1, 6), HAMMING, s)
+        encoded([BINARY.to_block(t) for t in texts], Fraction(1, 6), HAMMING, s)
     assert draws[0] == 0
 
 
@@ -744,11 +758,12 @@ def test_streams_equal_per_seed_encodes(
         return real(centers, *args)
 
     monkeypatch.setattr(codec, "sphere_rows", counting)
-    swept = list(encode_streams(xs, level, spec, streams))
+    coded = encode_streams(xs, level, spec, streams)
+    swept = [coded.records(row) for row in range(len(streams))]
     # each distinct block's sphere row is built once for all the seeds
     by_rows = mode == "exact"
     assert len(rows) == (len(set(xs)) if by_rows else 0)
-    per_seed = [encode_blocks(xs, level, spec, s) for s in streams]
+    per_seed = [encoded(xs, level, spec, s) for s in streams]
     assert len(swept) == len(SWEEP_SEEDS)
     for got_msgs, want_msgs in zip(swept, per_seed, strict=True):
         for got, want in zip(got_msgs, want_msgs, strict=True):
@@ -781,7 +796,7 @@ def test_uncodable_block_in_a_later_row_group_draws_nothing(
         if run == "streams":
             encode_streams(xs, Fraction(1, 2), spec, streams)
         else:
-            encode_blocks(xs, Fraction(1, 2), spec, streams[0])
+            encode_streams(xs, Fraction(1, 2), spec, streams[:1])
     assert draws[0] == 0
 
 
@@ -819,11 +834,12 @@ def test_a_batch_builds_one_witness_message_per_escaping_block(monkeypatch):
     )
     xs = [BINARY.to_block(t) for t in SIX]
     streams = [CodebookStream(seed=seed, n=6, alphabet_size=2, max_draws=3) for seed in SWEEP_SEEDS]
-    swept = list(encode_streams(xs, Fraction(1, 6), HAMMING, streams))
+    coded = encode_streams(xs, Fraction(1, 6), HAMMING, streams)
+    swept = [coded.records(row) for row in range(len(streams))]
     escaping = {tuple(x) for msgs in swept for x, m in zip(xs, msgs) if m.escape}
     assert escaping and len(built) == len(set(built)) and set(built) == escaping
     for got_msgs, s in zip(swept, streams, strict=True):
-        want_msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
+        want_msgs = encoded(xs, Fraction(1, 6), HAMMING, s)
         for got, want in zip(got_msgs, want_msgs, strict=True):
             assert (got.escape, got.payload, got.index) == (want.escape, want.payload, want.index)
 
@@ -852,13 +868,11 @@ def test_a_batch_searches_a_witness_once_and_only_where_the_block_escapes(
         assert sorted(searched) == sorted(seen | escapes)
         assert {tuple(xs[p]) for p in records.witnesses} == escapes
         seen |= escapes
-    list(coded)
     if not decode_first:
         decoded = [d for _, part in coded.decoded(streams) for d in part]
     assert sorted(searched) == sorted(everywhere)  # one search per distinct escaping block
     for got, s in zip(decoded, streams, strict=True):
-        msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
-        assert np.array_equal(got, decode_messages(msgs, s))
+        assert np.array_equal(got, decode_messages(encoded(xs, Fraction(1, 6), HAMMING, s), s))
 
 
 def test_streams_of_one_batch_differ_only_in_seed_and_budget():
@@ -871,7 +885,8 @@ def test_streams_of_one_batch_differ_only_in_seed_and_budget():
         with pytest.raises(PreconditionError):
             encode_streams(xs, Fraction(1, 4), HAMMING, [exact, other])
     budgets = [exact, CodebookStream(seed=2, n=4, alphabet_size=2, mode="exact", max_draws=1)]
-    assert [m[0] for m in encode_streams(xs, Fraction(1, 4), HAMMING, budgets)] == [
+    coded = encode_streams(xs, Fraction(1, 4), HAMMING, budgets)
+    assert [coded.records(row)[0] for row in range(len(budgets))] == [
         encode(xs[0], Fraction(1, 4), HAMMING, s) for s in budgets
     ]
 
@@ -961,9 +976,8 @@ def test_negative_level_is_rejected_before_any_draw(draws):
 
 def test_decode_work_grows_with_the_largest_index(draws):
     s = CodebookStream(seed=5, n=8, alphabet_size=2, mode="exact")
-    far = EncodedMessage(escape=False, payload=index_code_encode(1 << 16), index=1 << 16)
     buf = io.BytesIO()
-    write_container(buf, s, Fraction(1, 4), [far] * 100)
+    write_container(buf, s, Fraction(1, 4), Records([1 << 16] * 100, {}))
     buf.seek(0)
     _, msgs = read_container(buf)
     blocks = decode_messages(msgs, s)
@@ -972,41 +986,41 @@ def test_decode_work_grows_with_the_largest_index(draws):
     assert [tuple(row) for row in blocks.tolist()] == [target.symbols] * 100
 
 
-def _at(i):
-    return EncodedMessage(escape=False, payload=index_code_encode(i), index=i)
-
-
 # five 1-bit symbols where n=6 needs six
-_SHORT_WITNESS = EncodedMessage(escape=True, payload=BitString(0, 5), index=None)
+_SHORT_WITNESS = (0, 5)
+
+
+def _records(*items):
+    """Records of the given indices and (value, bits) witnesses, in order."""
+    indices = [0 if isinstance(item, tuple) else item for item in items]
+    return Records(indices, {p: item for p, item in enumerate(items) if isinstance(item, tuple)})
 
 
 def test_decode_refuses_an_index_beyond_the_budget_before_any_draw(draws):
     s = stream(seed=7, max_draws=10)
-    msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s)] + [
-        EncodedMessage(escape=False, payload=index_code_encode(11), index=11)
-    ]
+    records = _records(encode(BINARY.to_block("000000"), 1, HAMMING, s).index, 11)
     draws[0] = 0
     with pytest.raises(CorruptStreamError, match="index 11 exceeds the stream's draw budget 10$"):
-        decode_messages(msgs, s)
+        decode_messages(records, s)
     assert draws[0] == 0
 
 
 @pytest.mark.parametrize(
     "tail, message",
     [
-        ([_at(12), _at(2**64)], "index 12 exceeds"),
-        ([_at(2**64), _at(11)], f"index {2**64} exceeds the stream's draw budget 10$"),
-        ([_at(11), _SHORT_WITNESS], "index 11 exceeds"),
-        ([_SHORT_WITNESS, _at(11)], "bit count"),
+        ([12, 2**64], "index 12 exceeds"),
+        ([2**64, 11], f"index {2**64} exceeds the stream's draw budget 10$"),
+        ([11, _SHORT_WITNESS], "index 11 exceeds"),
+        ([_SHORT_WITNESS, 11], "bit count"),
     ],
 )
 def test_decode_names_the_first_bad_message_before_any_draw(draws, tail, message):
     # an index past int64 is refused like any other index over the budget
     s = stream(seed=7, max_draws=10)
-    msgs = [encode(BINARY.to_block("000000"), 1, HAMMING, s), _at(3)] + tail
+    records = _records(encode(BINARY.to_block("000000"), 1, HAMMING, s).index, 3, *tail)
     draws[0] = 0
     with pytest.raises(CorruptStreamError, match=message):
-        decode_messages(msgs, s)
+        decode_messages(records, s)
     assert draws[0] == 0
 
 
@@ -1043,12 +1057,8 @@ def test_first_hit_array_and_masses_match_the_messages(monkeypatch, mode, spec):
     assert len(weighed) == 1  # both modes weigh the batch's one group of rows at once
     assert coded.first.shape == (len(streams), len(xs))
     assert coded.masses == tuple(sphere_mass(x, Fraction(1, 6), spec, table) for x in xs)
-    msgs = list(coded)
+    msgs = [coded.records(row) for row in range(len(streams))]
     assert [[m.index or 0 for m in row] for row in msgs] == coded.first.tolist()
-    # one message object per distinct index, shared by every stream
-    by_index = {}
-    for m in (m for row in msgs for m in row if not m.escape):
-        assert by_index.setdefault(m.index, m) is m
     assert encode_streams(xs, Fraction(1, 6), spec, streams).masses is None
 
 
@@ -1062,7 +1072,8 @@ def test_replay_of_a_first_hit_row_equals_its_decoded_messages(mode, spec):
     ]
     coded = encode_streams(xs, Fraction(1, 6), spec, streams)
     assert (coded.first == 0).any() and (coded.first > 0).any()
-    for hits, s, msgs in zip(coded.first, streams, coded, strict=True):
+    for row, (hits, s) in enumerate(zip(coded.first, streams, strict=True)):
+        msgs = coded.records(row)
         want = decode_messages(msgs, s)
         for row, m in zip(want.tolist(), msgs):
             if not m.escape:
@@ -1076,10 +1087,12 @@ def test_replay_of_a_first_hit_row_equals_its_decoded_messages(mode, spec):
 def test_decode_reads_each_index_without_parsing(monkeypatch):
     s = stream(seed=9)
     xs = [BINARY.to_block(t) for t in SIX] * 20
-    msgs = encode_blocks(xs, Fraction(1, 6), HAMMING, s)
+    msgs = encoded(xs, Fraction(1, 6), HAMMING, s)
     parsed = []
-    real = codec._parse_index
-    monkeypatch.setattr(codec, "_parse_index", lambda *payload: parsed.append(payload) or real(*payload))
+    real = codec.index_code_decode
+    monkeypatch.setattr(
+        codec, "index_code_decode", lambda *payload: parsed.append(payload) or real(*payload)
+    )
     blocks = decode_messages(msgs, s)
     assert parsed == []
     assert [tuple(row) for row in blocks.tolist()] == [decode(m, s).symbols for m in msgs]
@@ -1095,7 +1108,7 @@ def test_a_batch_codes_alike_from_blocks_tuples_and_arrays(mode):
         np.array([b.symbols for b in blocks], dtype=np.uint8),
         np.array([b.symbols for b in blocks], dtype=np.int64),
     ]
-    coded = [encode_blocks(xs, Fraction(1, 6), HAMMING, s) for xs in forms]
+    coded = [encoded(xs, Fraction(1, 6), HAMMING, s) for xs in forms]
     assert any(m.escape for m in coded[0]) and not all(m.escape for m in coded[0])
     for msgs in coded[1:]:
         assert [(m.escape, m.payload, m.index) for m in msgs] == [
@@ -1110,18 +1123,14 @@ def test_a_batch_codes_alike_from_blocks_tuples_and_arrays(mode):
 )
 def test_decoded_blocks_are_one_narrow_symbol_array(k, dtype):
     s = CodebookStream(seed=2, n=3, alphabet_size=k, mode="bitfeed", max_draws=4)
-    witness = BitWriter()
-    for symbol in (k - 1, 0, k - 1):
-        witness.write(symbol, symbol_width(k))
-    msgs = [
-        EncodedMessage(escape=False, payload=index_code_encode(3), index=3),
-        EncodedMessage(escape=True, payload=witness.getvalue(), index=None),
-    ]
+    width = symbol_width(k)
+    witness = "".join(text(symbol, width) for symbol in (k - 1, 0, k - 1))
+    msgs = _records(3, (int(witness, 2), len(witness)))
     decoded = decode_messages(msgs, s)
     assert decoded.dtype == dtype and decoded.shape == (2, 3)
     assert decoded[1].tolist() == [k - 1, 0, k - 1]
     assert decoded[0].tolist() == list(decode(msgs[0], s).symbols)
-    assert decode_messages([], s).shape == (0, 3)
+    assert decode_messages(Records([], {}), s).shape == (0, 3)
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 from unirdc import (
     BINARY,
     Alphabet,
-    BitReader,
     BitString,
-    BitWriter,
     Block,
     EnumerationCapError,
     PreconditionError,
-    TruncationError,
     empirical_distribution,
     enumerate_blocks,
     enumeration_cap,
@@ -135,75 +132,11 @@ def test_block_count_bit_length_is_exact():
                 assert _power_bit_length(k, n, p) == (k**n).bit_length(), (k, n, p)
 
 
-def test_bitstring_text_round_trip():
-    s = BitString.from_text("10110")
-    assert s.length == 5
-    assert s.to_text() == "10110"
-    assert list(s) == [1, 0, 1, 1, 0]
-    assert s[0] == 1 and s[4] == 0
-
-
-def test_bitstring_bytes_padding():
-    s = BitString.from_text("101")
-    raw = s.to_bytes()
-    assert raw == bytes([0b10100000])
-    assert BitString.from_bytes(raw, 3) == s
-
-
-def test_bitstring_file_round_trip(tmp_path):
-    s = BitString.from_text("1001110")
-    p = tmp_path / "bits.bin"
-    with open(p, "wb") as f:
-        s.write(f)
-    with open(p, "rb") as f:
-        assert BitString.read(f) == s
-    # truncated payload must not pass silently
-    data = p.read_bytes()
-    p.write_bytes(data[:-1])
-    with open(p, "rb") as f:
-        with pytest.raises(TruncationError):
-            BitString.read(f)
-
-
-def test_bit_writer_reader():
-    w = BitWriter()
-    w.write(5, 3)
-    w.write(1, 1)
-    s = w.getvalue()
-    assert s.to_text() == "1011"
-    r = BitReader(s)
-    assert r.read(3) == 5
-    assert r.remaining == 1
-    assert r.read(1) == 1
-    with pytest.raises(TruncationError):
-        r.read(1)
-
-
-@given(st.lists(st.integers(0, 1), max_size=40))
-def test_bitstring_bits_round_trip(bits):
-    s = BitString.from_bits(bits)
-    assert list(s) == bits
-    assert BitString.from_bytes(s.to_bytes(), s.length) == s
-
-
-@given(st.lists(st.integers(0, 1), max_size=40), st.lists(st.integers(0, 1), max_size=40))
-def test_bitstring_concatenation_joins_the_texts(a, b):
-    left, right = BitString.from_bits(a), BitString.from_bits(b)
-    joined = left + right
-    assert joined.to_text() == left.to_text() + right.to_text()
-    assert joined == BitString.from_bits(a + b)
-
-
-def test_bit_writer_length_counts_the_bits_written():
-    w = BitWriter()
-    written = 0
-    assert len(w) == 0
-    for value, width in [(0, 0), (5, 3), (0, 4), (1, 1), (2**40 - 1, 40)]:
-        w.write(value, width)
-        written += width
-        assert len(w) == written == w.getvalue().length
-    w.write_bits(BitString.from_text("0110"))
-    assert len(w) == written + 4 == w.getvalue().length
+def test_bitstring_holds_a_value_that_fits_its_length():
+    assert (BitString(0, 0), BitString(5, 3)) == (BitString(0, 0), BitString(0b101, 3))
+    for value, length in [(8, 3), (1, 0), (-1, 4), (0, -1)]:
+        with pytest.raises(PreconditionError):
+            BitString(value, length)
 
 
 def test_block_indexing_reads_its_symbols():

@@ -625,9 +625,11 @@ def test_ensemble_overshoot_matches_the_loop(monkeypatch, seed):
 
 def test_ensemble_builds_no_messages(monkeypatch):
     built = []
-    for name in ("_index_message", "_witness_payload"):
+    for name in ("EncodedMessage", "_witness_payload"):
         real = getattr(codec, name)
-        monkeypatch.setattr(codec, name, lambda *a, real=real: built.append(a) or real(*a))
+        monkeypatch.setattr(
+            codec, name, lambda *a, real=real, **kw: built.append(a) or real(*a, **kw)
+        )
     rep = ensemble_failure_experiment(ExperimentConfig(**_PINNED_SWEEP))
     assert rep.per_seed_failures == 28  # escapes taken, yet no witness built
     assert built == []
@@ -638,13 +640,13 @@ def test_the_round_trip_builds_no_index_message(monkeypatch, mode):
     # each seed's row of first hits is replayed as an array, an escaping
     # source's witness message is built once, and every seed opens a second
     # fresh sampler for its replay, so the decode never reuses the scan's draws
-    built = {"_index_message": 0, "_witness_payload": 0}
+    built = {"EncodedMessage": 0, "_witness_payload": 0}
     for name in built:
         real = getattr(codec, name)
 
-        def spy(*a, name=name, real=real):
+        def spy(*a, name=name, real=real, **kw):
             built[name] += 1
-            return real(*a)
+            return real(*a, **kw)
 
         monkeypatch.setattr(codec, name, spy)
     opened = []
@@ -654,7 +656,7 @@ def test_the_round_trip_builds_no_index_message(monkeypatch, mode):
     )
     cfg = ExperimentConfig(**_PINNED_SWEEP, mode=mode)
     rep = achievability_experiment(cfg)
-    assert built["_index_message"] == 0
+    assert built["EncodedMessage"] == 0
     assert built["_witness_payload"] == sum(row.escapes > 0 for row in rep.rows) > 0
     assert sorted(opened) == sorted(cfg.seed_list() * 2)
 

@@ -88,14 +88,14 @@ def test_decode_known_code():
 
 
 def test_decode_empty():
-    assert lz_decode(BitString.from_text(""), 0, 2) == Block(())
+    assert lz_decode(BitString(0, 0), 0, 2) == Block(())
 
 
 def test_decode_corrupt_pointer():
     # second phrase pointing at itself: pointer bit 1 means phrase 1 exists,
     # but a longer stream with pointer value >= i must fail
     with pytest.raises(CorruptStreamError):
-        lz_decode(BitString.from_text("1111111"), 6, 2)
+        lz_decode(BitString(0b1111111, 7), 6, 2)
 
 
 def test_decode_wrong_length_fails():
